@@ -7,9 +7,12 @@ Two argument groups exist:
 * the source cage vertices, which enter nonlinearly through the weights
   phi themselves.
 
-Both are obtained by reverse accumulation over the recorded kernel tape; a
-finite-difference harness cross-checks any gradient implementation against
-central differences.
+Both are obtained by reverse accumulation over the autodiff tape.  The
+weights enter it as one node whose VJP is the closed-form adjoint of the
+coordinate formulas (see ``mvc``), so the source-cage gradient costs one
+pass over the kept per-block values rather than a walk over per-operation
+temporaries.  A finite-difference harness cross-checks any gradient
+implementation against central differences.
 """
 
 from __future__ import annotations

@@ -20,10 +20,25 @@ followed by normalization to unit sum.  Queries within eps_vertex of a cage
 vertex get that vertex's exact indicator row.  Exterior queries are allowed
 and produce (partially negative) valid weights.
 
-The kernel is generic: passing the cage vertices as an autodiff Var yields
-weights on the tape, differentiable with respect to the cage.  All branch
-masks are decided on primal values and denominators of masked-out lanes are
-sanitized so no NaN/Inf can leak into values or gradients.
+One vectorised pass evaluates these formulas over blocks of _BLOCK_ROWS
+query rows at a time, so its temporaries stay O(_BLOCK_ROWS x faces) and
+small enough to be reused.  Arc lengths and their sines are taken once per
+cage edge, and the per-corner terms are added into their cage columns with
+``np.bincount``, which sums in a fixed order: a row's weights are the same
+bits whatever block it falls in and however many threads run.
+
+Passing the cage vertices as an autodiff Var makes phi a single tape node.
+Its VJP is the hand-derived adjoint of the formulas above and of the row
+normalization, evaluated block by block from the intermediates each block
+kept (so a taped call holds O(rows x faces) until its backward pass), and
+returns d loss / d cage vertices directly.  All branch masks are
+decided on primal values; masked-out lanes and guarded denominators pass
+no gradient, so no NaN/Inf can leak into values or gradients.
+
+Row flags (``compute_mvc``) come from the same pass: the winding number
+sums each face's solid angle 2 atan2(det[u_0, u_1, u_2], 1 + u_0.u_1 +
+u_1.u_2 + u_2.u_0), and on-vertex and on-face rows are the rows the
+snapping and 2D branches took.
 """
 
 from __future__ import annotations
@@ -50,6 +65,13 @@ _FLAG_NAMES = {
 
 _MAGIC = b"MVCMAT01"
 _DENOM_TINY = 1e-300
+_ASIN_CLAMP = 1.0 - 1e-12   # asin's derivative is taken inside +-1
+
+# Query rows per block of the kernel; its temporaries are O(rows x faces).
+_BLOCK_ROWS = 16
+_CORNERS = np.arange(3)
+_NEXT = np.array([1, 2, 0])   # corner k -> k + 1
+_PREV = np.array([2, 0, 1])   # corner k -> k + 2
 
 
 class MvcError(Exception):
@@ -141,165 +163,304 @@ def mvc_weights(cage_vertices, faces: np.ndarray, points: np.ndarray,
     per-row distances to branch boundaries used for gradient exclusion.
     ``with_flags=False`` skips the interior/exterior classification (flags
     None), which optimization loops that recompute weights every iteration
-    do not need.
+    do not need.  With a Var cage, phi is one tape node whose VJP returns
+    d phi / d cage in closed form.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = len(pts)
-    cage_val = ad.val(cage_vertices)
-    c = cage_val.shape[0]
     if n == 0:
         raise MvcError("no query points")
+    taped = ad.is_var(cage_vertices)
+    geo = _CageGeometry(ad.val(cage_vertices), faces)
 
-    diff = ad.reshape(cage_vertices, (1, c, 3)) - pts[:, None, :]   # (N,C,3)
-    d = ad.norm(diff, axis=-1)                                      # (N,C)
-    d_p = ad.val(d)
+    w_sum = np.empty((n, geo.n_vertices))
+    row_near = np.empty(n, dtype=bool)
+    nearest = np.empty(n, dtype=np.int64)
+    flags = np.empty(n, dtype=np.uint8) if with_flags else None
+    aux = {"min_vertex_dist": np.empty(n), "plane_margin": np.empty(n)}
+    blocks = []
+    for lo in range(0, n, _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        blk = _Block(geo, pts[rows], eps_vertex, eps_plane, with_flags)
+        w_sum[rows] = blk.w_sum.T
+        row_near[rows] = blk.row_near
+        if blk.row_near.any():
+            nearest[rows] = blk.nearest
+        aux["min_vertex_dist"][rows] = blk.min_vertex_dist
+        aux["plane_margin"][rows] = blk.plane_margin
+        if with_flags:
+            flags[rows] = blk.flags
+        if taped:
+            blocks.append(blk)
 
-    near_vertex = d_p < eps_vertex
-    row_near = near_vertex.any(axis=1)
-    any_near = bool(row_near.any())
-
-    d_div = ad.where(near_vertex, 1.0, d) if any_near else d
-    u = diff / ad.reshape(d_div, (n, c, 1))                         # (N,C,3)
-
-    # per-corner triples: everything below is a 3-tuple of (N,F) or (N,F,3)
-    u_k = [ad.gather_axis1(u, faces[:, k]) for k in range(3)]
-    d_k = [ad.gather_axis1(d, faces[:, k]) for k in range(3)]
-
-    theta = [
-        2.0 * ad.arcsin(ad.norm(u_k[(k + 1) % 3] - u_k[(k + 2) % 3], axis=-1)
-                        / 2.0)
-        for k in range(3)
-    ]
-    h = (theta[0] + theta[1] + theta[2]) / 2.0                      # (N,F)
-    h_p = ad.val(h)
-
-    # A nearly full half-turn of arc marks p as on (or extremely close to)
-    # the face; asin conditioning limits how sharply that can be resolved,
-    # so candidates are confirmed against the actual plane distance before
-    # the exact-2D replacement fires.  Points that are merely near the
-    # plane keep the (accurate) general accumulation.
-    on_face = (np.pi - h_p) < eps_plane                             # (N,F)
-    if on_face.any():
-        e1 = cage_val[faces[:, 1]] - cage_val[faces[:, 0]]
-        e2 = cage_val[faces[:, 2]] - cage_val[faces[:, 0]]
-        fn = np.cross(e1, e2)
-        fn_len = np.linalg.norm(fn, axis=1, keepdims=True)
-        fn = fn / np.where(fn_len < _DENOM_TINY, 1.0, fn_len)
-        dplane = np.abs(np.einsum(
-            "nfi,fi->nf", pts[:, None, :] - cage_val[faces[:, 0]][None], fn
-        ))
-        on_face &= dplane <= eps_vertex
-    row_on_face = on_face.any(axis=1) & ~row_near
-
-    sin_t = [ad.sin(t) for t in theta]
-    sin_h = ad.sin(h)
-
-    det = ad.dot_last(u_k[0], ad.cross(u_k[1], u_k[2]))
-    det_sign = np.sign(ad.val(det))                                 # primal
-
-    cval, sval = [], []
-    for k in range(3):
-        denom_c = sin_t[(k + 1) % 3] * sin_t[(k + 2) % 3]
-        denom_c = ad.where(np.abs(ad.val(denom_c)) < _DENOM_TINY, 1.0, denom_c)
-        ck = ad.clip(2.0 * sin_h * ad.sin(h - theta[k]) / denom_c - 1.0,
-                     -1.0, 1.0)
-        q = 1.0 - ck * ck
-        q_bad = ad.val(q) < eps_plane * eps_plane
-        sk = det_sign * ad.sqrt(ad.where(q_bad, 1.0, q))
-        sk_p = det_sign * np.sqrt(np.maximum(ad.val(q), 0.0))
-        cval.append(ck)
-        sval.append(ad.where(q_bad, sk_p, sk))
-
-    s_p = np.stack([ad.val(s) for s in sval], axis=-1)
-    skip = np.abs(s_p).min(axis=-1) <= eps_plane                    # (N,F)
-    dead = skip | on_face
-
-    w_sum = None
-    for k in range(3):
-        num = (theta[k]
-               - cval[(k + 1) % 3] * theta[(k + 2) % 3]
-               - cval[(k + 2) % 3] * theta[(k + 1) % 3])
-        denom = d_k[k] * sin_t[(k + 1) % 3] * sval[(k + 2) % 3]
-        denom_bad = dead | (np.abs(ad.val(denom)) < _DENOM_TINY)
-        w = ad.where(dead, 0.0, num / ad.where(denom_bad, 1.0, denom))
-        contrib = ad.scatter_axis1(w, faces[:, k], c)               # (N,C)
-        w_sum = contrib if w_sum is None else w_sum + contrib
-
-    if row_on_face.any():
-        fsel = np.argmax(on_face, axis=1)                           # (N,)
-        arange_n = np.arange(n)
-        w_on = None
-        for k in range(3):
-            w2d = sin_t[k] * d_k[(k + 1) % 3] * d_k[(k + 2) % 3]    # (N,F)
-            w2d_sel = w2d[arange_n, fsel]                           # (N,)
-            w2d_sel = ad.where(row_on_face, w2d_sel, 0.0)
-            cols_k = faces[fsel, k]                                 # (N,)
-            part = ad.scatter_add(
-                ad.reshape(w2d_sel, (n, 1)),
-                (arange_n[:, None], cols_k[:, None]),
-                (n, c),
-            )
-            w_on = part if w_on is None else w_on + part
-        w_sum = ad.where(row_on_face[:, None], w_on, w_sum)
-
-    totals = ad.sum_(w_sum, axis=1, keepdims=True)
-    totals_p = ad.val(totals).ravel()
+    totals = w_sum.sum(axis=1)
     regular = ~row_near
-    if np.any(np.abs(totals_p[regular]) < 1e-14):
-        bad_rows = np.nonzero(regular & (np.abs(totals_p) < 1e-14))[0]
+    if np.any(np.abs(totals[regular]) < 1e-14):
+        bad_rows = np.nonzero(regular & (np.abs(totals) < 1e-14))[0]
         raise MvcError(
             f"zero total weight for query rows {bad_rows[:5].tolist()}"
         )
-    if any_near:
-        phi = w_sum / ad.where(row_near[:, None], 1.0, totals)
-        indicator = np.zeros((n, c))
-        cols = np.argmin(d_p, axis=1)
+    totals = np.where(row_near, 1.0, totals)
+    phi = w_sum / totals[:, None]
+    if row_near.any():
         r = np.nonzero(row_near)[0]
-        indicator[r, cols[r]] = 1.0
-        phi = ad.where(row_near[:, None], indicator, phi)
-    else:
-        phi = w_sum / totals
+        phi[r] = 0.0
+        phi[r, nearest[r]] = 1.0
 
-    if with_flags:
-        flags = _classify_rows(cage_val, faces, pts, row_near, row_on_face)
-    else:
-        flags = None
-
+    if taped:
+        phi = _tape_node(cage_vertices, phi, totals, row_near, blocks,
+                         lambda v: mvc_weights(v, faces, pts, eps_vertex,
+                                               eps_plane, with_flags=False)[0])
     if not with_aux:
         return phi, flags
-
-    plane_margin = np.minimum(
-        np.abs(np.pi - h_p).min(axis=1),
-        np.abs(s_p).min(axis=(1, 2)),
-    )
-    aux = {
-        "min_vertex_dist": d_p.min(axis=1),
-        "plane_margin": plane_margin,
-    }
     return phi, flags, aux
 
 
-def _classify_rows(cage_vertices, faces, pts, row_near, row_on_face):
-    """Per-row flags; interior/exterior decided by the winding number."""
-    flags = np.full(len(pts), FLAG_EXTERIOR_OK, dtype=np.uint8)
-    v = cage_vertices[faces]                                  # (F,3,3)
-    r = v[None, :, :, :] - pts[:, None, None, :]              # (N,F,3,3)
-    dn = np.linalg.norm(r, axis=-1)                           # (N,F,3)
-    r0, r1, r2 = r[:, :, 0], r[:, :, 1], r[:, :, 2]
-    det = np.einsum("nfi,nfi->nf", r0, np.cross(r1, r2))
-    den = (
-        dn[:, :, 0] * dn[:, :, 1] * dn[:, :, 2]
-        + np.einsum("nfi,nfi->nf", r0, r1) * dn[:, :, 2]
-        + np.einsum("nfi,nfi->nf", r1, r2) * dn[:, :, 0]
-        + np.einsum("nfi,nfi->nf", r2, r0) * dn[:, :, 1]
-    )
-    with np.errstate(invalid="ignore", divide="ignore"):
-        omega = 2.0 * np.arctan2(det, den)
-    solid = np.nansum(omega, axis=1)
-    flags[np.abs(solid) > 2.0 * np.pi] = FLAG_INTERIOR
-    flags[row_on_face] = FLAG_ON_FACE
-    flags[row_near] = FLAG_ON_VERTEX
-    return flags
+def _tape_node(cage_var, phi, totals, row_near, blocks, forward):
+    """``phi`` as one tape node over the cage, with the blocks' VJPs."""
+
+    def vjp(g):
+        # phi = w_sum / total on regular rows; snapped rows are constant
+        g_sum = (g - (g * phi).sum(axis=1, keepdims=True)) / totals[:, None]
+        g_sum[row_near] = 0.0
+        grad = np.zeros_like(cage_var.value)
+        for i, blk in enumerate(blocks):
+            grad += blk.vjp(g_sum[i * _BLOCK_ROWS:(i + 1) * _BLOCK_ROWS])
+        return grad
+
+    return ad.Var._make(phi, (cage_var,), (vjp,), forward, "mvc_weights")
+
+
+class _CageGeometry:
+    """Per-call cage data shared by all blocks: topology and face planes."""
+
+    def __init__(self, cage, faces):
+        faces = np.asarray(faces, dtype=np.int64)
+        self.cage, self.faces = cage, faces
+        self.n_vertices = len(cage)
+        self.ft = faces.T                                       # (3, F)
+        # the edge opposite each corner, as an index into unique edges
+        a, b = self.ft[_NEXT], self.ft[_PREV]
+        keys = np.minimum(a, b) * self.n_vertices + np.maximum(a, b)
+        uniq, self.corner_edge = np.unique(keys, return_inverse=True)
+        self.corner_edge = self.corner_edge.reshape(3, -1)
+        self.edge_a, self.edge_b = np.divmod(uniq, self.n_vertices)
+        v0, v1, v2 = cage[faces[:, 0]], cage[faces[:, 1]], cage[faces[:, 2]]
+        # det[v0 - p, v1 - p, v2 - p] = det[v0, v1, v2] - p . area_normal
+        self.area_normal = np.cross(v1 - v0, v2 - v0)
+        self.det0 = np.einsum("fi,fi->f", v0, np.cross(v1, v2))
+        fn_len = np.linalg.norm(self.area_normal, axis=1, keepdims=True)
+        self.unit_normal = self.area_normal / np.where(
+            fn_len < _DENOM_TINY, 1.0, fn_len)
+        self._scatter = {}
+
+    def scatter_index(self, n):
+        """Flat (target * n + row) indices for ``np.bincount`` at n rows."""
+        if n not in self._scatter:
+            rows = np.arange(n)
+            self._scatter[n] = tuple(
+                (t[..., None] * n + rows).ravel()
+                for t in (self.ft, self.corner_edge, self.edge_a, self.edge_b)
+            )
+        return self._scatter[n]
+
+
+class _Block:
+    """Forward pass over one block of query rows, and its VJP.
+
+    Arrays are laid out (corner, face, row), (edge, row) or (vertex, row),
+    with vectors carrying a leading component axis; corner k's neighbours
+    are k+1 (_NEXT) and k+2 (_PREV).  Every value of a row depends on that
+    row alone, and sums into cage columns go through ``np.bincount``, which
+    adds in input order, so a row's weights do not depend on its block.
+    The block keeps the intermediates its VJP reads.
+    """
+
+    def __init__(self, geo, pts, eps_vertex, eps_plane, with_flags):
+        self.geo, self.eps_plane = geo, eps_plane
+        ft, ce = geo.ft, geo.corner_edge
+        diff = geo.cage.T[:, :, None] - pts.T[:, None, :]       # (3, C, n)
+        d = np.sqrt(diff[0] * diff[0] + diff[1] * diff[1]
+                    + diff[2] * diff[2])
+        self.min_vertex_dist = d.min(axis=0)
+        self.row_near = self.min_vertex_dist < eps_vertex
+        if self.row_near.any():
+            self.nearest = d.argmin(axis=0)
+            # snapped rows end up as indicator rows and pass no gradient,
+            # so their snapped distances may read 1.0 from here on
+            d[d < eps_vertex] = 1.0
+        self.d = d
+        self.u = u = diff / d
+
+        # arc theta = 2 asin(|u_a - u_b| / 2) of each edge seen from p
+        chord = u[:, geo.edge_a] - u[:, geo.edge_b]             # (3, E, n)
+        chord2 = chord[0] * chord[0] + chord[1] * chord[1] + chord[2] * chord[2]
+        length = np.sqrt(chord2)
+        theta_e = 2.0 * np.arcsin(np.clip(length / 2.0, -1.0, 1.0))
+        self.chord, self.length = chord, length
+        self.theta = theta = theta_e[ce]                        # (3, F, n)
+        self.sin_t = sin_t = np.sin(theta_e)[ce]
+        self.dk = dk = d[ft]
+        self.h = h = (theta[0] + theta[1] + theta[2]) / 2.0     # (F, n)
+
+        # A nearly full half-turn of arc marks p as on (or extremely close
+        # to) the face; asin conditioning limits how sharply that can be
+        # resolved, so candidates are confirmed against the actual plane
+        # distance before the exact-2D replacement fires.  Points that are
+        # merely near the plane keep the (accurate) general accumulation.
+        on_face = (np.pi - h) < eps_plane
+        if on_face.any():
+            fi, ri = np.nonzero(on_face)
+            dplane = np.abs(np.einsum(
+                "ki,ki->k", pts[ri] - geo.cage[geo.faces[fi, 0]],
+                geo.unit_normal[fi]))
+            on_face[fi, ri] = dplane <= eps_vertex
+
+        an = geo.area_normal
+        det = geo.det0[:, None] - (an[:, 0:1] * pts[:, 0] + an[:, 1:2] * pts[:, 1]
+                                   + an[:, 2:3] * pts[:, 2])    # (F, n)
+        self.det_sign = det_sign = np.sign(det)                 # primal
+        self.two_sin_h = two_sin_h = 2.0 * np.sin(h)
+        self.sin_hm = sin_hm = np.sin(h - theta)
+        self.denom_c, self.denom_c_bad = denom_c, _ = _guard(
+            sin_t[_NEXT] * sin_t[_PREV])
+        self.cc = cc = np.clip(two_sin_h * sin_hm / denom_c - 1.0, -1.0, 1.0)
+        self.q = q = 1.0 - cc * cc
+        self.s = s = det_sign * np.sqrt(np.maximum(q, 0.0))
+        s_min = np.abs(s).min(axis=0)                           # (F, n)
+        self.dead = dead = (s_min <= eps_plane) | on_face
+        num = theta - cc[_NEXT] * theta[_PREV] - cc[_PREV] * theta[_NEXT]
+        self.denom, self.denom_bad = denom, _ = _guard(
+            dk * sin_t[_NEXT] * s[_PREV], dead)
+        self.w = w = num / denom
+        w[:, dead] = 0.0
+        w_sum = np.bincount(geo.scatter_index(len(pts))[0], w.ravel(),
+                            minlength=d.size).reshape(d.shape)
+
+        # rows on a face: that face's exact 2D barycentric weights only
+        self.on_rows = np.zeros(0, dtype=np.int64)
+        if on_face.any():
+            self.on_rows = np.nonzero(on_face.any(axis=0) & ~self.row_near)[0]
+        if self.on_rows.size:
+            r, k = self.on_rows, _CORNERS[:, None]
+            f = self.fsel = np.argmax(on_face[:, r], axis=0)
+            w_sum[:, r] = 0.0
+            w_sum[ft[:, f], r] = (sin_t[k, f, r] * dk[(k + 1) % 3, f, r]
+                                  * dk[(k + 2) % 3, f, r])
+        self.w_sum = w_sum                                      # (C, n)
+        self.plane_margin = np.minimum(np.abs(np.pi - h).min(axis=0),
+                                       s_min.min(axis=0))
+        if with_flags:
+            self.flags = self._flags(chord2, det)
+
+    def _flags(self, chord2, det):
+        """Per-row flags; interior/exterior decided by the winding number."""
+        # solid angle of each face: 2 atan2(det[u0,u1,u2], 1 + sum u_a.u_b),
+        # with u_a.u_b = 1 - |u_a - u_b|^2 / 2 for unit vectors
+        ce, dk = self.geo.corner_edge, self.dk
+        dots = 4.0 - 0.5 * (chord2[ce[0]] + chord2[ce[1]] + chord2[ce[2]])
+        omega = 2.0 * np.arctan2(det / (dk[0] * dk[1] * dk[2]), dots)
+        solid = np.ascontiguousarray(omega.T).sum(axis=1)
+        flags = np.full(len(solid), FLAG_EXTERIOR_OK, dtype=np.uint8)
+        flags[np.abs(solid) > 2.0 * np.pi] = FLAG_INTERIOR
+        flags[self.on_rows] = FLAG_ON_FACE
+        flags[self.row_near] = FLAG_ON_VERTEX
+        return flags
+
+    def vjp(self, g_sum):
+        """Cage gradient (C, 3) from the gradient (n, C) of the raw rows.
+
+        The adjoint of the forward pass, branch by branch: masked lanes and
+        guarded denominators pass no gradient, clip passes it strictly
+        inside (-1, 1), asin's derivative is taken at an argument clamped
+        to 1 - 1e-12, and a zero-length norm has gradient 0.
+        """
+        geo, ft = self.geo, self.geo.ft
+        to_vertex, to_edge, from_a, from_b = geo.scatter_index(len(g_sum))
+        theta, sin_t, dk, cc, s = (
+            self.theta, self.sin_t, self.dk, self.cc, self.s)
+
+        g = g_sum.T.copy()                                      # (C, n)
+        g_sin = np.zeros_like(theta)
+        g_dk = np.zeros_like(dk)
+        if self.on_rows.size:
+            r, f = self.on_rows, self.fsel
+            g_on = g[ft[:, f], r]                               # (3, r)
+            for k in range(3):
+                k1, k2 = (k + 1) % 3, (k + 2) % 3
+                g_sin[k, f, r] += g_on[k] * dk[k1, f, r] * dk[k2, f, r]
+                g_dk[k1, f, r] += g_on[k] * sin_t[k, f, r] * dk[k2, f, r]
+                g_dk[k2, f, r] += g_on[k] * sin_t[k, f, r] * dk[k1, f, r]
+            g[:, r] = 0.0                   # the general sum is replaced
+
+        # w = num / denom off the dead lanes
+        g_w = g[ft]                                             # (3, F, n)
+        g_w[:, self.dead] = 0.0
+        g_num = g_w / self.denom
+        g_den = -g_num * self.w
+        g_den[self.denom_bad] = 0.0
+        # num_k = theta_k - c_{k+1} theta_{k+2} - c_{k+2} theta_{k+1}
+        g_theta = (g_num - g_num[_NEXT] * cc[_PREV]
+                   - g_num[_PREV] * cc[_NEXT])
+        g_c = -g_num[_PREV] * theta[_NEXT] - g_num[_NEXT] * theta[_PREV]
+        # denom_k = d_k sin(theta_{k+1}) s_{k+2}
+        g_dd = g_den * dk
+        g_dk += g_den * sin_t[_NEXT] * s[_PREV]
+        g_sin += g_dd[_PREV] * s[_NEXT]
+        g_s = g_dd[_NEXT] * sin_t[_PREV]
+        # s_k = sign(det) sqrt(q_k), q_k = 1 - c_k^2, off the q_bad lanes
+        q_bad = self.q < self.eps_plane * self.eps_plane
+        g_q = g_s * self.det_sign / (
+            2.0 * np.sqrt(np.where(q_bad, 1.0, self.q)))
+        g_q[q_bad] = 0.0
+        g_c -= 2.0 * cc * g_q
+        # c_k = clip(2 sin(h) sin(h - theta_k) / denom_c_k - 1), where the
+        # unclipped lanes have 2 sin(h) sin(h - theta_k) / denom_c_k = c_k + 1
+        g_c[np.abs(cc) >= 1.0] = 0.0
+        g_a = g_c / self.denom_c
+        g_denc = -g_a * (cc + 1.0)
+        g_denc[self.denom_c_bad] = 0.0
+        # cos(theta) = 1 - 2 sin^2(theta / 2); h - theta_k by addition
+        half = np.minimum(self.length / 2.0, 1.0)
+        cos_t = (1.0 - 2.0 * half * half)[geo.corner_edge]
+        cos_h = np.cos(self.h)
+        g_hm = g_a * self.two_sin_h * (
+            cos_h * cos_t + (self.two_sin_h / 2.0) * sin_t)
+        g_h = 2.0 * (g_a * self.sin_hm).sum(axis=0) * cos_h + g_hm.sum(axis=0)
+        # denom_c_k = sin(theta_{k+1}) sin(theta_{k+2})
+        g_sin += g_denc[_PREV] * sin_t[_NEXT] + g_denc[_NEXT] * sin_t[_PREV]
+        g_theta += g_sin * cos_t - g_hm + g_h / 2.0
+
+        # theta = 2 asin(|chord| / 2), summed from corners onto edges
+        length = self.length
+        g_theta_e = np.bincount(to_edge, g_theta.ravel(),
+                                minlength=length.size).reshape(length.shape)
+        x = np.minimum(half, _ASIN_CLAMP)
+        g_len = g_theta_e / (np.sqrt(1.0 - x * x)
+                             * np.where(length == 0.0, 1.0, length))
+        u, d = self.u, self.d
+        g_u = np.stack([
+            np.bincount(from_a, gl.ravel(), minlength=d.size)
+            - np.bincount(from_b, gl.ravel(), minlength=d.size)
+            for gl in self.chord * g_len
+        ]).reshape(u.shape)
+        g_d = np.bincount(to_vertex, g_dk.ravel(),
+                          minlength=d.size).reshape(d.shape)
+        # u = diff / d, d = |diff|, on the rows that were not snapped
+        g_d -= (g_u * u).sum(axis=0) / d
+        g_diff = g_u / d + u * g_d
+        return g_diff.sum(axis=2).T
+
+
+def _guard(x, bad=None):
+    """Set the tiny (or ``bad``) entries of the temporary ``x`` to 1.0.
+
+    Returns ``x`` and the mask of the entries that were set.
+    """
+    tiny = np.abs(x) < _DENOM_TINY
+    bad = tiny if bad is None else bad | tiny
+    x[bad] = 1.0
+    return x, bad
 
 
 def compute_mvc(cage: TriMesh, points, cfg: MvcConfig | None = None) -> MvcMatrix:

@@ -58,6 +58,13 @@ class AdamState:
     t: int = 0
 
 
+def _abort(report, reason: str, t0: float, message: str):
+    """Record a stop reason and wall time; the error that carries them."""
+    report.stop_reason = reason
+    report.wall_time = time.perf_counter() - t0
+    return OptimizationError(message, report)
+
+
 def adam_step(state: AdamState, params: dict, grads: dict) -> dict:
     """One bias-corrected Adam update; returns the new parameter dict."""
     state.t += 1
@@ -250,9 +257,7 @@ def deform_pair(source: TriMesh, target: TriMesh,
         breakdown = LossBreakdown.from_terms(terms, wmap)
         report.trace.append(breakdown)
         if not np.isfinite(breakdown.total):
-            report.stop_reason = "non_finite"
-            report.wall_time = time.perf_counter() - t0
-            raise OptimizationError("non-finite total loss", report)
+            raise _abort(report, "non_finite", t0, "non-finite total loss")
 
         total.backward()
         grads = {
@@ -264,16 +269,13 @@ def deform_pair(source: TriMesh, target: TriMesh,
         try:
             params = adam_step(state, params, grads)
         except OptimizationError as exc:
-            report.stop_reason = "non_finite"
-            report.wall_time = time.perf_counter() - t0
-            raise OptimizationError(str(exc), report) from exc
+            raise _abort(report, "non_finite", t0, str(exc)) from exc
 
         for verts in (params["cage"], params["cage"] + params["offsets"]):
             if np.any(TriMesh(verts, cage_faces).face_areas()
                       < DEGENERATE_CAGE_AREA):
-                report.stop_reason = "degenerate_cage"
-                report.wall_time = time.perf_counter() - t0
-                raise OptimizationError("cage face collapsed", report)
+                raise _abort(report, "degenerate_cage", t0,
+                             "cage face collapsed")
 
         w = cfg.plateau_window
         if len(report.trace) > w:
@@ -353,13 +355,12 @@ def fit_cage(template_cage: TriMesh, source_shape: PointSet,
         report.trace.append(breakdown)
 
         if not np.isfinite(breakdown.total):
-            report.stop_reason = "non_finite"
-            raise OptimizationError("non-finite total loss", report)
+            raise _abort(report, "non_finite", t0, "non-finite total loss")
         if initial_total is None:
             initial_total = breakdown.total
         elif breakdown.total > 1e3 * max(initial_total, 1e-12):
-            report.stop_reason = "diverged"
-            raise OptimizationError("loss diverged beyond 1000x initial", report)
+            raise _abort(report, "diverged", t0,
+                         "loss diverged beyond 1000x initial")
 
         if breakdown.terms["consistency"] < cfg.consistency_threshold:
             stop = "threshold"
@@ -368,7 +369,10 @@ def fit_cage(template_cage: TriMesh, source_shape: PointSet,
         total.backward()
         grads = {"cage": cage_var.grad if cage_var.grad is not None
                  else np.zeros_like(params["cage"])}
-        params = adam_step(state, params, grads)
+        try:
+            params = adam_step(state, params, grads)
+        except OptimizationError as exc:
+            raise _abort(report, "non_finite", t0, str(exc)) from exc
 
     report.stop_reason = stop
     report.wall_time = time.perf_counter() - t0

@@ -1,0 +1,179 @@
+"""Property sweeps of the coordinate kernel at its branch boundaries.
+
+Queries sit exactly on cage vertices, edges and faces of a sphere42 cage,
+just outside the vertex-snap radius and just outside the 10x exclusion
+band of ``grad_source_cage``.  Weights must be finite with unit row sums,
+source-cage gradients finite with and without the exclusion mask, and,
+outside the band, equal to central differences.
+"""
+
+import numpy as np
+import pytest
+
+import cagewarp.autodiff as ad
+from cagewarp.geometry import make_template_cage
+from cagewarp.gradients import EXCLUSION_FACTOR, grad_source_cage
+from cagewarp.mvc import _BLOCK_ROWS, FLAG_ON_FACE, FLAG_ON_VERTEX, MvcConfig, mvc_weights
+
+CFG = MvcConfig()
+
+
+@pytest.fixture(scope="module")
+def cage():
+    return make_template_cage("sphere42", scale=(1.0, 0.8, 0.9))
+
+
+def _edges(cage):
+    f = cage.faces
+    e = np.sort(np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]]), axis=1)
+    return np.unique(e, axis=0)
+
+
+def _inward(cage, idx):
+    """Unit directions from cage vertices ``idx`` towards the centroid."""
+    d = cage.vertices.mean(axis=0) - cage.vertices[idx]
+    return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+
+def _face_normals(cage):
+    v = cage.vertices[cage.faces]
+    n = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
+    return n / np.linalg.norm(n, axis=1, keepdims=True)
+
+
+def _sweep(cage):
+    """Named query sets at and around every kind of branch boundary."""
+    rng = np.random.default_rng(42)
+    v, f = cage.vertices, cage.faces
+    eps_v = CFG.resolved_eps_vertex(cage)
+    e = _edges(cage)[::4]
+    t = rng.uniform(0.1, 0.9, size=(len(e), 1))
+    bary = rng.dirichlet([2.0, 2.0, 2.0], size=len(f))
+    vid = np.arange(0, len(v), 3)
+    return {
+        "on_vertex": v[vid],
+        "on_edge": (1.0 - t) * v[e[:, 0]] + t * v[e[:, 1]],
+        "on_face": np.einsum("fk,fki->fi", bary, v[f]),
+        "outside_eps_vertex": v[vid] + 1.5 * eps_v * _inward(cage, vid),
+        "outside_exclusion_vertex": (
+            v[vid] + 1.5 * EXCLUSION_FACTOR * eps_v * _inward(cage, vid)),
+    }
+
+
+def _downstream(n, c, seed=0):
+    r = np.random.default_rng(seed).normal(size=(n, c))
+
+    def loss(phi):
+        return ad.sum_(phi * r)
+
+    return loss, r
+
+
+@pytest.mark.parametrize("kind", [
+    "on_vertex", "on_edge", "on_face", "outside_eps_vertex",
+    "outside_exclusion_vertex",
+])
+def test_weights_and_gradients_finite(cage, kind):
+    pts = _sweep(cage)[kind]
+    eps_v = CFG.resolved_eps_vertex(cage)
+    phi, flags = mvc_weights(cage.vertices, cage.faces, pts, eps_v,
+                             CFG.eps_plane)
+    assert np.all(np.isfinite(phi))
+    assert np.abs(phi.sum(axis=1) - 1.0).max() <= 1e-12
+    if kind == "on_vertex":
+        assert np.all(flags == FLAG_ON_VERTEX)
+    elif kind in ("on_edge", "on_face"):
+        assert np.all(flags == FLAG_ON_FACE)
+
+    loss, _ = _downstream(len(pts), cage.n_vertices)
+    g = grad_source_cage(cage, pts, CFG, loss)        # raises if non-finite
+    assert np.all(np.isfinite(g.d_loss_d_source_cage))
+
+    # the path the pipelines take: no exclusion mask around the kernel
+    cage_var = ad.Var(cage.vertices)
+    phi_var, _ = mvc_weights(cage_var, cage.faces, pts, eps_v, CFG.eps_plane,
+                             with_flags=False)
+    ad.sum_(loss(phi_var) + phi_var * phi_var).backward()
+    assert cage_var.grad is not None
+    assert np.all(np.isfinite(cage_var.grad))
+
+
+def _fd_agrees(cage, pts, step, rtol):
+    """Kernel gradient of a random linear loss against central differences."""
+    eps_v = CFG.resolved_eps_vertex(cage)
+    loss, r = _downstream(len(pts), cage.n_vertices, seed=1)
+    g = grad_source_cage(cage, pts, CFG, loss)
+    assert g.excluded_rows == 0
+
+    def value(x):
+        phi, _ = mvc_weights(x, cage.faces, pts, eps_v, CFG.eps_plane,
+                             with_flags=False)
+        return float(np.sum(phi * r))
+
+    fd = np.zeros_like(cage.vertices)
+    for idx in np.ndindex(*fd.shape):
+        xp, xm = cage.vertices.copy(), cage.vertices.copy()
+        xp[idx] += step
+        xm[idx] -= step
+        fd[idx] = (value(xp) - value(xm)) / (2.0 * step)
+    analytic = g.d_loss_d_source_cage
+    err = np.linalg.norm(analytic - fd) / np.linalg.norm(fd)
+    assert err <= rtol, err
+
+
+def test_fd_just_outside_vertex_exclusion(cage):
+    pts = _sweep(cage)["outside_exclusion_vertex"][:4]
+    dist = 1.5 * EXCLUSION_FACTOR * CFG.resolved_eps_vertex(cage)
+    # the step must stay well inside the distance to the nearby vertex
+    _fd_agrees(cage, pts, step=1e-3 * dist, rtol=1e-5)
+
+
+def test_fd_just_outside_plane_exclusion(cage):
+    # face centres moved inwards until the plane margin just clears 10x
+    f = cage.faces[::10]
+    centres = cage.vertices[f].mean(axis=1)
+    normals = _face_normals(cage)[::10]
+    eps_v = CFG.resolved_eps_vertex(cage)
+    band = EXCLUSION_FACTOR * CFG.eps_plane
+    offsets = np.geomspace(1e-9, 1e-3, 61)
+    pts, used = [], []
+    for c, n in zip(centres, normals):
+        for delta in offsets:
+            p = (c - delta * n)[None]
+            _, _, aux = mvc_weights(cage.vertices, cage.faces, p, eps_v,
+                                    CFG.eps_plane, with_aux=True)
+            if aux["plane_margin"][0] >= band:
+                break
+        assert aux["plane_margin"][0] < 1.5 * band      # just outside
+        pts.append(p[0])
+        used.append(delta)
+    # the weights are smooth over a band of width ~delta around the query,
+    # and rounding near h = pi makes smaller steps noisier
+    _fd_agrees(cage, np.array(pts), step=0.1 * min(used), rtol=1e-5)
+
+
+def test_rows_do_not_depend_on_block(cage):
+    # N is not a multiple of the block size, and snapped and on-face rows
+    # sit on both sides of every block boundary
+    rng = np.random.default_rng(7)
+    n = 3 * _BLOCK_ROWS + 5
+    pts = rng.normal(size=(n, 3))
+    pts *= rng.uniform(0.2, 1.3, size=(n, 1)) / np.linalg.norm(
+        pts, axis=1, keepdims=True)
+    v, f = cage.vertices, cage.faces
+    on_face = np.einsum("fk,fki->fi", rng.dirichlet([1.0] * 3, size=8),
+                        v[f[:8]])
+    for b in range(1, 4):
+        edge = b * _BLOCK_ROWS
+        pts[edge - 2] = v[b]
+        pts[edge - 1] = on_face[2 * b]
+        pts[edge] = v[b + 10]
+        pts[edge + 1] = on_face[2 * b + 1]
+    eps_v = CFG.resolved_eps_vertex(cage)
+    phi, flags = mvc_weights(v, f, pts, eps_v, CFG.eps_plane)
+    assert np.sum(flags == FLAG_ON_VERTEX) == 6
+    assert np.sum(flags == FLAG_ON_FACE) == 6
+    for i in range(n):
+        row, flag = mvc_weights(v, f, pts[i:i + 1], eps_v, CFG.eps_plane)
+        assert np.array_equal(phi[i], row[0]), i
+        assert flags[i] == flag[0], i

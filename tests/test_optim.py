@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import cagewarp.autodiff as ad
+from cagewarp import losses
 from cagewarp.geometry import (
     PointSet,
     TriMesh,
@@ -164,6 +166,35 @@ class TestDeformPair:
             traces.append([b.total for b in rep.trace])
         assert traces[0] == traces[1]
 
+    def test_source_vertex_on_initial_cage_vertex(self):
+        # a small tetrahedron with a corner exactly on a vertex of the
+        # initial cage: that row snaps at the first step and must not stop
+        # the run
+        box = normalized_box(4)
+        lo, hi = box.bbox()
+        cage0 = make_template_cage("sphere42", center=0.5 * (lo + hi),
+                                   scale=0.5 * (hi - lo))
+        inside = np.all((cage0.vertices > lo) & (cage0.vertices < hi), axis=1)
+        corner = cage0.vertices[np.argmax(inside)]
+        step = -0.02 * np.where(corner > 0.0, 1.0, -1.0)
+        tet = corner + np.vstack([np.zeros(3), np.diag(step)])
+        n = box.n_vertices
+        src = TriMesh(np.vstack([box.vertices, tet]),
+                      np.vstack([box.faces, n + np.array(
+                          [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])]))
+        assert np.array_equal(src.bbox()[0], lo)
+        assert np.array_equal(src.bbox()[1], hi)
+        tgt, _ = normalize_to_unit_box(
+            TriMesh(src.vertices * [1.1, 1.0, 0.9], src.faces))
+        cfg = PipelineConfig(seed=0, max_iters=6, cage_scale=1.0,
+                             plateau_window=100, n_eval_samples=200)
+        cage, dcage, dmesh, rep = deform_pair(src, tgt, cfg)
+        assert rep.stop_reason == "max_iters"
+        assert rep.iterations == 6
+        assert all(np.isfinite(b.total) for b in rep.trace)
+        assert np.all(np.isfinite(cage.vertices))
+        assert np.all(np.isfinite(dcage.vertices))
+
     def test_divergence_guard(self):
         # a near-zero initial residual with an oversized step makes the loss
         # overshoot 1000x its starting value, tripping the abort
@@ -177,6 +208,7 @@ class TestDeformPair:
         with pytest.raises(OptimizationError) as err:
             fit_cage(cage, pts, novel, lm, cfg)
         assert err.value.report.stop_reason == "diverged"
+        assert err.value.report.wall_time > 0.0
 
 
 class TestFitCage:
@@ -244,6 +276,25 @@ class TestFitCage:
                                lm, cfg)
         last = rep.trace[-1].terms["consistency"]
         assert (last < cfg.consistency_threshold) or (rep.iterations == 37)
+
+
+    def test_non_finite_gradient_keeps_partial_report(self, monkeypatch):
+        # a regularizer whose value is finite (0) but whose gradient is NaN
+        def nan_gradient(cage, verts):
+            return ad.sum_(ad.sqrt(verts * 0.0))
+
+        monkeypatch.setattr(losses, "cage_laplacian_loss", nan_gradient)
+        pts, cage = self._shape_and_cage()
+        lm = np.stack([np.arange(40), np.arange(40)], axis=1)
+        novel = PointSet(points=pts.points + 0.01)
+        with pytest.raises(OptimizationError) as err, \
+                np.errstate(divide="ignore", invalid="ignore"):
+            fit_cage(cage, pts, novel, lm, PipelineConfig(seed=0, max_iters=5))
+        rep = err.value.report
+        assert rep is not None
+        assert rep.stop_reason == "non_finite"
+        assert rep.iterations == 1
+        assert rep.wall_time > 0.0
 
 
 class TestTransfer:
