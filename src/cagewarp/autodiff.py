@@ -1,10 +1,17 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 A ``Var`` wraps an ndarray and records, for every derived value, its parent
-variables plus one vector-Jacobian closure per parent.  ``backward()`` walks
-the recorded graph once in reverse topological order with a fixed traversal,
-so gradient accumulation is deterministic regardless of how the graph was
-built.
+variables plus one vector-Jacobian closure per parent (no forward closures:
+a recorded graph is differentiated, never re-evaluated).  ``backward()``
+walks the recorded graph once in reverse topological order with a fixed
+traversal, so gradient accumulation is deterministic regardless of how the
+graph was built.
+
+The module holds only the ops the pipelines and losses use (arithmetic,
+indexing, reductions, ``matmul``, ``norm``, ``dot_last``, ``where``,
+``minimum``, ``absolute``, ``tanh``, shape ops and ``smallest_eigvec``),
+plus ``sin`` and ``sqrt`` for building gradient test cases.  The mean value
+coordinate kernel is a single node with a hand-written VJP (``mvc.py``).
 
 All data-dependent decisions (branch masks, nearest-neighbor picks, sign
 choices) are made on primal values; the recorded partials are those of the
@@ -16,9 +23,6 @@ numeric kernels can therefore be written once and run in either mode.
 from __future__ import annotations
 
 import numpy as np
-
-_TINY = 1e-300
-_ASIN_CLAMP = 1.0 - 1e-12
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -39,14 +43,13 @@ class Var:
     # Make numpy defer to our __r*__ operators instead of broadcasting
     # elementwise over the Var object.
     __array_ufunc__ = None
-    __slots__ = ("value", "grad", "_parents", "_vjps", "_forward", "op")
+    __slots__ = ("value", "grad", "_parents", "_vjps", "op")
 
-    def __init__(self, value, parents=(), vjps=(), forward=None, op="leaf"):
+    def __init__(self, value, parents=(), vjps=(), op="leaf"):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self._parents = parents
         self._vjps = vjps
-        self._forward = forward
         self.op = op
 
     @property
@@ -63,14 +66,13 @@ class Var:
     # -- graph construction helpers -------------------------------------
 
     @staticmethod
-    def _make(value, parents, vjps, forward, op):
+    def _make(value, parents, vjps, op):
         # constants are dropped from the recorded graph
         keep = [(p, v) for p, v in zip(parents, vjps) if isinstance(p, Var)]
         return Var(
             value,
             parents=tuple(p for p, _ in keep),
             vjps=tuple(v for _, v in keep),
-            forward=forward,
             op=op,
         )
 
@@ -86,7 +88,6 @@ class Var:
                 lambda g, s=self.value.shape: _unbroadcast(g, s),
                 lambda g, s=np.shape(ov): _unbroadcast(g, s),
             ),
-            lambda a, b=ov: a + b,
             "add",
         )
 
@@ -101,7 +102,6 @@ class Var:
                 lambda g, s=self.value.shape: _unbroadcast(g, s),
                 lambda g, s=np.shape(ov): _unbroadcast(-g, s),
             ),
-            lambda a, b=ov: a - b,
             "sub",
         )
 
@@ -111,7 +111,6 @@ class Var:
             ov - self.value,
             (self,),
             (lambda g, s=self.value.shape: _unbroadcast(-g, s),),
-            lambda a, b=ov: b - a,
             "rsub",
         )
 
@@ -124,7 +123,6 @@ class Var:
                 lambda g, o=ov, s=self.value.shape: _unbroadcast(g * o, s),
                 lambda g, o=self.value, s=np.shape(ov): _unbroadcast(g * o, s),
             ),
-            lambda a, b=ov: a * b,
             "mul",
         )
 
@@ -142,7 +140,6 @@ class Var:
                     -g * a / (o * o), s
                 ),
             ),
-            lambda a, b=ov: a / b,
             "div",
         )
 
@@ -156,7 +153,6 @@ class Var:
                     -g * o / (a * a), s
                 ),
             ),
-            lambda a, b=ov: b / a,
             "rdiv",
         )
 
@@ -165,7 +161,6 @@ class Var:
             -self.value,
             (self,),
             (lambda g: -g,),
-            lambda a: -a,
             "neg",
         )
 
@@ -176,7 +171,6 @@ class Var:
             self.value**p,
             (self,),
             (lambda g, a=self.value, q=p: g * q * a ** (q - 1),),
-            lambda a, q=p: a**q,
             "pow",
         )
 
@@ -197,7 +191,7 @@ class Var:
                 np.add.at(acc, k, g)
             return acc
 
-        return Var._make(out, (self,), (vjp,), lambda a, k=key: a[k], "getitem")
+        return Var._make(out, (self,), (vjp,), "getitem")
 
     # -- reductions / shape ops used as methods ---------------------------
 
@@ -246,22 +240,6 @@ class Var:
                     stack.append((p, False))
         return order
 
-    def replay(self):
-        """Recompute this value from the recorded forward closures.
-
-        Returns the recomputed ndarray; equals ``self.value`` bit-exactly.
-        """
-        cache = {}
-        for node in self._topo_order():
-            if node._forward is None:
-                cache[id(node)] = node.value
-            else:
-                cache[id(node)] = node._forward(
-                    *(cache[id(p)] for p in node._parents)
-                )
-        return np.asarray(cache[id(self)])
-
-
 def _is_basic_key(key) -> bool:
     items = key if isinstance(key, tuple) else (key,)
     return all(isinstance(k, (int, slice, type(None), type(Ellipsis))) for k in items)
@@ -292,10 +270,6 @@ def _any_var(*xs) -> bool:
     return any(isinstance(x, Var) for x in xs)
 
 
-def _lift(x) -> Var:
-    return x if isinstance(x, Var) else Var(np.asarray(x, dtype=np.float64))
-
-
 # -- elementwise functions (Var or ndarray in, same kind out) -------------
 
 
@@ -307,28 +281,7 @@ def sqrt(x):
         out,
         (x,),
         (lambda g, o=out: g / (2.0 * o),),
-        np.sqrt,
         "sqrt",
-    )
-
-
-def arcsin(x):
-    """arcsin with the argument clamped to [-1, 1].
-
-    The derivative is evaluated at the argument clamped slightly inside the
-    interval, since 1/sqrt(1-x^2) diverges at the endpoints.
-    """
-    if not is_var(x):
-        return np.arcsin(np.clip(x, -1.0, 1.0))
-    xc = np.clip(x.value, -1.0, 1.0)
-    xd = np.clip(x.value, -_ASIN_CLAMP, _ASIN_CLAMP)
-    deriv = 1.0 / np.sqrt(1.0 - xd * xd)
-    return Var._make(
-        np.arcsin(xc),
-        (x,),
-        (lambda g, d=deriv: g * d,),
-        lambda a: np.arcsin(np.clip(a, -1.0, 1.0)),
-        "arcsin",
     )
 
 
@@ -339,20 +292,7 @@ def sin(x):
         np.sin(x.value),
         (x,),
         (lambda g, c=np.cos(x.value): g * c,),
-        np.sin,
         "sin",
-    )
-
-
-def cos(x):
-    if not is_var(x):
-        return np.cos(x)
-    return Var._make(
-        np.cos(x.value),
-        (x,),
-        (lambda g, s=np.sin(x.value): -g * s,),
-        np.cos,
-        "cos",
     )
 
 
@@ -364,7 +304,6 @@ def tanh(x):
         out,
         (x,),
         (lambda g, o=out: g * (1.0 - o * o),),
-        np.tanh,
         "tanh",
     )
 
@@ -377,7 +316,6 @@ def absolute(x):
         np.abs(x.value),
         (x,),
         (lambda g, s=s: g * s,),
-        np.abs,
         "abs",
     )
 
@@ -391,49 +329,8 @@ def minimum(x, c):
         np.minimum(x.value, c),
         (x,),
         (lambda g, m=mask: np.where(m, g, 0.0),),
-        lambda a, cc=c: np.minimum(a, cc),
         "minimum",
     )
-
-
-def maximum(x, c):
-    if not is_var(x):
-        return np.maximum(x, c)
-    mask = x.value > c
-    return Var._make(
-        np.maximum(x.value, c),
-        (x,),
-        (lambda g, m=mask: np.where(m, g, 0.0),),
-        lambda a, cc=c: np.maximum(a, cc),
-        "maximum",
-    )
-
-
-def clip(x, lo, hi):
-    """Clamp with pass-through gradient strictly inside (lo, hi)."""
-    if not is_var(x):
-        return np.clip(x, lo, hi)
-    mask = (x.value > lo) & (x.value < hi)
-    return Var._make(
-        np.clip(x.value, lo, hi),
-        (x,),
-        (lambda g, m=mask: np.where(m, g, 0.0),),
-        lambda a, l=lo, h=hi: np.clip(a, l, h),
-        "clip",
-    )
-
-
-def _mixed_forward(fn, operands):
-    """Forward closure over the Var operands of a mixed Var/const op list."""
-    varmask = [is_var(x) for x in operands]
-    consts = [None if m else val(x) for m, x in zip(varmask, operands)]
-
-    def fwd(*args):
-        it = iter(args)
-        full = [next(it) if m else c for m, c in zip(varmask, consts)]
-        return fn(*full)
-
-    return fwd
 
 
 def where(cond, a, b):
@@ -454,7 +351,6 @@ def where(cond, a, b):
                 np.where(c, 0.0, g), s
             ),
         ),
-        _mixed_forward(lambda x, y, c=cond: np.where(c, x, y), (a, b)),
         "where",
     )
 
@@ -475,7 +371,6 @@ def sum_(x, axis=None, keepdims=False):
         out,
         (x,),
         (vjp,),
-        lambda a, ax=axis, kd=keepdims: np.sum(a, axis=ax, keepdims=kd),
         "sum",
     )
 
@@ -500,8 +395,7 @@ def ordered_sum(x):
     def vjp(g, shape=x.value.shape):
         return np.broadcast_to(g, shape).copy()
 
-    return Var._make(_ordered_total(x.value), (x,), (vjp,), _ordered_total,
-                     "ordered_sum")
+    return Var._make(_ordered_total(x.value), (x,), (vjp,), "ordered_sum")
 
 
 def mean_(x, axis=None, keepdims=False):
@@ -525,7 +419,7 @@ def matmul(a, b):
     def vjp_b(g, avv=av, s=np.shape(bv)):
         return _unbroadcast(np.matmul(np.swapaxes(avv, -1, -2), g), s)
 
-    return Var._make(out, (a, b), (vjp_a, vjp_b), np.matmul, "matmul")
+    return Var._make(out, (a, b), (vjp_a, vjp_b), "matmul")
 
 
 def _fast_norm(x, axis, keepdims):
@@ -550,25 +444,7 @@ def norm(x, axis=-1, keepdims=False):
         out,
         (x,),
         (vjp,),
-        lambda a, ax=axis, kd=keepdims: _fast_norm(a, ax, kd),
         "norm",
-    )
-
-
-def cross(a, b):
-    """Cross product along the last axis (3-vectors)."""
-    if not _any_var(a, b):
-        return np.cross(a, b)
-    av, bv = val(a), val(b)
-    return Var._make(
-        np.cross(av, bv),
-        (a, b),
-        (
-            lambda g, bvv=bv, s=np.shape(av): _unbroadcast(np.cross(bvv, g), s),
-            lambda g, avv=av, s=np.shape(bv): _unbroadcast(np.cross(g, avv), s),
-        ),
-        np.cross,
-        "cross",
     )
 
 
@@ -585,54 +461,7 @@ def dot_last(a, b):
             lambda g, o=bv, s=np.shape(av): _unbroadcast(g[..., None] * o, s),
             lambda g, o=av, s=np.shape(bv): _unbroadcast(g[..., None] * o, s),
         ),
-        _mixed_forward(lambda x, y: np.einsum("...i,...i->...", x, y), (a, b)),
         "dot_last",
-    )
-
-
-def stack(xs, axis=0):
-    if not any(is_var(x) for x in xs):
-        return np.stack(xs, axis=axis)
-    vals = [val(x) for x in xs]
-    out = np.stack(vals, axis=axis)
-    parents, vjps = [], []
-    for i, x in enumerate(xs):
-        def vjp(g, idx=i, ax=axis):
-            return np.take(g, idx, axis=ax)
-
-        parents.append(x)
-        vjps.append(vjp)
-    return Var._make(
-        out,
-        tuple(parents),
-        tuple(vjps),
-        _mixed_forward(lambda *full, ax=axis: np.stack(full, axis=ax), xs),
-        "stack",
-    )
-
-
-def concatenate(xs, axis=0):
-    if not any(is_var(x) for x in xs):
-        return np.concatenate(xs, axis=axis)
-    vals = [val(x) for x in xs]
-    out = np.concatenate(vals, axis=axis)
-    sizes = [v.shape[axis] for v in vals]
-    offsets = np.cumsum([0] + sizes)
-    parents, vjps = [], []
-    for i, x in enumerate(xs):
-        def vjp(g, lo=offsets[i], hi=offsets[i + 1], ax=axis):
-            sl = [slice(None)] * g.ndim
-            sl[ax] = slice(lo, hi)
-            return g[tuple(sl)]
-
-        parents.append(x)
-        vjps.append(vjp)
-    return Var._make(
-        out,
-        tuple(parents),
-        tuple(vjps),
-        _mixed_forward(lambda *full, ax=axis: np.concatenate(full, axis=ax), xs),
-        "concatenate",
     )
 
 
@@ -643,7 +472,6 @@ def reshape(x, shape):
         np.reshape(x.value, shape),
         (x,),
         (lambda g, s=x.value.shape: np.reshape(g, s),),
-        lambda a, sh=shape: np.reshape(a, sh),
         "reshape",
     )
 
@@ -655,89 +483,8 @@ def swapaxes(x, a, b):
         np.swapaxes(x.value, a, b),
         (x,),
         (lambda g, aa=a, bb=b: np.swapaxes(g, aa, bb),),
-        lambda arr, aa=a, bb=b: np.swapaxes(arr, aa, bb),
         "swapaxes",
     )
-
-
-def _onehot(idx: np.ndarray, m: int) -> np.ndarray:
-    oh = np.zeros((idx.size, m))
-    oh[np.arange(idx.size), idx.ravel()] = 1.0
-    return oh
-
-
-def gather_axis1(x, idx: np.ndarray):
-    """x[:, idx] for 1-D integer ``idx``; x is (N, M) or (N, M, D).
-
-    The backward pass contracts against a one-hot matrix instead of using
-    ``np.add.at``, which keeps it BLAS-fast for the repeated small gathers
-    of the coordinate kernel.
-    """
-    idx = np.asarray(idx, dtype=np.int64).ravel()
-    if not is_var(x):
-        return np.asarray(x)[:, idx]
-    xv = x.value
-    out = xv[:, idx]
-    m = xv.shape[1]
-
-    def vjp(g, idx=idx, m=m, nd=xv.ndim):
-        oh = _onehot(idx, m)
-        if nd == 2:
-            return g @ oh
-        return np.swapaxes(np.tensordot(g, oh, axes=(1, 0)), 1, 2)
-
-    return Var._make(
-        out, (x,), (vjp,), lambda a, k=idx: a[:, k], "gather_axis1"
-    )
-
-
-def scatter_axis1(values, idx: np.ndarray, m: int):
-    """Accumulate values (N, K[, D]) into zeros (N, M[, D]) at columns idx."""
-    idx = np.asarray(idx, dtype=np.int64).ravel()
-    oh = _onehot(idx, m)
-
-    def fwd(v):
-        if v.ndim == 2:
-            return v @ oh
-        return np.swapaxes(np.tensordot(v, oh, axes=(1, 0)), 1, 2)
-
-    if not is_var(values):
-        return fwd(np.asarray(values))
-    out = fwd(values.value)
-    return Var._make(
-        out,
-        (values,),
-        (lambda g, k=idx: g[:, k],),
-        fwd,
-        "scatter_axis1",
-    )
-
-
-def scatter_add(values, index, shape):
-    """Accumulate ``values`` into a zero array of ``shape`` at ``index``.
-
-    ``index`` follows advanced-indexing rules (tuple of integer arrays) and
-    is primal data.  Duplicate indices accumulate.
-    """
-    if not is_var(values):
-        out = np.zeros(shape, dtype=np.float64)
-        np.add.at(out, index, values)
-        return out
-    out = np.zeros(shape, dtype=np.float64)
-    np.add.at(out, index, values.value)
-    return Var._make(
-        out,
-        (values,),
-        (lambda g, k=index: g[k],),
-        lambda v, k=index, sh=shape: _scatter_fwd(v, k, sh),
-        "scatter_add",
-    )
-
-
-def _scatter_fwd(v, k, shape):
-    out = np.zeros(shape, dtype=np.float64)
-    np.add.at(out, k, v)
-    return out
 
 
 def smallest_eigvec(c):
@@ -770,6 +517,5 @@ def smallest_eigvec(c):
         v0,
         (c,),
         (vjp,),
-        lambda a: np.linalg.eigh(a)[1][..., 0],
         "smallest_eigvec",
     )

@@ -208,15 +208,13 @@ def mvc_weights(cage_vertices, faces: np.ndarray, points: np.ndarray,
         phi[r, nearest[r]] = 1.0
 
     if taped:
-        phi = _tape_node(cage_vertices, phi, totals, row_near, blocks,
-                         lambda v: mvc_weights(v, faces, pts, eps_vertex,
-                                               eps_plane, with_flags=False)[0])
+        phi = _tape_node(cage_vertices, phi, totals, row_near, blocks)
     if not with_aux:
         return phi, flags
     return phi, flags, aux
 
 
-def _tape_node(cage_var, phi, totals, row_near, blocks, forward):
+def _tape_node(cage_var, phi, totals, row_near, blocks):
     """``phi`` as one tape node over the cage, with the blocks' VJPs."""
 
     def vjp(g):
@@ -228,7 +226,7 @@ def _tape_node(cage_var, phi, totals, row_near, blocks, forward):
             grad += blk.vjp(g_sum[i * _BLOCK_ROWS:(i + 1) * _BLOCK_ROWS])
         return grad
 
-    return ad.Var._make(phi, (cage_var,), (vjp,), forward, "mvc_weights")
+    return ad.Var._make(phi, (cage_var,), (vjp,), "mvc_weights")
 
 
 class _CageGeometry:

@@ -1,6 +1,8 @@
-"""Adam and the cage optimization pipelines.
+"""Adam, the one optimization driver, and the cage optimization pipelines.
 
-Three gradient-descent entry points:
+``run_adam`` is the loop every gradient-descent pipeline runs: leaf Vars,
+the weighted loss and its trace, backward, Adam, stop reasons and wall
+time.  A pipeline supplies only its loss and its stop checks:
 
 * deform_pair — joint optimization of a source cage and its offsets so the
   cage-deformed source matches a target (cage-parameterized non-rigid
@@ -9,11 +11,11 @@ Three gradient-descent entry points:
   value coordinate rows of sparse landmark correspondences, regularized by
   the cage's cotangent Laplacian;
 * transfer — apply stored cage offsets to a fitted cage and deform a novel
-  shape through it.
+  shape through it (no optimization).
 
-All pipelines are deterministic for a fixed seed; internal parallelism is
-limited to exact nearest-neighbor queries, so results do not depend on the
-thread cap.
+``toy.train_toy`` runs the same driver.  All pipelines are deterministic for
+a fixed seed; internal parallelism is limited to exact nearest-neighbor
+queries, so results do not depend on the thread cap.
 """
 
 from __future__ import annotations
@@ -38,11 +40,12 @@ DEGENERATE_CAGE_AREA = 1e-10
 
 
 class OptimizationError(Exception):
-    """Aborted optimization; carries the partial report when available."""
+    """Aborted optimization; carries its stop reason and the partial report."""
 
-    def __init__(self, message, report=None):
+    def __init__(self, message, report=None, reason="non_finite"):
         super().__init__(message)
         self.report = report
+        self.reason = reason
 
 
 @dataclass
@@ -56,13 +59,6 @@ class AdamState:
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     t: int = 0
-
-
-def _abort(report, reason: str, t0: float, message: str):
-    """Record a stop reason and wall time; the error that carries them."""
-    report.stop_reason = reason
-    report.wall_time = time.perf_counter() - t0
-    return OptimizationError(message, report)
 
 
 def adam_step(state: AdamState, params: dict, grads: dict) -> dict:
@@ -98,7 +94,6 @@ class OptimReport:
     stop_reason: str = ""
     wall_time: float = 0.0
     final_metrics: dict = field(default_factory=dict)
-    warnings: dict = field(default_factory=dict)
 
     @property
     def iterations(self) -> int:
@@ -109,6 +104,60 @@ class OptimReport:
             {"terms": b.terms, "weights": b.weights, "total": b.total}
             for b in self.trace
         ]
+
+
+def run_adam(params: dict, step_size: float, max_iters: int, evaluate,
+             before_update=None, after_update=None):
+    """Minimize a weighted loss over ``params`` with Adam.
+
+    Every iteration wraps each parameter in a leaf Var, calls
+    ``evaluate(leaves) -> (terms, wmap)``, records the weighted total in the
+    report's trace, backpropagates it (a parameter the loss does not reach
+    gets a zero gradient) and takes one Adam step.  ``before_update(report)``
+    runs once the loss is recorded and ``after_update(report, params)`` after
+    the step; either returns a stop reason to end the run, or raises
+    ``OptimizationError`` to abort it.  A non-finite loss or gradient aborts
+    with reason ``non_finite``.  Every abort carries the report with its
+    stop reason and wall time.  Returns (params, report).
+    """
+    if max_iters < 1:
+        raise ValueError(f"step budget must be at least 1, got {max_iters}")
+    state = AdamState(step_size=step_size)
+    report = OptimReport()
+    t0 = time.perf_counter()
+    stop = None
+    try:
+        for _ in range(max_iters):
+            leaves = {k: ad.Var(v) for k, v in params.items()}
+            terms, wmap = evaluate(leaves)
+            total = losses.weighted_total(terms, wmap)
+            breakdown = LossBreakdown.from_terms(terms, wmap)
+            report.trace.append(breakdown)
+            if not np.isfinite(breakdown.total):
+                raise OptimizationError("non-finite total loss")
+            if before_update is not None:
+                stop = before_update(report)
+                if stop:
+                    break
+
+            total.backward()
+            grads = {k: v.grad if v.grad is not None
+                     else np.zeros_like(params[k])
+                     for k, v in leaves.items()}
+            params = adam_step(state, params, grads)
+
+            if after_update is not None:
+                stop = after_update(report, params)
+                if stop:
+                    break
+    except OptimizationError as exc:
+        exc.report = report
+        report.stop_reason = exc.reason
+        report.wall_time = time.perf_counter() - t0
+        raise
+    report.stop_reason = stop or "max_iters"
+    report.wall_time = time.perf_counter() - t0
+    return params, report
 
 
 @dataclass
@@ -229,69 +278,47 @@ def deform_pair(source: TriMesh, target: TriMesh,
     weights = cfg.loss_weights()
     wmap = losses.term_weights(weights)
 
-    params = {
-        "cage": cage0.vertices.copy(),
-        "offsets": np.zeros_like(cage0.vertices),
-    }
-    state = AdamState(step_size=cfg.step_size or DEFORM_STEP_SIZE)
-    max_iters = cfg.max_iters or DEFORM_MAX_ITERS
-
-    report = OptimReport()
-    t0 = time.perf_counter()
-    stop = "max_iters"
-    for it in range(max_iters):
-        cage_var = ad.Var(params["cage"])
-        off_var = ad.Var(params["offsets"])
+    def evaluate(leaves):
+        cage_var = leaves["cage"]
         phi, _ = mvc_weights(
             cage_var, cage_faces, source_ps.points,
             eps_vertex=eps_vertex, eps_plane=mvc_cfg.eps_plane,
             with_flags=False,
         )
-        deformed_cage = cage_var + off_var
+        deformed_cage = cage_var + leaves["offsets"]
         deformed_pts = ad.matmul(phi, deformed_cage)
         terms = losses.total_terms(
             source_ps, deformed_pts, target_pts, phi, deformed_cage,
             weights, cfg.align_mode,
         )
-        total = losses.weighted_total(terms, wmap)
-        breakdown = LossBreakdown.from_terms(terms, wmap)
-        report.trace.append(breakdown)
-        if not np.isfinite(breakdown.total):
-            raise _abort(report, "non_finite", t0, "non-finite total loss")
+        return terms, wmap
 
-        total.backward()
-        grads = {
-            "cage": cage_var.grad if cage_var.grad is not None
-            else np.zeros_like(params["cage"]),
-            "offsets": off_var.grad if off_var.grad is not None
-            else np.zeros_like(params["offsets"]),
-        }
-        try:
-            params = adam_step(state, params, grads)
-        except OptimizationError as exc:
-            raise _abort(report, "non_finite", t0, str(exc)) from exc
-
+    def after_update(report, params):
         for verts in (params["cage"], params["cage"] + params["offsets"]):
             if np.any(TriMesh(verts, cage_faces).face_areas()
                       < DEGENERATE_CAGE_AREA):
-                raise _abort(report, "degenerate_cage", t0,
-                             "cage face collapsed")
-
+                raise OptimizationError("cage face collapsed",
+                                        reason="degenerate_cage")
         w = cfg.plateau_window
         if len(report.trace) > w:
             prev = report.trace[-w - 1].total
             cur = report.trace[-1].total
             if (prev - cur) / max(abs(prev), 1e-12) < cfg.plateau_rel_tol:
-                stop = "stall"
-                break
+                return "stall"
+        return None
 
-    report.stop_reason = stop
+    params, report = run_adam(
+        {"cage": cage0.vertices.copy(),
+         "offsets": np.zeros_like(cage0.vertices)},
+        cfg.step_size or DEFORM_STEP_SIZE,
+        DEFORM_MAX_ITERS if cfg.max_iters is None else cfg.max_iters,
+        evaluate, after_update=after_update,
+    )
     cage = TriMesh(params["cage"], cage_faces)
     deformed_cage = TriMesh(params["cage"] + params["offsets"], cage_faces)
     vert_mvc = compute_mvc(cage, source.vertices, mvc_cfg)
     deformed_mesh = TriMesh(vert_mvc.weights @ deformed_cage.vertices,
                             source.faces.copy())
-    report.wall_time = time.perf_counter() - t0
     report.final_metrics = losses.eval_metrics(
         deformed_mesh, target, source,
         n_samples=cfg.n_eval_samples, seed=cfg.seed,
@@ -330,52 +357,36 @@ def fit_cage(template_cage: TriMesh, source_shape: PointSet,
     ).weights
     query_pts = dst_pts[landmarks[:, 1]]
 
-    params = {"cage": template_cage.vertices.copy()}
-    state = AdamState(step_size=cfg.step_size or FIT_STEP_SIZE)
-    max_iters = cfg.max_iters or FIT_MAX_ITERS
     wmap = {"consistency": 1.0, "clap": cfg.clap_weight}
 
-    report = OptimReport()
-    t0 = time.perf_counter()
-    stop = "max_iters"
-    initial_total = None
-    for _ in range(max_iters):
-        cage_var = ad.Var(params["cage"])
+    def evaluate(leaves):
         phi, _ = mvc_weights(
-            cage_var, template_cage.faces, query_pts,
+            leaves["cage"], template_cage.faces, query_pts,
             eps_vertex=eps_vertex, eps_plane=mvc_cfg.eps_plane,
             with_flags=False,
         )
+        # looked up through the module so tests can replace the regularizer
         terms = {
             "consistency": losses.mvc_consistency(template_rows, phi),
-            "clap": losses.cage_laplacian_loss(template_cage, cage_var),
+            "clap": losses.cage_laplacian_loss(template_cage, leaves["cage"]),
         }
-        total = losses.weighted_total(terms, wmap)
-        breakdown = LossBreakdown.from_terms(terms, wmap)
-        report.trace.append(breakdown)
+        return terms, wmap
 
-        if not np.isfinite(breakdown.total):
-            raise _abort(report, "non_finite", t0, "non-finite total loss")
-        if initial_total is None:
-            initial_total = breakdown.total
-        elif breakdown.total > 1e3 * max(initial_total, 1e-12):
-            raise _abort(report, "diverged", t0,
-                         "loss diverged beyond 1000x initial")
+    def before_update(report):
+        initial_total = report.trace[0].total
+        if report.trace[-1].total > 1e3 * max(initial_total, 1e-12):
+            raise OptimizationError("loss diverged beyond 1000x initial",
+                                    reason="diverged")
+        if report.trace[-1].terms["consistency"] < cfg.consistency_threshold:
+            return "threshold"
+        return None
 
-        if breakdown.terms["consistency"] < cfg.consistency_threshold:
-            stop = "threshold"
-            break
-
-        total.backward()
-        grads = {"cage": cage_var.grad if cage_var.grad is not None
-                 else np.zeros_like(params["cage"])}
-        try:
-            params = adam_step(state, params, grads)
-        except OptimizationError as exc:
-            raise _abort(report, "non_finite", t0, str(exc)) from exc
-
-    report.stop_reason = stop
-    report.wall_time = time.perf_counter() - t0
+    params, report = run_adam(
+        {"cage": template_cage.vertices.copy()},
+        cfg.step_size or FIT_STEP_SIZE,
+        FIT_MAX_ITERS if cfg.max_iters is None else cfg.max_iters,
+        evaluate, before_update=before_update,
+    )
     report.final_metrics = {
         "consistency": report.trace[-1].terms["consistency"],
         "iterations": report.iterations,

@@ -12,7 +12,6 @@ is checkable by finite differences.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,9 +26,10 @@ from .geometry import (
     make_template_cage,
     one_ring_neighborhoods,
 )
-from .losses import LossBreakdown, LossWeights
+from .losses import LossWeights
 from .mvc import compute_mvc
-from .optim import AdamState, OptimReport, OptimizationError, adam_step
+from .optim import run_adam
+from .optim import adam_step  # noqa: F401 (benchmarks/spans.py patches it here)
 
 _SPHERE42_INRADIUS = None
 
@@ -229,16 +229,11 @@ def train_toy(family: SyntheticFamily, source_cage: TriMesh,
         family.descriptor_dim, source_cage.n_vertices,
         hidden=hidden, seed=seed, cage=source_cage,
     )
-    params = predictor.params()
-    state = AdamState(step_size=step_size)
     wmap = {"mvc": weights.alpha_mvc, "align": 1.0}
     if weights.alpha_shape > 0:
         wmap["p2f"] = weights.alpha_shape
 
-    report = OptimReport()
-    t0 = time.perf_counter()
-    for _ in range(epochs):
-        pvars = {k: ad.Var(v) for k, v in params.items()}
+    def evaluate(pvars):
         offsets = forward_offsets(pvars, descriptors)           # (B, C, 3)
         deformed = ad.matmul(phi, source_cage.vertices + offsets)  # (B, N, 3)
         diff = deformed - targets
@@ -252,21 +247,10 @@ def train_toy(family: SyntheticFamily, source_cage: TriMesh,
                 t = losses.p2f_term(source_ps, deformed[bidx])
                 p2f_sum = t if p2f_sum is None else p2f_sum + t
             terms["p2f"] = p2f_sum / float(len(descriptors))
-        total = losses.weighted_total(terms, wmap)
-        breakdown = LossBreakdown.from_terms(terms, wmap)
-        report.trace.append(breakdown)
-        if not np.isfinite(breakdown.total):
-            report.stop_reason = "non_finite"
-            raise OptimizationError("non-finite training loss", report)
+        return terms, wmap
 
-        total.backward()
-        grads = {k: v.grad if v.grad is not None else np.zeros_like(params[k])
-                 for k, v in pvars.items()}
-        params = adam_step(state, params, grads)
-
+    params, report = run_adam(predictor.params(), step_size, epochs, evaluate)
     predictor.replace_params(params)
-    report.stop_reason = "max_iters"
-    report.wall_time = time.perf_counter() - t0
     report.final_metrics = {
         "train_total": report.trace[-1].total,
         "epochs": epochs,

@@ -238,6 +238,12 @@ class TestTrainToyCommand:
         assert pred.cage is not None
 
 
+    def test_epochs_below_one_rejected(self, tmp_path, capsys):
+        out = tmp_path / "toy0"
+        assert main(["train-toy", "--epochs", "0", "--out", str(out)]) == 1
+        assert "step budget must be at least 1, got 0" in capsys.readouterr().err
+
+
 class TestManifest:
     def test_records_hashes_and_outputs(self, source_target, tmp_path):
         sp, _ = source_target

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import cagewarp.autodiff as ad
-from cagewarp import losses
+from cagewarp import losses, optim
 from cagewarp.geometry import (
     PointSet,
     TriMesh,
@@ -195,6 +195,39 @@ class TestDeformPair:
         assert np.all(np.isfinite(cage.vertices))
         assert np.all(np.isfinite(dcage.vertices))
 
+    def test_step_budget_below_one_rejected(self):
+        src = normalized_box(3)
+        for budget in (0, -1):
+            with pytest.raises(ValueError, match=f"got {budget}"):
+                deform_pair(src, src, PipelineConfig(max_iters=budget))
+
+    def test_stall_checked_after_update(self):
+        # the plateau test runs after the Adam step, so the stopped run has
+        # taken as many steps as it has trace entries
+        src = normalized_box(3)
+        tgt, _ = normalize_to_unit_box(
+            TriMesh(src.vertices * [1.2, 1.0, 0.9], src.faces))
+        cfg = PipelineConfig(seed=0, plateau_window=3, plateau_rel_tol=1.0,
+                             n_eval_samples=200)
+        cage, dcage, _, rep = deform_pair(src, tgt, cfg)
+        assert rep.stop_reason == "stall"
+        assert rep.iterations == 4
+        cfg = PipelineConfig(seed=0, max_iters=4, n_eval_samples=200)
+        cage4, dcage4, _, rep4 = deform_pair(src, tgt, cfg)
+        assert rep4.stop_reason == "max_iters"
+        assert np.array_equal(cage.vertices, cage4.vertices)
+        assert np.array_equal(dcage.vertices, dcage4.vertices)
+
+    def test_degenerate_cage_keeps_partial_report(self, monkeypatch):
+        monkeypatch.setattr(optim, "DEGENERATE_CAGE_AREA", 1e3)
+        src = normalized_box(3)
+        with pytest.raises(OptimizationError) as err:
+            deform_pair(src, src, PipelineConfig(seed=0, max_iters=5))
+        rep = err.value.report
+        assert rep.stop_reason == "degenerate_cage"
+        assert rep.iterations == 1
+        assert rep.wall_time > 0.0
+
     def test_divergence_guard(self):
         # a near-zero initial residual with an oversized step makes the loss
         # overshoot 1000x its starting value, tripping the abort
@@ -295,6 +328,35 @@ class TestFitCage:
         assert rep.stop_reason == "non_finite"
         assert rep.iterations == 1
         assert rep.wall_time > 0.0
+
+
+    def test_step_budget_below_one_rejected(self):
+        pts, cage = self._shape_and_cage()
+        lm = np.stack([np.arange(40), np.arange(40)], axis=1)
+        for budget in (0, -1):
+            with pytest.raises(ValueError, match=f"got {budget}"):
+                fit_cage(cage, pts, pts, lm, PipelineConfig(max_iters=budget))
+
+    def test_threshold_checked_before_update(self):
+        # a run that stops on the threshold after k evaluations has taken
+        # k - 1 steps: the check runs before the Adam step
+        pts, cage = self._shape_and_cage()
+        lm = np.stack([np.arange(50), np.arange(50)], axis=1)
+        novel = PointSet(points=pts.points + 0.01)
+        _, free = fit_cage(cage, pts, novel, lm, PipelineConfig(
+            seed=0, max_iters=10, consistency_threshold=0.0))
+        cons = [b.terms["consistency"] for b in free.trace]
+        threshold = np.nextafter(cons[5], np.inf)
+        k = next(i for i, c in enumerate(cons) if c < threshold) + 1
+        assert k >= 2
+        fitted, rep = fit_cage(cage, pts, novel, lm, PipelineConfig(
+            seed=0, max_iters=10, consistency_threshold=threshold))
+        assert rep.stop_reason == "threshold"
+        assert rep.iterations == k
+        before, rep_before = fit_cage(cage, pts, novel, lm, PipelineConfig(
+            seed=0, max_iters=k - 1, consistency_threshold=0.0))
+        assert rep_before.iterations == k - 1
+        assert np.array_equal(fitted.vertices, before.vertices)
 
 
 class TestTransfer:

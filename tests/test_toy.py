@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 import cagewarp.autodiff as ad
+from cagewarp import losses
 from cagewarp.geometry import TriMesh
 from cagewarp.gradients import central_fd, relative_errors
 from cagewarp.losses import LossWeights, l2_corresponded
 from cagewarp.mvc import compute_mvc
+from cagewarp.optim import OptimizationError
 from cagewarp.toy import (
     OffsetPredictor,
     SyntheticFamily,
@@ -119,6 +121,34 @@ class TestTraining:
         pred, rep = train_toy(fam, cage, epochs=10, seed=0, n_train=3,
                               weights=weights)
         assert "p2f" in rep.trace[0].terms
+
+
+    def test_step_budget_below_one_rejected(self):
+        fam = SyntheticFamily()
+        for epochs in (0, -1):
+            with pytest.raises(ValueError, match=f"got {epochs}"):
+                train_toy(fam, fam.default_cage(), epochs=epochs, n_train=2)
+
+    @pytest.mark.parametrize("scale", [0.0, np.nan])
+    def test_non_finite_keeps_partial_report(self, monkeypatch, scale):
+        # scale 0: a finite (0) shape term whose gradient is NaN, raised by
+        # the Adam step; scale NaN: a non-finite loss
+        def bad_p2f(source, verts):
+            return ad.sum_(ad.sqrt(verts * verts * scale))
+
+        monkeypatch.setattr(losses, "p2f_term", bad_p2f)
+        fam = SyntheticFamily()
+        weights = LossWeights(alpha_mvc=1.0, alpha_shape=0.05,
+                              shape_mode="character")
+        with pytest.raises(OptimizationError) as err, \
+                np.errstate(divide="ignore", invalid="ignore"):
+            train_toy(fam, fam.default_cage(), epochs=5, n_train=2,
+                      weights=weights)
+        rep = err.value.report
+        assert rep is not None
+        assert rep.stop_reason == "non_finite"
+        assert rep.iterations == 1
+        assert rep.wall_time > 0.0
 
 
 class TestParameterGradients:
