@@ -43,7 +43,7 @@ class Var:
     # Make numpy defer to our __r*__ operators instead of broadcasting
     # elementwise over the Var object.
     __array_ufunc__ = None
-    __slots__ = ("value", "grad", "_parents", "_vjps", "op")
+    __slots__ = ("value", "grad", "_parents", "_vjps", "op", "__weakref__")
 
     def __init__(self, value, parents=(), vjps=(), op="leaf"):
         self.value = np.asarray(value, dtype=np.float64)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -109,6 +110,8 @@ class PointSet:
     pca_normals: np.ndarray | None = None
     pca_offsets: np.ndarray | None = None
     pca_degenerate: np.ndarray | None = None
+    _padded: "PaddedNeighborhoods | None" = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
@@ -136,6 +139,14 @@ class PointSet:
             and self.pca_normals is not None
             and self.pca_offsets is not None
         )
+
+    def padded_neighborhoods(self) -> "PaddedNeighborhoods":
+        """The neighborhoods packed for ``pca_frames``; packed once."""
+        if self.neighborhoods is None:
+            raise ValueError("point set carries no neighborhoods")
+        if self._padded is None:
+            self._padded = pad_neighborhoods(self.neighborhoods)
+        return self._padded
 
 
 @dataclass
@@ -241,7 +252,15 @@ def knn_neighborhoods(points: np.ndarray, k: int = 8) -> list:
     return out
 
 
-def pad_neighborhoods(neigh: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+class PaddedNeighborhoods(NamedTuple):
+    """Ragged neighbor lists packed into rectangular arrays."""
+
+    idx: np.ndarray      # (N, K) neighbor indices, 0 past each list's end
+    mask: np.ndarray     # (N, K) 1.0 on the entries of the list
+    counts: np.ndarray   # (N,) list lengths
+
+
+def pad_neighborhoods(neigh: list) -> PaddedNeighborhoods:
     """Pack ragged neighbor lists into (index, mask, count) arrays."""
     n = len(neigh)
     kmax = max(len(nb) for nb in neigh)
@@ -252,7 +271,7 @@ def pad_neighborhoods(neigh: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         idx[i, : len(nb)] = nb
         mask[i, : len(nb)] = 1.0
         counts[i] = len(nb)
-    return idx, mask, counts
+    return PaddedNeighborhoods(idx, mask, counts)
 
 
 # -- local plane fits -------------------------------------------------------
@@ -277,19 +296,20 @@ def _line_orthogonal(direction: np.ndarray) -> np.ndarray:
     return n / np.linalg.norm(n)
 
 
-def pca_frames(positions, neighborhoods: list):
+def pca_frames(positions, neighborhoods: PaddedNeighborhoods):
     """Plane fits of every point's neighborhood.
 
     positions may be an ndarray or an autodiff Var; the returned normals and
-    offsets are of the same kind.  Returns (normals, centroids, offsets,
-    degenerate) where ``degenerate`` marks collinear neighborhoods whose
-    normal was chosen as a fixed vector orthogonal to the line (constant,
-    no gradient).
+    offsets are of the same kind.  ``neighborhoods`` are the packed neighbor
+    lists (``PointSet.padded_neighborhoods``).  Returns (normals, centroids,
+    offsets, degenerate) where ``degenerate`` marks collinear neighborhoods
+    whose normal was chosen as a fixed vector orthogonal to the line
+    (constant, no gradient).
     """
-    for i, nb in enumerate(neighborhoods):
-        if len(nb) < 3:
-            raise ValueError(f"point {i} has fewer than 3 neighbors")
-    idx, mask, counts = pad_neighborhoods(neighborhoods)
+    idx, mask, counts = neighborhoods
+    short = np.nonzero(counts < 3)[0]
+    if short.size:
+        raise ValueError(f"point {short[0]} has fewer than 3 neighbors")
     q = positions[idx]  # (N, K, 3)
     m3 = mask[:, :, None]
     centroid = ad.sum_(q * m3, axis=1) / counts[:, None]
@@ -348,16 +368,17 @@ def attach_pca_frames(points: PointSet) -> PointSet:
     """Return a copy of ``points`` with normals/offsets computed."""
     if points.neighborhoods is None:
         raise ValueError("point set carries no neighborhoods")
-    normals, _, offsets, degenerate = pca_frames(
-        points.points, points.neighborhoods
-    )
-    return PointSet(
+    padded = points.padded_neighborhoods()
+    normals, _, offsets, degenerate = pca_frames(points.points, padded)
+    out = PointSet(
         points=points.points,
         neighborhoods=points.neighborhoods,
         pca_normals=np.asarray(normals),
         pca_offsets=np.asarray(offsets),
         pca_degenerate=degenerate,
     )
+    out._padded = padded
+    return out
 
 
 def pointset_from_mesh_vertices(mesh: TriMesh) -> PointSet:
@@ -375,17 +396,16 @@ def cot_laplacian(mesh: TriMesh) -> sparse.csr_matrix:
 
     Raises on non-manifold edges (more than two incident faces).
     """
-    undirected = Counter()
-    for a, b, c in mesh.faces:
-        for e in ((a, b), (b, c), (c, a)):
-            undirected[tuple(sorted((int(e[0]), int(e[1]))))] += 1
-    bad = [e for e, n in undirected.items() if n > 2]
-    if bad:
-        raise MeshError(f"non-manifold edges: {bad[:5]}")
-
     v = mesh.vertices
     f = mesh.faces
     n = mesh.n_vertices
+    a, b = f.ravel(), f[:, [1, 2, 0]].ravel()
+    edges, uses = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
+                            return_counts=True)
+    bad = [divmod(int(e), n) for e in edges[uses > 2][:5]]
+    if bad:
+        raise MeshError(f"non-manifold edges: {bad}")
+
     rows, cols, vals = [], [], []
     for k in range(3):
         i = f[:, (k + 1) % 3]

@@ -84,14 +84,22 @@ def _positions(x):
 # -- alignment ---------------------------------------------------------------
 
 
-def chamfer(a, b):
-    """Symmetric mean squared nearest-neighbor distance."""
+def chamfer(a, b, index_a=None, index_b=None):
+    """Symmetric mean squared nearest-neighbor distance.
+
+    ``index_a`` / ``index_b`` are optional ``SpatialIndex`` trees already
+    built over the positions of ``a`` / ``b``; the others are built here.
+    """
     pa, pb = _positions(a), _positions(b)
     av, bv = ad.val(pa), ad.val(pb)
     if len(av) == 0 or len(bv) == 0:
         raise ValueError("chamfer distance of an empty point set")
-    idx_ab = SpatialIndex(bv).query_index(av)
-    idx_ba = SpatialIndex(av).query_index(bv)
+    if index_b is None:
+        index_b = SpatialIndex(bv)
+    if index_a is None:
+        index_a = SpatialIndex(av)
+    idx_ab = index_b.query_index(av)
+    idx_ba = index_a.query_index(bv)
     d_ab = pa - pb[idx_ab]
     d_ba = pb - pa[idx_ba]
     return (ad.mean_(ad.sum_(d_ab * d_ab, axis=-1))
@@ -134,7 +142,8 @@ def _require_frames(ps: PointSet, who: str) -> None:
 def p2f_term(before: PointSet, after_positions):
     """Mean squared change of the point-to-plane distances (generic)."""
     _require_frames(before, "before")
-    _, _, off_after, _ = pca_frames(after_positions, before.neighborhoods)
+    _, _, off_after, _ = pca_frames(after_positions,
+                                    before.padded_neighborhoods())
     d = before.pca_offsets - off_after
     return ad.mean_(d * d)
 
@@ -147,7 +156,8 @@ def p2f_loss(before: PointSet, after: PointSet):
 def normal_term(before: PointSet, after_positions):
     """Mean (1 - n . n') over paired plane normals (generic)."""
     _require_frames(before, "before")
-    n_after, _, _, _ = pca_frames(after_positions, before.neighborhoods)
+    n_after, _, _, _ = pca_frames(after_positions,
+                                  before.padded_neighborhoods())
     flip = np.sign(
         np.einsum("ij,ij->i", before.pca_normals, ad.val(n_after))
     )
@@ -160,10 +170,13 @@ def normal_loss(before: PointSet, after: PointSet):
     return float(ad.val(normal_term(before, _positions(after))))
 
 
-def symmetry_term(points):
-    """Chamfer distance to the reflection across x = 0 (generic)."""
+def symmetry_term(points, index=None):
+    """Chamfer distance to the reflection across x = 0 (generic).
+
+    ``index`` is an optional ``SpatialIndex`` already built over the points.
+    """
     p = _positions(points)
-    return chamfer(p, p * _REFLECT_X)
+    return chamfer(p, p * _REFLECT_X, index_a=index)
 
 
 def symmetry_loss(points):
@@ -171,12 +184,15 @@ def symmetry_loss(points):
 
 
 def shape_terms(before: PointSet, after_positions, cage_after_positions,
-                mode: str) -> dict:
-    """Raw shape-preservation terms for the given mode (generic values)."""
+                mode: str, after_index=None) -> dict:
+    """Raw shape-preservation terms for the given mode (generic values).
+
+    ``after_index`` is an optional ``SpatialIndex`` over ``after_positions``.
+    """
     terms = {"p2f": p2f_term(before, after_positions)}
     if mode == "man_made":
         terms["normal"] = normal_term(before, after_positions)
-        terms["symmetry_shape"] = symmetry_term(after_positions)
+        terms["symmetry_shape"] = symmetry_term(after_positions, after_index)
         terms["symmetry_cage"] = symmetry_term(cage_after_positions)
     elif mode != "character":
         raise ValueError(f"unknown shape mode {mode!r}")
@@ -207,10 +223,20 @@ def term_weights(weights: LossWeights) -> dict:
 
 def total_terms(source: PointSet, deformed_positions, target, phi,
                 cage_deformed_positions, weights: LossWeights,
-                align_mode: str) -> dict:
-    """All raw loss terms of the combined objective (generic values)."""
+                align_mode: str, target_index=None) -> dict:
+    """All raw loss terms of the combined objective (generic values).
+
+    ``target_index`` is an optional ``SpatialIndex`` over the target points,
+    built once by a caller that evaluates the objective many times.
+    """
+    deformed_index = None
     if align_mode == "chamfer":
-        align = chamfer(deformed_positions, target)
+        if weights.shape_mode == "man_made":
+            # the alignment and the shape symmetry query the same tree
+            deformed_index = SpatialIndex(
+                ad.val(_positions(deformed_positions)))
+        align = chamfer(deformed_positions, target, index_a=deformed_index,
+                        index_b=target_index)
     elif align_mode == "l2":
         align = l2_corresponded(deformed_positions, target)
     else:
@@ -218,7 +244,7 @@ def total_terms(source: PointSet, deformed_positions, target, phi,
     terms = {"mvc": mvc_penalty(phi), "align": align}
     terms.update(
         shape_terms(source, deformed_positions, cage_deformed_positions,
-                    weights.shape_mode)
+                    weights.shape_mode, deformed_index)
     )
     return terms
 
@@ -263,20 +289,35 @@ def mvc_consistency(rows_a, rows_b):
     return ad.ordered_sum(d * d)
 
 
-def cage_laplacian_loss(cage_before: TriMesh, cage_after_vertices):
+class CageLaplacian:
+    """Dense cotangent Laplacian L of an undeformed cage and |L v0| per vertex.
+
+    Built once per cage; ``cage_laplacian_loss`` accepts it in place of the
+    cage, so a loop over one template does not rebuild L every step.
+    """
+
+    def __init__(self, cage: TriMesh):
+        self.lap = cot_laplacian(cage).toarray()
+        self.mag = np.linalg.norm(self.lap @ cage.vertices, axis=1)
+        self.shape = cage.vertices.shape
+
+
+def cage_laplacian_loss(cage_before, cage_after_vertices):
     """Sum of squared changes of per-vertex Laplacian magnitudes.
 
-    The cotangent weights are built once from the undeformed cage and reused
-    for both evaluations.  The per-vertex squares are summed in vertex order,
-    one at a time, so the value equals the loop over vertices bit for bit.
+    ``cage_before`` is the undeformed cage (a TriMesh) or its
+    ``CageLaplacian``; the cotangent weights come from the undeformed cage
+    and serve both evaluations.  The per-vertex squares are summed in vertex
+    order, one at a time, so the value equals the loop over vertices bit for
+    bit.
     """
+    ref = cage_before if isinstance(cage_before, CageLaplacian) \
+        else CageLaplacian(cage_before)
     after = cage_after_vertices
-    if ad.val(after).shape != cage_before.vertices.shape:
+    if ad.val(after).shape != ref.shape:
         raise ValueError("cage connectivity mismatch")
-    lap = cot_laplacian(cage_before).toarray()
-    mag_before = np.linalg.norm(lap @ cage_before.vertices, axis=1)
-    mag_after = ad.norm(ad.matmul(lap, after), axis=-1)
-    d = mag_after - mag_before
+    mag_after = ad.norm(ad.matmul(ref.lap, after), axis=-1)
+    d = mag_after - ref.mag
     return ad.ordered_sum(d * d)
 
 

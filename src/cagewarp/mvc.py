@@ -20,18 +20,26 @@ followed by normalization to unit sum.  Queries within eps_vertex of a cage
 vertex get that vertex's exact indicator row.  Exterior queries are allowed
 and produce (partially negative) valid weights.
 
-One vectorised pass evaluates these formulas over blocks of _BLOCK_ROWS
-query rows at a time, so its temporaries stay O(_BLOCK_ROWS x faces) and
-small enough to be reused.  Arc lengths and their sines are taken once per
-cage edge, and the per-corner terms are added into their cage columns with
-``np.bincount``, which sums in a fixed order: a row's weights are the same
-bits whatever block it falls in and however many threads run.
+One vectorised pass evaluates these formulas over blocks of query rows.
+The block size follows the face count: 16 * max(1, 15360 // (3 F 16))
+rows, so every (3, F, rows) temporary stays at or under 120 KiB, below
+glibc's 128 KiB mmap threshold (larger temporaries go back to the OS when
+freed and page-fault again at the next allocation).  A 320-face cage runs
+16-row blocks, an 80-face one 64-row blocks.  Arc lengths and their sines
+are taken once per cage edge, and the per-corner terms are added into
+their cage columns with ``np.bincount``, which sums in a fixed order: a
+row's weights are the same bits whatever block it falls in and however
+many threads run.  The cage topology (edges, corner-to-edge map, scatter
+indices) depends only on the faces and is cached per connectivity; only
+the face planes are rebuilt from the vertices on each call.
 
 Passing the cage vertices as an autodiff Var makes phi a single tape node.
 Its VJP is the hand-derived adjoint of the formulas above and of the row
 normalization, evaluated block by block from the intermediates each block
 kept (so a taped call holds O(rows x faces) until its backward pass), and
-returns d loss / d cage vertices directly.  All branch masks are
+returns d loss / d cage vertices directly.  The rows' contributions to that
+gradient are summed in 16-row chunks, in row order, whatever the block
+size, so the gradient bits do not depend on it either.  All branch masks are
 decided on primal values; masked-out lanes and guarded denominators pass
 no gradient, so no NaN/Inf can leak into values or gradients.
 
@@ -43,6 +51,7 @@ snapping and 2D branches took.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -67,8 +76,11 @@ _MAGIC = b"MVCMAT01"
 _DENOM_TINY = 1e-300
 _ASIN_CLAMP = 1.0 - 1e-12   # asin's derivative is taken inside +-1
 
-# Query rows per block of the kernel; its temporaries are O(rows x faces).
+# Row granularity of the kernel: blocks are a multiple of it, and the cage
+# gradient sums the rows in chunks of it.  A block takes as many chunks as
+# keep a (3, F, rows) temporary within _BLOCK_ENTRIES float64s (120 KiB).
 _BLOCK_ROWS = 16
+_BLOCK_ENTRIES = 15360
 _CORNERS = np.arange(3)
 _NEXT = np.array([1, 2, 0])   # corner k -> k + 1
 _PREV = np.array([2, 0, 1])   # corner k -> k + 2
@@ -172,6 +184,7 @@ def mvc_weights(cage_vertices, faces: np.ndarray, points: np.ndarray,
         raise MvcError("no query points")
     taped = ad.is_var(cage_vertices)
     geo = _CageGeometry(ad.val(cage_vertices), faces)
+    block = _block_rows(len(geo.faces))
 
     w_sum = np.empty((n, geo.n_vertices))
     row_near = np.empty(n, dtype=bool)
@@ -179,8 +192,8 @@ def mvc_weights(cage_vertices, faces: np.ndarray, points: np.ndarray,
     flags = np.empty(n, dtype=np.uint8) if with_flags else None
     aux = {"min_vertex_dist": np.empty(n), "plane_margin": np.empty(n)}
     blocks = []
-    for lo in range(0, n, _BLOCK_ROWS):
-        rows = slice(lo, lo + _BLOCK_ROWS)
+    for lo in range(0, n, block):
+        rows = slice(lo, lo + block)
         blk = _Block(geo, pts[rows], eps_vertex, eps_plane, with_flags)
         w_sum[rows] = blk.w_sum.T
         row_near[rows] = blk.row_near
@@ -192,6 +205,7 @@ def mvc_weights(cage_vertices, faces: np.ndarray, points: np.ndarray,
             flags[rows] = blk.flags
         if taped:
             blocks.append(blk)
+        del blk   # an untaped block is freed before the next one is built
 
     totals = w_sum.sum(axis=1)
     regular = ~row_near
@@ -208,13 +222,18 @@ def mvc_weights(cage_vertices, faces: np.ndarray, points: np.ndarray,
         phi[r, nearest[r]] = 1.0
 
     if taped:
-        phi = _tape_node(cage_vertices, phi, totals, row_near, blocks)
+        phi = _tape_node(cage_vertices, phi, totals, row_near, blocks, block)
     if not with_aux:
         return phi, flags
     return phi, flags, aux
 
 
-def _tape_node(cage_var, phi, totals, row_near, blocks):
+def _block_rows(n_faces):
+    """Query rows per block for a cage of ``n_faces`` faces."""
+    return _BLOCK_ROWS * max(1, _BLOCK_ENTRIES // (3 * n_faces * _BLOCK_ROWS))
+
+
+def _tape_node(cage_var, phi, totals, row_near, blocks, block):
     """``phi`` as one tape node over the cage, with the blocks' VJPs."""
 
     def vjp(g):
@@ -223,26 +242,58 @@ def _tape_node(cage_var, phi, totals, row_near, blocks):
         g_sum[row_near] = 0.0
         grad = np.zeros_like(cage_var.value)
         for i, blk in enumerate(blocks):
-            grad += blk.vjp(g_sum[i * _BLOCK_ROWS:(i + 1) * _BLOCK_ROWS])
+            blk.vjp(g_sum[i * block:(i + 1) * block], grad)
         return grad
 
     return ad.Var._make(phi, (cage_var,), (vjp,), "mvc_weights")
 
 
-class _CageGeometry:
-    """Per-call cage data shared by all blocks: topology and face planes."""
+class _CageTopology:
+    """Cage data that depends only on the faces; shared and read-only."""
 
-    def __init__(self, cage, faces):
-        faces = np.asarray(faces, dtype=np.int64)
-        self.cage, self.faces = cage, faces
-        self.n_vertices = len(cage)
+    def __init__(self, n_vertices, faces):
+        self.faces = faces
         self.ft = faces.T                                       # (3, F)
         # the edge opposite each corner, as an index into unique edges
         a, b = self.ft[_NEXT], self.ft[_PREV]
-        keys = np.minimum(a, b) * self.n_vertices + np.maximum(a, b)
-        uniq, self.corner_edge = np.unique(keys, return_inverse=True)
-        self.corner_edge = self.corner_edge.reshape(3, -1)
-        self.edge_a, self.edge_b = np.divmod(uniq, self.n_vertices)
+        keys = np.minimum(a, b) * n_vertices + np.maximum(a, b)
+        uniq, corner_edge = np.unique(keys, return_inverse=True)
+        self.corner_edge = corner_edge.reshape(3, -1)
+        self.edge_a, self.edge_b = np.divmod(uniq, n_vertices)
+        for arr in (self.corner_edge, self.edge_a, self.edge_b):
+            arr.flags.writeable = False
+        self._scatter = {}
+
+    def scatter_index(self, n):
+        """Flat (target * n + row) indices for ``np.bincount`` at n rows."""
+        if n not in self._scatter:
+            rows = np.arange(n)
+            index = tuple(
+                (t[..., None] * n + rows).ravel()
+                for t in (self.ft, self.corner_edge, self.edge_a, self.edge_b)
+            )
+            for arr in index:
+                arr.flags.writeable = False
+            self._scatter[n] = index
+        return self._scatter[n]
+
+
+@functools.lru_cache(maxsize=16)
+def _topology(n_vertices, face_bytes):
+    faces = np.frombuffer(face_bytes, dtype=np.int64).reshape(-1, 3)
+    return _CageTopology(n_vertices, faces)
+
+
+class _CageGeometry:
+    """Per-call cage data shared by all blocks: cached topology, face planes."""
+
+    def __init__(self, cage, faces):
+        faces = np.ascontiguousarray(faces, dtype=np.int64)
+        topo = _topology(len(cage), faces.tobytes())
+        self.cage, self.faces, self.n_vertices = cage, topo.faces, len(cage)
+        self.ft, self.corner_edge = topo.ft, topo.corner_edge
+        self.edge_a, self.edge_b = topo.edge_a, topo.edge_b
+        self.scatter_index = topo.scatter_index
         v0, v1, v2 = cage[faces[:, 0]], cage[faces[:, 1]], cage[faces[:, 2]]
         # det[v0 - p, v1 - p, v2 - p] = det[v0, v1, v2] - p . area_normal
         self.area_normal = np.cross(v1 - v0, v2 - v0)
@@ -250,17 +301,6 @@ class _CageGeometry:
         fn_len = np.linalg.norm(self.area_normal, axis=1, keepdims=True)
         self.unit_normal = self.area_normal / np.where(
             fn_len < _DENOM_TINY, 1.0, fn_len)
-        self._scatter = {}
-
-    def scatter_index(self, n):
-        """Flat (target * n + row) indices for ``np.bincount`` at n rows."""
-        if n not in self._scatter:
-            rows = np.arange(n)
-            self._scatter[n] = tuple(
-                (t[..., None] * n + rows).ravel()
-                for t in (self.ft, self.corner_edge, self.edge_a, self.edge_b)
-            )
-        return self._scatter[n]
 
 
 class _Block:
@@ -365,8 +405,9 @@ class _Block:
         flags[self.row_near] = FLAG_ON_VERTEX
         return flags
 
-    def vjp(self, g_sum):
-        """Cage gradient (C, 3) from the gradient (n, C) of the raw rows.
+    def vjp(self, g_sum, grad):
+        """Add the cage gradient (C, 3) from the gradient (n, C) of the raw
+        rows into ``grad``, one _BLOCK_ROWS-row chunk at a time.
 
         The adjoint of the forward pass, branch by branch: masked lanes and
         guarded denominators pass no gradient, clip passes it strictly
@@ -447,7 +488,8 @@ class _Block:
         # u = diff / d, d = |diff|, on the rows that were not snapped
         g_d -= (g_u * u).sum(axis=0) / d
         g_diff = g_u / d + u * g_d
-        return g_diff.sum(axis=2).T
+        for lo in range(0, g_diff.shape[2], _BLOCK_ROWS):
+            grad += g_diff[:, :, lo:lo + _BLOCK_ROWS].sum(axis=2).T
 
 
 def _guard(x, bad=None):

@@ -118,10 +118,15 @@ def run_adam(params: dict, step_size: float, max_iters: int, evaluate,
     the step; either returns a stop reason to end the run, or raises
     ``OptimizationError`` to abort it.  A non-finite loss or gradient aborts
     with reason ``non_finite``.  Every abort carries the report with its
-    stop reason and wall time.  Returns (params, report).
+    stop reason and wall time.  Each step's tape is released after its Adam
+    update, before the next ``evaluate`` builds another.  Returns (params,
+    report).
     """
     if max_iters < 1:
         raise ValueError(f"step budget must be at least 1, got {max_iters}")
+    if not (np.isfinite(step_size) and step_size > 0):
+        raise ValueError(
+            f"step size must be positive and finite, got {step_size}")
     state = AdamState(step_size=step_size)
     report = OptimReport()
     t0 = time.perf_counter()
@@ -145,6 +150,7 @@ def run_adam(params: dict, step_size: float, max_iters: int, evaluate,
                      else np.zeros_like(params[k])
                      for k, v in leaves.items()}
             params = adam_step(state, params, grads)
+            del total, terms, leaves, grads
 
             if after_update is not None:
                 stop = after_update(report, params)
@@ -275,6 +281,8 @@ def deform_pair(source: TriMesh, target: TriMesh,
 
     source_ps = _loss_pointset(source, cfg)
     target_pts = _target_points(target, source_ps, cfg)
+    target_index = (losses.SpatialIndex(target_pts)
+                    if cfg.align_mode == "chamfer" else None)
     weights = cfg.loss_weights()
     wmap = losses.term_weights(weights)
 
@@ -289,7 +297,7 @@ def deform_pair(source: TriMesh, target: TriMesh,
         deformed_pts = ad.matmul(phi, deformed_cage)
         terms = losses.total_terms(
             source_ps, deformed_pts, target_pts, phi, deformed_cage,
-            weights, cfg.align_mode,
+            weights, cfg.align_mode, target_index,
         )
         return terms, wmap
 
@@ -310,7 +318,7 @@ def deform_pair(source: TriMesh, target: TriMesh,
     params, report = run_adam(
         {"cage": cage0.vertices.copy(),
          "offsets": np.zeros_like(cage0.vertices)},
-        cfg.step_size or DEFORM_STEP_SIZE,
+        DEFORM_STEP_SIZE if cfg.step_size is None else cfg.step_size,
         DEFORM_MAX_ITERS if cfg.max_iters is None else cfg.max_iters,
         evaluate, after_update=after_update,
     )
@@ -356,6 +364,7 @@ def fit_cage(template_cage: TriMesh, source_shape: PointSet,
         template_cage, src_pts[landmarks[:, 0]], mvc_cfg
     ).weights
     query_pts = dst_pts[landmarks[:, 1]]
+    template_lap = losses.CageLaplacian(template_cage)
 
     wmap = {"consistency": 1.0, "clap": cfg.clap_weight}
 
@@ -368,7 +377,7 @@ def fit_cage(template_cage: TriMesh, source_shape: PointSet,
         # looked up through the module so tests can replace the regularizer
         terms = {
             "consistency": losses.mvc_consistency(template_rows, phi),
-            "clap": losses.cage_laplacian_loss(template_cage, leaves["cage"]),
+            "clap": losses.cage_laplacian_loss(template_lap, leaves["cage"]),
         }
         return terms, wmap
 
@@ -383,7 +392,7 @@ def fit_cage(template_cage: TriMesh, source_shape: PointSet,
 
     params, report = run_adam(
         {"cage": template_cage.vertices.copy()},
-        cfg.step_size or FIT_STEP_SIZE,
+        FIT_STEP_SIZE if cfg.step_size is None else cfg.step_size,
         FIT_MAX_ITERS if cfg.max_iters is None else cfg.max_iters,
         evaluate, before_update=before_update,
     )

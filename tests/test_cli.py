@@ -149,6 +149,15 @@ class TestDeform:
             blobs.append(json.dumps(payload["metrics"], sort_keys=True))
         assert blobs[0] == blobs[1]
 
+    def test_step_size_zero_rejected(self, source_target, tmp_path, capsys):
+        sp, tp = source_target
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"step_size": 0, "max_iters": 2}))
+        assert main(["deform", "--source", str(sp), "--target", str(tp),
+                     "--config", str(cfg), "--out", str(tmp_path / "z")]) == 1
+        assert ("step size must be positive and finite, got 0"
+                in capsys.readouterr().err)
+
     def test_threads_do_not_change_trace(self, source_target, tmp_path):
         sp, tp = source_target
         cfg = tmp_path / "cfg.json"

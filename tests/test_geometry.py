@@ -14,6 +14,8 @@ from cagewarp.geometry import (
     make_template_cage,
     normalize_to_unit_box,
     one_ring_neighborhoods,
+    pad_neighborhoods,
+    pca_frames,
     reflect_x,
     sample_surface,
 )
@@ -267,6 +269,24 @@ class TestPcaFrame:
             assert np.allclose(n, ps.pca_normals[i], atol=1e-12)
             assert d == pytest.approx(ps.pca_offsets[i], abs=1e-12)
 
+    def test_neighborhoods_packed_once(self):
+        mesh = make_box_mesh(3)
+        neigh = one_ring_neighborhoods(mesh)
+        ps = attach_pca_frames(PointSet(points=mesh.vertices,
+                                        neighborhoods=neigh))
+        padded = ps.padded_neighborhoods()
+        assert ps.padded_neighborhoods() is padded
+        assert np.array_equal(padded.idx, pad_neighborhoods(neigh).idx)
+        normals, _, offsets, _ = pca_frames(ps.points, padded)
+        assert np.array_equal(normals, ps.pca_normals)
+        assert np.array_equal(offsets, ps.pca_offsets)
+
+    def test_padded_too_few_neighbors(self):
+        padded = pad_neighborhoods([np.array([1, 2, 3])] * 2
+                                   + [np.array([0, 1])] * 2)
+        with pytest.raises(ValueError, match="point 2 has fewer than 3"):
+            pca_frames(np.zeros((4, 3)), padded)
+
     def test_invariant_offsets_nonnegative(self):
         rng = np.random.default_rng(17)
         pts = rng.normal(size=(30, 3))
@@ -320,7 +340,7 @@ class TestCotLaplacian:
             dtype=float,
         )
         faces = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
-        with pytest.raises(MeshError):
+        with pytest.raises(MeshError, match=r"non-manifold edges: \[\(0, 1\)\]"):
             cot_laplacian(TriMesh(verts, faces))
 
     def test_nullspace_random_mesh(self):

@@ -4,6 +4,7 @@ import pytest
 import cagewarp.autodiff as ad
 from cagewarp.geometry import (
     PointSet,
+    SpatialIndex,
     TriMesh,
     attach_pca_frames,
     knn_neighborhoods,
@@ -14,6 +15,7 @@ from cagewarp.geometry import (
     reflect_x,
 )
 from cagewarp.losses import (
+    CageLaplacian,
     LossBreakdown,
     LossWeights,
     cage_laplacian_loss,
@@ -67,6 +69,14 @@ class TestChamfer:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             chamfer(np.zeros((0, 3)), np.zeros((3, 3)))
+
+    def test_prebuilt_indexes_give_the_same_value(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=(30, 3)), rng.normal(size=(25, 3))
+        want = chamfer(a, b)
+        assert chamfer(a, b, index_a=SpatialIndex(a)) == want
+        assert chamfer(a, b, index_b=SpatialIndex(b)) == want
+        assert chamfer(a, b, SpatialIndex(a), SpatialIndex(b)) == want
 
 
 class TestL2:
@@ -379,6 +389,21 @@ class TestCageLaplacianLoss:
     def test_connectivity_mismatch(self, octa):
         with pytest.raises(ValueError):
             cage_laplacian_loss(octa, octa.vertices[:4])
+        with pytest.raises(ValueError):
+            cage_laplacian_loss(CageLaplacian(octa), octa.vertices[:4])
+
+    def test_prebuilt_reference_gives_the_same_bits(self, octa):
+        rng = np.random.default_rng(22)
+        after = octa.vertices + 0.15 * rng.normal(size=(6, 3))
+        ref = CageLaplacian(octa)
+        assert cage_laplacian_loss(ref, after) == cage_laplacian_loss(
+            octa, after)
+        grads = []
+        for before in (octa, ref):
+            x = ad.Var(after)
+            cage_laplacian_loss(before, x).backward()
+            grads.append(x.grad)
+        assert np.array_equal(grads[0], grads[1])
 
 
 class TestEvalMetrics:

@@ -13,7 +13,8 @@ import pytest
 import cagewarp.autodiff as ad
 from cagewarp.geometry import make_template_cage
 from cagewarp.gradients import EXCLUSION_FACTOR, grad_source_cage
-from cagewarp.mvc import _BLOCK_ROWS, FLAG_ON_FACE, FLAG_ON_VERTEX, MvcConfig, mvc_weights
+from cagewarp import mvc
+from cagewarp.mvc import FLAG_ON_FACE, FLAG_ON_VERTEX, MvcConfig, mvc_weights
 
 CFG = MvcConfig()
 
@@ -152,23 +153,34 @@ def test_fd_just_outside_plane_exclusion(cage):
     _fd_agrees(cage, np.array(pts), step=0.1 * min(used), rtol=1e-5)
 
 
-def test_rows_do_not_depend_on_block(cage):
-    # N is not a multiple of the block size, and snapped and on-face rows
-    # sit on both sides of every block boundary
-    rng = np.random.default_rng(7)
-    n = 3 * _BLOCK_ROWS + 5
+def _boundary_queries(cage, n, block, seed):
+    """n queries with snapped and on-face rows on both sides of every
+    boundary of ``block``-row blocks."""
+    rng = np.random.default_rng(seed)
     pts = rng.normal(size=(n, 3))
     pts *= rng.uniform(0.2, 1.3, size=(n, 1)) / np.linalg.norm(
         pts, axis=1, keepdims=True)
     v, f = cage.vertices, cage.faces
-    on_face = np.einsum("fk,fki->fi", rng.dirichlet([1.0] * 3, size=8),
-                        v[f[:8]])
-    for b in range(1, 4):
-        edge = b * _BLOCK_ROWS
+    n_edges = (n - 1) // block
+    on_face = np.einsum("fk,fki->fi",
+                        rng.dirichlet([1.0] * 3, size=2 * n_edges + 2),
+                        v[f[:2 * n_edges + 2]])
+    for b in range(1, n_edges + 1):
+        edge = b * block
         pts[edge - 2] = v[b]
         pts[edge - 1] = on_face[2 * b]
         pts[edge] = v[b + 10]
         pts[edge + 1] = on_face[2 * b + 1]
+    return pts
+
+
+def test_rows_do_not_depend_on_block(cage):
+    # N is not a multiple of the block size, and snapped and on-face rows
+    # sit on both sides of every block boundary
+    block = mvc._block_rows(cage.n_faces)
+    n = 3 * block + 5
+    pts = _boundary_queries(cage, n, block, seed=7)
+    v, f = cage.vertices, cage.faces
     eps_v = CFG.resolved_eps_vertex(cage)
     phi, flags = mvc_weights(v, f, pts, eps_v, CFG.eps_plane)
     assert np.sum(flags == FLAG_ON_VERTEX) == 6
@@ -177,3 +189,44 @@ def test_rows_do_not_depend_on_block(cage):
         row, flag = mvc_weights(v, f, pts[i:i + 1], eps_v, CFG.eps_plane)
         assert np.array_equal(phi[i], row[0]), i
         assert flags[i] == flag[0], i
+
+
+def _kernel_outputs(cage, pts):
+    """Weights, flags, aux and the taped cage gradient of a linear loss."""
+    eps_v = CFG.resolved_eps_vertex(cage)
+    phi, flags, aux = mvc_weights(cage.vertices, cage.faces, pts, eps_v,
+                                  CFG.eps_plane, with_aux=True)
+    cage_var = ad.Var(cage.vertices)
+    phi_var, _ = mvc_weights(cage_var, cage.faces, pts, eps_v, CFG.eps_plane,
+                             with_flags=False)
+    loss, _ = _downstream(len(pts), cage.n_vertices, seed=3)
+    loss(phi_var).backward()
+    return phi, flags, aux, cage_var.grad
+
+
+@pytest.mark.parametrize("kind, n", [("sphere42", 2 * 64 + 5),
+                                     ("sphere162", 2 * 16 + 5)])
+def test_face_count_blocks_match_16_row_blocks(kind, n, monkeypatch):
+    # blocks sized from the face count give the bits of 16-row blocks:
+    # the forward is row-local and the gradient sums 16-row chunks in order
+    cage = make_template_cage(kind, scale=(1.0, 0.8, 0.9))
+    block = mvc._block_rows(cage.n_faces)
+    assert block == {"sphere42": 64, "sphere162": 16}[kind]
+    pts = _boundary_queries(cage, n, block, seed=11)
+    phi, flags, aux, grad = _kernel_outputs(cage, pts)
+    monkeypatch.setattr(mvc, "_block_rows", lambda n_faces: 16)
+    phi16, flags16, aux16, grad16 = _kernel_outputs(cage, pts)
+    assert np.array_equal(phi, phi16)
+    assert np.array_equal(flags, flags16)
+    for key in aux:
+        assert np.array_equal(aux[key], aux16[key]), key
+    assert np.all(np.isfinite(grad))
+    assert np.array_equal(grad, grad16)
+
+
+@pytest.mark.parametrize("n_faces, rows", [(8, 640), (80, 64), (81, 48),
+                                           (320, 16), (500, 16), (5120, 16)])
+def test_block_rows_follow_face_count(n_faces, rows):
+    assert mvc._block_rows(n_faces) == rows
+    # a (3, F, rows) temporary stays within 120 KiB unless rows is minimal
+    assert 3 * n_faces * rows * 8 <= 120 * 1024 or rows == 16

@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -69,6 +70,32 @@ class TestAdam:
         assert state.step_size == 5e-4
         assert state.beta1 == 0.9 and state.beta2 == 0.999
         assert state.eps == 1e-8
+
+
+class TestRunAdam:
+    def test_step_tape_released_before_next_evaluate(self):
+        # step 1's graph is gone by the time step 2 builds its own
+        refs = []
+
+        def evaluate(leaves):
+            if refs:
+                assert refs[-1]() is None
+            x = leaves["x"] * 2.0
+            refs.append(weakref.ref(x))
+            return {"f": ad.sum_(x * x)}, {"f": 1.0}
+
+        params, rep = optim.run_adam({"x": np.ones(3)}, 0.1, 3, evaluate)
+        assert rep.iterations == 3 and len(refs) == 3
+        assert np.all(params["x"] < 1.0)
+
+    @pytest.mark.parametrize("step", [0.0, -1e-3, float("nan"),
+                                      float("inf")])
+    def test_bad_step_size_rejected(self, step):
+        def evaluate(leaves):
+            return {"f": ad.sum_(leaves["x"] * leaves["x"])}, {"f": 1.0}
+
+        with pytest.raises(ValueError, match=f"got {step}"):
+            optim.run_adam({"x": np.ones(3)}, step, 3, evaluate)
 
 
 class TestPipelineConfig:
@@ -200,6 +227,37 @@ class TestDeformPair:
         for budget in (0, -1):
             with pytest.raises(ValueError, match=f"got {budget}"):
                 deform_pair(src, src, PipelineConfig(max_iters=budget))
+
+    def test_step_size_zero_or_below_rejected(self):
+        # 0 is not read as "use the default step"
+        src = normalized_box(3)
+        for step in (0.0, -2e-3):
+            with pytest.raises(ValueError, match=f"step size .* got {step}"):
+                deform_pair(src, src, PipelineConfig(step_size=step,
+                                                     max_iters=2))
+
+    def test_target_tree_built_once(self, monkeypatch):
+        # the target's k-d tree is built once per run and no tree is built
+        # twice over the same points within a step
+        built = []
+        index = losses.SpatialIndex
+
+        def counting_index(points):
+            built.append(np.asarray(points).tobytes())
+            return index(points)
+
+        monkeypatch.setattr(losses, "SpatialIndex", counting_index)
+        src = normalized_box(3)
+        tgt, _ = normalize_to_unit_box(
+            TriMesh(src.vertices * [1.2, 1.0, 0.9], src.faces))
+        cfg = PipelineConfig(seed=0, max_iters=3, n_eval_samples=100)
+        deform_pair(src, tgt, cfg)
+        # 1 target tree; per step one over the deformed points (shared by
+        # the alignment and the shape symmetry), one over their reflection
+        # and two for the cage symmetry; 2 in the final evaluation
+        assert built.count(tgt.vertices.tobytes()) == 1
+        assert len(built) == 1 + 3 * 4 + 2
+        assert len(set(built)) == len(built)
 
     def test_stall_checked_after_update(self):
         # the plateau test runs after the Adam step, so the stopped run has
@@ -336,6 +394,31 @@ class TestFitCage:
         for budget in (0, -1):
             with pytest.raises(ValueError, match=f"got {budget}"):
                 fit_cage(cage, pts, pts, lm, PipelineConfig(max_iters=budget))
+
+    def test_step_size_zero_or_below_rejected(self):
+        pts, cage = self._shape_and_cage()
+        lm = np.stack([np.arange(40), np.arange(40)], axis=1)
+        for step in (0.0, -5e-4, float("nan")):
+            with pytest.raises(ValueError, match=f"step size .* got {step}"):
+                fit_cage(cage, pts, pts, lm,
+                         PipelineConfig(step_size=step, max_iters=2))
+
+    def test_template_laplacian_built_once(self, monkeypatch):
+        calls = []
+        build = losses.cot_laplacian
+
+        def counting_build(mesh):
+            calls.append(mesh)
+            return build(mesh)
+
+        monkeypatch.setattr(losses, "cot_laplacian", counting_build)
+        pts, cage = self._shape_and_cage()
+        lm = np.stack([np.arange(40), np.arange(40)], axis=1)
+        _, rep = fit_cage(cage, pts, PointSet(points=pts.points + 0.01), lm,
+                          PipelineConfig(seed=0, max_iters=6,
+                                         consistency_threshold=0.0))
+        assert rep.iterations == 6
+        assert len(calls) == 1
 
     def test_threshold_checked_before_update(self):
         # a run that stops on the threshold after k evaluations has taken
