@@ -9,9 +9,9 @@ graph was built.
 
 The module holds only the ops the pipelines and losses use (arithmetic,
 indexing, reductions, ``matmul``, ``norm``, ``dot_last``, ``where``,
-``minimum``, ``absolute``, ``tanh``, shape ops and ``smallest_eigvec``),
-plus ``sin`` and ``sqrt`` for building gradient test cases.  The mean value
-coordinate kernel is a single node with a hand-written VJP (``mvc.py``).
+``minimum``, ``absolute``, ``tanh``, shape ops and ``smallest_eigvec``).
+The mean value coordinate kernel is a single node with a hand-written VJP
+(``mvc.py``).
 
 All data-dependent decisions (branch masks, nearest-neighbor picks, sign
 choices) are made on primal values; the recorded partials are those of the
@@ -51,14 +51,6 @@ class Var:
         self._parents = parents
         self._vjps = vjps
         self.op = op
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    @property
-    def ndim(self):
-        return self.value.ndim
 
     def __repr__(self):
         return f"Var(op={self.op}, shape={self.value.shape})"
@@ -143,43 +135,6 @@ class Var:
             "div",
         )
 
-    def __rtruediv__(self, other):
-        ov = val(other)
-        return Var._make(
-            ov / self.value,
-            (self,),
-            (
-                lambda g, a=self.value, o=ov, s=self.value.shape: _unbroadcast(
-                    -g * o / (a * a), s
-                ),
-            ),
-            "rdiv",
-        )
-
-    def __neg__(self):
-        return Var._make(
-            -self.value,
-            (self,),
-            (lambda g: -g,),
-            "neg",
-        )
-
-    def __pow__(self, p):
-        if isinstance(p, Var):
-            raise TypeError("only constant exponents are supported")
-        return Var._make(
-            self.value**p,
-            (self,),
-            (lambda g, a=self.value, q=p: g * q * a ** (q - 1),),
-            "pow",
-        )
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
-
     def __getitem__(self, key):
         out = self.value[key]
 
@@ -192,14 +147,6 @@ class Var:
             return acc
 
         return Var._make(out, (self,), (vjp,), "getitem")
-
-    # -- reductions / shape ops used as methods ---------------------------
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
     # -- backward pass -----------------------------------------------------
 
@@ -271,29 +218,6 @@ def _any_var(*xs) -> bool:
 
 
 # -- elementwise functions (Var or ndarray in, same kind out) -------------
-
-
-def sqrt(x):
-    if not is_var(x):
-        return np.sqrt(x)
-    out = np.sqrt(x.value)
-    return Var._make(
-        out,
-        (x,),
-        (lambda g, o=out: g / (2.0 * o),),
-        "sqrt",
-    )
-
-
-def sin(x):
-    if not is_var(x):
-        return np.sin(x)
-    return Var._make(
-        np.sin(x.value),
-        (x,),
-        (lambda g, c=np.cos(x.value): g * c,),
-        "sin",
-    )
 
 
 def tanh(x):

@@ -25,14 +25,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, meshio, runtime
-from .geometry import (
-    PointSet,
-    make_template_cage,
-    normalize_to_unit_box,
-)
+from .geometry import cage_around, normalize_to_unit_box
 from .gradients import GRADCHECK_OPS, builtin_check
 from .losses import eval_metrics
-from .mvc import MvcConfig, compute_mvc
+from .mvc import (
+    FLAG_EXTERIOR_OK,
+    FLAG_ON_FACE,
+    FLAG_ON_VERTEX,
+    MvcConfig,
+    compute_mvc,
+)
 from .optim import PipelineConfig, deform_pair, fit_cage, transfer_mesh
 from .toy import SyntheticFamily, eval_toy, train_toy
 
@@ -110,40 +112,52 @@ def _write_report(out_dir: Path, metrics: dict, wall_time: float) -> Path:
     return path
 
 
-def _out_dir(args) -> Path:
+def _run(args) -> None:
+    """Run one command with the bookkeeping every command shares.
+
+    The command returns (outputs, metrics, report).  Its wall time is the
+    optimizer's when it returns an ``OptimReport``, else the time from the
+    start manifest to its return.  A gradient check that failed raises only
+    after its report and manifest are written.
+    """
+    cfg = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def cmd_make_cage(args) -> None:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    manifest = RunManifest(out, "make-cage", cfg, {"input": args.input})
+    manifest = RunManifest(out, args.command, cfg,
+                           {name: getattr(args, name) for name in args.inputs})
     t0 = time.perf_counter()
-    mesh = meshio.load_mesh(args.input)
-    lo, hi = mesh.bbox()
-    cage = make_template_cage(
-        args.kind, center=0.5 * (lo + hi), scale=cfg.cage_scale * 0.5 * (hi - lo)
-    )
+    outputs, metrics, report = args.func(args, cfg, out)
+    wall_time = time.perf_counter() - t0 if report is None \
+        else report.wall_time
+    manifest.finalize(outputs + [_write_report(out, metrics, wall_time)])
+    if metrics.get("pass") is False:
+        raise RuntimeError("gradient check failed")
+
+
+def _optim_metrics(report) -> dict:
+    return {
+        "final": report.final_metrics,
+        "iterations": report.iterations,
+        "stop_reason": report.stop_reason,
+        "trace": report.trace_dicts(),
+    }
+
+
+def cmd_make_cage(args, cfg, out):
+    cage = cage_around(meshio.load_mesh(args.input), args.kind,
+                       cfg.cage_scale)
     cage_path = out / "cage.obj"
     meshio.save_mesh(cage, cage_path)
-    report = _write_report(out, {
+    log.info("wrote %s", cage_path)
+    return [cage_path], {
         "kind": args.kind,
         "n_vertices": cage.n_vertices,
         "n_faces": cage.n_faces,
         "cage_scale": cfg.cage_scale,
-    }, time.perf_counter() - t0)
-    manifest.finalize([cage_path, report])
-    log.info("wrote %s", cage_path)
+    }, None
 
 
-def cmd_compute_mvc(args) -> None:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    manifest = RunManifest(out, "compute-mvc", cfg,
-                           {"cage": args.cage, "shape": args.shape})
-    t0 = time.perf_counter()
+def cmd_compute_mvc(args, cfg, out):
     cage = meshio.load_mesh(args.cage)
     shape = meshio.load_points(args.shape)
     m = compute_mvc(cage, shape, MvcConfig())
@@ -156,22 +170,17 @@ def cmd_compute_mvc(args) -> None:
         p = out / "mvc.csv"
         m.save_csv(p)
         outputs.append(p)
-    report = _write_report(out, {
+    return outputs, {
         "rows": m.n_points,
         "cols": m.n_cage_vertices,
         "max_row_sum_error": float(np.abs(m.row_sums() - 1.0).max()),
-        "n_on_vertex": int((m.flags == 1).sum()),
-        "n_on_face": int((m.flags == 2).sum()),
-        "n_exterior": int((m.flags == 3).sum()),
-    }, time.perf_counter() - t0)
-    manifest.finalize(outputs + [report])
+        "n_on_vertex": int((m.flags == FLAG_ON_VERTEX).sum()),
+        "n_on_face": int((m.flags == FLAG_ON_FACE).sum()),
+        "n_exterior": int((m.flags == FLAG_EXTERIOR_OK).sum()),
+    }, None
 
 
-def cmd_deform(args) -> None:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    manifest = RunManifest(out, "deform", cfg,
-                           {"source": args.source, "target": args.target})
+def cmd_deform(args, cfg, out):
     source, _ = normalize_to_unit_box(meshio.load_mesh(args.source))
     target, _ = normalize_to_unit_box(meshio.load_mesh(args.target))
     cage, deformed_cage, deformed, report = deform_pair(source, target, cfg)
@@ -184,24 +193,10 @@ def cmd_deform(args) -> None:
     offsets_path = out / "cage_offsets.csv"
     meshio.save_offsets(deformed_cage.vertices - cage.vertices, offsets_path)
     outputs.append(offsets_path)
-    rep_path = _write_report(out, {
-        "final": report.final_metrics,
-        "iterations": report.iterations,
-        "stop_reason": report.stop_reason,
-        "trace": report.trace_dicts(),
-    }, report.wall_time)
-    manifest.finalize(outputs + [rep_path])
+    return outputs, _optim_metrics(report), report
 
 
-def cmd_fit_cage(args) -> None:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    manifest = RunManifest(out, "fit-cage", cfg, {
-        "template": args.template,
-        "source_shape": args.source_shape,
-        "novel_shape": args.novel_shape,
-        "landmarks": args.landmarks,
-    })
+def cmd_fit_cage(args, cfg, out):
     template = meshio.load_mesh(args.template)
     source_shape = meshio.load_points(args.source_shape)
     novel_shape = meshio.load_points(args.novel_shape)
@@ -210,43 +205,23 @@ def cmd_fit_cage(args) -> None:
                               landmarks, cfg)
     cage_path = out / "fitted_cage.obj"
     meshio.save_mesh(fitted, cage_path)
-    rep_path = _write_report(out, {
-        "final": report.final_metrics,
-        "iterations": report.iterations,
-        "stop_reason": report.stop_reason,
-        "trace": report.trace_dicts(),
-    }, report.wall_time)
-    manifest.finalize([cage_path, rep_path])
+    return [cage_path], _optim_metrics(report), report
 
 
-def cmd_transfer(args) -> None:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    manifest = RunManifest(out, "transfer", cfg, {
-        "cage": args.cage, "offsets": args.offsets, "shape": args.shape,
-    })
-    t0 = time.perf_counter()
+def cmd_transfer(args, cfg, out):
     cage = meshio.load_mesh(args.cage)
     offsets = meshio.load_offsets(args.offsets)
     novel = meshio.load_mesh(args.shape)
     deformed = transfer_mesh(cage, offsets, novel)
     out_path = out / "deformed.obj"
     meshio.save_mesh(deformed, out_path)
-    rep_path = _write_report(out, {
+    return [out_path], {
         "n_vertices": deformed.n_vertices,
         "offset_norm_max": float(np.linalg.norm(offsets, axis=1).max()),
-    }, time.perf_counter() - t0)
-    manifest.finalize([out_path, rep_path])
+    }, None
 
 
-def cmd_eval(args) -> None:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    manifest = RunManifest(out, "eval", cfg, {
-        "deformed": args.deformed, "target": args.target,
-        "source": args.source,
-    })
-    t0 = time.perf_counter()
+def cmd_eval(args, cfg, out):
     metrics = eval_metrics(
         meshio.load_mesh(args.deformed),
         meshio.load_mesh(args.target),
@@ -254,31 +229,20 @@ def cmd_eval(args) -> None:
         n_samples=cfg.n_eval_samples,
         seed=cfg.seed,
     )
-    rep_path = _write_report(out, metrics, time.perf_counter() - t0)
-    manifest.finalize([rep_path])
+    return [], metrics, None
 
 
-def cmd_gradcheck(args) -> None:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    manifest = RunManifest(out, "gradcheck", cfg, {})
-    t0 = time.perf_counter()
+def cmd_gradcheck(args, cfg, out):
     ops = GRADCHECK_OPS if args.op == "all" else (args.op,)
     checks = [builtin_check(op, n_configs=args.n_configs, seed=cfg.seed)
               for op in ops]
-    rep_path = _write_report(out, {
+    return [], {
         "checks": [c.to_dict() for c in checks],
         "pass": all(c.passed for c in checks),
-    }, time.perf_counter() - t0)
-    manifest.finalize([rep_path])
-    if not all(c.passed for c in checks):
-        raise RuntimeError("gradient check failed")
+    }, None
 
 
-def cmd_train_toy(args) -> None:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    manifest = RunManifest(out, "train-toy", cfg, {})
+def cmd_train_toy(args, cfg, out):
     family = SyntheticFamily(kind=args.family)
     cage = family.default_cage(margin=cfg.cage_scale)
     predictor, report = train_toy(family, cage, epochs=args.epochs,
@@ -287,12 +251,11 @@ def cmd_train_toy(args) -> None:
                            seed=cfg.seed + 1000)
     predictor_path = out / "predictor.json"
     predictor.to_json(predictor_path)
-    rep_path = _write_report(out, {
+    return [predictor_path], {
         "train_total": report.final_metrics["train_total"],
         "epochs": args.epochs,
         "eval": eval_report,
-    }, report.wall_time)
-    manifest.finalize([predictor_path, rep_path])
+    }, report
 
 
 def _add_common(sp) -> None:
@@ -315,20 +278,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", default="sphere42",
                    choices=("sphere42", "sphere162"))
     _add_common(p)
-    p.set_defaults(func=cmd_make_cage)
+    p.set_defaults(func=cmd_make_cage, inputs=("input",))
 
     p = sub.add_parser("compute-mvc", help="coordinates of a shape in a cage")
     p.add_argument("--cage", required=True)
     p.add_argument("--shape", required=True)
     p.add_argument("--format", default="bin", choices=("bin", "csv", "both"))
     _add_common(p)
-    p.set_defaults(func=cmd_compute_mvc)
+    p.set_defaults(func=cmd_compute_mvc, inputs=("cage", "shape"))
 
     p = sub.add_parser("deform", help="fit a cage deformation to a target")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_deform)
+    p.set_defaults(func=cmd_deform, inputs=("source", "target"))
 
     p = sub.add_parser("fit-cage", help="fit a template cage to a new shape")
     p.add_argument("--template", required=True)
@@ -336,27 +299,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--novel-shape", required=True)
     p.add_argument("--landmarks", required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_fit_cage)
+    p.set_defaults(func=cmd_fit_cage, inputs=(
+        "template", "source_shape", "novel_shape", "landmarks"))
 
     p = sub.add_parser("transfer", help="apply cage offsets to a novel shape")
     p.add_argument("--cage", required=True)
     p.add_argument("--offsets", required=True)
     p.add_argument("--shape", required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_transfer)
+    p.set_defaults(func=cmd_transfer, inputs=("cage", "offsets", "shape"))
 
     p = sub.add_parser("eval", help="alignment and distortion metrics")
     p.add_argument("--deformed", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--source", required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, inputs=("deformed", "target", "source"))
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient checks")
     p.add_argument("--op", default="all", choices=("all",) + GRADCHECK_OPS)
     p.add_argument("--n-configs", type=int, default=10)
     _add_common(p)
-    p.set_defaults(func=cmd_gradcheck)
+    p.set_defaults(func=cmd_gradcheck, inputs=())
 
     p = sub.add_parser("train-toy", help="train the toy offset predictor")
     p.add_argument("--epochs", type=int, default=5000)
@@ -364,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("ellipsoid", "box"))
     p.add_argument("--holdout", type=int, default=20)
     _add_common(p)
-    p.set_defaults(func=cmd_train_toy)
+    p.set_defaults(func=cmd_train_toy, inputs=())
     return parser
 
 
@@ -373,7 +337,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        _run(args)
     except Exception as exc:  # surface one-line diagnostics, nonzero exit
         print(f"cagewarp {args.command}: error: {exc}", file=sys.stderr)
         log.debug("traceback", exc_info=True)

@@ -149,6 +149,20 @@ class PointSet:
         return self._padded
 
 
+def as_positions(x):
+    """(N, 3) positions of a PointSet, TriMesh, autodiff Var or array.
+
+    A Var is returned as it is, so the positions stay on the tape.
+    """
+    if isinstance(x, PointSet):
+        return x.points
+    if isinstance(x, TriMesh):
+        return x.vertices
+    if ad.is_var(x):
+        return x
+    return np.asarray(x, dtype=np.float64).reshape(-1, 3)
+
+
 @dataclass
 class Transform:
     """Uniform scale followed by translation: x -> scale * x + translation."""
@@ -485,6 +499,13 @@ def make_template_cage(kind: str, center=(0.0, 0.0, 0.0), scale=(1.0, 1.0, 1.0))
         verts, faces = _subdivide_project(verts, faces)
     verts = verts * scale + np.asarray(center, dtype=np.float64)
     return TriMesh(verts, faces)
+
+
+def cage_around(mesh: TriMesh, kind: str, margin: float) -> TriMesh:
+    """Template cage at the mesh's bbox center, ``margin`` x its half extents."""
+    lo, hi = mesh.bbox()
+    return make_template_cage(kind, center=0.5 * (lo + hi),
+                              scale=margin * 0.5 * (hi - lo))
 
 
 def make_box_mesh(subdiv: int = 4, center=(0.0, 0.0, 0.0), scale=(1.0, 1.0, 1.0)) -> TriMesh:

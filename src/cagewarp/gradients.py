@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .geometry import TriMesh, validate_cage
+from .geometry import TriMesh, as_positions, validate_cage
 from .mvc import MvcConfig, MvcMatrix, mvc_weights
 
 EXCLUSION_FACTOR = 10.0
@@ -74,7 +74,7 @@ def grad_source_cage(cage: TriMesh, points, cfg: MvcConfig | None,
     """
     cfg = cfg or MvcConfig()
     validate_cage(cage)
-    pts = points.points if hasattr(points, "points") else np.asarray(points)
+    pts = as_positions(points)
     eps_v = cfg.resolved_eps_vertex(cage)
 
     cage_var = ad.Var(cage.vertices)
@@ -205,8 +205,6 @@ def random_queries(rng: np.random.Generator, n: int,
 def _source_group_config(rng, downstream, n_points=8,
                          r_lo: float = 0.2, r_hi: float = 0.6):
     """(value_fn, (analytic, x0)) for d downstream(phi) / d source cage."""
-    from .mvc import MvcConfig
-
     cfg = MvcConfig()
     while True:
         cage = random_cage(rng)

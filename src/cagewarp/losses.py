@@ -17,7 +17,7 @@ Conventions pinned here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .geometry import (
     PointSet,
     SpatialIndex,
     TriMesh,
+    as_positions,
     cot_laplacian,
     normalize_to_unit_box,
     pca_frames,
@@ -70,17 +71,6 @@ class LossBreakdown:
         return float(sum(self.weights[k] * self.terms[k] for k in self.terms))
 
 
-def _positions(x):
-    """Positions array (or Var) of a PointSet/TriMesh/array argument."""
-    if isinstance(x, PointSet):
-        return x.points
-    if isinstance(x, TriMesh):
-        return x.vertices
-    if isinstance(x, ad.Var):
-        return x
-    return np.asarray(x, dtype=np.float64).reshape(-1, 3)
-
-
 # -- alignment ---------------------------------------------------------------
 
 
@@ -90,7 +80,7 @@ def chamfer(a, b, index_a=None, index_b=None):
     ``index_a`` / ``index_b`` are optional ``SpatialIndex`` trees already
     built over the positions of ``a`` / ``b``; the others are built here.
     """
-    pa, pb = _positions(a), _positions(b)
+    pa, pb = as_positions(a), as_positions(b)
     av, bv = ad.val(pa), ad.val(pb)
     if len(av) == 0 or len(bv) == 0:
         raise ValueError("chamfer distance of an empty point set")
@@ -108,7 +98,7 @@ def chamfer(a, b, index_a=None, index_b=None):
 
 def l2_corresponded(a, b):
     """Mean squared distance between index-corresponding points."""
-    pa, pb = _positions(a), _positions(b)
+    pa, pb = as_positions(a), as_positions(b)
     if ad.val(pa).shape != ad.val(pb).shape:
         raise ValueError("corresponded point sets must have equal size")
     d = pa - pb
@@ -150,7 +140,7 @@ def p2f_term(before: PointSet, after_positions):
 
 def p2f_loss(before: PointSet, after: PointSet):
     """Point-to-surface preservation between source and deformed sets."""
-    return float(ad.val(p2f_term(before, _positions(after))))
+    return float(ad.val(p2f_term(before, as_positions(after))))
 
 
 def normal_term(before: PointSet, after_positions):
@@ -167,7 +157,7 @@ def normal_term(before: PointSet, after_positions):
 
 def normal_loss(before: PointSet, after: PointSet):
     """Angular change of the fitted plane normals."""
-    return float(ad.val(normal_term(before, _positions(after))))
+    return float(ad.val(normal_term(before, as_positions(after))))
 
 
 def symmetry_term(points, index=None):
@@ -175,7 +165,7 @@ def symmetry_term(points, index=None):
 
     ``index`` is an optional ``SpatialIndex`` already built over the points.
     """
-    p = _positions(points)
+    p = as_positions(points)
     return chamfer(p, p * _REFLECT_X, index_a=index)
 
 
@@ -201,7 +191,8 @@ def shape_terms(before: PointSet, after_positions, cage_after_positions,
 
 def shape_loss(before: PointSet, after, cage_after, mode: str) -> LossBreakdown:
     """Shape preservation: p2f (+ normal + symmetries for man-made shapes)."""
-    terms = shape_terms(before, _positions(after), _positions(cage_after), mode)
+    terms = shape_terms(before, as_positions(after), as_positions(cage_after),
+                        mode)
     return LossBreakdown.from_terms(terms, {k: 1.0 for k in terms})
 
 
@@ -234,7 +225,7 @@ def total_terms(source: PointSet, deformed_positions, target, phi,
         if weights.shape_mode == "man_made":
             # the alignment and the shape symmetry query the same tree
             deformed_index = SpatialIndex(
-                ad.val(_positions(deformed_positions)))
+                ad.val(as_positions(deformed_positions)))
         align = chamfer(deformed_positions, target, index_a=deformed_index,
                         index_b=target_index)
     elif align_mode == "l2":
@@ -262,8 +253,8 @@ def total_loss(source: PointSet, deformed, target, mvc, cage_deformed,
                weights: LossWeights, align_mode: str = "chamfer") -> LossBreakdown:
     """Combined objective: weighted coordinates + alignment + shape terms."""
     terms = total_terms(
-        source, _positions(deformed), _positions(target), mvc,
-        _positions(cage_deformed), weights, align_mode,
+        source, as_positions(deformed), as_positions(target), mvc,
+        as_positions(cage_deformed), weights, align_mode,
     )
     return LossBreakdown.from_terms(terms, term_weights(weights))
 

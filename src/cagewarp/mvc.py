@@ -58,19 +58,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .geometry import PointSet, TriMesh, validate_cage
+from .geometry import PointSet, TriMesh, as_positions, validate_cage
 
 FLAG_INTERIOR = 0
 FLAG_ON_VERTEX = 1
 FLAG_ON_FACE = 2
 FLAG_EXTERIOR_OK = 3
-
-_FLAG_NAMES = {
-    FLAG_INTERIOR: "interior",
-    FLAG_ON_VERTEX: "on_vertex",
-    FLAG_ON_FACE: "on_face",
-    FLAG_EXTERIOR_OK: "exterior_ok",
-}
 
 _MAGIC = b"MVCMAT01"
 _DENOM_TINY = 1e-300
@@ -132,11 +125,6 @@ class MvcMatrix:
     def row_sums(self) -> np.ndarray:
         return self.weights.sum(axis=1)
 
-    def flag_name(self, i: int) -> str:
-        if self.flags is None:
-            return "unknown"
-        return _FLAG_NAMES[int(self.flags[i])]
-
     def save_binary(self, path) -> None:
         """magic, int64 LE rows, int64 LE cols, then row-major float64 LE."""
         with open(path, "wb") as fh:
@@ -150,7 +138,13 @@ class MvcMatrix:
             magic = fh.read(8)
             if magic != _MAGIC:
                 raise ValueError(f"not an MVC matrix file (magic {magic!r})")
-            rows, cols = struct.unpack("<qq", fh.read(16))
+            header = fh.read(16)
+            if len(header) < 16:
+                raise ValueError("truncated MVC matrix file")
+            rows, cols = struct.unpack("<qq", header)
+            if rows < 0 or cols < 0:
+                raise ValueError(
+                    f"negative MVC matrix dimensions ({rows}, {cols})")
             data = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
             if data.size != rows * cols:
                 raise ValueError("truncated MVC matrix file")
@@ -158,12 +152,6 @@ class MvcMatrix:
 
     def save_csv(self, path) -> None:
         np.savetxt(path, self.weights, delimiter=",", fmt="%.17g")
-
-
-def _positions(points) -> np.ndarray:
-    if isinstance(points, PointSet):
-        return points.points
-    return np.asarray(points, dtype=np.float64).reshape(-1, 3)
 
 
 def mvc_weights(cage_vertices, faces: np.ndarray, points: np.ndarray,
@@ -507,7 +495,7 @@ def compute_mvc(cage: TriMesh, points, cfg: MvcConfig | None = None) -> MvcMatri
     """Mean value coordinates of ``points`` with respect to ``cage``."""
     cfg = cfg or MvcConfig()
     validate_cage(cage)
-    pts = _positions(points)
+    pts = as_positions(points)
     phi, flags = mvc_weights(
         cage.vertices,
         cage.faces,
@@ -526,7 +514,7 @@ def deform(points, mvc: MvcMatrix, deformed_cage_vertices) -> PointSet:
             f"cage vertex count {verts.shape[0]} does not match "
             f"{mvc.n_cage_vertices} weight columns"
         )
-    pts = _positions(points)
+    pts = as_positions(points)
     if len(pts) != mvc.n_points:
         raise ValueError("point count does not match weight rows")
     return PointSet(points=mvc.weights @ verts)

@@ -28,9 +28,18 @@ import numpy as np
 
 from . import autodiff as ad
 from . import losses, runtime
-from .geometry import PointSet, TriMesh, make_template_cage, one_ring_neighborhoods, attach_pca_frames, knn_neighborhoods
+from .geometry import (
+    PointSet,
+    TriMesh,
+    as_positions,
+    attach_pca_frames,
+    cage_around,
+    knn_neighborhoods,
+    pointset_from_mesh_vertices,
+    sample_surface,
+)
 from .losses import LossBreakdown, LossWeights
-from .mvc import MvcConfig, MvcMatrix, compute_mvc, mvc_weights
+from .mvc import MvcConfig, compute_mvc, mvc_weights
 
 DEFORM_STEP_SIZE = 2e-3
 DEFORM_MAX_ITERS = 3000
@@ -220,27 +229,14 @@ def _check_normalized(mesh: TriMesh, name: str, tol: float = 1e-6) -> None:
         )
 
 
-def _initial_cage(source: TriMesh, cfg: PipelineConfig) -> TriMesh:
-    lo, hi = source.bbox()
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    return make_template_cage(
-        cfg.cage_template, center=center, scale=cfg.cage_scale * half
-    )
-
-
 def _loss_pointset(source: TriMesh, cfg: PipelineConfig) -> PointSet:
     """Point set the losses are evaluated on, with plane fits attached."""
     if cfg.n_sample_points > 0:
-        from .geometry import sample_surface
-
         ps = sample_surface(source, cfg.n_sample_points, cfg.seed)
         ps = PointSet(points=ps.points,
                       neighborhoods=knn_neighborhoods(ps.points, k=8))
         return attach_pca_frames(ps)
-    ps = PointSet(points=source.vertices.copy(),
-                  neighborhoods=one_ring_neighborhoods(source))
-    return attach_pca_frames(ps)
+    return pointset_from_mesh_vertices(source)
 
 
 def _target_points(target: TriMesh, source_ps: PointSet,
@@ -253,8 +249,6 @@ def _target_points(target: TriMesh, source_ps: PointSet,
             )
         return target.vertices.copy()
     if cfg.n_sample_points > 0:
-        from .geometry import sample_surface
-
         return sample_surface(target, cfg.n_sample_points, cfg.seed).points
     return target.vertices.copy()
 
@@ -274,7 +268,7 @@ def deform_pair(source: TriMesh, target: TriMesh,
     _check_normalized(source, "source mesh")
     _check_normalized(target, "target mesh")
 
-    cage0 = _initial_cage(source, cfg)
+    cage0 = cage_around(source, cfg.cage_template, cfg.cage_scale)
     cage_faces = cage0.faces
     mvc_cfg = MvcConfig()
     eps_vertex = mvc_cfg.resolved_eps_vertex(cage0)
@@ -349,10 +343,11 @@ def fit_cage(template_cage: TriMesh, source_shape: PointSet,
     cfg = cfg or PipelineConfig()
     runtime.set_threads(cfg.threads)
     landmarks = np.asarray(landmarks, dtype=np.int64).reshape(-1, 2)
-    src_pts = source_shape.points if isinstance(source_shape, PointSet) \
-        else np.asarray(source_shape, dtype=np.float64)
-    dst_pts = novel_shape.points if isinstance(novel_shape, PointSet) \
-        else np.asarray(novel_shape, dtype=np.float64)
+    if not len(landmarks):
+        raise ValueError("no landmarks: fit_cage needs at least one "
+                         "source,novel index pair")
+    src_pts = as_positions(source_shape)
+    dst_pts = as_positions(novel_shape)
     if landmarks[:, 0].max() >= len(src_pts) or landmarks[:, 0].min() < 0:
         raise IndexError("source landmark index out of range")
     if landmarks[:, 1].max() >= len(dst_pts) or landmarks[:, 1].min() < 0:
@@ -413,9 +408,7 @@ def transfer(fitted_cage: TriMesh, stored_cage_offsets: np.ndarray,
             f"offset count {offsets.shape[0]} does not match cage vertex "
             f"count {fitted_cage.n_vertices}"
         )
-    pts = novel_shape.points if isinstance(novel_shape, PointSet) \
-        else np.asarray(novel_shape, dtype=np.float64).reshape(-1, 3)
-    m = compute_mvc(fitted_cage, pts)
+    m = compute_mvc(fitted_cage, novel_shape)
     deformed = m.weights @ (fitted_cage.vertices + offsets)
     return PointSet(points=deformed)
 

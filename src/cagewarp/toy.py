@@ -19,12 +19,10 @@ import numpy as np
 from . import autodiff as ad
 from . import losses
 from .geometry import (
-    PointSet,
     TriMesh,
-    attach_pca_frames,
     make_box_mesh,
     make_template_cage,
-    one_ring_neighborhoods,
+    pointset_from_mesh_vertices,
 )
 from .losses import LossWeights
 from .mvc import compute_mvc
@@ -220,10 +218,7 @@ def train_toy(family: SyntheticFamily, source_cage: TriMesh,
 
     source_ps = None
     if weights.alpha_shape > 0:
-        source_ps = attach_pca_frames(PointSet(
-            points=base.vertices.copy(),
-            neighborhoods=one_ring_neighborhoods(base),
-        ))
+        source_ps = pointset_from_mesh_vertices(base)
 
     predictor = OffsetPredictor.init(
         family.descriptor_dim, source_cage.n_vertices,

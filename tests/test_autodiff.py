@@ -1,3 +1,7 @@
+import inspect
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -31,14 +35,14 @@ RNG = np.random.default_rng(0)
 
 @pytest.mark.parametrize("fn", [
     lambda x: ad.sum_(x * x * 3.0 - x / 2.0 + 1.0),
-    lambda x: ad.sum_(ad.sqrt(x * x + 1.0)),
-    lambda x: ad.sum_(ad.sin(x) * x),
-    lambda x: ad.sum_(ad.tanh(x) ** 3),
+    lambda x: ad.sum_(ad.norm(x * x + 1.0, axis=-1)),
+    lambda x: ad.sum_(ad.tanh(x) * x),
+    lambda x: ad.sum_(ad.tanh(x) * ad.tanh(x) * ad.tanh(x)),
     lambda x: ad.sum_(ad.absolute(x) * x * x),
     lambda x: ad.sum_(ad.minimum(x, 0.3)),
     lambda x: ad.sum_(ad.norm(x, axis=-1)),
     lambda x: ad.sum_(ad.dot_last(x, x * 2.0)),
-    lambda x: 1.0 / ad.sum_(x * x + 2.0),
+    lambda x: ad.mean_(x) / ad.sum_(x * x + 2.0),
     lambda x: ad.sum_((2.0 - x) * (x - 0.5)),
 ])
 def test_elementwise_ops_fd(fn):
@@ -62,7 +66,8 @@ def test_matmul_batched_fd():
     b = RNG.normal(size=(3, 5, 2))
 
     def fn(a):
-        return ad.sum_(ad.matmul(a, b) ** 2)
+        m = ad.matmul(a, b)
+        return ad.sum_(m * m)
 
     check(fn, a0)
 
@@ -119,8 +124,8 @@ def test_backward_deterministic():
     x0 = RNG.normal(size=(10, 3))
 
     def fn(x):
-        a = ad.sin(x) * x
-        b = ad.sqrt(x * x + 1.0)
+        a = ad.tanh(x) * x
+        b = ad.norm(x * x + 1.0, axis=-1, keepdims=True)
         return ad.sum_(a / b + a * b)
 
     _, g1 = ad.value_and_grad(fn, x0)
@@ -137,7 +142,8 @@ def test_forward_mode_agreement():
         direction = rng.normal(size=(4, 3))
 
         def fn(x):
-            return ad.sum_(ad.sin(x) * ad.sqrt(x * x + 0.5))
+            return ad.sum_(ad.tanh(x)
+                           * ad.norm(x * x + 0.5, axis=-1, keepdims=True))
 
         _, g = ad.value_and_grad(fn, x0)
         h = 1e-7
@@ -237,3 +243,17 @@ def test_ordered_sum_matches_loop():
     assert float(y.value) == acc
     y.backward()
     assert np.array_equal(x.grad, 2.0 * x0)
+
+
+def test_every_public_function_has_a_library_caller():
+    # the module holds only what the pipelines run: each public function is
+    # called as ad.<name> somewhere else in the package
+    package = Path(ad.__file__).parent
+    text = "".join(p.read_text() for p in sorted(package.glob("*.py"))
+                   if p.name != "autodiff.py")
+    public = [name for name, obj in vars(ad).items()
+              if inspect.isfunction(obj) and obj.__module__ == ad.__name__
+              and not name.startswith("_")]
+    missing = [name for name in public
+               if not re.search(rf"\bad\.{re.escape(name)}\b", text)]
+    assert public and not missing

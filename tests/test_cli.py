@@ -196,6 +196,22 @@ class TestFitTransferEval:
         fitted = meshio.load_mesh(out / "fitted_cage.obj")
         assert np.abs(fitted.vertices - cage.vertices).max() < 1e-6
 
+    def test_fit_cage_no_landmarks(self, tmp_path, capsys):
+        cage_path = tmp_path / "cage.obj"
+        meshio.save_mesh(make_template_cage("sphere42"), cage_path)
+        src_path = tmp_path / "src.csv"
+        meshio.save_points(sample_surface(make_template_cage("sphere162",
+                                                             scale=0.5),
+                                          20, seed=3), src_path)
+        lm_path = tmp_path / "lm.csv"
+        lm_path.write_text("")
+        assert main(["fit-cage", "--template", str(cage_path),
+                     "--source-shape", str(src_path),
+                     "--novel-shape", str(src_path),
+                     "--landmarks", str(lm_path),
+                     "--out", str(tmp_path / "fit")]) == 1
+        assert "no landmarks" in capsys.readouterr().err
+
     def test_transfer_zero_offsets(self, source_target, tmp_path):
         sp, _ = source_target
         cage = make_template_cage("sphere42", scale=(0.8, 0.8, 0.8))

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,20 @@ class TestSerialization:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
         with pytest.raises(ValueError):
+            MvcMatrix.load_binary(path)
+
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "short.bin"
+        path.write_bytes(b"MVCMAT01" + b"\x00\x00")
+        with pytest.raises(ValueError, match="truncated MVC matrix file"):
+            MvcMatrix.load_binary(path)
+
+    @pytest.mark.parametrize("rows,cols", [(-1, 6), (-2, -3)])
+    def test_negative_dimensions(self, tmp_path, rows, cols):
+        path = tmp_path / "neg.bin"
+        path.write_bytes(b"MVCMAT01" + struct.pack("<qq", rows, cols)
+                         + np.zeros(6).tobytes())
+        with pytest.raises(ValueError, match="negative MVC matrix dimensions"):
             MvcMatrix.load_binary(path)
 
     def test_csv_export(self, octa, tmp_path):

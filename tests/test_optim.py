@@ -9,13 +9,14 @@ from cagewarp import losses, optim
 from cagewarp.geometry import (
     PointSet,
     TriMesh,
+    cage_around,
     make_box_mesh,
     make_template_cage,
     normalize_to_unit_box,
     sample_surface,
 )
 from cagewarp.losses import chamfer, l2_corresponded, mvc_penalty, symmetry_loss
-from cagewarp.mvc import compute_mvc
+from cagewarp.mvc import FLAG_EXTERIOR_OK, compute_mvc
 from cagewarp.optim import (
     AdamState,
     OptimizationError,
@@ -222,6 +223,25 @@ class TestDeformPair:
         assert np.all(np.isfinite(cage.vertices))
         assert np.all(np.isfinite(dcage.vertices))
 
+    def test_cage_starting_inside_shape(self):
+        # a cage at 0.6 of the half extents leaves source vertices outside
+        # it, so they are exterior queries while the cage moves through the
+        # shape
+        src = normalized_box(4)
+        tgt, _ = normalize_to_unit_box(
+            TriMesh(src.vertices @ np.diag([1.2, 1.0, 0.9]).T, src.faces))
+        cfg = PipelineConfig(seed=0, max_iters=40, cage_scale=0.6,
+                             n_eval_samples=200)
+        cage0 = cage_around(src, cfg.cage_template, cfg.cage_scale)
+        flags = compute_mvc(cage0, src.vertices).flags
+        assert np.count_nonzero(flags == FLAG_EXTERIOR_OK) > 0
+        cage, dcage, dmesh, rep = deform_pair(src, tgt, cfg)
+        assert rep.stop_reason == "max_iters"
+        assert all(np.isfinite(b.total) for b in rep.trace)
+        assert np.all(np.isfinite(cage.vertices))
+        assert np.all(np.isfinite(dcage.vertices))
+        assert np.all(np.isfinite(dmesh.vertices))
+
     def test_step_budget_below_one_rejected(self):
         src = normalized_box(3)
         for budget in (0, -1):
@@ -359,6 +379,12 @@ class TestFitCage:
         with pytest.raises(IndexError):
             fit_cage(cage, pts, pts, np.array([[0, 9999]]), PipelineConfig())
 
+    def test_no_landmarks_rejected(self):
+        pts, cage = self._shape_and_cage()
+        with pytest.raises(ValueError, match="no landmarks"):
+            fit_cage(cage, pts, pts, np.zeros((0, 2), dtype=np.int64),
+                     PipelineConfig())
+
     def test_early_stop_honors_threshold_exactly(self):
         pts, cage = self._shape_and_cage()
         lm = np.stack([np.arange(50), np.arange(50)], axis=1)
@@ -372,14 +398,15 @@ class TestFitCage:
     def test_non_finite_gradient_keeps_partial_report(self, monkeypatch):
         # a regularizer whose value is finite (0) but whose gradient is NaN
         def nan_gradient(cage, verts):
-            return ad.sum_(ad.sqrt(verts * 0.0))
+            return ad.Var._make(
+                0.0, (verts,),
+                (lambda g: np.full(verts.value.shape, np.nan),), "nan_gradient")
 
         monkeypatch.setattr(losses, "cage_laplacian_loss", nan_gradient)
         pts, cage = self._shape_and_cage()
         lm = np.stack([np.arange(40), np.arange(40)], axis=1)
         novel = PointSet(points=pts.points + 0.01)
-        with pytest.raises(OptimizationError) as err, \
-                np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(OptimizationError) as err:
             fit_cage(cage, pts, novel, lm, PipelineConfig(seed=0, max_iters=5))
         rep = err.value.report
         assert rep is not None

@@ -134,14 +134,15 @@ class TestTraining:
         # scale 0: a finite (0) shape term whose gradient is NaN, raised by
         # the Adam step; scale NaN: a non-finite loss
         def bad_p2f(source, verts):
-            return ad.sum_(ad.sqrt(verts * verts * scale))
+            return ad.Var._make(
+                scale, (verts,),
+                (lambda g: np.full(verts.value.shape, np.nan),), "bad_p2f")
 
         monkeypatch.setattr(losses, "p2f_term", bad_p2f)
         fam = SyntheticFamily()
         weights = LossWeights(alpha_mvc=1.0, alpha_shape=0.05,
                               shape_mode="character")
-        with pytest.raises(OptimizationError) as err, \
-                np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(OptimizationError) as err:
             train_toy(fam, fam.default_cage(), epochs=5, n_train=2,
                       weights=weights)
         rep = err.value.report
