@@ -22,8 +22,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .geometry import TriMesh, as_positions, validate_cage
-from .mvc import MvcConfig, MvcMatrix, mvc_weights
+from . import losses
+from .geometry import (
+    _ICO_FACES,
+    _ICO_VERTS,
+    PointSet,
+    TriMesh,
+    as_positions,
+    attach_pca_frames,
+    knn_neighborhoods,
+    validate_cage,
+)
+from .mvc import MvcConfig, MvcMatrix, compute_mvc, mvc_weights
 
 EXCLUSION_FACTOR = 10.0
 
@@ -185,8 +195,6 @@ def random_cage(rng: np.random.Generator, jitter: float = 0.15) -> TriMesh:
     """Jittered icosahedron: 12 vertices, always closed and oriented."""
     global _ICO
     if _ICO is None:
-        from .geometry import _ICO_FACES, _ICO_VERTS
-
         _ICO = (_ICO_VERTS / np.linalg.norm(_ICO_VERTS, axis=1, keepdims=True),
                 _ICO_FACES)
     verts, faces = _ICO
@@ -224,8 +232,6 @@ def _source_group_config(rng, downstream, n_points=8,
 
 def _deformed_group_config(rng, loss_builder, n_points=10):
     """(value_fn, (analytic, x0)) for a loss of the deformed points."""
-    from .mvc import compute_mvc
-
     cage = random_cage(rng)
     pts = random_queries(rng, n_points)
     m = compute_mvc(cage, pts)
@@ -243,9 +249,6 @@ def builtin_check(op: str, n_configs: int = 10, seed: int = 0,
                   fd_step: float | None = None,
                   rtol: float | None = None) -> GradCheckReport:
     """Randomized FD check of one named operation or loss."""
-    from . import losses
-    from .geometry import PointSet, attach_pca_frames, knn_neighborhoods
-
     rng = np.random.default_rng(seed)
     source_group = op in ("source", "mvc_penalty", "consistency")
     fd_step = fd_step if fd_step is not None else (1e-6 if source_group else 1e-5)

@@ -21,25 +21,39 @@ vertex get that vertex's exact indicator row.  Exterior queries are allowed
 and produce (partially negative) valid weights.
 
 One vectorised pass evaluates these formulas over blocks of query rows.
-The block size follows the face count: 16 * max(1, 15360 // (3 F 16))
-rows, so every (3, F, rows) temporary stays at or under 120 KiB, below
-glibc's 128 KiB mmap threshold (larger temporaries go back to the OS when
-freed and page-fault again at the next allocation).  A 320-face cage runs
-16-row blocks, an 80-face one 64-row blocks.  Arc lengths and their sines
-are taken once per cage edge, and the per-corner terms are added into
-their cage columns with ``np.bincount``, which sums in a fixed order: a
-row's weights are the same bits whatever block it falls in and however
-many threads run.  The cage topology (edges, corner-to-edge map, scatter
-indices) depends only on the faces and is cached per connectivity; only
-the face planes are rebuilt from the vertices on each call.
+The block size follows the face count: 16 * max(1, 46080 // (3 F 16))
+rows, so a (3, F, rows) array, the largest a block builds, stays within
+360 KiB.  A 320-face cage runs 48-row blocks, an 80-face one 192-row
+blocks.  That size was measured against peak memory: 64-row blocks ran
+``cagewarp transfer`` on a 320-face cage ~10% faster than 48-row ones but
+raised its peak RSS by ~3 MiB more, as every thread holds one block's
+scratch.  Arc lengths and their sines are taken once per cage edge, and
+the per-corner terms are added into their cage columns with
+``np.bincount``, which sums in a fixed order: a row's weights are the same
+bits whatever block it falls in.  The cage topology (edges, corner-to-edge
+map, scatter indices) depends only on the faces and is cached per
+connectivity; only the face planes are rebuilt from the vertices on each
+call.
+
+The blocks of a call run on up to ``runtime.thread_count()`` threads (the
+calling thread and pool threads; ``--threads 1`` runs them inline), and
+each block writes its rows straight into the call's output arrays.  A
+block's temporaries live in its thread's workspace: named slots allocated
+once and written with ``out=``, instead of fresh arrays per operation.
+Fresh arrays over glibc's 128 KiB mmap threshold go back to the OS when
+freed and page-fault again at the next allocation, which made threads
+over such blocks slower than one thread.  The results do not depend on
+the thread count: every value of a row comes from that row alone, and
+what is summed across blocks is summed on the calling thread in row order.
 
 Passing the cage vertices as an autodiff Var makes phi a single tape node.
 Its VJP is the hand-derived adjoint of the formulas above and of the row
-normalization, evaluated block by block from the intermediates each block
-kept (so a taped call holds O(rows x faces) until its backward pass), and
-returns d loss / d cage vertices directly.  The rows' contributions to that
-gradient are summed in 16-row chunks, in row order, whatever the block
-size, so the gradient bits do not depend on it either.  All branch masks are
+normalization, evaluated block by block, on the same threads, from what
+each block kept (~50 KB a row on a 320-face cage, held until the backward
+pass), and returns d loss / d cage vertices directly.  Each block sums its
+rows' contributions to that gradient in 16-row chunks, and the calling
+thread adds the chunk sums in row order, so the gradient bits depend on
+neither the block size nor the thread count.  All branch masks are
 decided on primal values; masked-out lanes and guarded denominators pass
 no gradient, so no NaN/Inf can leak into values or gradients.
 
@@ -52,12 +66,15 @@ snapping and 2D branches took.
 from __future__ import annotations
 
 import functools
+import math
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
+from . import runtime
 from .geometry import PointSet, TriMesh, as_positions, validate_cage
 
 FLAG_INTERIOR = 0
@@ -71,10 +88,9 @@ _ASIN_CLAMP = 1.0 - 1e-12   # asin's derivative is taken inside +-1
 
 # Row granularity of the kernel: blocks are a multiple of it, and the cage
 # gradient sums the rows in chunks of it.  A block takes as many chunks as
-# keep a (3, F, rows) temporary within _BLOCK_ENTRIES float64s (120 KiB).
+# keep a (3, F, rows) array within _BLOCK_ENTRIES float64s (360 KiB).
 _BLOCK_ROWS = 16
-_BLOCK_ENTRIES = 15360
-_CORNERS = np.arange(3)
+_BLOCK_ENTRIES = 46080
 _NEXT = np.array([1, 2, 0])   # corner k -> k + 1
 _PREV = np.array([2, 0, 1])   # corner k -> k + 2
 
@@ -173,28 +189,17 @@ def mvc_weights(cage_vertices, faces: np.ndarray, points: np.ndarray,
     taped = ad.is_var(cage_vertices)
     geo = _CageGeometry(ad.val(cage_vertices), faces)
     block = _block_rows(len(geo.faces))
+    out = _Rows(n, geo.n_vertices, with_flags)
 
-    w_sum = np.empty((n, geo.n_vertices))
-    row_near = np.empty(n, dtype=bool)
-    nearest = np.empty(n, dtype=np.int64)
-    flags = np.empty(n, dtype=np.uint8) if with_flags else None
-    aux = {"min_vertex_dist": np.empty(n), "plane_margin": np.empty(n)}
-    blocks = []
-    for lo in range(0, n, block):
-        rows = slice(lo, lo + block)
-        blk = _Block(geo, pts[rows], eps_vertex, eps_plane, with_flags)
-        w_sum[rows] = blk.w_sum.T
-        row_near[rows] = blk.row_near
-        if blk.row_near.any():
-            nearest[rows] = blk.nearest
-        aux["min_vertex_dist"][rows] = blk.min_vertex_dist
-        aux["plane_margin"][rows] = blk.plane_margin
-        if with_flags:
-            flags[rows] = blk.flags
-        if taped:
-            blocks.append(blk)
-        del blk   # an untaped block is freed before the next one is built
+    def run(lo):
+        # the block writes its rows into ``out``; an untaped one dies here
+        blk = _Block(geo, pts, slice(lo, lo + block), eps_vertex,
+                     eps_plane, out, taped)
+        return blk if taped else None
 
+    blocks = runtime.map_ordered(run, range(0, n, block))
+
+    w_sum, row_near, nearest = out.w_sum, out.row_near, out.nearest
     totals = w_sum.sum(axis=1)
     regular = ~row_near
     if np.any(np.abs(totals[regular]) < 1e-14):
@@ -203,17 +208,20 @@ def mvc_weights(cage_vertices, faces: np.ndarray, points: np.ndarray,
             f"zero total weight for query rows {bad_rows[:5].tolist()}"
         )
     totals = np.where(row_near, 1.0, totals)
-    phi = w_sum / totals[:, None]
+    w_sum /= totals[:, None]
+    phi = w_sum
     if row_near.any():
         r = np.nonzero(row_near)[0]
         phi[r] = 0.0
         phi[r, nearest[r]] = 1.0
 
     if taped:
-        phi = _tape_node(cage_vertices, phi, totals, row_near, blocks, block)
+        phi = _tape_node(cage_vertices, phi, totals, row_near, blocks)
     if not with_aux:
-        return phi, flags
-    return phi, flags, aux
+        return phi, out.flags
+    aux = {"min_vertex_dist": out.min_vertex_dist,
+           "plane_margin": out.plane_margin}
+    return phi, out.flags, aux
 
 
 def _block_rows(n_faces):
@@ -221,7 +229,7 @@ def _block_rows(n_faces):
     return _BLOCK_ROWS * max(1, _BLOCK_ENTRIES // (3 * n_faces * _BLOCK_ROWS))
 
 
-def _tape_node(cage_var, phi, totals, row_near, blocks, block):
+def _tape_node(cage_var, phi, totals, row_near, blocks):
     """``phi`` as one tape node over the cage, with the blocks' VJPs."""
 
     def vjp(g):
@@ -229,8 +237,11 @@ def _tape_node(cage_var, phi, totals, row_near, blocks, block):
         g_sum = (g - (g * phi).sum(axis=1, keepdims=True)) / totals[:, None]
         g_sum[row_near] = 0.0
         grad = np.zeros_like(cage_var.value)
-        for i, blk in enumerate(blocks):
-            blk.vjp(g_sum[i * block:(i + 1) * block], grad)
+        # the blocks' chunk sums are added here, in row order
+        for parts in runtime.map_ordered(
+                lambda blk: blk.vjp(g_sum[blk.rows]), blocks):
+            for part in parts:
+                grad += part.T
         return grad
 
     return ad.Var._make(phi, (cage_var,), (vjp,), "mvc_weights")
@@ -251,19 +262,22 @@ class _CageTopology:
         for arr in (self.corner_edge, self.edge_a, self.edge_b):
             arr.flags.writeable = False
         self._scatter = {}
+        self._scatter_lock = threading.Lock()
 
     def scatter_index(self, n):
         """Flat (target * n + row) indices for ``np.bincount`` at n rows."""
-        if n not in self._scatter:
-            rows = np.arange(n)
-            index = tuple(
-                (t[..., None] * n + rows).ravel()
-                for t in (self.ft, self.corner_edge, self.edge_a, self.edge_b)
-            )
-            for arr in index:
-                arr.flags.writeable = False
-            self._scatter[n] = index
-        return self._scatter[n]
+        with self._scatter_lock:   # blocks on several threads may ask
+            if n not in self._scatter:
+                rows = np.arange(n)
+                index = tuple(
+                    (t[..., None] * n + rows).ravel()
+                    for t in (self.ft, self.corner_edge, self.edge_a,
+                              self.edge_b)
+                )
+                for arr in index:
+                    arr.flags.writeable = False
+                self._scatter[n] = index
+            return self._scatter[n]
 
 
 @functools.lru_cache(maxsize=16)
@@ -291,6 +305,58 @@ class _CageGeometry:
             fn_len < _DENOM_TINY, 1.0, fn_len)
 
 
+class _Rows:
+    """Per-row outputs of one call; each block writes its own rows."""
+
+    def __init__(self, n, n_vertices, with_flags):
+        self.w_sum = np.empty((n, n_vertices))
+        self.row_near = np.empty(n, dtype=bool)
+        self.nearest = np.empty(n, dtype=np.int64)
+        self.flags = np.empty(n, dtype=np.uint8) if with_flags else None
+        self.min_vertex_dist = np.empty(n)
+        self.plane_margin = np.empty(n)
+
+
+class _Workspace(threading.local):
+    """One thread's scratch buffers for block temporaries.
+
+    A named slot is allocated once and handed out again, as a view of its
+    first entries, to every later block on this thread, so a block's
+    temporaries are written with ``out=`` instead of being allocated and
+    freed per operation.  The slots serve one cage size (vertex and face
+    counts) at a time; a call on another size drops them, so a thread holds
+    at most one block's worth of scratch.
+    """
+
+    def __init__(self):
+        self.key, self.slots = None, {}
+
+    def use(self, key):
+        if key != self.key:
+            self.key, self.slots = key, {}
+        return self
+
+    def take(self, name, shape, dtype=np.float64):
+        size = math.prod(shape)
+        buf = self.slots.get(name)
+        if buf is None or buf.size < size:
+            buf = self.slots[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
+_scratch = _Workspace()
+
+
+def _fresh(name, shape, dtype=np.float64):
+    """A new array, for what a taped block keeps for its VJP."""
+    return np.empty(shape, dtype)
+
+
+def _gather(x, index, out):
+    """``x[index]`` along axis 0, written into ``out``."""
+    return np.take(x, index, axis=0, out=out, mode="clip")
+
+
 class _Block:
     """Forward pass over one block of query rows, and its VJP.
 
@@ -299,42 +365,81 @@ class _Block:
     are k+1 (_NEXT) and k+2 (_PREV).  Every value of a row depends on that
     row alone, and sums into cage columns go through ``np.bincount``, which
     adds in input order, so a row's weights do not depend on its block.
-    The block keeps the intermediates its VJP reads.
+
+    Temporaries live in the thread's workspace slots, named by the shape
+    they hold: f1 (F, n), f3 (3, F, n), e1 (E, n), c1 (C, n), c3 (3, C, n),
+    and m1 / m3 for boolean masks of (F, n) / (3, F, n).  A taped block keeps,
+    in arrays of its own, only what its VJP cannot cheaply rebuild: the
+    distances, unit vectors, per-edge arcs and their sines, h, sin(h -
+    theta), c, s, the raw weights and the branch masks.  The per-corner
+    gathers and the products and guards built from these are rebuilt in
+    the VJP by the same operations, so they carry the same bits.
     """
 
-    def __init__(self, geo, pts, eps_vertex, eps_plane, with_flags):
-        self.geo, self.eps_plane = geo, eps_plane
+    def __init__(self, geo, pts, rows, eps_vertex, eps_plane, out, taped):
+        self.geo, self.rows, self.eps_plane = geo, rows, eps_plane
         ft, ce = geo.ft, geo.corner_edge
-        diff = geo.cage.T[:, :, None] - pts.T[:, None, :]       # (3, C, n)
-        d = np.sqrt(diff[0] * diff[0] + diff[1] * diff[1]
-                    + diff[2] * diff[2])
-        self.min_vertex_dist = d.min(axis=0)
-        self.row_near = self.min_vertex_dist < eps_vertex
-        if self.row_near.any():
-            self.nearest = d.argmin(axis=0)
+        pts = pts[rows]
+        n, nv, nf, ne = len(pts), geo.n_vertices, len(ft[0]), len(geo.edge_a)
+        f1, f3, e1, c1 = (nf, n), (3, nf, n), (ne, n), (nv, n)
+        ws = _scratch.use((nv, nf))
+        # untaped, the kept arrays are workspace slots too; a slot name that
+        # repeats below reuses a slot whose old contents are dead by then
+        keep = _fresh if taped else ws.take
+        tf, mask = ws.take("f1a", f1), ws.take("m1c", f1, bool)
+
+        u = keep("c3a", (3,) + c1)    # v - p here, made unit below
+        np.subtract(geo.cage.T[:, :, None], pts.T[:, None, :], out=u)
+        d = keep("c1a", c1)
+        tc = ws.take("c1b", c1)
+        np.multiply(u[0], u[0], out=d)
+        for i in (1, 2):
+            np.add(d, np.multiply(u[i], u[i], out=tc), out=d)
+        np.sqrt(d, out=d)
+        near = out.row_near[rows]
+        np.less(np.min(d, axis=0, out=out.min_vertex_dist[rows]), eps_vertex,
+                out=near)
+        if near.any():
+            out.nearest[rows] = d.argmin(axis=0)
             # snapped rows end up as indicator rows and pass no gradient,
             # so their snapped distances may read 1.0 from here on
             d[d < eps_vertex] = 1.0
-        self.d = d
-        self.u = u = diff / d
+        np.divide(u, d, out=u)
 
-        # arc theta = 2 asin(|u_a - u_b| / 2) of each edge seen from p
-        chord = u[:, geo.edge_a] - u[:, geo.edge_b]             # (3, E, n)
-        chord2 = chord[0] * chord[0] + chord[1] * chord[1] + chord[2] * chord[2]
-        length = np.sqrt(chord2)
-        theta_e = 2.0 * np.arcsin(np.clip(length / 2.0, -1.0, 1.0))
-        self.chord, self.length = chord, length
-        self.theta = theta = theta_e[ce]                        # (3, F, n)
-        self.sin_t = sin_t = np.sin(theta_e)[ce]
-        self.dk = dk = d[ft]
-        self.h = h = (theta[0] + theta[1] + theta[2]) / 2.0     # (F, n)
+        # arc theta = 2 asin(|u_a - u_b| / 2) of each edge seen from p,
+        # one chord component at a time
+        chord2 = ws.take("e1a", e1)
+        ci, te = ws.take("e1b", e1), ws.take("e1c", e1)
+        for i in range(3):
+            _gather(u[i], geo.edge_a, ci)
+            np.subtract(ci, _gather(u[i], geo.edge_b, te), out=ci)
+            if i == 0:
+                np.multiply(ci, ci, out=chord2)
+            else:
+                np.add(chord2, np.multiply(ci, ci, out=te), out=chord2)
+        length = keep("e1b", e1)
+        np.sqrt(chord2, out=length)
+        np.divide(length, 2.0, out=te)
+        np.arcsin(np.clip(te, -1.0, 1.0, out=te), out=te)
+        theta_e = keep("e1c", e1)
+        np.multiply(2.0, te, out=theta_e)
+        sin_e = keep("e1d", e1)
+        np.sin(theta_e, out=sin_e)
+        # per-corner values are gathered from the per-edge and per-vertex
+        # arrays where they are used, into the (F, n) scratch t0, t1, t2
+        t0, t1, t2 = (ws.take(name, f1) for name in ("f1f", "f1g", "f1h"))
+        h = keep("f1b", f1)
+        np.add(_gather(theta_e, ce[0], h), _gather(theta_e, ce[1], t0), out=h)
+        np.add(h, _gather(theta_e, ce[2], t0), out=h)
+        np.divide(h, 2.0, out=h)
 
         # A nearly full half-turn of arc marks p as on (or extremely close
         # to) the face; asin conditioning limits how sharply that can be
         # resolved, so candidates are confirmed against the actual plane
         # distance before the exact-2D replacement fires.  Points that are
         # merely near the plane keep the (accurate) general accumulation.
-        on_face = (np.pi - h) < eps_plane
+        on_face = np.less(np.subtract(np.pi, h, out=tf), eps_plane,
+                          out=ws.take("m1a", f1, bool))
         if on_face.any():
             fi, ri = np.nonzero(on_face)
             dplane = np.abs(np.einsum(
@@ -342,74 +447,107 @@ class _Block:
                 geo.unit_normal[fi]))
             on_face[fi, ri] = dplane <= eps_vertex
 
+        # det[u_0, u_1, u_2] d_0 d_1 d_2 = det0 - p . area_normal
         an = geo.area_normal
-        det = geo.det0[:, None] - (an[:, 0:1] * pts[:, 0] + an[:, 1:2] * pts[:, 1]
-                                   + an[:, 2:3] * pts[:, 2])    # (F, n)
-        self.det_sign = det_sign = np.sign(det)                 # primal
-        self.two_sin_h = two_sin_h = 2.0 * np.sin(h)
-        self.sin_hm = sin_hm = np.sin(h - theta)
-        self.denom_c, self.denom_c_bad = denom_c, _ = _guard(
-            sin_t[_NEXT] * sin_t[_PREV])
-        self.cc = cc = np.clip(two_sin_h * sin_hm / denom_c - 1.0, -1.0, 1.0)
-        self.q = q = 1.0 - cc * cc
-        self.s = s = det_sign * np.sqrt(np.maximum(q, 0.0))
-        s_min = np.abs(s).min(axis=0)                           # (F, n)
-        self.dead = dead = (s_min <= eps_plane) | on_face
-        num = theta - cc[_NEXT] * theta[_PREV] - cc[_PREV] * theta[_NEXT]
-        self.denom, self.denom_bad = denom, _ = _guard(
-            dk * sin_t[_NEXT] * s[_PREV], dead)
-        self.w = w = num / denom
-        w[:, dead] = 0.0
-        w_sum = np.bincount(geo.scatter_index(len(pts))[0], w.ravel(),
-                            minlength=d.size).reshape(d.shape)
+        det = ws.take("f1c", f1)
+        np.multiply(an[:, 0:1], pts[:, 0], out=det)
+        for i in (1, 2):
+            np.add(det, np.multiply(an[:, i:i + 1], pts[:, i], out=tf),
+                   out=det)
+        np.subtract(geo.det0[:, None], det, out=det)
+        det_sign = np.sign(det, out=ws.take("f1d", f1))         # primal
+        two_sin_h = ws.take("f1e", f1)
+        np.multiply(2.0, np.sin(h, out=two_sin_h), out=two_sin_h)
+        # untaped, c_k overwrites sin(h - theta_k) once it is read
+        sin_hm, cc, s = keep("f3a", f3), keep("f3a", f3), keep("f3b", f3)
+        for k in range(3):
+            nk, pk = _NEXT[k], _PREV[k]
+            np.subtract(h, _gather(theta_e, ce[k], t0), out=sin_hm[k])
+            np.sin(sin_hm[k], out=sin_hm[k])
+            denom_c = np.multiply(_gather(sin_e, ce[nk], t0),
+                                  _gather(sin_e, ce[pk], t1), out=t0)
+            _guard(denom_c, t1, mask)
+            np.multiply(two_sin_h, sin_hm[k], out=cc[k])
+            np.divide(cc[k], denom_c, out=cc[k])
+            np.clip(np.subtract(cc[k], 1.0, out=cc[k]), -1.0, 1.0, out=cc[k])
+            q = np.multiply(cc[k], cc[k], out=t0)
+            np.subtract(1.0, q, out=q)
+            np.sqrt(np.maximum(q, 0.0, out=s[k]), out=s[k])
+            np.multiply(det_sign, s[k], out=s[k])
+        s_min = np.abs(s[0], out=two_sin_h)
+        for k in (1, 2):
+            np.minimum(s_min, np.abs(s[k], out=t0), out=s_min)
+        np.minimum(np.abs(np.subtract(np.pi, h, out=tf), out=tf).min(axis=0),
+                   s_min.min(axis=0), out=out.plane_margin[rows])
+        dead = keep("m1b", f1, bool)
+        np.logical_or(np.less_equal(s_min, eps_plane, out=dead), on_face,
+                      out=dead)
+        w = keep("f3c", f3)
+        for k in range(3):
+            nk, pk = _NEXT[k], _PREV[k]
+            # num_k = theta_k - c_{k+1} theta_{k+2} - c_{k+2} theta_{k+1}
+            num = _gather(theta_e, ce[k], t0)
+            np.subtract(num, np.multiply(
+                cc[nk], _gather(theta_e, ce[pk], t1), out=t1), out=num)
+            np.subtract(num, np.multiply(
+                cc[pk], _gather(theta_e, ce[nk], t1), out=t1), out=num)
+            # denom_k = d_k sin(theta_{k+1}) s_{k+2}
+            denom = np.multiply(_gather(d, ft[k], t1),
+                                _gather(sin_e, ce[nk], t2), out=t1)
+            np.multiply(denom, s[pk], out=denom)
+            _guard(denom, t2, mask, dead)
+            np.divide(num, denom, out=w[k])
+            np.copyto(w[k], 0.0, where=dead)
+        w_sum = np.bincount(geo.scatter_index(n)[0], w.ravel(),
+                            minlength=nv * n).reshape(c1)
 
         # rows on a face: that face's exact 2D barycentric weights only
-        self.on_rows = np.zeros(0, dtype=np.int64)
+        on_rows = np.zeros(0, dtype=np.int64)
         if on_face.any():
-            self.on_rows = np.nonzero(on_face.any(axis=0) & ~self.row_near)[0]
-        if self.on_rows.size:
-            r, k = self.on_rows, _CORNERS[:, None]
+            on_rows = np.nonzero(on_face.any(axis=0) & ~near)[0]
+        if on_rows.size:
+            r = on_rows
             f = self.fsel = np.argmax(on_face[:, r], axis=0)
+            d_on = d[ft[:, f], r]
             w_sum[:, r] = 0.0
-            w_sum[ft[:, f], r] = (sin_t[k, f, r] * dk[(k + 1) % 3, f, r]
-                                  * dk[(k + 2) % 3, f, r])
-        self.w_sum = w_sum                                      # (C, n)
-        self.plane_margin = np.minimum(np.abs(np.pi - h).min(axis=0),
-                                       s_min.min(axis=0))
-        if with_flags:
-            self.flags = self._flags(chord2, det)
+            w_sum[ft[:, f], r] = sin_e[ce[:, f], r] * d_on[_NEXT] * d_on[_PREV]
+        out.w_sum[rows] = w_sum.T
+        if out.flags is not None:
+            out.flags[rows] = _flags(ws, geo, chord2, det, d, on_rows, near)
+        if taped:
+            self.d, self.u, self.length, self.theta_e, self.sin_e = (
+                d, u, length, theta_e, sin_e)
+            self.h, self.sin_hm, self.cc, self.s, self.w = h, sin_hm, cc, s, w
+            self.dead, self.det_sign = dead, det_sign.astype(np.int8)
+            self.on_rows = on_rows
 
-    def _flags(self, chord2, det):
-        """Per-row flags; interior/exterior decided by the winding number."""
-        # solid angle of each face: 2 atan2(det[u0,u1,u2], 1 + sum u_a.u_b),
-        # with u_a.u_b = 1 - |u_a - u_b|^2 / 2 for unit vectors
-        ce, dk = self.geo.corner_edge, self.dk
-        dots = 4.0 - 0.5 * (chord2[ce[0]] + chord2[ce[1]] + chord2[ce[2]])
-        omega = 2.0 * np.arctan2(det / (dk[0] * dk[1] * dk[2]), dots)
-        solid = np.ascontiguousarray(omega.T).sum(axis=1)
-        flags = np.full(len(solid), FLAG_EXTERIOR_OK, dtype=np.uint8)
-        flags[np.abs(solid) > 2.0 * np.pi] = FLAG_INTERIOR
-        flags[self.on_rows] = FLAG_ON_FACE
-        flags[self.row_near] = FLAG_ON_VERTEX
-        return flags
-
-    def vjp(self, g_sum, grad):
-        """Add the cage gradient (C, 3) from the gradient (n, C) of the raw
-        rows into ``grad``, one _BLOCK_ROWS-row chunk at a time.
+    def vjp(self, g_sum):
+        """The cage gradient (C, 3) from the gradient (n, C) of the raw rows,
+        as its transposed partial sums over _BLOCK_ROWS-row chunks.
 
         The adjoint of the forward pass, branch by branch: masked lanes and
         guarded denominators pass no gradient, clip passes it strictly
         inside (-1, 1), asin's derivative is taken at an argument clamped
         to 1 - 1e-12, and a zero-length norm has gradient 0.
         """
-        geo, ft = self.geo, self.geo.ft
-        to_vertex, to_edge, from_a, from_b = geo.scatter_index(len(g_sum))
-        theta, sin_t, dk, cc, s = (
-            self.theta, self.sin_t, self.dk, self.cc, self.s)
+        geo, ft, ce = self.geo, self.geo.ft, self.geo.corner_edge
+        n, nv, nf, ne = len(g_sum), geo.n_vertices, len(ft[0]), len(geo.edge_a)
+        f1, f3, e1, c1 = (nf, n), (3, nf, n), (ne, n), (nv, n)
+        ws = _scratch.use((nv, nf))
+        to_vertex, to_edge, from_a, from_b = geo.scatter_index(n)
+        cc, s, dead = self.cc, self.s, self.dead
+        tf, tf2, mask = ws.take("f1a", f1), ws.take("f1c", f1), ws.take(
+            "m3", f3, bool)
+        theta = _gather(self.theta_e, ce, ws.take("f3b", f3))
+        sin_t = _gather(self.sin_e, ce, ws.take("f3c", f3))
+        dk = _gather(self.d, ft, ws.take("f3d", f3))
 
-        g = g_sum.T.copy()                                      # (C, n)
-        g_sin = np.zeros_like(theta)
-        g_dk = np.zeros_like(dk)
+        g = ws.take("c1a", c1)
+        np.copyto(g, g_sum.T)
+        g_sin = ws.take("f3e", f3)
+        g_sin.fill(0.0)
+        g_dk = ws.take("f3f", f3)
+        g_dk.fill(0.0)
         if self.on_rows.size:
             r, f = self.on_rows, self.fsel
             g_on = g[ft[:, f], r]                               # (3, r)
@@ -421,74 +559,160 @@ class _Block:
             g[:, r] = 0.0                   # the general sum is replaced
 
         # w = num / denom off the dead lanes
-        g_w = g[ft]                                             # (3, F, n)
-        g_w[:, self.dead] = 0.0
-        g_num = g_w / self.denom
-        g_den = -g_num * self.w
-        g_den[self.denom_bad] = 0.0
+        g_num = _gather(g, ft, ws.take("f3g", f3))
+        np.copyto(g_num, 0.0, where=dead)
+        denom = ws.take("f3h", f3)
+        for k in range(3):
+            np.multiply(dk[k], sin_t[_NEXT[k]], out=denom[k])
+            np.multiply(denom[k], s[_PREV[k]], out=denom[k])
+        denom_bad = _guard(denom, ws.take("f3a", f3), mask, dead)
+        np.divide(g_num, denom, out=g_num)
+        g_den = np.negative(g_num, out=denom)
+        np.multiply(g_den, self.w, out=g_den)
+        np.copyto(g_den, 0.0, where=denom_bad)
         # num_k = theta_k - c_{k+1} theta_{k+2} - c_{k+2} theta_{k+1}
-        g_theta = (g_num - g_num[_NEXT] * cc[_PREV]
-                   - g_num[_PREV] * cc[_NEXT])
-        g_c = -g_num[_PREV] * theta[_NEXT] - g_num[_NEXT] * theta[_PREV]
+        g_theta, g_c = ws.take("f3a", f3), ws.take("f3i", f3)
+        for k in range(3):
+            nk, pk = _NEXT[k], _PREV[k]
+            np.subtract(g_num[k], np.multiply(g_num[nk], cc[pk], out=tf),
+                        out=g_theta[k])
+            np.subtract(g_theta[k], np.multiply(g_num[pk], cc[nk], out=tf),
+                        out=g_theta[k])
+            np.multiply(np.negative(g_num[pk], out=g_c[k]), theta[nk],
+                        out=g_c[k])
+            np.subtract(g_c[k], np.multiply(g_num[nk], theta[pk], out=tf),
+                        out=g_c[k])
         # denom_k = d_k sin(theta_{k+1}) s_{k+2}
-        g_dd = g_den * dk
-        g_dk += g_den * sin_t[_NEXT] * s[_PREV]
-        g_sin += g_dd[_PREV] * s[_NEXT]
-        g_s = g_dd[_NEXT] * sin_t[_PREV]
+        g_dd = np.multiply(g_den, dk, out=g_num)
+        for k in range(3):
+            nk, pk = _NEXT[k], _PREV[k]
+            np.multiply(np.multiply(g_den[k], sin_t[nk], out=tf), s[pk],
+                        out=tf)
+            np.add(g_dk[k], tf, out=g_dk[k])
+            np.add(g_sin[k], np.multiply(g_dd[pk], s[nk], out=tf),
+                   out=g_sin[k])
+        g_s = denom
+        for k in range(3):
+            np.multiply(g_dd[_NEXT[k]], sin_t[_PREV[k]], out=g_s[k])
         # s_k = sign(det) sqrt(q_k), q_k = 1 - c_k^2, off the q_bad lanes
-        q_bad = self.q < self.eps_plane * self.eps_plane
-        g_q = g_s * self.det_sign / (
-            2.0 * np.sqrt(np.where(q_bad, 1.0, self.q)))
-        g_q[q_bad] = 0.0
-        g_c -= 2.0 * cc * g_q
+        q = np.multiply(cc, cc, out=g_dd)
+        np.subtract(1.0, q, out=q)
+        q_bad = np.less(q, self.eps_plane * self.eps_plane, out=mask)
+        np.copyto(q, 1.0, where=q_bad)
+        np.multiply(2.0, np.sqrt(q, out=q), out=q)
+        g_q = np.multiply(g_s, self.det_sign, out=g_s)
+        np.divide(g_q, q, out=g_q)
+        np.copyto(g_q, 0.0, where=q_bad)
+        np.multiply(np.multiply(2.0, cc, out=q), g_q, out=q)
+        np.subtract(g_c, q, out=g_c)
         # c_k = clip(2 sin(h) sin(h - theta_k) / denom_c_k - 1), where the
         # unclipped lanes have 2 sin(h) sin(h - theta_k) / denom_c_k = c_k + 1
-        g_c[np.abs(cc) >= 1.0] = 0.0
-        g_a = g_c / self.denom_c
-        g_denc = -g_a * (cc + 1.0)
-        g_denc[self.denom_c_bad] = 0.0
+        np.copyto(g_c, 0.0, where=np.greater_equal(np.abs(cc, out=q), 1.0,
+                                                   out=mask))
+        denom_c = g_q
+        for k in range(3):
+            np.multiply(sin_t[_NEXT[k]], sin_t[_PREV[k]], out=denom_c[k])
+        denom_c_bad = _guard(denom_c, q, mask)
+        g_a = np.divide(g_c, denom_c, out=g_c)
+        g_denc = np.negative(g_a, out=denom_c)
+        np.multiply(g_denc, np.add(cc, 1.0, out=q), out=g_denc)
+        np.copyto(g_denc, 0.0, where=denom_c_bad)
         # cos(theta) = 1 - 2 sin^2(theta / 2); h - theta_k by addition
-        half = np.minimum(self.length / 2.0, 1.0)
-        cos_t = (1.0 - 2.0 * half * half)[geo.corner_edge]
-        cos_h = np.cos(self.h)
-        g_hm = g_a * self.two_sin_h * (
-            cos_h * cos_t + (self.two_sin_h / 2.0) * sin_t)
-        g_h = 2.0 * (g_a * self.sin_hm).sum(axis=0) * cos_h + g_hm.sum(axis=0)
+        half = ws.take("e1a", e1)
+        np.minimum(np.divide(self.length, 2.0, out=half), 1.0, out=half)
+        te = ws.take("e1b", e1)
+        np.multiply(np.multiply(2.0, half, out=te), half, out=te)
+        cos_t = _gather(np.subtract(1.0, te, out=te), ce, q)
+        cos_h = np.cos(self.h, out=ws.take("f1d", f1))
+        two_sin_h = ws.take("f1e", f1)
+        np.multiply(2.0, np.sin(self.h, out=two_sin_h), out=two_sin_h)
+        g_hm, x = ws.take("f3j", f3), ws.take("f3k", f3)
+        np.multiply(cos_h, cos_t, out=x)
+        np.add(x, np.multiply(np.divide(two_sin_h, 2.0, out=tf), sin_t,
+                              out=g_hm), out=x)
+        np.multiply(np.multiply(g_a, two_sin_h, out=g_hm), x, out=g_hm)
+        g_h = ws.take("f1f", f1)
+        np.sum(np.multiply(g_a, self.sin_hm, out=x), axis=0, out=g_h)
+        np.multiply(np.multiply(2.0, g_h, out=g_h), cos_h, out=g_h)
+        np.add(g_h, np.sum(g_hm, axis=0, out=tf), out=g_h)
         # denom_c_k = sin(theta_{k+1}) sin(theta_{k+2})
-        g_sin += g_denc[_PREV] * sin_t[_NEXT] + g_denc[_NEXT] * sin_t[_PREV]
-        g_theta += g_sin * cos_t - g_hm + g_h / 2.0
+        for k in range(3):
+            nk, pk = _NEXT[k], _PREV[k]
+            np.multiply(g_denc[pk], sin_t[nk], out=tf)
+            np.add(tf, np.multiply(g_denc[nk], sin_t[pk], out=tf2), out=tf)
+            np.add(g_sin[k], tf, out=g_sin[k])
+        np.subtract(np.multiply(g_sin, cos_t, out=x), g_hm, out=x)
+        np.add(x, np.divide(g_h, 2.0, out=tf), out=x)
+        np.add(g_theta, x, out=g_theta)
 
         # theta = 2 asin(|chord| / 2), summed from corners onto edges
         length = self.length
-        g_theta_e = np.bincount(to_edge, g_theta.ravel(),
-                                minlength=length.size).reshape(length.shape)
-        x = np.minimum(half, _ASIN_CLAMP)
-        g_len = g_theta_e / (np.sqrt(1.0 - x * x)
-                             * np.where(length == 0.0, 1.0, length))
+        g_len = np.bincount(to_edge, g_theta.ravel(),
+                            minlength=ne * n).reshape(e1)
+        x = np.minimum(half, _ASIN_CLAMP, out=te)
+        np.sqrt(np.subtract(1.0, np.multiply(x, x, out=x), out=x), out=x)
+        safe = ws.take("e1c", e1)
+        np.copyto(safe, length)
+        np.copyto(safe, 1.0, where=length == 0.0)
+        np.divide(g_len, np.multiply(x, safe, out=x), out=g_len)
         u, d = self.u, self.d
-        g_u = np.stack([
-            np.bincount(from_a, gl.ravel(), minlength=d.size)
-            - np.bincount(from_b, gl.ravel(), minlength=d.size)
-            for gl in self.chord * g_len
-        ]).reshape(u.shape)
+        g_u = ws.take("c3a", (3,) + c1)
+        ci = safe
+        for i in range(3):
+            _gather(u[i], geo.edge_a, ci)
+            np.subtract(ci, _gather(u[i], geo.edge_b, te), out=ci)
+            np.multiply(ci, g_len, out=ci)
+            np.subtract(np.bincount(from_a, ci.ravel(), minlength=nv * n),
+                        np.bincount(from_b, ci.ravel(), minlength=nv * n),
+                        out=g_u[i].reshape(-1))
         g_d = np.bincount(to_vertex, g_dk.ravel(),
-                          minlength=d.size).reshape(d.shape)
+                          minlength=nv * n).reshape(c1)
         # u = diff / d, d = |diff|, on the rows that were not snapped
-        g_d -= (g_u * u).sum(axis=0) / d
-        g_diff = g_u / d + u * g_d
-        for lo in range(0, g_diff.shape[2], _BLOCK_ROWS):
-            grad += g_diff[:, :, lo:lo + _BLOCK_ROWS].sum(axis=2).T
+        t = ws.take("c3b", (3,) + c1)
+        tc = np.sum(np.multiply(g_u, u, out=t), axis=0, out=ws.take("c1b", c1))
+        np.subtract(g_d, np.divide(tc, d, out=tc), out=g_d)
+        g_diff = np.divide(g_u, d, out=g_u)
+        np.add(g_diff, np.multiply(u, g_d, out=t), out=g_diff)
+        return [g_diff[:, :, lo:lo + _BLOCK_ROWS].sum(axis=2)
+                for lo in range(0, n, _BLOCK_ROWS)]
 
 
-def _guard(x, bad=None):
+def _flags(ws, geo, chord2, det, d, on_rows, near):
+    """Per-row flags; interior/exterior decided by the winding number."""
+    # solid angle of each face: 2 atan2(det[u0,u1,u2], 1 + sum u_a.u_b),
+    # with u_a.u_b = 1 - |u_a - u_b|^2 / 2 for unit vectors; the scratch
+    # is slots of the forward's temporaries that are dead by now
+    ce, ft, f1 = geo.corner_edge, geo.ft, det.shape
+    dots, tf, t0 = ws.take("f1e", f1), ws.take("f1a", f1), ws.take("f1f", f1)
+    _gather(chord2, ce[0], dots)
+    for k in (1, 2):
+        np.add(dots, _gather(chord2, ce[k], tf), out=dots)
+    np.subtract(4.0, np.multiply(0.5, dots, out=dots), out=dots)
+    np.multiply(_gather(d, ft[0], tf), _gather(d, ft[1], t0), out=tf)
+    np.multiply(tf, _gather(d, ft[2], t0), out=tf)
+    omega = np.arctan2(np.divide(det, tf, out=tf), dots, out=tf)
+    np.multiply(2.0, omega, out=omega)
+    by_row = ws.take("f1b", omega.shape[::-1])   # rows contiguous for the sum
+    np.copyto(by_row, omega.T)
+    solid = by_row.sum(axis=1)
+    flags = np.full(len(solid), FLAG_EXTERIOR_OK, dtype=np.uint8)
+    flags[np.abs(solid) > 2.0 * np.pi] = FLAG_INTERIOR
+    flags[on_rows] = FLAG_ON_FACE
+    flags[near] = FLAG_ON_VERTEX
+    return flags
+
+
+def _guard(x, tmp, mask, bad=None):
     """Set the tiny (or ``bad``) entries of the temporary ``x`` to 1.0.
 
-    Returns ``x`` and the mask of the entries that were set.
+    ``tmp`` and ``mask`` are scratch of x's shape.  Returns ``mask``, which
+    holds the entries that were set.
     """
-    tiny = np.abs(x) < _DENOM_TINY
-    bad = tiny if bad is None else bad | tiny
-    x[bad] = 1.0
-    return x, bad
+    np.less(np.abs(x, out=tmp), _DENOM_TINY, out=mask)
+    if bad is not None:
+        np.logical_or(mask, bad, out=mask)
+    np.copyto(x, 1.0, where=mask)
+    return mask
 
 
 def compute_mvc(cage: TriMesh, points, cfg: MvcConfig | None = None) -> MvcMatrix:

@@ -1,8 +1,22 @@
-"""Process-wide runtime knobs (thread cap for nearest-neighbor queries)."""
+"""Process-wide runtime knobs: the thread cap for internal parallelism.
+
+Two kinds of work run on threads: exact nearest-neighbor queries
+(``cKDTree`` query workers) and the MVC kernel's blocks of query rows
+(``map_ordered`` over a shared thread pool).  Neither changes any result
+bit: each query row is computed by itself, and whatever is summed across
+rows is summed on the calling thread in a fixed order.
+"""
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+
 _threads: int | None = None
+_pool: ThreadPoolExecutor | None = None
+_pool_size = 0
+_pool_lock = threading.Lock()
 
 
 def set_threads(n: int | None) -> None:
@@ -14,3 +28,63 @@ def set_threads(n: int | None) -> None:
 def kdtree_workers() -> int:
     """Worker count for cKDTree queries (-1 = all cores)."""
     return _threads if _threads is not None else -1
+
+
+def thread_count() -> int:
+    """Threads internal work may use: the cap, or the cores this process
+    may run on."""
+    if _threads is not None:
+        return _threads
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def map_ordered(fn, items) -> list:
+    """``[fn(x) for x in items]``, run on up to ``thread_count()`` threads.
+
+    The calling thread and up to ``thread_count() - 1`` pool threads take
+    the items one at a time, in order; with one thread or one item every
+    call runs inline.  Results come back in item order, and an exception a
+    call raised is raised here once every thread has stopped.
+    """
+    items = list(items)
+    workers = min(thread_count(), len(items))
+    if workers <= 1:
+        return [fn(x) for x in items]
+    results = [None] * len(items)
+    unclaimed = iter(range(len(items)))
+    lock = threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                i = next(unclaimed, None)
+            if i is None:
+                return
+            results[i] = fn(items[i])
+
+    pool = _executor()
+    helpers = [pool.submit(drain) for _ in range(workers - 1)]
+    try:
+        drain()
+    finally:
+        wait(helpers)
+    for helper in helpers:
+        helper.result()
+    return results
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The shared pool of helper threads, rebuilt when the thread count
+    changes.  Its threads live as long as the pool, so per-thread buffers
+    outlast calls."""
+    global _pool, _pool_size
+    size = thread_count() - 1
+    with _pool_lock:
+        if _pool is None or _pool_size != size:
+            if _pool is not None:
+                _pool.shutdown(wait=False)
+            _pool = ThreadPoolExecutor(size, thread_name_prefix="cagewarp")
+            _pool_size = size
+        return _pool

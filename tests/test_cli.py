@@ -163,14 +163,14 @@ class TestDeform:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"max_iters": 20, "n_eval_samples": 200}))
         metrics = []
-        for threads in ("1", "8"):
+        for threads in ("1", "2", "8"):
             out = tmp_path / f"t{threads}"
             assert main(["deform", "--source", str(sp), "--target", str(tp),
                          "--config", str(cfg), "--threads", threads,
                          "--out", str(out)]) == 0
             metrics.append(json.dumps(load_report(out)["metrics"],
                                       sort_keys=True))
-        assert metrics[0] == metrics[1]
+        assert metrics[0] == metrics[1] == metrics[2]
 
 
 class TestFitTransferEval:

@@ -7,13 +7,15 @@ source-cage gradients finite with and without the exclusion mask, and,
 outside the band, equal to central differences.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
 import cagewarp.autodiff as ad
 from cagewarp.geometry import make_template_cage
 from cagewarp.gradients import EXCLUSION_FACTOR, grad_source_cage
-from cagewarp import mvc
+from cagewarp import mvc, runtime
 from cagewarp.mvc import FLAG_ON_FACE, FLAG_ON_VERTEX, MvcConfig, mvc_weights
 
 CFG = MvcConfig()
@@ -207,12 +209,13 @@ def _kernel_outputs(cage, pts):
 @pytest.mark.parametrize("kind, n", [("sphere42", 2 * 64 + 5),
                                      ("sphere162", 2 * 16 + 5)])
 def test_face_count_blocks_match_16_row_blocks(kind, n, monkeypatch):
-    # blocks sized from the face count give the bits of 16-row blocks:
+    # one block sized from the face count gives the bits of 16-row blocks,
+    # with snapped and on-face rows on both sides of every 16-row boundary:
     # the forward is row-local and the gradient sums 16-row chunks in order
     cage = make_template_cage(kind, scale=(1.0, 0.8, 0.9))
-    block = mvc._block_rows(cage.n_faces)
-    assert block == {"sphere42": 64, "sphere162": 16}[kind]
-    pts = _boundary_queries(cage, n, block, seed=11)
+    assert mvc._block_rows(cage.n_faces) == {"sphere42": 192,
+                                             "sphere162": 48}[kind]
+    pts = _boundary_queries(cage, n, 16, seed=11)
     phi, flags, aux, grad = _kernel_outputs(cage, pts)
     monkeypatch.setattr(mvc, "_block_rows", lambda n_faces: 16)
     phi16, flags16, aux16, grad16 = _kernel_outputs(cage, pts)
@@ -224,9 +227,64 @@ def test_face_count_blocks_match_16_row_blocks(kind, n, monkeypatch):
     assert np.array_equal(grad, grad16)
 
 
-@pytest.mark.parametrize("n_faces, rows", [(8, 640), (80, 64), (81, 48),
-                                           (320, 16), (500, 16), (5120, 16)])
+@pytest.mark.parametrize("kind", ["sphere162", "sphere42"])
+def test_threads_do_not_change_kernel_bits(kind):
+    # four blocks, with snapped and on-face rows on both sides of every
+    # block boundary, run on 1, 2 and 8 threads
+    cage = make_template_cage(kind, scale=(1.0, 0.8, 0.9))
+    block = mvc._block_rows(cage.n_faces)
+    pts = _boundary_queries(cage, 3 * block + 5, block, seed=13)
+    runs = []
+    try:
+        for threads in (1, 2, 8):
+            runtime.set_threads(threads)
+            runs.append(_kernel_outputs(cage, pts))
+    finally:
+        runtime.set_threads(None)
+    phi, flags, aux, grad = runs[0]
+    assert np.sum(flags == FLAG_ON_VERTEX) == 6
+    assert np.sum(flags == FLAG_ON_FACE) == 6
+    assert np.all(np.isfinite(grad))
+    for phi_t, flags_t, aux_t, grad_t in runs[1:]:
+        assert np.array_equal(phi, phi_t)
+        assert np.array_equal(flags, flags_t)
+        for key in aux:
+            assert np.array_equal(aux[key], aux_t[key]), key
+        assert np.array_equal(grad, grad_t)
+
+
+def test_only_taped_calls_keep_blocks(cage, monkeypatch):
+    # an untaped block is freed on the thread that built it; a taped call's
+    # blocks live as long as its tape node
+    made = []
+    init = mvc._Block.__init__
+
+    def tracked(self, *args):
+        init(self, *args)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(mvc._Block, "__init__", tracked)
+    block = mvc._block_rows(cage.n_faces)
+    pts = _boundary_queries(cage, 3 * block + 5, block, seed=17)
+    eps_v = CFG.resolved_eps_vertex(cage)
+    try:
+        runtime.set_threads(2)
+        mvc_weights(cage.vertices, cage.faces, pts, eps_v, CFG.eps_plane)
+        assert len(made) == 4
+        assert all(ref() is None for ref in made)
+        phi, _ = mvc_weights(ad.Var(cage.vertices), cage.faces, pts, eps_v,
+                             CFG.eps_plane, with_flags=False)
+    finally:
+        runtime.set_threads(None)
+    assert len(made) == 8
+    assert all(ref() is not None for ref in made[4:])
+    del phi
+    assert all(ref() is None for ref in made)
+
+
+@pytest.mark.parametrize("n_faces, rows", [(8, 1920), (80, 192), (81, 176),
+                                           (320, 48), (500, 16), (5120, 16)])
 def test_block_rows_follow_face_count(n_faces, rows):
     assert mvc._block_rows(n_faces) == rows
-    # a (3, F, rows) temporary stays within 120 KiB unless rows is minimal
-    assert 3 * n_faces * rows * 8 <= 120 * 1024 or rows == 16
+    # a (3, F, rows) array stays within 360 KiB unless rows is minimal
+    assert 3 * n_faces * rows * 8 <= 360 * 1024 or rows == 16

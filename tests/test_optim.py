@@ -187,12 +187,12 @@ class TestDeformPair:
             TriMesh(src.vertices @ np.diag([1.2, 1.0, 0.9]).T, src.faces)
         )
         traces = []
-        for threads in (1, 8):
+        for threads in (1, 2, 8):
             cfg = PipelineConfig(seed=0, max_iters=40, threads=threads,
                                  n_eval_samples=200)
             _, _, _, rep = deform_pair(src, tgt, cfg)
             traces.append([b.total for b in rep.trace])
-        assert traces[0] == traces[1]
+        assert traces[0] == traces[1] == traces[2]
 
     def test_source_vertex_on_initial_cage_vertex(self):
         # a small tetrahedron with a corner exactly on a vertex of the
