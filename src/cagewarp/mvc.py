@@ -24,16 +24,16 @@ One vectorised pass evaluates these formulas over blocks of query rows.
 The block size follows the face count: 16 * max(1, 46080 // (3 F 16))
 rows, so a (3, F, rows) array, the largest a block builds, stays within
 360 KiB.  A 320-face cage runs 48-row blocks, an 80-face one 192-row
-blocks.  That size was measured against peak memory: 64-row blocks ran
-``cagewarp transfer`` on a 320-face cage ~10% faster than 48-row ones but
-raised its peak RSS by ~3 MiB more, as every thread holds one block's
-scratch.  Arc lengths and their sines are taken once per cage edge, and
-the per-corner terms are added into their cage columns with
-``np.bincount``, which sums in a fixed order: a row's weights are the same
-bits whatever block it falls in.  The cage topology (edges, corner-to-edge
-map, scatter indices) depends only on the faces and is cached per
-connectivity; only the face planes are rebuilt from the vertices on each
-call.
+blocks.  That size was measured against peak memory, since every thread
+holds one block's scratch: on 2 threads, 64-row blocks ran ``cagewarp
+transfer`` on a 320-face cage 5-10% faster than 48-row ones, but its peak
+RSS rose ~3 MiB further, to ~5% above the single-threaded 16-row kernel's.
+Arc lengths and their sines are taken once per cage edge, and the
+per-corner terms are added into their cage columns with ``np.bincount``,
+which sums in a fixed order: a row's weights are the same bits whatever
+block it falls in.  The cage topology (edges, corner-to-edge map, scatter
+indices) depends only on the faces and is cached per connectivity; only
+the face planes are rebuilt from the vertices on each call.
 
 The blocks of a call run on up to ``runtime.thread_count()`` threads (the
 calling thread and pool threads; ``--threads 1`` runs them inline), and

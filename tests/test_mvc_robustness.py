@@ -228,9 +228,9 @@ def test_face_count_blocks_match_16_row_blocks(kind, n, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["sphere162", "sphere42"])
-def test_threads_do_not_change_kernel_bits(kind):
+def test_threads_do_not_change_kernel_bits(kind, monkeypatch):
     # four blocks, with snapped and on-face rows on both sides of every
-    # block boundary, run on 1, 2 and 8 threads
+    # block boundary, run on 1, 2 and 8 threads, and as 16-row blocks
     cage = make_template_cage(kind, scale=(1.0, 0.8, 0.9))
     block = mvc._block_rows(cage.n_faces)
     pts = _boundary_queries(cage, 3 * block + 5, block, seed=13)
@@ -239,6 +239,8 @@ def test_threads_do_not_change_kernel_bits(kind):
         for threads in (1, 2, 8):
             runtime.set_threads(threads)
             runs.append(_kernel_outputs(cage, pts))
+        monkeypatch.setattr(mvc, "_block_rows", lambda n_faces: 16)
+        runs.append(_kernel_outputs(cage, pts))
     finally:
         runtime.set_threads(None)
     phi, flags, aux, grad = runs[0]
