@@ -67,9 +67,6 @@ class LossBreakdown:
         total = sum(weights[k] * t[k] for k in t)
         return cls(terms=t, weights=dict(weights), total=float(total))
 
-    def recomputed_total(self) -> float:
-        return float(sum(self.weights[k] * self.terms[k] for k in self.terms))
-
 
 # -- alignment ---------------------------------------------------------------
 

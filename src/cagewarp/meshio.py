@@ -4,6 +4,12 @@ Only `v` and `f` records are interpreted; normals, texture coordinates and
 vertex colors in the input are ignored.  Faces must be triangles unless quad
 fan-triangulation is requested.  Floats are written with 17 significant
 digits so a save/load round trip is bit-exact.
+
+Both directions work on whole record kinds, not lines: a file in the plain
+layout (``v`` lines of numbers, then ``f`` lines of three indices) is read
+by one ``np.loadtxt`` call per record kind, and every other file, every
+malformed one included, by the line-by-line parser, which reports the
+first bad line.  Writers format a chunk of rows with one ``%``.
 """
 
 from __future__ import annotations
@@ -14,6 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import DEGENERATE_FACE_AREA, MeshError, PointSet, TriMesh
+
+
+_WRITE_CHUNK = 4096   # rows formatted per write
 
 
 class ParseError(Exception):
@@ -40,38 +49,12 @@ def load_mesh(path, triangulate_quads: bool = False) -> TriMesh:
     any non-triangle face is rejected.  Faces with area below
     ``DEGENERATE_FACE_AREA`` are rejected.
     """
-    verts: list[list[float]] = []
-    faces: list[tuple[int, int, int]] = []
     with open(path, "r") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if parts[0] == "v":
-                if len(parts) < 4:
-                    raise ParseError(f"line {lineno}: vertex needs 3 coordinates")
-                try:
-                    verts.append([float(x) for x in parts[1:4]])
-                except ValueError as exc:
-                    raise ParseError(f"line {lineno}: bad vertex coordinate") from exc
-            elif parts[0] == "f":
-                idx = [
-                    _parse_face_token(t, len(verts), lineno) for t in parts[1:]
-                ]
-                if len(idx) == 3:
-                    faces.append(tuple(idx))
-                elif len(idx) > 3 and triangulate_quads:
-                    for k in range(1, len(idx) - 1):
-                        faces.append((idx[0], idx[k], idx[k + 1]))
-                else:
-                    raise ParseError(
-                        f"line {lineno}: face has {len(idx)} vertices; "
-                        "only triangles are accepted (enable quad triangulation)"
-                    )
-            # all other records (vn, vt, usemtl, o, g, s, ...) are ignored
-    mesh = TriMesh(np.array(verts, dtype=np.float64).reshape(-1, 3),
-                   np.array(faces, dtype=np.int64).reshape(-1, 3))
+        text = fh.read()
+    parsed = _read_plain(text)
+    if parsed is None:
+        parsed = _read_records(text.split("\n"), triangulate_quads)
+    mesh = TriMesh(*parsed)
     if mesh.n_faces:
         areas = mesh.face_areas()
         bad = np.nonzero(areas < DEGENERATE_FACE_AREA)[0]
@@ -83,13 +66,101 @@ def load_mesh(path, triangulate_quads: bool = False) -> TriMesh:
     return mesh
 
 
+def _read_plain(text: str):
+    """(vertices, faces) of an OBJ text in the plain layout, else None.
+
+    Plain: every vertex line starts with ``"v "`` and has at least three
+    numbers, every face line starts with ``"f "`` and has three vertex
+    numbers, and no face line comes before a vertex line.  Each record kind
+    is converted in one ``np.loadtxt`` call; a token it accepts reads to the
+    value ``float`` or ``int`` gives it.  Anything else, every malformed
+    file included, is left to ``_read_records``, so the errors and their
+    line numbers are that parser's.
+    """
+    lines = text.split("\n")
+    if "#" in text:
+        lines = [ln.split("#", 1)[0] for ln in lines]
+    heads = [ln[:2] for ln in lines]
+    n_v, n_f = heads.count("v "), heads.count("f ")
+    if n_f and "v " in heads[heads.index("f "):]:
+        return None
+    # any other line that is not empty must be one the record parser
+    # ignores too
+    if n_v + n_f + heads.count("") < len(lines) and any(
+            ln.split()[:1] in (["v"], ["f"])
+            for ln, head in zip(lines, heads) if head not in ("v ", "f ")):
+        return None
+    v_rows = [ln for ln, head in zip(lines, heads) if head == "v "]
+    f_rows = [ln[1:] for ln, head in zip(lines, heads) if head == "f "]
+    if any(map(str.isspace, f_rows)):
+        return None      # an empty face, which loadtxt would skip
+    try:
+        verts = (np.loadtxt(v_rows, usecols=(1, 2, 3), comments=None,
+                            ndmin=2) if v_rows else np.zeros((0, 3)))
+        faces = (np.loadtxt(f_rows, dtype=np.int64, comments=None, ndmin=2)
+                 if f_rows else np.zeros((0, 3), dtype=np.int64))
+    except ValueError:
+        return None
+    if faces.shape != (n_f, 3):
+        return None
+    if faces.size and (faces.min() < 1 or faces.max() > len(verts)):
+        return None
+    return verts, faces - 1
+
+
+def _read_records(lines, triangulate_quads: bool):
+    """(vertices, faces) from OBJ lines, one record at a time; raises
+    ``ParseError`` at the first malformed line."""
+    verts: list[list[float]] = []
+    faces: list[tuple[int, int, int]] = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] == "v":
+            if len(parts) < 4:
+                raise ParseError(f"line {lineno}: vertex needs 3 coordinates")
+            try:
+                verts.append([float(x) for x in parts[1:4]])
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: bad vertex coordinate") from exc
+        elif parts[0] == "f":
+            idx = [
+                _parse_face_token(t, len(verts), lineno) for t in parts[1:]
+            ]
+            if len(idx) == 3:
+                faces.append(tuple(idx))
+            elif len(idx) > 3 and triangulate_quads:
+                for k in range(1, len(idx) - 1):
+                    faces.append((idx[0], idx[k], idx[k + 1]))
+            else:
+                raise ParseError(
+                    f"line {lineno}: face has {len(idx)} vertices; "
+                    "only triangles are accepted (enable quad triangulation)"
+                )
+        # all other records (vn, vt, usemtl, o, g, s, ...) are ignored
+    return (np.array(verts, dtype=np.float64).reshape(-1, 3),
+            np.array(faces, dtype=np.int64).reshape(-1, 3))
+
+
+def _write_rows(fh, fmt: str, array) -> None:
+    """Write each row of ``array`` with the %-format ``fmt``.
+
+    One ``%`` formats a chunk of rows at a time.  "%.17g" gives the digits
+    ``f"{x:.17g}"`` gives, and 17 significant digits read back to the same
+    float.
+    """
+    for lo in range(0, len(array), _WRITE_CHUNK):
+        chunk = array[lo:lo + _WRITE_CHUNK]
+        fh.write((fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+
 def save_mesh(mesh: TriMesh, path) -> None:
     """Write an OBJ file that round-trips bit-exactly through load_mesh."""
     with open(path, "w") as fh:
-        for v in mesh.vertices:
-            fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for f in mesh.faces:
-            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+        _write_rows(fh, "v %.17g %.17g %.17g\n", mesh.vertices)
+        _write_rows(fh, "f %d %d %d\n", mesh.faces + 1)
 
 
 def load_points(path) -> PointSet:
@@ -113,15 +184,10 @@ def load_points(path) -> PointSet:
 
 
 def save_points(points: PointSet, path) -> None:
-    p = Path(path)
-    if p.suffix.lower() == ".csv":
-        with open(p, "w") as fh:
-            for q in points.points:
-                fh.write(f"{q[0]:.17g},{q[1]:.17g},{q[2]:.17g}\n")
-    else:
-        with open(p, "w") as fh:
-            for q in points.points:
-                fh.write(f"v {q[0]:.17g} {q[1]:.17g} {q[2]:.17g}\n")
+    fmt = ("%.17g,%.17g,%.17g\n" if Path(path).suffix.lower() == ".csv"
+           else "v %.17g %.17g %.17g\n")
+    with open(path, "w") as fh:
+        _write_rows(fh, fmt, points.points)
 
 
 def load_landmarks(path) -> np.ndarray:
@@ -142,8 +208,7 @@ def load_landmarks(path) -> np.ndarray:
 
 def save_landmarks(pairs: np.ndarray, path) -> None:
     with open(path, "w") as fh:
-        for a, b in np.asarray(pairs, dtype=np.int64):
-            fh.write(f"{a},{b}\n")
+        _write_rows(fh, "%d,%d\n", np.asarray(pairs, dtype=np.int64))
 
 
 def load_offsets(path) -> np.ndarray:
@@ -164,5 +229,5 @@ def load_offsets(path) -> np.ndarray:
 
 def save_offsets(offsets: np.ndarray, path) -> None:
     with open(path, "w") as fh:
-        for d in np.asarray(offsets, dtype=np.float64):
-            fh.write(f"{d[0]:.17g},{d[1]:.17g},{d[2]:.17g}\n")
+        _write_rows(fh, "%.17g,%.17g,%.17g\n",
+                    np.asarray(offsets, dtype=np.float64))

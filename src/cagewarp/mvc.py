@@ -28,11 +28,14 @@ blocks.  That size was measured against peak memory, since every thread
 holds one block's scratch: on 2 threads, 64-row blocks ran ``cagewarp
 transfer`` on a 320-face cage 5-10% faster than 48-row ones, but its peak
 RSS rose ~3 MiB further, to ~5% above the single-threaded 16-row kernel's.
-Arc lengths and their sines are taken once per cage edge, and the
-per-corner terms are added into their cage columns with ``np.bincount``,
-which sums in a fixed order: a row's weights are the same bits whatever
-block it falls in.  The cage topology (edges, corner-to-edge map, scatter
-indices) depends only on the faces and is cached per connectivity; only
+Arc lengths and their sines are taken once per cage edge and gathered
+once per face corner.  The per-corner terms are added into their cage
+columns as products with sparse CSR incidence matrices whose column
+indices are sorted, so every column adds its terms in input order, the
+order ``np.bincount`` adds in: a row's weights are the same bits whatever
+block it falls in.  Unlike ``np.bincount``, a product releases the GIL
+while it sums.  The cage topology (edges, corner-to-edge map, incidence
+matrices) depends only on the faces and is cached per connectivity; only
 the face planes are rebuilt from the vertices on each call.
 
 The blocks of a call run on up to ``runtime.thread_count()`` threads (the
@@ -60,7 +63,9 @@ no gradient, so no NaN/Inf can leak into values or gradients.
 Row flags (``compute_mvc``) come from the same pass: the winding number
 sums each face's solid angle 2 atan2(det[u_0, u_1, u_2], 1 + u_0.u_1 +
 u_1.u_2 + u_2.u_0), and on-vertex and on-face rows are the rows the
-snapping and 2D branches took.
+snapping and 2D branches took.  The winding number costs ~6% of an
+untaped pass, so callers that read only the weights pass
+``with_flags=False``.
 """
 
 from __future__ import annotations
@@ -72,6 +77,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from . import autodiff as ad
 from . import runtime
@@ -261,23 +267,27 @@ class _CageTopology:
         self.edge_a, self.edge_b = np.divmod(uniq, n_vertices)
         for arr in (self.corner_edge, self.edge_a, self.edge_b):
             arr.flags.writeable = False
-        self._scatter = {}
-        self._scatter_lock = threading.Lock()
+        # the scatters of (corner, face) and edge rows into their vertices
+        # and edges, as sparse incidence matrices
+        self.to_vertex = _incidence(self.ft.ravel(), n_vertices)
+        self.to_edge = _incidence(self.corner_edge.ravel(), len(uniq))
+        self.from_a = _incidence(self.edge_a, n_vertices)
+        self.from_b = _incidence(self.edge_b, n_vertices)
 
-    def scatter_index(self, n):
-        """Flat (target * n + row) indices for ``np.bincount`` at n rows."""
-        with self._scatter_lock:   # blocks on several threads may ask
-            if n not in self._scatter:
-                rows = np.arange(n)
-                index = tuple(
-                    (t[..., None] * n + rows).ravel()
-                    for t in (self.ft, self.corner_edge, self.edge_a,
-                              self.edge_b)
-                )
-                for arr in index:
-                    arr.flags.writeable = False
-                self._scatter[n] = index
-            return self._scatter[n]
+
+def _incidence(target, n_targets):
+    """CSR matrix S of shape (n_targets, len(target)), S[target[j], j] = 1.
+
+    ``S @ x`` adds each row j of x into row target[j], starting from zeros.
+    Its column indices are sorted, so every target adds its rows in
+    increasing j, the order ``np.bincount`` adds them in: the sums are the
+    same bits whatever the row count of x.
+    """
+    order = np.argsort(target, kind="stable")
+    indptr = np.zeros(n_targets + 1, dtype=np.int64)
+    np.cumsum(np.bincount(target, minlength=n_targets), out=indptr[1:])
+    return scipy.sparse.csr_array(
+        (np.ones(len(target)), order, indptr), shape=(n_targets, len(target)))
 
 
 @functools.lru_cache(maxsize=16)
@@ -295,7 +305,8 @@ class _CageGeometry:
         self.cage, self.faces, self.n_vertices = cage, topo.faces, len(cage)
         self.ft, self.corner_edge = topo.ft, topo.corner_edge
         self.edge_a, self.edge_b = topo.edge_a, topo.edge_b
-        self.scatter_index = topo.scatter_index
+        self.to_vertex, self.to_edge = topo.to_vertex, topo.to_edge
+        self.from_a, self.from_b = topo.from_a, topo.from_b
         v0, v1, v2 = cage[faces[:, 0]], cage[faces[:, 1]], cage[faces[:, 2]]
         # det[v0 - p, v1 - p, v2 - p] = det[v0, v1, v2] - p . area_normal
         self.area_normal = np.cross(v1 - v0, v2 - v0)
@@ -363,8 +374,9 @@ class _Block:
     Arrays are laid out (corner, face, row), (edge, row) or (vertex, row),
     with vectors carrying a leading component axis; corner k's neighbours
     are k+1 (_NEXT) and k+2 (_PREV).  Every value of a row depends on that
-    row alone, and sums into cage columns go through ``np.bincount``, which
-    adds in input order, so a row's weights do not depend on its block.
+    row alone, and sums into cage columns are incidence-matrix products,
+    which add in input order, so a row's weights do not depend on its
+    block.
 
     Temporaries live in the thread's workspace slots, named by the shape
     they hold: f1 (F, n), f3 (3, F, n), e1 (E, n), c1 (C, n), c3 (3, C, n),
@@ -425,12 +437,13 @@ class _Block:
         np.multiply(2.0, te, out=theta_e)
         sin_e = keep("e1d", e1)
         np.sin(theta_e, out=sin_e)
-        # per-corner values are gathered from the per-edge and per-vertex
-        # arrays where they are used, into the (F, n) scratch t0, t1, t2
+        # each corner's arc and its sine (those of the opposite edge) are
+        # gathered once; t0, t1, t2 are (F, n) scratch
+        theta = _gather(theta_e, ce, ws.take("f3d", f3))
+        sin_t = _gather(sin_e, ce, ws.take("f3e", f3))
         t0, t1, t2 = (ws.take(name, f1) for name in ("f1f", "f1g", "f1h"))
         h = keep("f1b", f1)
-        np.add(_gather(theta_e, ce[0], h), _gather(theta_e, ce[1], t0), out=h)
-        np.add(h, _gather(theta_e, ce[2], t0), out=h)
+        np.add(np.add(theta[0], theta[1], out=h), theta[2], out=h)
         np.divide(h, 2.0, out=h)
 
         # A nearly full half-turn of arc marks p as on (or extremely close
@@ -462,10 +475,8 @@ class _Block:
         sin_hm, cc, s = keep("f3a", f3), keep("f3a", f3), keep("f3b", f3)
         for k in range(3):
             nk, pk = _NEXT[k], _PREV[k]
-            np.subtract(h, _gather(theta_e, ce[k], t0), out=sin_hm[k])
-            np.sin(sin_hm[k], out=sin_hm[k])
-            denom_c = np.multiply(_gather(sin_e, ce[nk], t0),
-                                  _gather(sin_e, ce[pk], t1), out=t0)
+            np.sin(np.subtract(h, theta[k], out=sin_hm[k]), out=sin_hm[k])
+            denom_c = np.multiply(sin_t[nk], sin_t[pk], out=t0)
             _guard(denom_c, t1, mask)
             np.multiply(two_sin_h, sin_hm[k], out=cc[k])
             np.divide(cc[k], denom_c, out=cc[k])
@@ -486,20 +497,16 @@ class _Block:
         for k in range(3):
             nk, pk = _NEXT[k], _PREV[k]
             # num_k = theta_k - c_{k+1} theta_{k+2} - c_{k+2} theta_{k+1}
-            num = _gather(theta_e, ce[k], t0)
-            np.subtract(num, np.multiply(
-                cc[nk], _gather(theta_e, ce[pk], t1), out=t1), out=num)
-            np.subtract(num, np.multiply(
-                cc[pk], _gather(theta_e, ce[nk], t1), out=t1), out=num)
+            num = np.subtract(theta[k], np.multiply(cc[nk], theta[pk], out=t0),
+                              out=t0)
+            np.subtract(num, np.multiply(cc[pk], theta[nk], out=t1), out=num)
             # denom_k = d_k sin(theta_{k+1}) s_{k+2}
-            denom = np.multiply(_gather(d, ft[k], t1),
-                                _gather(sin_e, ce[nk], t2), out=t1)
+            denom = np.multiply(_gather(d, ft[k], t1), sin_t[nk], out=t1)
             np.multiply(denom, s[pk], out=denom)
             _guard(denom, t2, mask, dead)
             np.divide(num, denom, out=w[k])
             np.copyto(w[k], 0.0, where=dead)
-        w_sum = np.bincount(geo.scatter_index(n)[0], w.ravel(),
-                            minlength=nv * n).reshape(c1)
+        w_sum = geo.to_vertex @ w.reshape(3 * nf, n)                   # (C, n)
 
         # rows on a face: that face's exact 2D barycentric weights only
         on_rows = np.zeros(0, dtype=np.int64)
@@ -534,7 +541,6 @@ class _Block:
         n, nv, nf, ne = len(g_sum), geo.n_vertices, len(ft[0]), len(geo.edge_a)
         f1, f3, e1, c1 = (nf, n), (3, nf, n), (ne, n), (nv, n)
         ws = _scratch.use((nv, nf))
-        to_vertex, to_edge, from_a, from_b = geo.scatter_index(n)
         cc, s, dead = self.cc, self.s, self.dead
         tf, tf2, mask = ws.take("f1a", f1), ws.take("f1c", f1), ws.take(
             "m3", f3, bool)
@@ -647,8 +653,7 @@ class _Block:
 
         # theta = 2 asin(|chord| / 2), summed from corners onto edges
         length = self.length
-        g_len = np.bincount(to_edge, g_theta.ravel(),
-                            minlength=ne * n).reshape(e1)
+        g_len = geo.to_edge @ g_theta.reshape(3 * nf, n)              # (E, n)
         x = np.minimum(half, _ASIN_CLAMP, out=te)
         np.sqrt(np.subtract(1.0, np.multiply(x, x, out=x), out=x), out=x)
         safe = ws.take("e1c", e1)
@@ -662,11 +667,8 @@ class _Block:
             _gather(u[i], geo.edge_a, ci)
             np.subtract(ci, _gather(u[i], geo.edge_b, te), out=ci)
             np.multiply(ci, g_len, out=ci)
-            np.subtract(np.bincount(from_a, ci.ravel(), minlength=nv * n),
-                        np.bincount(from_b, ci.ravel(), minlength=nv * n),
-                        out=g_u[i].reshape(-1))
-        g_d = np.bincount(to_vertex, g_dk.ravel(),
-                          minlength=nv * n).reshape(c1)
+            np.subtract(geo.from_a @ ci, geo.from_b @ ci, out=g_u[i])
+        g_d = geo.to_vertex @ g_dk.reshape(3 * nf, n)                 # (C, n)
         # u = diff / d, d = |diff|, on the rows that were not snapped
         t = ws.take("c3b", (3,) + c1)
         tc = np.sum(np.multiply(g_u, u, out=t), axis=0, out=ws.take("c1b", c1))
@@ -715,8 +717,13 @@ def _guard(x, tmp, mask, bad=None):
     return mask
 
 
-def compute_mvc(cage: TriMesh, points, cfg: MvcConfig | None = None) -> MvcMatrix:
-    """Mean value coordinates of ``points`` with respect to ``cage``."""
+def compute_mvc(cage: TriMesh, points, cfg: MvcConfig | None = None,
+                with_flags: bool = True) -> MvcMatrix:
+    """Mean value coordinates of ``points`` with respect to ``cage``.
+
+    ``with_flags=False`` skips the row classification (``flags`` None), for
+    callers that read only the weights.
+    """
     cfg = cfg or MvcConfig()
     validate_cage(cage)
     pts = as_positions(points)
@@ -726,6 +733,7 @@ def compute_mvc(cage: TriMesh, points, cfg: MvcConfig | None = None) -> MvcMatri
         pts,
         eps_vertex=cfg.resolved_eps_vertex(cage),
         eps_plane=cfg.eps_plane,
+        with_flags=with_flags,
     )
     return MvcMatrix(weights=np.asarray(phi), flags=flags)
 

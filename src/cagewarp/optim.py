@@ -264,69 +264,70 @@ def deform_pair(source: TriMesh, target: TriMesh,
     the offset cage.
     """
     cfg = cfg or PipelineConfig()
-    runtime.set_threads(cfg.threads)
-    _check_normalized(source, "source mesh")
-    _check_normalized(target, "target mesh")
+    with runtime.thread_cap(cfg.threads):
+        _check_normalized(source, "source mesh")
+        _check_normalized(target, "target mesh")
 
-    cage0 = cage_around(source, cfg.cage_template, cfg.cage_scale)
-    cage_faces = cage0.faces
-    mvc_cfg = MvcConfig()
-    eps_vertex = mvc_cfg.resolved_eps_vertex(cage0)
+        cage0 = cage_around(source, cfg.cage_template, cfg.cage_scale)
+        cage_faces = cage0.faces
+        mvc_cfg = MvcConfig()
+        eps_vertex = mvc_cfg.resolved_eps_vertex(cage0)
 
-    source_ps = _loss_pointset(source, cfg)
-    target_pts = _target_points(target, source_ps, cfg)
-    target_index = (losses.SpatialIndex(target_pts)
-                    if cfg.align_mode == "chamfer" else None)
-    weights = cfg.loss_weights()
-    wmap = losses.term_weights(weights)
+        source_ps = _loss_pointset(source, cfg)
+        target_pts = _target_points(target, source_ps, cfg)
+        target_index = (losses.SpatialIndex(target_pts)
+                        if cfg.align_mode == "chamfer" else None)
+        weights = cfg.loss_weights()
+        wmap = losses.term_weights(weights)
 
-    def evaluate(leaves):
-        cage_var = leaves["cage"]
-        phi, _ = mvc_weights(
-            cage_var, cage_faces, source_ps.points,
-            eps_vertex=eps_vertex, eps_plane=mvc_cfg.eps_plane,
-            with_flags=False,
+        def evaluate(leaves):
+            cage_var = leaves["cage"]
+            phi, _ = mvc_weights(
+                cage_var, cage_faces, source_ps.points,
+                eps_vertex=eps_vertex, eps_plane=mvc_cfg.eps_plane,
+                with_flags=False,
+            )
+            deformed_cage = cage_var + leaves["offsets"]
+            deformed_pts = ad.matmul(phi, deformed_cage)
+            terms = losses.total_terms(
+                source_ps, deformed_pts, target_pts, phi, deformed_cage,
+                weights, cfg.align_mode, target_index,
+            )
+            return terms, wmap
+
+        def after_update(report, params):
+            for verts in (params["cage"], params["cage"] + params["offsets"]):
+                if np.any(TriMesh(verts, cage_faces).face_areas()
+                          < DEGENERATE_CAGE_AREA):
+                    raise OptimizationError("cage face collapsed",
+                                            reason="degenerate_cage")
+            w = cfg.plateau_window
+            if len(report.trace) > w:
+                prev = report.trace[-w - 1].total
+                cur = report.trace[-1].total
+                if (prev - cur) / max(abs(prev), 1e-12) < cfg.plateau_rel_tol:
+                    return "stall"
+            return None
+
+        params, report = run_adam(
+            {"cage": cage0.vertices.copy(),
+             "offsets": np.zeros_like(cage0.vertices)},
+            DEFORM_STEP_SIZE if cfg.step_size is None else cfg.step_size,
+            DEFORM_MAX_ITERS if cfg.max_iters is None else cfg.max_iters,
+            evaluate, after_update=after_update,
         )
-        deformed_cage = cage_var + leaves["offsets"]
-        deformed_pts = ad.matmul(phi, deformed_cage)
-        terms = losses.total_terms(
-            source_ps, deformed_pts, target_pts, phi, deformed_cage,
-            weights, cfg.align_mode, target_index,
+        cage = TriMesh(params["cage"], cage_faces)
+        deformed_cage = TriMesh(params["cage"] + params["offsets"], cage_faces)
+        vert_mvc = compute_mvc(cage, source.vertices, mvc_cfg,
+                               with_flags=False)
+        deformed_mesh = TriMesh(vert_mvc.weights @ deformed_cage.vertices,
+                                source.faces.copy())
+        report.final_metrics = losses.eval_metrics(
+            deformed_mesh, target, source,
+            n_samples=cfg.n_eval_samples, seed=cfg.seed,
         )
-        return terms, wmap
-
-    def after_update(report, params):
-        for verts in (params["cage"], params["cage"] + params["offsets"]):
-            if np.any(TriMesh(verts, cage_faces).face_areas()
-                      < DEGENERATE_CAGE_AREA):
-                raise OptimizationError("cage face collapsed",
-                                        reason="degenerate_cage")
-        w = cfg.plateau_window
-        if len(report.trace) > w:
-            prev = report.trace[-w - 1].total
-            cur = report.trace[-1].total
-            if (prev - cur) / max(abs(prev), 1e-12) < cfg.plateau_rel_tol:
-                return "stall"
-        return None
-
-    params, report = run_adam(
-        {"cage": cage0.vertices.copy(),
-         "offsets": np.zeros_like(cage0.vertices)},
-        DEFORM_STEP_SIZE if cfg.step_size is None else cfg.step_size,
-        DEFORM_MAX_ITERS if cfg.max_iters is None else cfg.max_iters,
-        evaluate, after_update=after_update,
-    )
-    cage = TriMesh(params["cage"], cage_faces)
-    deformed_cage = TriMesh(params["cage"] + params["offsets"], cage_faces)
-    vert_mvc = compute_mvc(cage, source.vertices, mvc_cfg)
-    deformed_mesh = TriMesh(vert_mvc.weights @ deformed_cage.vertices,
-                            source.faces.copy())
-    report.final_metrics = losses.eval_metrics(
-        deformed_mesh, target, source,
-        n_samples=cfg.n_eval_samples, seed=cfg.seed,
-    )
-    report.final_metrics["final_total"] = report.trace[-1].total
-    return cage, deformed_cage, deformed_mesh, report
+        report.final_metrics["final_total"] = report.trace[-1].total
+        return cage, deformed_cage, deformed_mesh, report
 
 
 def fit_cage(template_cage: TriMesh, source_shape: PointSet,
@@ -341,62 +342,65 @@ def fit_cage(template_cage: TriMesh, source_shape: PointSet,
     once the consistency term drops below ``consistency_threshold``.
     """
     cfg = cfg or PipelineConfig()
-    runtime.set_threads(cfg.threads)
-    landmarks = np.asarray(landmarks, dtype=np.int64).reshape(-1, 2)
-    if not len(landmarks):
-        raise ValueError("no landmarks: fit_cage needs at least one "
-                         "source,novel index pair")
-    src_pts = as_positions(source_shape)
-    dst_pts = as_positions(novel_shape)
-    if landmarks[:, 0].max() >= len(src_pts) or landmarks[:, 0].min() < 0:
-        raise IndexError("source landmark index out of range")
-    if landmarks[:, 1].max() >= len(dst_pts) or landmarks[:, 1].min() < 0:
-        raise IndexError("novel landmark index out of range")
+    with runtime.thread_cap(cfg.threads):
+        landmarks = np.asarray(landmarks, dtype=np.int64).reshape(-1, 2)
+        if not len(landmarks):
+            raise ValueError("no landmarks: fit_cage needs at least one "
+                             "source,novel index pair")
+        src_pts = as_positions(source_shape)
+        dst_pts = as_positions(novel_shape)
+        if landmarks[:, 0].max() >= len(src_pts) or landmarks[:, 0].min() < 0:
+            raise IndexError("source landmark index out of range")
+        if landmarks[:, 1].max() >= len(dst_pts) or landmarks[:, 1].min() < 0:
+            raise IndexError("novel landmark index out of range")
 
-    mvc_cfg = MvcConfig()
-    eps_vertex = mvc_cfg.resolved_eps_vertex(template_cage)
-    template_rows = compute_mvc(
-        template_cage, src_pts[landmarks[:, 0]], mvc_cfg
-    ).weights
-    query_pts = dst_pts[landmarks[:, 1]]
-    template_lap = losses.CageLaplacian(template_cage)
+        mvc_cfg = MvcConfig()
+        eps_vertex = mvc_cfg.resolved_eps_vertex(template_cage)
+        template_rows = compute_mvc(
+            template_cage, src_pts[landmarks[:, 0]], mvc_cfg, with_flags=False
+        ).weights
+        query_pts = dst_pts[landmarks[:, 1]]
+        template_lap = losses.CageLaplacian(template_cage)
 
-    wmap = {"consistency": 1.0, "clap": cfg.clap_weight}
+        wmap = {"consistency": 1.0, "clap": cfg.clap_weight}
 
-    def evaluate(leaves):
-        phi, _ = mvc_weights(
-            leaves["cage"], template_cage.faces, query_pts,
-            eps_vertex=eps_vertex, eps_plane=mvc_cfg.eps_plane,
-            with_flags=False,
+        def evaluate(leaves):
+            phi, _ = mvc_weights(
+                leaves["cage"], template_cage.faces, query_pts,
+                eps_vertex=eps_vertex, eps_plane=mvc_cfg.eps_plane,
+                with_flags=False,
+            )
+            # looked up through the module so tests can replace the
+            # regularizer
+            terms = {
+                "consistency": losses.mvc_consistency(template_rows, phi),
+                "clap": losses.cage_laplacian_loss(template_lap,
+                                                   leaves["cage"]),
+            }
+            return terms, wmap
+
+        def before_update(report):
+            initial_total = report.trace[0].total
+            if report.trace[-1].total > 1e3 * max(initial_total, 1e-12):
+                raise OptimizationError("loss diverged beyond 1000x initial",
+                                        reason="diverged")
+            consistency = report.trace[-1].terms["consistency"]
+            if consistency < cfg.consistency_threshold:
+                return "threshold"
+            return None
+
+        params, report = run_adam(
+            {"cage": template_cage.vertices.copy()},
+            FIT_STEP_SIZE if cfg.step_size is None else cfg.step_size,
+            FIT_MAX_ITERS if cfg.max_iters is None else cfg.max_iters,
+            evaluate, before_update=before_update,
         )
-        # looked up through the module so tests can replace the regularizer
-        terms = {
-            "consistency": losses.mvc_consistency(template_rows, phi),
-            "clap": losses.cage_laplacian_loss(template_lap, leaves["cage"]),
+        report.final_metrics = {
+            "consistency": report.trace[-1].terms["consistency"],
+            "iterations": report.iterations,
         }
-        return terms, wmap
-
-    def before_update(report):
-        initial_total = report.trace[0].total
-        if report.trace[-1].total > 1e3 * max(initial_total, 1e-12):
-            raise OptimizationError("loss diverged beyond 1000x initial",
-                                    reason="diverged")
-        if report.trace[-1].terms["consistency"] < cfg.consistency_threshold:
-            return "threshold"
-        return None
-
-    params, report = run_adam(
-        {"cage": template_cage.vertices.copy()},
-        FIT_STEP_SIZE if cfg.step_size is None else cfg.step_size,
-        FIT_MAX_ITERS if cfg.max_iters is None else cfg.max_iters,
-        evaluate, before_update=before_update,
-    )
-    report.final_metrics = {
-        "consistency": report.trace[-1].terms["consistency"],
-        "iterations": report.iterations,
-    }
-    fitted = TriMesh(params["cage"], template_cage.faces.copy())
-    return fitted, report
+        fitted = TriMesh(params["cage"], template_cage.faces.copy())
+        return fitted, report
 
 
 def transfer(fitted_cage: TriMesh, stored_cage_offsets: np.ndarray,
@@ -408,7 +412,7 @@ def transfer(fitted_cage: TriMesh, stored_cage_offsets: np.ndarray,
             f"offset count {offsets.shape[0]} does not match cage vertex "
             f"count {fitted_cage.n_vertices}"
         )
-    m = compute_mvc(fitted_cage, novel_shape)
+    m = compute_mvc(fitted_cage, novel_shape, with_flags=False)
     deformed = m.weights @ (fitted_cage.vertices + offsets)
     return PointSet(points=deformed)
 

@@ -9,6 +9,7 @@ rows is summed on the calling thread in a fixed order.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -23,6 +24,19 @@ def set_threads(n: int | None) -> None:
     """Cap internal parallelism; None/0 means use all available cores."""
     global _threads
     _threads = int(n) if n else None
+
+
+@contextlib.contextmanager
+def thread_cap(n: int | None):
+    """``set_threads(n)`` for the body of a ``with``; the caller's cap is
+    restored when it exits, also by an exception."""
+    global _threads
+    saved = _threads
+    set_threads(n)
+    try:
+        yield
+    finally:
+        _threads = saved
 
 
 def kdtree_workers() -> int:

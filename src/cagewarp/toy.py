@@ -208,7 +208,8 @@ def train_toy(family: SyntheticFamily, source_cage: TriMesh,
     )
     rng = np.random.default_rng(seed)
     base = family.source_mesh()
-    phi = compute_mvc(source_cage, base.vertices).weights      # (N, C)
+    phi = compute_mvc(source_cage, base.vertices,
+                      with_flags=False).weights                 # (N, C)
     penalty_const = float(losses.mvc_penalty(phi))
 
     descriptors = family.sample_descriptors(n_train, rng)       # (B, 3)
@@ -261,7 +262,7 @@ def eval_toy(predictor: OffsetPredictor, family: SyntheticFamily,
         raise ValueError("predictor carries no cage")
     rng = np.random.default_rng(seed)
     base = family.source_mesh()
-    phi = compute_mvc(predictor.cage, base.vertices).weights
+    phi = compute_mvc(predictor.cage, base.vertices, with_flags=False).weights
     cage_v = predictor.cage.vertices
     baseline_pts = phi @ cage_v                     # identity deformation
 

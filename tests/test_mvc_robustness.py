@@ -255,6 +255,52 @@ def test_threads_do_not_change_kernel_bits(kind, monkeypatch):
         assert np.array_equal(grad, grad_t)
 
 
+class _BincountScatter:
+    """``S @ x`` of an incidence matrix, summed by ``np.bincount``."""
+
+    def __init__(self, target, n_targets):
+        self.target, self.n_targets = target, n_targets
+
+    def __matmul__(self, x):
+        n = x.shape[1]
+        index = (self.target[:, None] * n + np.arange(n)).ravel()
+        return np.bincount(index, x.ravel(),
+                           minlength=self.n_targets * n).reshape(-1, n)
+
+
+@pytest.mark.parametrize("kind", ["sphere162", "sphere42"])
+def test_sparse_scatters_match_bincount(kind, monkeypatch):
+    # the kernel's sparse incidence products add in the order np.bincount
+    # adds in: weights, flags, aux and the taped cage gradient are the same
+    # bits, with snapped and on-face rows on every block boundary
+    cage = make_template_cage(kind, scale=(1.0, 0.8, 0.9))
+    block = mvc._block_rows(cage.n_faces)
+    pts = _boundary_queries(cage, 3 * block + 5, block, seed=19)
+    runs = {}
+    try:
+        for scatter in ("sparse", "bincount"):
+            mvc._topology.cache_clear()
+            if scatter == "bincount":
+                monkeypatch.setattr(mvc, "_incidence", _BincountScatter)
+            for threads in (1, 2, 8):
+                runtime.set_threads(threads)
+                runs[scatter, threads] = _kernel_outputs(cage, pts)
+    finally:
+        runtime.set_threads(None)
+        monkeypatch.undo()
+        mvc._topology.cache_clear()
+    phi, flags, aux, grad = runs["bincount", 1]
+    assert np.sum(flags == FLAG_ON_VERTEX) == 6
+    assert np.sum(flags == FLAG_ON_FACE) == 6
+    assert np.all(np.isfinite(grad))
+    for phi_t, flags_t, aux_t, grad_t in runs.values():
+        assert np.array_equal(phi, phi_t)
+        assert np.array_equal(flags, flags_t)
+        for key in aux:
+            assert np.array_equal(aux[key], aux_t[key]), key
+        assert np.array_equal(grad, grad_t)
+
+
 def test_only_taped_calls_keep_blocks(cage, monkeypatch):
     # an untaped block is freed on the thread that built it; a taped call's
     # blocks live as long as its tape node

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import cagewarp.autodiff as ad
-from cagewarp import losses, optim
+from cagewarp import losses, optim, runtime
 from cagewarp.geometry import (
     PointSet,
     TriMesh,
@@ -193,6 +193,32 @@ class TestDeformPair:
             _, _, _, rep = deform_pair(src, tgt, cfg)
             traces.append([b.total for b in rep.trace])
         assert traces[0] == traces[1] == traces[2]
+
+    def test_thread_cap_restored_on_return_and_raise(self):
+        # a pipeline's ``threads`` caps its own run only; the caller's cap
+        # holds again after it returns or raises
+        src = normalized_box(3)
+        shape = make_template_cage("sphere162", scale=(0.30, 0.22, 0.25))
+        pts = sample_surface(shape, 40, seed=3)
+        cage = make_template_cage("sphere42", scale=(0.35, 0.27, 0.30))
+        lm = np.stack([np.arange(20), np.arange(20)], axis=1)
+        runtime.set_threads(3)
+        try:
+            deform_pair(src, src, PipelineConfig(seed=0, max_iters=1,
+                                                 threads=1,
+                                                 n_eval_samples=50))
+            assert runtime.thread_count() == 3
+            fit_cage(cage, pts, pts, lm, PipelineConfig(max_iters=1,
+                                                        threads=1))
+            assert runtime.thread_count() == 3
+            with pytest.raises(ValueError):
+                deform_pair(src, src, PipelineConfig(max_iters=0, threads=1))
+            assert runtime.thread_count() == 3
+            with pytest.raises(ValueError, match="no landmarks"):
+                fit_cage(cage, pts, pts, lm[:0], PipelineConfig(threads=1))
+            assert runtime.thread_count() == 3
+        finally:
+            runtime.set_threads(None)
 
     def test_source_vertex_on_initial_cage_vertex(self):
         # a small tetrahedron with a corner exactly on a vertex of the
