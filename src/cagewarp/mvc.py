@@ -63,7 +63,7 @@ no gradient, so no NaN/Inf can leak into values or gradients.
 Row flags (``compute_mvc``) come from the same pass: the winding number
 sums each face's solid angle 2 atan2(det[u_0, u_1, u_2], 1 + u_0.u_1 +
 u_1.u_2 + u_2.u_0), and on-vertex and on-face rows are the rows the
-snapping and 2D branches took.  The winding number costs ~6% of an
+snapping and 2D branches took.  The winding number costs ~8% of an
 untaped pass, so callers that read only the weights pass
 ``with_flags=False``.
 """
