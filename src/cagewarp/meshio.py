@@ -23,6 +23,7 @@ from .geometry import DEGENERATE_FACE_AREA, MeshError, PointSet, TriMesh
 
 
 _WRITE_CHUNK = 4096   # rows formatted per write
+_INDEX_CHARS = b"0123456789+- \t\r"   # all a plain face line may hold
 
 
 class ParseError(Exception):
@@ -69,31 +70,31 @@ def load_mesh(path, triangulate_quads: bool = False) -> TriMesh:
 def _read_plain(text: str):
     """(vertices, faces) of an OBJ text in the plain layout, else None.
 
-    Plain: every vertex line starts with ``"v "`` and has at least three
-    numbers, every face line starts with ``"f "`` and has three vertex
-    numbers, and no face line comes before a vertex line.  Each record kind
-    is converted in one ``np.loadtxt`` call; a token it accepts reads to the
-    value ``float`` or ``int`` gives it.  Anything else, every malformed
-    file included, is left to ``_read_records``, so the errors and their
-    line numbers are that parser's.
+    Plain: with comments cut, every line is empty, a ``"v "`` line or an
+    ``"f "`` line, no vertex line follows a face line, and the face lines
+    hold only ASCII digits, signs and whitespace.  Each record kind is then
+    converted in one ``np.loadtxt`` call, which takes a subset of the
+    tokens ``float`` and ``int`` take and reads them to the same values.
+    Anything else, a face without three indices or with one out of range
+    and every malformed file included, is left to ``_read_records``, so
+    the errors and their line numbers are that parser's.
     """
     lines = text.split("\n")
     if "#" in text:
         lines = [ln.split("#", 1)[0] for ln in lines]
     heads = [ln[:2] for ln in lines]
     n_v, n_f = heads.count("v "), heads.count("f ")
-    if n_f and "v " in heads[heads.index("f "):]:
+    if n_v + n_f + heads.count("") != len(lines):
         return None
-    # any other line that is not empty must be one the record parser
-    # ignores too
-    if n_v + n_f + heads.count("") < len(lines) and any(
-            ln.split()[:1] in (["v"], ["f"])
-            for ln, head in zip(lines, heads) if head not in ("v ", "f ")):
+    if n_f and "v " in heads[heads.index("f "):]:
         return None
     v_rows = [ln for ln, head in zip(lines, heads) if head == "v "]
     f_rows = [ln[1:] for ln, head in zip(lines, heads) if head == "f "]
-    if any(map(str.isspace, f_rows)):
-        return None      # an empty face, which loadtxt would skip
+    # numpy before 2.0 reads "2.9" as the int 2 with only a warning, and
+    # loadtxt skips an empty face, so neither may reach it
+    if ("".join(f_rows).encode().translate(None, _INDEX_CHARS)
+            or any(map(str.isspace, f_rows))):
+        return None
     try:
         verts = (np.loadtxt(v_rows, usecols=(1, 2, 3), comments=None,
                             ndmin=2) if v_rows else np.zeros((0, 3)))
@@ -101,9 +102,8 @@ def _read_plain(text: str):
                  if f_rows else np.zeros((0, 3), dtype=np.int64))
     except ValueError:
         return None
-    if faces.shape != (n_f, 3):
-        return None
-    if faces.size and (faces.min() < 1 or faces.max() > len(verts)):
+    if faces.shape != (n_f, 3) or (
+            faces.size and (faces.min() < 1 or faces.max() > len(verts))):
         return None
     return verts, faces - 1
 

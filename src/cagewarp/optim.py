@@ -370,12 +370,10 @@ def fit_cage(template_cage: TriMesh, source_shape: PointSet,
                 eps_vertex=eps_vertex, eps_plane=mvc_cfg.eps_plane,
                 with_flags=False,
             )
-            # looked up through the module so tests can replace the
-            # regularizer
+            # looked up through the module so tests can replace the regularizer
             terms = {
                 "consistency": losses.mvc_consistency(template_rows, phi),
-                "clap": losses.cage_laplacian_loss(template_lap,
-                                                   leaves["cage"]),
+                "clap": losses.cage_laplacian_loss(template_lap, leaves["cage"]),
             }
             return terms, wmap
 
@@ -384,8 +382,7 @@ def fit_cage(template_cage: TriMesh, source_shape: PointSet,
             if report.trace[-1].total > 1e3 * max(initial_total, 1e-12):
                 raise OptimizationError("loss diverged beyond 1000x initial",
                                         reason="diverged")
-            consistency = report.trace[-1].terms["consistency"]
-            if consistency < cfg.consistency_threshold:
+            if report.trace[-1].terms["consistency"] < cfg.consistency_threshold:
                 return "threshold"
             return None
 
