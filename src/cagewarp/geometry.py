@@ -18,7 +18,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.spatial import cKDTree
 
 from . import autodiff as ad
 from . import runtime
@@ -223,14 +222,16 @@ class SpatialIndex:
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         if not len(pts):
             raise ValueError("cannot index an empty point set")
+        # scipy.spatial takes ~0.2 s to import, so only a tree builder does
+        from scipy.spatial import cKDTree
+
         self._tree = cKDTree(pts)
         self.points = pts
 
     def query(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        d, i = self._tree.query(
-            np.asarray(q, dtype=np.float64), workers=runtime.kdtree_workers()
-        )
-        return d, i
+        q = np.asarray(q, dtype=np.float64)
+        workers = runtime.kdtree_workers(q.size // 3)
+        return self._tree.query(q, workers=workers)
 
     def query_index(self, q: np.ndarray) -> np.ndarray:
         return self.query(q)[1]
@@ -257,8 +258,11 @@ def knn_neighborhoods(points: np.ndarray, k: int = 8) -> list:
     pts = np.asarray(points, dtype=np.float64)
     if len(pts) <= k:
         raise ValueError(f"need more than {k} points for k={k} neighborhoods")
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(pts)
-    _, idx = tree.query(pts, k=k + 1, workers=runtime.kdtree_workers())
+    workers = runtime.kdtree_workers(len(pts))
+    _, idx = tree.query(pts, k=k + 1, workers=workers)
     out = []
     for i in range(len(pts)):
         nb = idx[i][idx[i] != i][:k]

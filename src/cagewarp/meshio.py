@@ -6,10 +6,11 @@ fan-triangulation is requested.  Floats are written with 17 significant
 digits so a save/load round trip is bit-exact.
 
 Both directions work on whole record kinds, not lines: a file in the plain
-layout (``v`` lines of numbers, then ``f`` lines of three indices) is read
-by one ``np.loadtxt`` call per record kind, and every other file, every
-malformed one included, by the line-by-line parser, which reports the
-first bad line.  Writers format a chunk of rows with one ``%``.
+layout (``v`` records of numbers, then ``f`` records of three indices,
+``a/b/c`` tokens and records of other kinds allowed) is read by one
+``np.loadtxt`` call per record kind, and every other file, every malformed
+one included, by the line-by-line parser, which reports the first bad
+line.  Writers format a chunk of rows with one ``%``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,10 @@ from .geometry import DEGENERATE_FACE_AREA, MeshError, PointSet, TriMesh
 
 
 _WRITE_CHUNK = 4096   # rows formatted per write
-_INDEX_CHARS = b"0123456789+- \t\r"   # all a plain face line may hold
+_INDEX_CHARS = b"0123456789+- \t\r\n"   # all plain face text may hold
+# the ASCII characters str.split() splits on
+_IS_SPACE = np.zeros(256, dtype=bool)
+_IS_SPACE[list(b" \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f")] = True
 
 
 class ParseError(Exception):
@@ -70,42 +74,64 @@ def load_mesh(path, triangulate_quads: bool = False) -> TriMesh:
 def _read_plain(text: str):
     """(vertices, faces) of an OBJ text in the plain layout, else None.
 
-    Plain: with comments cut, every line is empty, a ``"v "`` line or an
-    ``"f "`` line, no vertex line follows a face line, and the face lines
-    hold only ASCII digits, signs and whitespace.  Each record kind is then
-    converted in one ``np.loadtxt`` call, which takes a subset of the
-    tokens ``float`` and ``int`` take and reads them to the same values.
-    Anything else, a face without three indices or with one out of range
-    and every malformed file included, is left to ``_read_records``, so
-    the errors and their line numbers are that parser's.
+    Plain: with comments cut, no ``v`` record follows an ``f`` record, and
+    the face records, each token cut at its first ``/``, hold only ASCII
+    digits, signs and whitespace.  Records of other kinds are skipped, as
+    ``_read_records`` skips them.  Each record kind is then converted in
+    one ``np.loadtxt`` call, which takes a subset of the tokens ``float``
+    and ``int`` take and reads them to the same values.  Anything else, a
+    face without three indices or with one out of range and every
+    malformed file included, is left to ``_read_records``, so the errors
+    and their line numbers are that parser's.
     """
     lines = text.split("\n")
     if "#" in text:
         lines = [ln.split("#", 1)[0] for ln in lines]
-    heads = [ln[:2] for ln in lines]
-    n_v, n_f = heads.count("v "), heads.count("f ")
-    if n_v + n_f + heads.count("") != len(lines):
-        return None
-    if n_f and "v " in heads[heads.index("f "):]:
-        return None
-    v_rows = [ln for ln, head in zip(lines, heads) if head == "v "]
-    f_rows = [ln[1:] for ln, head in zip(lines, heads) if head == "f "]
-    # numpy before 2.0 reads "2.9" as the int 2 with only a warning, and
-    # loadtxt skips an empty face, so neither may reach it
-    if ("".join(f_rows).encode().translate(None, _INDEX_CHARS)
-            or any(map(str.isspace, f_rows))):
+    records = [ln.split(None, 1) for ln in lines]
+    keys = [r[0] if r else "" for r in records]
+    if "f" in keys and "v" in keys[keys.index("f"):]:
         return None
     try:
-        verts = (np.loadtxt(v_rows, usecols=(1, 2, 3), comments=None,
+        v_rows = [r[1] for r, key in zip(records, keys) if key == "v"]
+        f_rows = [r[1] for r, key in zip(records, keys) if key == "f"]
+    except IndexError:   # a "v" or "f" with nothing after it
+        return None
+    f_text = "\n".join(f_rows)
+    if "/" in f_text:
+        f_text = _cut_slash_tails(f_text)
+    # numpy before 2.0 reads "2.9" as the int 2 with only a warning, so no
+    # such token may reach loadtxt
+    if f_text is None or f_text.encode().translate(None, _INDEX_CHARS):
+        return None
+    try:
+        verts = (np.loadtxt(v_rows, usecols=(0, 1, 2), comments=None,
                             ndmin=2) if v_rows else np.zeros((0, 3)))
-        faces = (np.loadtxt(f_rows, dtype=np.int64, comments=None, ndmin=2)
+        faces = (np.loadtxt(f_text.split("\n"), dtype=np.int64,
+                            comments=None, ndmin=2)
                  if f_rows else np.zeros((0, 3), dtype=np.int64))
     except ValueError:
         return None
-    if faces.shape != (n_f, 3) or (
+    if faces.shape != (len(f_rows), 3) or (
             faces.size and (faces.min() < 1 or faces.max() > len(verts))):
         return None
     return verts, faces - 1
+
+
+def _cut_slash_tails(text: str):
+    """``text`` with each token cut at its first ``/``, the part
+    ``_parse_face_token`` reads; None if the text is not ASCII or a token
+    starts with ``/``."""
+    if not text.isascii():
+        return None
+    c = np.frombuffer(text.encode(), dtype=np.uint8)
+    space = _IS_SPACE.take(c)
+    slash = c == ord("/")
+    if slash[0] or (slash[1:] & space[:-1]).any():
+        return None
+    # slashes so far, against the count at the token's start
+    seen = np.cumsum(slash, dtype=np.int32 if len(c) < 2**31 else np.int64)
+    tail = seen > np.maximum.accumulate(np.where(space, seen, 0))
+    return c[~tail].tobytes().decode()
 
 
 def _read_records(lines, triangulate_quads: bool):

@@ -14,8 +14,8 @@ time.  A pipeline supplies only its loss and its stop checks:
   shape through it (no optimization).
 
 ``toy.train_toy`` runs the same driver.  All pipelines are deterministic for
-a fixed seed; internal parallelism is limited to exact nearest-neighbor
-queries, so results do not depend on the thread cap.
+a fixed seed, and no result bit depends on the thread cap
+(``PipelineConfig.threads``; None keeps the caller's cap).
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Process-wide runtime knobs: the thread cap for internal parallelism.
 
-Two kinds of work run on threads: exact nearest-neighbor queries
-(``cKDTree`` query workers) and the MVC kernel's blocks of query rows
-(``map_ordered`` over a shared thread pool).  Neither changes any result
-bit: each query row is computed by itself, and whatever is summed across
-rows is summed on the calling thread in a fixed order.
+Two kinds of work run on threads: exact nearest-neighbor queries of at
+least ``KDTREE_SERIAL_BELOW`` rows (``cKDTree`` query workers) and the MVC
+kernel's blocks of query rows (``map_ordered`` over a shared thread pool).
+Neither changes any result bit: each query row is computed by itself, and
+whatever is summed across rows is summed on the calling thread in a fixed
+order.
 """
 
 from __future__ import annotations
@@ -20,6 +21,13 @@ _pool_size = 0
 _pool_lock = threading.Lock()
 
 
+# Below this many query rows a serial cKDTree query beat one with
+# workers=-1 on every tree size measured (162, 866 and 5000 points on a
+# sphere; 2 cores): 500 and 866 rows won 15 of 15 rounds, 1024 to 3000
+# rows were split, and 5000 rows lost 13 of 15.
+KDTREE_SERIAL_BELOW = 1024
+
+
 def set_threads(n: int | None) -> None:
     """Cap internal parallelism; None/0 means use all available cores."""
     global _threads
@@ -28,19 +36,25 @@ def set_threads(n: int | None) -> None:
 
 @contextlib.contextmanager
 def thread_cap(n: int | None):
-    """``set_threads(n)`` for the body of a ``with``; the caller's cap is
-    restored when it exits, also by an exception."""
+    """``set_threads(n)`` for the body of a ``with``; None keeps the
+    caller's cap.  The caller's cap is restored when it exits, also by an
+    exception."""
     global _threads
     saved = _threads
-    set_threads(n)
+    if n is not None:
+        set_threads(n)
     try:
         yield
     finally:
         _threads = saved
 
 
-def kdtree_workers() -> int:
-    """Worker count for cKDTree queries (-1 = all cores)."""
+def kdtree_workers(n_queries: int | None = None) -> int:
+    """Worker count for a cKDTree query of ``n_queries`` rows (-1 = all
+    cores).  Fewer than ``KDTREE_SERIAL_BELOW`` rows run on the calling
+    thread, since cKDTree starts new threads on every query."""
+    if n_queries is not None and n_queries < KDTREE_SERIAL_BELOW:
+        return 1
     return _threads if _threads is not None else -1
 
 

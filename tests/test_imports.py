@@ -1,0 +1,105 @@
+"""What a fresh process imports: ``scipy.spatial`` only once a tree is built.
+
+Importing ``scipy.spatial`` (and with it ``scipy.linalg`` and
+``scipy.special``) costs a cold process ~0.2 s and ~15 MiB, and
+``transfer``, ``fit-cage`` and ``compute-mvc`` never build a k-d tree.
+Each check runs in a new interpreter, since this test process has long
+loaded it.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = r"""
+import json
+import sys
+
+loaded = {}
+
+
+def note(stage):
+    loaded[stage] = "scipy.spatial" in sys.modules
+
+
+import cagewarp.cli  # noqa: E402
+note("import cagewarp.cli")
+
+import numpy as np  # noqa: E402
+
+import cagewarp as cw  # noqa: E402
+from cagewarp import cli, geometry, meshio  # noqa: E402
+
+work = sys.argv[1]
+shape = cw.make_box_mesh(4)
+cage = cw.make_template_cage("sphere42", scale=1.5)
+meshio.save_mesh(shape, f"{work}/shape.obj")
+meshio.save_mesh(cage, f"{work}/cage.obj")
+meshio.save_offsets(np.full(cage.vertices.shape, 0.01), f"{work}/off.csv")
+rc = cli.main(["transfer", "--cage", f"{work}/cage.obj", "--offsets",
+               f"{work}/off.csv", "--shape", f"{work}/shape.obj",
+               "--out", f"{work}/out"])
+assert rc == 0, rc
+note("transfer")
+
+pts = cw.PointSet(points=shape.vertices)
+lm = np.stack([np.arange(20), np.arange(20)], axis=1)
+cfg = cw.PipelineConfig(max_iters=2, consistency_threshold=0.0)
+_, report = cw.fit_cage(cage, pts, pts, lm, cfg)
+assert report.iterations == 2, report.iterations
+note("fit_cage")
+
+import spans  # noqa: E402
+import workloads  # noqa: E402
+
+
+def traced(name):
+    w = workloads.WORKLOADS[name](0, work)
+    w.budget = 2
+    w.prepare()
+    tracer = spans.Tracer()
+    tracer.begin_call(0)
+    with tracer, tracer.span(w.root_span):
+        w.call(w.budget)
+    builds = sum(s[spans.NAME] == "geometry.kdtree_build"
+                 for s in tracer.spans)
+    return {"absent": tracer.absent, "kdtree_builds": builds}
+
+
+fit_trace = traced("fit_cage")
+note("traced fit_cage")
+
+geometry.SpatialIndex(shape.vertices)
+note("SpatialIndex")
+
+deform_trace = traced("deform_pair")
+print(json.dumps({"loaded": loaded, "fit_cage": fit_trace,
+                  "deform_pair": deform_trace}))
+"""
+
+
+def test_scipy_spatial_loads_only_with_the_first_tree(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "benchmarks")]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    run = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)],
+                         capture_output=True, text=True, env=env,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout.strip().splitlines()[-1])
+    assert got["loaded"] == {
+        "import cagewarp.cli": False,
+        "transfer": False,
+        "fit_cage": False,
+        "traced fit_cage": False,
+        "SpatialIndex": True,
+    }
+    # every name the benchmark tracer patches is still there to patch
+    assert got["fit_cage"] == {"absent": [], "kdtree_builds": 0}
+    assert got["deform_pair"]["absent"] == []
+    assert got["deform_pair"]["kdtree_builds"] > 0

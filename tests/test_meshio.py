@@ -95,8 +95,19 @@ TET_FACES = "f 1 3 2\nf 1 2 4\nf 1 4 3\nf 2 3 4\n"
     "v  0\t0 0  \n" + TET[8:] + "f  1\t3  2 \n" + TET_FACES[8:],
     (TET + TET_FACES).replace("\n", "\r\n"),
     "v 1e999 nan -inf\n" + TET[8:],
+    "o tet\nvn 0 0 1\nvt 0 0\n" + TET + "usemtl x\ns off\n" + TET_FACES,
+    TET + "f 1/1/1 3/3/3 2/2/2\n" + TET_FACES[8:],
+    TET + "  # indented comment\n" + TET_FACES,
+    TET + "f 1/1/1 3/3/3 2/2/2\nf 1//1 2//2 4//4\nf 1/1 4/4 3/3\n"
+    "f 2/x/y 3/ 4/# cut\n",
+    "g a\nv\t0 0 0\nvn 0 0 1\n  v 1 0 0\nvt 0 0\nv 0 1 0\n\tv 0 0 1\n"
+    "o b\ng b\nf\t1/1/1\t3//2 2/2/\r\n f 1/9/9 2/9 4/\n" + TET_FACES[8:],
+    (TET + "vn 0 0 1\n" + TET_FACES.replace(" 3", " 3/1/1")).replace(
+        "\n", "\r\n"),
 ], ids=["plain", "comments", "number-forms", "vertex-colors",
-        "signed-indices", "spacing", "crlf", "inf-nan"])
+        "signed-indices", "spacing", "crlf", "inf-nan", "other-records",
+        "slashed-tokens", "blank-with-spaces", "token-forms",
+        "exporter-layout", "crlf-slashed"])
 def test_plain_and_line_parsers_agree(text):
     # each of these is in the plain layout, so the bulk path reads it
     plain = meshio._read_plain(text)
@@ -108,11 +119,10 @@ def test_plain_and_line_parsers_agree(text):
 
 
 @pytest.mark.parametrize("text", [
-    "o tet\nvn 0 0 1\nvt 0 0\n" + TET + "usemtl x\ns off\n" + TET_FACES,
-    TET + "f 1/1/1 3/3/3 2/2/2\n" + TET_FACES[8:],
-    TET + "  # indented comment\n" + TET_FACES,
     TET + "f 1 3 2\nv 0.5 0.5 0.5\n" + TET_FACES[8:],
-], ids=["other-records", "slashed-tokens", "blank-with-spaces", "late-vertex"])
+    TET + "f 1/\u00e9 3 2\n" + TET_FACES[8:],
+    TET + "f 1/1\x0b3 2\n" + TET_FACES[8:],
+], ids=["late-vertex", "non-ascii-tail", "vertical-tab"])
 def test_other_layouts_read_line_by_line(tmp_path, text):
     assert meshio._read_plain(text) is None
     path = tmp_path / "m.obj"
@@ -149,11 +159,21 @@ def test_other_layouts_read_line_by_line(tmp_path, text):
      "line 5: face index 4 out of range 1..3"),
     ("v 0 0 0\nv 1 0 0\nv 0 1 0\n  v 0 0 1_0\n" + TET_FACES + "v 1 2 x\n",
      "line 9: bad vertex coordinate"),
+    (TET + TET_FACES + "f /2/3 1 2 3\n", "line 9: bad face index '/2/3'"),
+    (TET + "f 1/2/3 2/ 3//1.5 4\n", "line 5: face has 4 vertices"),
+    (TET + "f 1//1 2//2\n", "line 5: face has 2 vertices"),
+    (TET + "f 1.5/1 2 3\n", "line 5: bad face index '1.5/1'"),
+    (TET + "f 1/1 2/2 5/5\n", "line 5: face index 5 out of range 1..4"),
+    ("o a\ng a\nvn 0 0 1\nvt 0 0\nv\t0 0 0\nv 1 0 0\nv\t0 x 0\n"
+     "f 1/1/1 2//1 3/1\n", "line 7: bad vertex coordinate"),
+    (TET + "f 1/1\x0b3 2 4\n", "line 5: face has 4 vertices"),
 ], ids=["coordinate", "short-vertex", "face-token", "index-high", "index-zero",
         "float-index", "float-index-late", "exponent-index", "negative-index",
         "huge-index", "forward-reference", "quad", "bare-f", "blank-face",
         "two-indices", "slashed-token", "ignored-records", "tab-vertex",
-        "indented-vertex"])
+        "indented-vertex", "leading-slash", "slashed-quad", "slashed-two",
+        "slashed-float", "slashed-high", "exporter-vertex",
+        "vertical-tab-in-tail"])
 def test_malformed_obj_keeps_error_and_line(tmp_path, text, message):
     path = tmp_path / "bad.obj"
     path.write_text(text)
@@ -178,7 +198,8 @@ def test_non_integer_face_tokens_never_reach_loadtxt(monkeypatch):
         return real(rows, *args, **kwargs)
 
     monkeypatch.setattr(meshio.np, "loadtxt", spy)
-    for token in ("1.0", "2.9", "1e0", "nan", "0x1", "1_0", "\u0661"):
+    for token in ("1.0", "2.9", "1e0", "nan", "0x1", "1_0", "\u0661",
+                  "1.0/1", "2.9//3", "/1"):
         assert meshio._read_plain(TET + f"f {token} 2 3\n") is None
     assert seen == []
 

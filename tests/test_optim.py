@@ -220,6 +220,31 @@ class TestDeformPair:
         finally:
             runtime.set_threads(None)
 
+    def test_default_threads_keep_the_callers_cap(self, monkeypatch):
+        # threads=None runs under the cap the caller set, not on every core
+        src = normalized_box(3)
+        shape = make_template_cage("sphere162", scale=(0.30, 0.22, 0.25))
+        pts = sample_surface(shape, 40, seed=3)
+        cage = make_template_cage("sphere42", scale=(0.35, 0.27, 0.30))
+        lm = np.stack([np.arange(20), np.arange(20)], axis=1)
+        seen = []
+        real = optim.mvc_weights
+
+        def spy(*args, **kwargs):
+            seen.append(runtime.thread_count())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optim, "mvc_weights", spy)
+        runtime.set_threads(1)
+        try:
+            deform_pair(src, src, PipelineConfig(seed=0, max_iters=1,
+                                                 n_eval_samples=50))
+            fit_cage(cage, pts, pts, lm, PipelineConfig(max_iters=1))
+            assert runtime.thread_count() == 1
+        finally:
+            runtime.set_threads(None)
+        assert len(seen) == 2 and set(seen) == {1}
+
     def test_source_vertex_on_initial_cage_vertex(self):
         # a small tetrahedron with a corner exactly on a vertex of the
         # initial cage: that row snaps at the first step and must not stop

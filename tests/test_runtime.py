@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from cagewarp import runtime
@@ -52,3 +53,40 @@ def test_error_is_raised_after_every_thread_stops(threads):
     finished = len(done)
     time.sleep(0.05)
     assert len(done) == finished == 39
+
+
+def test_thread_cap_none_keeps_the_callers_cap(threads):
+    threads(1)
+    with runtime.thread_cap(None):
+        assert runtime.thread_count() == 1
+    with runtime.thread_cap(3):
+        assert runtime.thread_count() == 3
+    assert runtime.thread_count() == 1
+
+
+def test_small_kdtree_queries_run_serially(threads):
+    n = runtime.KDTREE_SERIAL_BELOW
+    assert runtime.kdtree_workers() == -1
+    assert runtime.kdtree_workers(n - 1) == 1
+    assert runtime.kdtree_workers(n) == -1
+    threads(3)
+    assert runtime.kdtree_workers() == runtime.kdtree_workers(n) == 3
+    assert runtime.kdtree_workers(1) == 1
+
+
+def test_kdtree_results_do_not_depend_on_workers(threads):
+    from cagewarp.geometry import SpatialIndex, knn_neighborhoods
+
+    rng = np.random.default_rng(4)
+    pts = rng.normal(size=(900, 3))
+    # one query below the serial threshold, one above it
+    queries = [rng.normal(size=(50, 3)), rng.normal(size=(2000, 3))]
+    index = SpatialIndex(pts)
+    results = []
+    for cap in (1, 2, None):
+        threads(cap)
+        found = [a for q in queries for a in index.query(q)]
+        results.append(found + knn_neighborhoods(pts, k=8))
+    for got in results[1:]:
+        assert len(got) == len(results[0])
+        assert all(np.array_equal(a, b) for a, b in zip(got, results[0]))
