@@ -32,7 +32,6 @@ from .mvc import (
     FLAG_EXTERIOR_OK,
     FLAG_ON_FACE,
     FLAG_ON_VERTEX,
-    MvcConfig,
     compute_mvc,
 )
 from .optim import PipelineConfig, deform_pair, fit_cage, transfer_mesh
@@ -160,7 +159,7 @@ def cmd_make_cage(args, cfg, out):
 def cmd_compute_mvc(args, cfg, out):
     cage = meshio.load_mesh(args.cage)
     shape = meshio.load_points(args.shape)
-    m = compute_mvc(cage, shape, MvcConfig())
+    m = compute_mvc(cage, shape)
     outputs = []
     if args.format in ("bin", "both"):
         p = out / "mvc.bin"

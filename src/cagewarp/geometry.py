@@ -4,7 +4,10 @@ Meshes are plain indexed triangle lists.  Point sets optionally carry
 per-point neighborhoods (mesh one-rings or k-NN) together with the fitted
 local plane of each neighborhood: a unit normal and the point-to-plane
 distance.  The plane quantities are the rigid-invariant features consumed
-by the shape-preservation losses.
+by the shape-preservation losses.  Neighborhoods have one form, the packed
+``PaddedNeighborhoods`` arrays that ``pca_frames`` reads; the one-ring and
+k-NN builders return it directly, and ``pad_neighborhoods`` packs any other
+lists.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -12,8 +15,7 @@ threads.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -73,23 +75,23 @@ class TriMesh:
         lo, hi = self.bbox()
         return float(np.linalg.norm(hi - lo))
 
-    def directed_edges(self) -> Counter:
-        c = Counter()
-        for a, b, cc in self.faces:
-            c[(int(a), int(b))] += 1
-            c[(int(b), int(cc))] += 1
-            c[(int(cc), int(a))] += 1
-        return c
-
     def is_closed_oriented(self) -> bool:
         """True when every undirected edge appears exactly once per direction."""
-        edges = self.directed_edges()
-        if any(n != 1 for n in edges.values()):
-            return False
-        return all((b, a) in edges for (a, b) in edges)
+        a, b = _face_edges(self.faces)
+        n = self.n_vertices
+        keys = np.sort(a * n + b)
+        # once per direction: no directed edge repeats, and the reversed
+        # edges are the same set
+        return bool(np.all(keys[1:] != keys[:-1])
+                    and np.array_equal(keys, np.sort(b * n + a)))
 
     def with_vertices(self, vertices: np.ndarray) -> "TriMesh":
         return TriMesh(np.asarray(vertices, dtype=np.float64), self.faces.copy())
+
+
+def _face_edges(faces):
+    """(tail, head) of each face's three edges a->b, b->c, c->a."""
+    return faces.ravel(), faces[:, [1, 2, 0]].ravel()
 
 
 def validate_cage(mesh: TriMesh) -> None:
@@ -100,23 +102,37 @@ def validate_cage(mesh: TriMesh) -> None:
         raise MeshError("cage must be closed and consistently oriented")
 
 
+class PaddedNeighborhoods(NamedTuple):
+    """Ragged neighbor lists packed into rectangular arrays."""
+
+    idx: np.ndarray      # (N, K) neighbor indices, 0 past each list's end
+    mask: np.ndarray     # (N, K) 1.0 on the entries of the list
+    counts: np.ndarray   # (N,) list lengths
+
+
 @dataclass
 class PointSet:
-    """Sampled or vertex positions with optional per-point plane fits."""
+    """Sampled or vertex positions with optional per-point plane fits.
+
+    ``neighborhoods`` are packed (``PaddedNeighborhoods``); pack plain
+    neighbor lists with ``pad_neighborhoods``.
+    """
 
     points: np.ndarray
-    neighborhoods: list | None = None
+    neighborhoods: PaddedNeighborhoods | None = None
     pca_normals: np.ndarray | None = None
     pca_offsets: np.ndarray | None = None
     pca_degenerate: np.ndarray | None = None
-    _padded: "PaddedNeighborhoods | None" = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
         n = len(self.points)
-        if self.neighborhoods is not None and len(self.neighborhoods) != n:
-            raise ValueError("neighborhood count must match point count")
+        if self.neighborhoods is not None:
+            if not isinstance(self.neighborhoods, PaddedNeighborhoods):
+                raise TypeError("neighborhoods must be PaddedNeighborhoods; "
+                                "pack neighbor lists with pad_neighborhoods")
+            if len(self.neighborhoods.idx) != n:
+                raise ValueError("neighborhood count must match point count")
         if self.pca_normals is not None:
             self.pca_normals = np.asarray(self.pca_normals, dtype=np.float64)
             if self.pca_normals.shape != (n, 3):
@@ -138,14 +154,6 @@ class PointSet:
             and self.pca_normals is not None
             and self.pca_offsets is not None
         )
-
-    def padded_neighborhoods(self) -> "PaddedNeighborhoods":
-        """The neighborhoods packed for ``pca_frames``; packed once."""
-        if self.neighborhoods is None:
-            raise ValueError("point set carries no neighborhoods")
-        if self._padded is None:
-            self._padded = pad_neighborhoods(self.neighborhoods)
-        return self._padded
 
 
 def as_positions(x):
@@ -240,20 +248,17 @@ class SpatialIndex:
 # -- neighborhoods ---------------------------------------------------------
 
 
-def one_ring_neighborhoods(mesh: TriMesh) -> list:
+def one_ring_neighborhoods(mesh: TriMesh) -> PaddedNeighborhoods:
     """Per-vertex sorted one-ring neighbor indices (center excluded)."""
-    ring = defaultdict(set)
-    for a, b, c in mesh.faces:
-        ring[int(a)].update((int(b), int(c)))
-        ring[int(b)].update((int(a), int(c)))
-        ring[int(c)].update((int(a), int(b)))
-    return [
-        np.array(sorted(ring.get(i, ())), dtype=np.int64)
-        for i in range(mesh.n_vertices)
-    ]
+    a, b = _face_edges(mesh.faces)
+    n = mesh.n_vertices
+    # both directions of every edge, as sorted unique center * n + neighbor
+    keys = np.unique(np.concatenate((a * n + b, b * n + a)))
+    center, nb = np.divmod(keys, n)
+    return _pack(center, nb, np.bincount(center, minlength=n))
 
 
-def knn_neighborhoods(points: np.ndarray, k: int = 8) -> list:
+def knn_neighborhoods(points: np.ndarray, k: int = 8) -> PaddedNeighborhoods:
     """k nearest neighbors of each point, excluding the point itself."""
     pts = np.asarray(points, dtype=np.float64)
     if len(pts) <= k:
@@ -263,33 +268,34 @@ def knn_neighborhoods(points: np.ndarray, k: int = 8) -> list:
     tree = cKDTree(pts)
     workers = runtime.kdtree_workers(len(pts))
     _, idx = tree.query(pts, k=k + 1, workers=workers)
-    out = []
-    for i in range(len(pts)):
-        nb = idx[i][idx[i] != i][:k]
-        out.append(np.sort(nb).astype(np.int64))
-    return out
-
-
-class PaddedNeighborhoods(NamedTuple):
-    """Ragged neighbor lists packed into rectangular arrays."""
-
-    idx: np.ndarray      # (N, K) neighbor indices, 0 past each list's end
-    mask: np.ndarray     # (N, K) 1.0 on the entries of the list
-    counts: np.ndarray   # (N,) list lengths
+    n = len(pts)
+    # drop each point itself, or, where a duplicate point hid it from the
+    # query, the farthest of the k + 1
+    keep = idx != np.arange(n)[:, None]
+    keep[keep.all(axis=1), -1] = False
+    nb = np.sort(idx[keep].reshape(n, k).astype(np.int64), axis=1)
+    return PaddedNeighborhoods(nb, np.ones((n, k)), np.full(n, float(k)))
 
 
 def pad_neighborhoods(neigh: list) -> PaddedNeighborhoods:
     """Pack ragged neighbor lists into (index, mask, count) arrays."""
-    n = len(neigh)
-    kmax = max(len(nb) for nb in neigh)
-    idx = np.zeros((n, kmax), dtype=np.int64)
-    mask = np.zeros((n, kmax), dtype=np.float64)
-    counts = np.zeros(n, dtype=np.float64)
-    for i, nb in enumerate(neigh):
-        idx[i, : len(nb)] = nb
-        mask[i, : len(nb)] = 1.0
-        counts[i] = len(nb)
-    return PaddedNeighborhoods(idx, mask, counts)
+    counts = np.array([len(nb) for nb in neigh], dtype=np.int64)
+    flat = np.concatenate([np.asarray(nb, dtype=np.int64).reshape(-1)
+                           for nb in neigh])
+    return _pack(np.repeat(np.arange(len(neigh)), counts), flat, counts)
+
+
+def _pack(rows, cols, counts) -> PaddedNeighborhoods:
+    """Packed lists in which list rows[j] holds cols[j], in the order given.
+
+    ``rows`` is ascending, with counts[i] entries equal to i.
+    """
+    pos = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    idx = np.zeros((len(counts), counts.max(initial=0)), dtype=np.int64)
+    mask = np.zeros(idx.shape)
+    idx[rows, pos] = cols
+    mask[rows, pos] = 1.0
+    return PaddedNeighborhoods(idx, mask, counts.astype(np.float64))
 
 
 # -- local plane fits -------------------------------------------------------
@@ -319,7 +325,7 @@ def pca_frames(positions, neighborhoods: PaddedNeighborhoods):
 
     positions may be an ndarray or an autodiff Var; the returned normals and
     offsets are of the same kind.  ``neighborhoods`` are the packed neighbor
-    lists (``PointSet.padded_neighborhoods``).  Returns (normals, centroids,
+    lists (``PointSet.neighborhoods``).  Returns (normals, centroids,
     offsets, degenerate) where ``degenerate`` marks collinear neighborhoods
     whose normal was chosen as a fixed vector orthogonal to the line
     (constant, no gradient).
@@ -359,7 +365,8 @@ def compute_pca_frame(points: PointSet, i: int):
     """Plane fit for one point: (unit normal, neighborhood centroid, offset)."""
     if points.neighborhoods is None:
         raise ValueError("point set carries no neighborhoods")
-    nb = points.neighborhoods[i]
+    idx, _, counts = points.neighborhoods
+    nb = idx[i, :int(counts[i])]
     if len(nb) < 3:
         raise ValueError(f"point {i} has fewer than 3 neighbors")
     normal, centroid, offset, _ = _single_frame(points.points, nb, i)
@@ -386,17 +393,15 @@ def attach_pca_frames(points: PointSet) -> PointSet:
     """Return a copy of ``points`` with normals/offsets computed."""
     if points.neighborhoods is None:
         raise ValueError("point set carries no neighborhoods")
-    padded = points.padded_neighborhoods()
-    normals, _, offsets, degenerate = pca_frames(points.points, padded)
-    out = PointSet(
+    normals, _, offsets, degenerate = pca_frames(points.points,
+                                                 points.neighborhoods)
+    return PointSet(
         points=points.points,
         neighborhoods=points.neighborhoods,
         pca_normals=np.asarray(normals),
         pca_offsets=np.asarray(offsets),
         pca_degenerate=degenerate,
     )
-    out._padded = padded
-    return out
 
 
 def pointset_from_mesh_vertices(mesh: TriMesh) -> PointSet:
@@ -417,7 +422,7 @@ def cot_laplacian(mesh: TriMesh) -> sparse.csr_matrix:
     v = mesh.vertices
     f = mesh.faces
     n = mesh.n_vertices
-    a, b = f.ravel(), f[:, [1, 2, 0]].ravel()
+    a, b = _face_edges(f)
     edges, uses = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
                             return_counts=True)
     bad = [divmod(int(e), n) for e in edges[uses > 2][:5]]

@@ -33,7 +33,13 @@ from .geometry import (
     knn_neighborhoods,
     validate_cage,
 )
-from .mvc import MvcConfig, MvcMatrix, compute_mvc, mvc_weights
+from .mvc import (
+    EPS_PLANE,
+    MvcMatrix,
+    compute_mvc,
+    mvc_weights,
+    vertex_tolerance,
+)
 
 EXCLUSION_FACTOR = 10.0
 
@@ -73,29 +79,22 @@ def grad_deformed(mvc: MvcMatrix, deformed_cage_vertices, loss) -> Gradient:
     return grad
 
 
-def grad_source_cage(cage: TriMesh, points, cfg: MvcConfig | None,
-                     downstream) -> Gradient:
+def grad_source_cage(cage: TriMesh, points, downstream) -> Gradient:
     """Gradient of ``downstream(phi)`` with respect to the source cage.
 
     Rows whose query lies within 10x of the vertex-snap or plane-degeneracy
-    tolerances sit on a branch boundary of the weight computation; their
-    gradient is undefined, so they are replaced by constants (zero gradient)
-    and counted in ``excluded_rows``.
+    tolerances of ``mvc`` sit on a branch boundary of the weight
+    computation; their gradient is undefined, so they are replaced by
+    constants (zero gradient) and counted in ``excluded_rows``.
     """
-    cfg = cfg or MvcConfig()
     validate_cage(cage)
-    pts = as_positions(points)
-    eps_v = cfg.resolved_eps_vertex(cage)
-
     cage_var = ad.Var(cage.vertices)
-    phi, _, aux = mvc_weights(
-        cage_var, cage.faces, pts,
-        eps_vertex=eps_v, eps_plane=cfg.eps_plane,
-        with_aux=True, with_flags=False,
-    )
+    phi, _, aux = mvc_weights(cage_var, cage.faces, as_positions(points),
+                              with_aux=True, with_flags=False)
     excluded = (
-        (aux["min_vertex_dist"] < EXCLUSION_FACTOR * eps_v)
-        | (aux["plane_margin"] < EXCLUSION_FACTOR * cfg.eps_plane)
+        (aux["min_vertex_dist"]
+         < EXCLUSION_FACTOR * vertex_tolerance(cage.vertices))
+        | (aux["plane_margin"] < EXCLUSION_FACTOR * EPS_PLANE)
     )
     if excluded.any():
         phi = ad.where(excluded[:, None], ad.val(phi), phi)
@@ -213,18 +212,15 @@ def random_queries(rng: np.random.Generator, n: int,
 def _source_group_config(rng, downstream, n_points=8,
                          r_lo: float = 0.2, r_hi: float = 0.6):
     """(value_fn, (analytic, x0)) for d downstream(phi) / d source cage."""
-    cfg = MvcConfig()
     while True:
         cage = random_cage(rng)
         pts = random_queries(rng, n_points, r_lo=r_lo, r_hi=r_hi)
-        g = grad_source_cage(cage, pts, cfg, downstream)
+        g = grad_source_cage(cage, pts, downstream)
         if g.excluded_rows == 0:
             break
-    faces = cage.faces
-    eps_v = cfg.resolved_eps_vertex(cage)
 
-    def value_fn(x, faces=faces, pts=pts, eps_v=eps_v, eps_p=cfg.eps_plane):
-        phi, _ = mvc_weights(x, faces, pts, eps_v, eps_p, with_flags=False)
+    def value_fn(x, faces=cage.faces, pts=pts):
+        phi, _ = mvc_weights(x, faces, pts, with_flags=False)
         return float(ad.val(downstream(phi)))
 
     return value_fn, (g.d_loss_d_source_cage, cage.vertices.copy())

@@ -44,10 +44,9 @@ class LossWeights:
     alpha_mvc: float = 1.0
     alpha_shape: float = 0.1
     shape_mode: str = "man_made"
-    clap_weight: float = 0.05
 
     def __post_init__(self):
-        if self.alpha_mvc < 0 or self.alpha_shape < 0 or self.clap_weight < 0:
+        if self.alpha_mvc < 0 or self.alpha_shape < 0:
             raise ValueError("loss weights must be non-negative")
         if self.shape_mode not in ("man_made", "character"):
             raise ValueError(f"unknown shape_mode {self.shape_mode!r}")
@@ -129,8 +128,7 @@ def _require_frames(ps: PointSet, who: str) -> None:
 def p2f_term(before: PointSet, after_positions):
     """Mean squared change of the point-to-plane distances (generic)."""
     _require_frames(before, "before")
-    _, _, off_after, _ = pca_frames(after_positions,
-                                    before.padded_neighborhoods())
+    _, _, off_after, _ = pca_frames(after_positions, before.neighborhoods)
     d = before.pca_offsets - off_after
     return ad.mean_(d * d)
 
@@ -143,8 +141,7 @@ def p2f_loss(before: PointSet, after: PointSet):
 def normal_term(before: PointSet, after_positions):
     """Mean (1 - n . n') over paired plane normals (generic)."""
     _require_frames(before, "before")
-    n_after, _, _, _ = pca_frames(after_positions,
-                                  before.padded_neighborhoods())
+    n_after, _, _, _ = pca_frames(after_positions, before.neighborhoods)
     flip = np.sign(
         np.einsum("ij,ij->i", before.pca_normals, ad.val(n_after))
     )

@@ -6,19 +6,21 @@ the face cuts out of the unit sphere around the query point:
     u_j = (v_j - p) / d_j,  d_j = |v_j - p|
     theta_i = 2 asin(|u_{i+1} - u_{i-1}| / 2)      (arc lengths)
     h = (theta_1 + theta_2 + theta_3) / 2
-    pi - h < eps_plane   ->  p lies on the triangle: its 2D barycentric
+    pi - h < EPS_PLANE   ->  p lies on the triangle: its 2D barycentric
                              weights sin(theta_i) d_{i-1} d_{i+1} make up
                              the whole row
     c_i = 2 sin(h) sin(h - theta_i) / (sin theta_{i+1} sin theta_{i-1}) - 1
     s_i = sign(det[u_1, u_2, u_3]) sqrt(1 - c_i^2)
-    min_i |s_i| <= eps_plane  ->  p lies in the triangle's plane outside
+    min_i |s_i| <= EPS_PLANE  ->  p lies in the triangle's plane outside
                                   it: the face contributes nothing
     w_i = (theta_i - c_{i+1} theta_{i-1} - c_{i-1} theta_{i+1})
           / (d_i sin theta_{i+1} s_{i-1})
 
 followed by normalization to unit sum.  Queries within eps_vertex of a cage
-vertex get that vertex's exact indicator row.  Exterior queries are allowed
-and produce (partially negative) valid weights.
+vertex get that vertex's exact indicator row, where eps_vertex =
+EPS_VERTEX_REL x the bounding-box diagonal of the cage the call is given
+(``vertex_tolerance``).  Exterior queries are allowed and produce
+(partially negative) valid weights.  Neither tolerance is a parameter.
 
 One vectorised pass evaluates these formulas over blocks of query rows.
 The block size follows the face count: 16 * max(1, 46080 // (3 F 16))
@@ -72,6 +74,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import struct
 import threading
 from dataclasses import dataclass
@@ -87,6 +90,14 @@ FLAG_INTERIOR = 0
 FLAG_ON_VERTEX = 1
 FLAG_ON_FACE = 2
 FLAG_EXTERIOR_OK = 3
+
+# The two robustness tolerances of the weights.  A query closer than
+# vertex_tolerance(cage) to a cage vertex snaps to that vertex's indicator
+# row; EPS_PLANE bounds the degenerate spherical-triangle branches.  The
+# vertex tolerance follows the cage of each call, so a cage that moves or
+# scales carries its own.
+EPS_PLANE = 1e-7
+EPS_VERTEX_REL = 1e-8
 
 _MAGIC = b"MVCMAT01"
 _DENOM_TINY = 1e-300
@@ -105,28 +116,11 @@ class MvcError(Exception):
     """Numerically pathological coordinate computation."""
 
 
-@dataclass
-class MvcConfig:
-    """Robustness thresholds.
-
-    eps_vertex: queries closer than this to a cage vertex snap to its
-    indicator row; default 1e-8 times the cage bounding-box diagonal.
-    eps_plane: degeneracy threshold for the spherical-triangle branches.
-    """
-
-    eps_vertex: float | None = None
-    eps_plane: float = 1e-7
-
-    def __post_init__(self):
-        if self.eps_vertex is not None and self.eps_vertex <= 0:
-            raise ValueError("eps_vertex must be positive")
-        if self.eps_plane <= 0:
-            raise ValueError("eps_plane must be positive")
-
-    def resolved_eps_vertex(self, cage: TriMesh) -> float:
-        if self.eps_vertex is not None:
-            return self.eps_vertex
-        return 1e-8 * cage.diameter()
+def vertex_tolerance(vertices) -> float:
+    """Snap distance of a cage: EPS_VERTEX_REL x its bounding-box diagonal."""
+    v = np.asarray(vertices, dtype=np.float64)
+    diagonal = np.linalg.norm(v.max(axis=0) - v.min(axis=0))
+    return EPS_VERTEX_REL * float(diagonal)
 
 
 @dataclass
@@ -167,17 +161,17 @@ class MvcMatrix:
             if rows < 0 or cols < 0:
                 raise ValueError(
                     f"negative MVC matrix dimensions ({rows}, {cols})")
-            data = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
-            if data.size != rows * cols:
+            size = rows * cols * 8
+            if size > os.fstat(fh.fileno()).st_size - fh.tell():
                 raise ValueError("truncated MVC matrix file")
+            data = np.frombuffer(fh.read(size), dtype="<f8")
         return cls(weights=data.reshape(rows, cols).astype(np.float64))
 
     def save_csv(self, path) -> None:
         np.savetxt(path, self.weights, delimiter=",", fmt="%.17g")
 
 
-def mvc_weights(cage_vertices, faces: np.ndarray, points: np.ndarray,
-                eps_vertex: float, eps_plane: float,
+def mvc_weights(cage_vertices, faces: np.ndarray, points: np.ndarray, *,
                 with_aux: bool = False, with_flags: bool = True):
     """Raw weight rows for ``points``; generic over ndarray/Var cage vertices.
 
@@ -186,7 +180,8 @@ def mvc_weights(cage_vertices, faces: np.ndarray, points: np.ndarray,
     ``with_flags=False`` skips the interior/exterior classification (flags
     None), which optimization loops that recompute weights every iteration
     do not need.  With a Var cage, phi is one tape node whose VJP returns
-    d phi / d cage in closed form.
+    d phi / d cage in closed form.  Queries snap to a cage vertex within
+    ``vertex_tolerance(cage_vertices)``.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = len(pts)
@@ -194,13 +189,14 @@ def mvc_weights(cage_vertices, faces: np.ndarray, points: np.ndarray,
         raise MvcError("no query points")
     taped = ad.is_var(cage_vertices)
     geo = _CageGeometry(ad.val(cage_vertices), faces)
+    eps_vertex = vertex_tolerance(geo.cage)
     block = _block_rows(len(geo.faces))
     out = _Rows(n, geo.n_vertices, with_flags)
 
     def run(lo):
         # the block writes its rows into ``out``; an untaped one dies here
-        blk = _Block(geo, pts, slice(lo, lo + block), eps_vertex,
-                     eps_plane, out, taped)
+        blk = _Block(geo, pts, slice(lo, lo + block), eps_vertex, out,
+                     taped)
         return blk if taped else None
 
     blocks = runtime.map_ordered(run, range(0, n, block))
@@ -388,8 +384,8 @@ class _Block:
     the VJP by the same operations, so they carry the same bits.
     """
 
-    def __init__(self, geo, pts, rows, eps_vertex, eps_plane, out, taped):
-        self.geo, self.rows, self.eps_plane = geo, rows, eps_plane
+    def __init__(self, geo, pts, rows, eps_vertex, out, taped):
+        self.geo, self.rows = geo, rows
         ft, ce = geo.ft, geo.corner_edge
         pts = pts[rows]
         n, nv, nf, ne = len(pts), geo.n_vertices, len(ft[0]), len(geo.edge_a)
@@ -451,7 +447,7 @@ class _Block:
         # resolved, so candidates are confirmed against the actual plane
         # distance before the exact-2D replacement fires.  Points that are
         # merely near the plane keep the (accurate) general accumulation.
-        on_face = np.less(np.subtract(np.pi, h, out=tf), eps_plane,
+        on_face = np.less(np.subtract(np.pi, h, out=tf), EPS_PLANE,
                           out=ws.take("m1a", f1, bool))
         if on_face.any():
             fi, ri = np.nonzero(on_face)
@@ -491,7 +487,7 @@ class _Block:
         np.minimum(np.abs(np.subtract(np.pi, h, out=tf), out=tf).min(axis=0),
                    s_min.min(axis=0), out=out.plane_margin[rows])
         dead = keep("m1b", f1, bool)
-        np.logical_or(np.less_equal(s_min, eps_plane, out=dead), on_face,
+        np.logical_or(np.less_equal(s_min, EPS_PLANE, out=dead), on_face,
                       out=dead)
         w = keep("f3c", f3)
         for k in range(3):
@@ -603,7 +599,7 @@ class _Block:
         # s_k = sign(det) sqrt(q_k), q_k = 1 - c_k^2, off the q_bad lanes
         q = np.multiply(cc, cc, out=g_dd)
         np.subtract(1.0, q, out=q)
-        q_bad = np.less(q, self.eps_plane * self.eps_plane, out=mask)
+        q_bad = np.less(q, EPS_PLANE * EPS_PLANE, out=mask)
         np.copyto(q, 1.0, where=q_bad)
         np.multiply(2.0, np.sqrt(q, out=q), out=q)
         g_q = np.multiply(g_s, self.det_sign, out=g_s)
@@ -717,24 +713,16 @@ def _guard(x, tmp, mask, bad=None):
     return mask
 
 
-def compute_mvc(cage: TriMesh, points, cfg: MvcConfig | None = None,
+def compute_mvc(cage: TriMesh, points, *,
                 with_flags: bool = True) -> MvcMatrix:
     """Mean value coordinates of ``points`` with respect to ``cage``.
 
     ``with_flags=False`` skips the row classification (``flags`` None), for
     callers that read only the weights.
     """
-    cfg = cfg or MvcConfig()
     validate_cage(cage)
-    pts = as_positions(points)
-    phi, flags = mvc_weights(
-        cage.vertices,
-        cage.faces,
-        pts,
-        eps_vertex=cfg.resolved_eps_vertex(cage),
-        eps_plane=cfg.eps_plane,
-        with_flags=with_flags,
-    )
+    phi, flags = mvc_weights(cage.vertices, cage.faces, as_positions(points),
+                             with_flags=with_flags)
     return MvcMatrix(weights=np.asarray(phi), flags=flags)
 
 

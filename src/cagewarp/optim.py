@@ -39,7 +39,7 @@ from .geometry import (
     sample_surface,
 )
 from .losses import LossBreakdown, LossWeights
-from .mvc import MvcConfig, compute_mvc, mvc_weights
+from .mvc import compute_mvc, mvc_weights
 
 DEFORM_STEP_SIZE = 2e-3
 DEFORM_MAX_ITERS = 3000
@@ -214,7 +214,6 @@ class PipelineConfig:
             alpha_mvc=self.alpha_mvc,
             alpha_shape=self.alpha_shape,
             shape_mode=self.shape_mode,
-            clap_weight=self.clap_weight,
         )
 
 
@@ -270,8 +269,6 @@ def deform_pair(source: TriMesh, target: TriMesh,
 
         cage0 = cage_around(source, cfg.cage_template, cfg.cage_scale)
         cage_faces = cage0.faces
-        mvc_cfg = MvcConfig()
-        eps_vertex = mvc_cfg.resolved_eps_vertex(cage0)
 
         source_ps = _loss_pointset(source, cfg)
         target_pts = _target_points(target, source_ps, cfg)
@@ -282,11 +279,8 @@ def deform_pair(source: TriMesh, target: TriMesh,
 
         def evaluate(leaves):
             cage_var = leaves["cage"]
-            phi, _ = mvc_weights(
-                cage_var, cage_faces, source_ps.points,
-                eps_vertex=eps_vertex, eps_plane=mvc_cfg.eps_plane,
-                with_flags=False,
-            )
+            phi, _ = mvc_weights(cage_var, cage_faces, source_ps.points,
+                                 with_flags=False)
             deformed_cage = cage_var + leaves["offsets"]
             deformed_pts = ad.matmul(phi, deformed_cage)
             terms = losses.total_terms(
@@ -318,8 +312,7 @@ def deform_pair(source: TriMesh, target: TriMesh,
         )
         cage = TriMesh(params["cage"], cage_faces)
         deformed_cage = TriMesh(params["cage"] + params["offsets"], cage_faces)
-        vert_mvc = compute_mvc(cage, source.vertices, mvc_cfg,
-                               with_flags=False)
+        vert_mvc = compute_mvc(cage, source.vertices, with_flags=False)
         deformed_mesh = TriMesh(vert_mvc.weights @ deformed_cage.vertices,
                                 source.faces.copy())
         report.final_metrics = losses.eval_metrics(
@@ -342,6 +335,9 @@ def fit_cage(template_cage: TriMesh, source_shape: PointSet,
     once the consistency term drops below ``consistency_threshold``.
     """
     cfg = cfg or PipelineConfig()
+    if not cfg.clap_weight >= 0:
+        raise ValueError(
+            f"clap_weight must be non-negative, got {cfg.clap_weight}")
     with runtime.thread_cap(cfg.threads):
         landmarks = np.asarray(landmarks, dtype=np.int64).reshape(-1, 2)
         if not len(landmarks):
@@ -354,10 +350,8 @@ def fit_cage(template_cage: TriMesh, source_shape: PointSet,
         if landmarks[:, 1].max() >= len(dst_pts) or landmarks[:, 1].min() < 0:
             raise IndexError("novel landmark index out of range")
 
-        mvc_cfg = MvcConfig()
-        eps_vertex = mvc_cfg.resolved_eps_vertex(template_cage)
         template_rows = compute_mvc(
-            template_cage, src_pts[landmarks[:, 0]], mvc_cfg, with_flags=False
+            template_cage, src_pts[landmarks[:, 0]], with_flags=False
         ).weights
         query_pts = dst_pts[landmarks[:, 1]]
         template_lap = losses.CageLaplacian(template_cage)
@@ -365,11 +359,8 @@ def fit_cage(template_cage: TriMesh, source_shape: PointSet,
         wmap = {"consistency": 1.0, "clap": cfg.clap_weight}
 
         def evaluate(leaves):
-            phi, _ = mvc_weights(
-                leaves["cage"], template_cage.faces, query_pts,
-                eps_vertex=eps_vertex, eps_plane=mvc_cfg.eps_plane,
-                with_flags=False,
-            )
+            phi, _ = mvc_weights(leaves["cage"], template_cage.faces,
+                                 query_pts, with_flags=False)
             # looked up through the module so tests can replace the regularizer
             terms = {
                 "consistency": losses.mvc_consistency(template_rows, phi),

@@ -24,7 +24,7 @@ from cagewarp.losses import (
     mvc_consistency,
     mvc_penalty,
 )
-from cagewarp.mvc import MvcConfig, compute_mvc
+from cagewarp.mvc import compute_mvc, vertex_tolerance
 from cagewarp.optim import (
     FIT_MAX_ITERS,
     FIT_STEP_SIZE,
@@ -302,8 +302,7 @@ def test_criterion_9_thread_determinism():
 
 def test_criterion_10_eps_robustness():
     octa = TriMesh(OCTA_VERTS.copy(), OCTA_FACES.copy())
-    cfg = MvcConfig()
-    eps_v = cfg.resolved_eps_vertex(octa)
+    eps_v = vertex_tolerance(octa.vertices)
     face_pt = octa.vertices[octa.faces[0]].mean(axis=0)
     edge_pt = 0.5 * (octa.vertices[0] + octa.vertices[2])
     probes = np.vstack([
@@ -315,7 +314,7 @@ def test_criterion_10_eps_robustness():
         edge_pt,                                            # exactly on edge
         edge_pt * (1.0 + 1e-10),                            # near edge
     ])
-    m = compute_mvc(octa, probes, cfg)
+    m = compute_mvc(octa, probes)
     finite = bool(np.isfinite(m.weights).all())
     partition = float(np.abs(m.row_sums() - 1.0).max())
 
@@ -324,7 +323,7 @@ def test_criterion_10_eps_robustness():
     def downstream(phi):
         return ad.sum_(phi * phi)
 
-    g = grad_source_cage(octa, mixed, cfg, downstream)
+    g = grad_source_cage(octa, mixed, downstream)
     grad_finite = bool(np.all(np.isfinite(g.d_loss_d_source_cage)))
     ok = (finite and partition < 1e-9 and g.excluded_rows == 3
           and grad_finite)

@@ -7,7 +7,7 @@ import pytest
 
 import cagewarp.autodiff as ad
 from cagewarp.geometry import TriMesh
-from cagewarp.mvc import MvcConfig, mvc_weights
+from cagewarp.mvc import mvc_weights
 
 from conftest import OCTA_FACES, OCTA_VERTS
 
@@ -215,12 +215,10 @@ def test_norm_grad_zero_survives_mask():
 def test_mvc_weights_grad_finite_on_cage_vertex():
     # the path deform_pair takes: no exclusion mask around mvc_weights
     cage = TriMesh(OCTA_VERTS.copy(), OCTA_FACES.copy())
-    eps_v = MvcConfig().resolved_eps_vertex(cage)
     pts = np.vstack([OCTA_VERTS[0], [0.1, 0.05, -0.2], OCTA_VERTS[3]])
     r = np.random.default_rng(3).normal(size=(3, 6))
     cage_var = ad.Var(cage.vertices)
-    phi, _ = mvc_weights(cage_var, cage.faces, pts, eps_vertex=eps_v,
-                         eps_plane=MvcConfig().eps_plane, with_flags=False)
+    phi, _ = mvc_weights(cage_var, cage.faces, pts, with_flags=False)
     ad.sum_(phi * r + phi * phi).backward()
     assert cage_var.grad is not None
     assert np.all(np.isfinite(cage_var.grad))

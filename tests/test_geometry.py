@@ -30,9 +30,8 @@ class TestTriMesh:
 
     def test_edge_pairing_closed(self, tetra):
         assert tetra.is_closed_oriented()
-        edges = tetra.directed_edges()
-        assert all(n == 1 for n in edges.values())
-        assert all((b, a) in edges for (a, b) in edges)
+        assert make_box_mesh(3).is_closed_oriented()
+        assert make_template_cage("sphere162").is_closed_oriented()
 
     def test_open_mesh_detected(self, tetra):
         open_mesh = TriMesh(tetra.vertices, tetra.faces[:3])
@@ -42,6 +41,20 @@ class TestTriMesh:
         faces = tetra.faces.copy()
         faces[0] = faces[0][::-1]
         assert not TriMesh(tetra.vertices, faces).is_closed_oriented()
+
+    def test_duplicated_face_detected(self, tetra):
+        faces = np.vstack([tetra.faces, tetra.faces[:1]])
+        assert not TriMesh(tetra.vertices, faces).is_closed_oriented()
+
+    def test_missing_twin_edge_detected(self):
+        # every directed edge appears once, but 0->1 and 1->2 of the
+        # first face have no reverse in the (open) strip
+        faces = np.array([[0, 1, 2], [0, 2, 3]])
+        assert not TriMesh(np.eye(4, 3), faces).is_closed_oriented()
+        # two closed tetrahedra glued into one mesh stay closed
+        two = np.vstack([np.eye(4, 3), np.eye(4, 3) + 2.0])
+        tetra = np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])
+        assert TriMesh(two, np.vstack([tetra, tetra + 4])).is_closed_oriented()
 
 
 class TestObjIO:
@@ -202,7 +215,7 @@ class TestPcaFrame:
             dtype=float,
         )
         neigh = [np.array([1, 2, 3, 4])] + [np.array([0, 1, 2])] * 4
-        return PointSet(points=pts, neighborhoods=neigh)
+        return PointSet(points=pts, neighborhoods=pad_neighborhoods(neigh))
 
     def test_planar_neighbors(self):
         ps = self._planar_set()
@@ -227,20 +240,22 @@ class TestPcaFrame:
         true_n = rot @ true_n
         base = rng.uniform(-1, 1, size=(40, 2))
         pts3 = np.column_stack([base, rng.normal(scale=0.01, size=40)]) @ rot.T
-        ps = PointSet(points=pts3, neighborhoods=[np.arange(1, 40)] * 40)
+        ps = PointSet(points=pts3,
+                      neighborhoods=pad_neighborhoods([np.arange(1, 40)] * 40))
         n, _, _ = compute_pca_frame(ps, 0)
         angle = np.degrees(np.arccos(min(1.0, abs(n @ true_n))))
         assert angle < 2.0
 
     def test_too_few_neighbors(self):
         ps = PointSet(points=np.zeros((3, 3)),
-                      neighborhoods=[np.array([1, 2])] * 3)
+                      neighborhoods=pad_neighborhoods([np.array([1, 2])] * 3))
         with pytest.raises(ValueError):
             compute_pca_frame(ps, 0)
 
     def test_collinear_degenerate_deterministic(self):
         pts = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]], dtype=float)
-        ps = PointSet(points=pts, neighborhoods=[np.array([1, 2, 3])] * 4)
+        ps = PointSet(points=pts,
+                      neighborhoods=pad_neighborhoods([np.array([1, 2, 3])] * 4))
         n1, _, _ = compute_pca_frame(ps, 0)
         n2, _, _ = compute_pca_frame(ps, 0)
         assert np.array_equal(n1, n2)
@@ -250,7 +265,8 @@ class TestPcaFrame:
     def test_offset_rigid_invariant(self):
         rng = np.random.default_rng(11)
         pts = rng.normal(size=(12, 3))
-        neigh = [np.delete(np.arange(12), i)[:6] for i in range(12)]
+        neigh = pad_neighborhoods(
+            [np.delete(np.arange(12), i)[:6] for i in range(12)])
         ps = attach_pca_frames(PointSet(points=pts, neighborhoods=neigh))
         rot = random_rotation(rng)
         shift = rng.normal(size=3)
@@ -274,10 +290,8 @@ class TestPcaFrame:
         neigh = one_ring_neighborhoods(mesh)
         ps = attach_pca_frames(PointSet(points=mesh.vertices,
                                         neighborhoods=neigh))
-        padded = ps.padded_neighborhoods()
-        assert ps.padded_neighborhoods() is padded
-        assert np.array_equal(padded.idx, pad_neighborhoods(neigh).idx)
-        normals, _, offsets, _ = pca_frames(ps.points, padded)
+        assert ps.neighborhoods is neigh
+        normals, _, offsets, _ = pca_frames(ps.points, neigh)
         assert np.array_equal(normals, ps.pca_normals)
         assert np.array_equal(offsets, ps.pca_offsets)
 
@@ -404,15 +418,72 @@ class TestSpatialIndex:
             SpatialIndex(np.zeros((0, 3)))
 
 
+def _packed_equal(got, want):
+    return all(np.array_equal(g, w) and g.dtype == w.dtype
+               for g, w in zip(got, want))
+
+
 class TestNeighborhoods:
     def test_one_ring_tetra(self, tetra):
         rings = one_ring_neighborhoods(tetra)
-        for i, ring in enumerate(rings):
-            assert np.array_equal(ring, np.delete(np.arange(4), i))
+        assert np.all(rings.counts == 3) and np.all(rings.mask == 1.0)
+        for i in range(4):
+            assert np.array_equal(rings.idx[i], np.delete(np.arange(4), i))
+
+    @pytest.mark.parametrize("mesh", ["box", "sphere42", "isolated"])
+    def test_one_ring_matches_per_vertex_sets(self, mesh):
+        if mesh == "box":
+            m = make_box_mesh(3)
+        elif mesh == "sphere42":
+            m = make_template_cage("sphere42")
+        else:
+            # vertex 5 is in no face, vertex 4 in one
+            m = TriMesh(np.random.default_rng(0).normal(size=(6, 3)),
+                        np.array([[0, 1, 2], [0, 2, 3], [1, 3, 4]]))
+        ring = [set() for _ in range(m.n_vertices)]
+        for a, b, c in m.faces:
+            ring[a].update((b, c))
+            ring[b].update((a, c))
+            ring[c].update((a, b))
+        want = pad_neighborhoods([np.array(sorted(r), dtype=np.int64)
+                                  for r in ring])
+        assert _packed_equal(one_ring_neighborhoods(m), want)
 
     def test_knn_excludes_self(self):
         rng = np.random.default_rng(4)
         pts = rng.normal(size=(20, 3))
         neigh = knn_neighborhoods(pts, k=8)
-        for i, nb in enumerate(neigh):
-            assert len(nb) == 8 and i not in nb
+        assert neigh.idx.shape == (20, 8) and np.all(neigh.counts == 8)
+        for i, nb in enumerate(neigh.idx):
+            assert i not in nb
+
+    @pytest.mark.parametrize("copies", [1, 3, 12])
+    def test_knn_matches_per_point_lists(self, copies):
+        # with 12 copies of a point, more than k + 1 neighbors sit at
+        # distance 0 and the query may leave a point out of its own row
+        from scipy.spatial import cKDTree
+
+        pts = np.repeat(np.random.default_rng(6).normal(size=(30, 3)),
+                        copies, axis=0)
+        k = 8
+        _, idx = cKDTree(pts).query(pts, k=k + 1)
+        want = pad_neighborhoods([np.sort(idx[i][idx[i] != i][:k])
+                                  for i in range(len(pts))])
+        assert _packed_equal(knn_neighborhoods(pts, k=k), want)
+
+    def test_pad_keeps_order_and_lengths(self):
+        got = pad_neighborhoods([[3, 1, 2], np.array([], dtype=np.int64),
+                                 np.array([4, 0])])
+        assert np.array_equal(got.idx, [[3, 1, 2], [0, 0, 0], [4, 0, 0]])
+        assert np.array_equal(got.mask, [[1, 1, 1], [0, 0, 0], [1, 1, 0]])
+        assert np.array_equal(got.counts, [3.0, 0.0, 2.0])
+        assert (got.idx.dtype, got.mask.dtype, got.counts.dtype) == (
+            np.int64, np.float64, np.float64)
+
+    def test_point_set_takes_only_packed_neighborhoods(self):
+        pts = np.zeros((3, 3))
+        with pytest.raises(TypeError, match="pad_neighborhoods"):
+            PointSet(points=pts, neighborhoods=[np.array([1, 2])] * 3)
+        with pytest.raises(ValueError, match="neighborhood count"):
+            PointSet(points=pts,
+                     neighborhoods=pad_neighborhoods([np.array([1, 2])] * 2))

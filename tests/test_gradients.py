@@ -14,7 +14,7 @@ from cagewarp.gradients import (
     random_queries,
     relative_errors,
 )
-from cagewarp.mvc import MvcConfig, compute_mvc
+from cagewarp.mvc import compute_mvc, vertex_tolerance
 from cagewarp import losses
 
 
@@ -74,7 +74,7 @@ class TestGradSourceCage:
             d = phi - 0.25
             return ad.sum_(d * d)
 
-        g = grad_source_cage(tetra, np.zeros((1, 3)), MvcConfig(), downstream)
+        g = grad_source_cage(tetra, np.zeros((1, 3)), downstream)
         assert np.abs(g.d_loss_d_source_cage).max() < 1e-12
 
     def test_partition_constant_zero_gradient(self):
@@ -85,7 +85,7 @@ class TestGradSourceCage:
         def downstream(phi):
             return ad.sum_(phi)
 
-        g = grad_source_cage(cage, pts, MvcConfig(), downstream)
+        g = grad_source_cage(cage, pts, downstream)
         assert g.value == pytest.approx(len(pts))
         assert np.abs(g.d_loss_d_source_cage).max() < 1e-9
 
@@ -94,8 +94,7 @@ class TestGradSourceCage:
         assert r.passed, r.max_rel_err
 
     def test_excluded_rows_counted_and_silent(self, octa):
-        cfg = MvcConfig()
-        eps_v = cfg.resolved_eps_vertex(octa)
+        eps_v = vertex_tolerance(octa.vertices)
         pts = np.vstack([
             octa.vertices[0] + np.array([5.0 * eps_v, 0.0, 0.0]),
             np.array([0.1, 0.05, -0.2]),
@@ -104,10 +103,10 @@ class TestGradSourceCage:
         def downstream(phi):
             return ad.sum_(phi * phi)
 
-        g = grad_source_cage(octa, pts, cfg, downstream)
+        g = grad_source_cage(octa, pts, downstream)
         assert g.excluded_rows == 1
         # gradient equals the one from the regular row alone
-        g2 = grad_source_cage(octa, pts[1:], cfg, downstream)
+        g2 = grad_source_cage(octa, pts[1:], downstream)
         assert np.allclose(g.d_loss_d_source_cage,
                            g2.d_loss_d_source_cage, atol=1e-12)
 

@@ -12,6 +12,7 @@ from cagewarp.geometry import (
     make_template_cage,
     normalize_to_unit_box,
     one_ring_neighborhoods,
+    pad_neighborhoods,
     reflect_x,
 )
 from cagewarp.losses import (
@@ -143,7 +144,8 @@ class TestP2f:
         )
         # neighborhoods of points 1..4 avoid point 0, so only point 0's
         # plane distance changes when it is lifted off the plane
-        neigh = [np.array([1, 2, 3, 4])] + [np.array([1, 2, 3, 4])] * 4
+        neigh = pad_neighborhoods(
+            [np.array([1, 2, 3, 4])] + [np.array([1, 2, 3, 4])] * 4)
         before = attach_pca_frames(PointSet(points=pts, neighborhoods=neigh))
         h = 0.25
         lifted = pts.copy()
@@ -158,8 +160,9 @@ class TestP2f:
         got = float(ad.val(p2f_term(before, after_pts)))
         # oracle: refit every plane from scratch with the same neighborhoods
         acc = 0.0
-        for i, nb in enumerate(before.neighborhoods):
-            q = after_pts[nb]
+        idx, _, counts = before.neighborhoods
+        for i in range(len(before)):
+            q = after_pts[idx[i, :int(counts[i])]]
             c = q.mean(axis=0)
             cov = (q - c).T @ (q - c) / len(q)
             n = np.linalg.eigh(cov)[1][:, 0]
@@ -184,7 +187,8 @@ class TestNormalLoss:
             [[0, 0, 0], [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]],
             dtype=float,
         )
-        neigh = [np.array([1, 2, 3, 4])] + [np.array([0, 1, 2, 3])] * 4
+        neigh = pad_neighborhoods(
+            [np.array([1, 2, 3, 4])] + [np.array([0, 1, 2, 3])] * 4)
         before = attach_pca_frames(PointSet(points=pts, neighborhoods=neigh))
         rot = np.array([[1.0, 0, 0], [0, 0, -1.0], [0, 1.0, 0]])  # 90 deg about x
         after = pts @ rot.T
@@ -338,6 +342,8 @@ class TestTotalLoss:
     def test_invalid_weights(self):
         with pytest.raises(ValueError):
             LossWeights(alpha_mvc=-1.0)
+        with pytest.raises(TypeError):
+            LossWeights(clap_weight=0.05)   # fit_cage reads its own
         with pytest.raises(ValueError):
             LossWeights(shape_mode="freeform")
 

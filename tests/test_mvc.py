@@ -10,12 +10,12 @@ from cagewarp.mvc import (
     FLAG_INTERIOR,
     FLAG_ON_FACE,
     FLAG_ON_VERTEX,
-    MvcConfig,
     MvcError,
     MvcMatrix,
     compute_mvc,
     deform,
     mvc_weights,
+    vertex_tolerance,
 )
 from conftest import random_rotation
 from mc_oracle import mvc_ray_oracle
@@ -118,14 +118,13 @@ class TestRobustQueries:
         assert np.abs(m.weights @ octa.vertices - p).max() < 1e-7
 
     def test_near_tolerance_queries_finite(self, octa):
-        cfg = MvcConfig()
-        eps_v = cfg.resolved_eps_vertex(octa)
+        eps_v = vertex_tolerance(octa.vertices)
         probes = np.stack([
             octa.vertices[0] + 0.5 * eps_v,          # inside snap radius
             octa.vertices[0] + np.array([3 * eps_v, 0, 0]),
             octa.vertices[octa.faces[0]].mean(axis=0) * (1 + 1e-9),
         ])
-        m = compute_mvc(octa, probes, cfg)
+        m = compute_mvc(octa, probes)
         assert np.isfinite(m.weights).all()
         assert np.abs(m.row_sums() - 1.0).max() < 1e-9
 
@@ -179,18 +178,32 @@ class TestDeform:
             deform(np.zeros((1, 3)), m, octa.vertices[:4])
 
 
-class TestConfig:
-    def test_invalid_eps(self):
-        with pytest.raises(ValueError):
-            MvcConfig(eps_vertex=-1.0)
-        with pytest.raises(ValueError):
-            MvcConfig(eps_plane=0.0)
+class TestTolerances:
+    def test_vertex_tolerance_is_relative_to_the_diagonal(self, octa):
+        assert vertex_tolerance(octa.vertices) == 1e-8 * octa.diameter()
+        big = vertex_tolerance(octa.vertices * 10)
+        assert big == pytest.approx(10 * vertex_tolerance(octa.vertices))
 
-    def test_default_eps_vertex_scales_with_cage(self, octa):
-        cfg = MvcConfig()
-        small = cfg.resolved_eps_vertex(octa)
-        big = cfg.resolved_eps_vertex(TriMesh(octa.vertices * 10, octa.faces))
-        assert big == pytest.approx(10 * small)
+    def test_snaps_by_the_diameter_of_the_given_cage(self, octa):
+        # vertex 5 pushed out from z = -1 to -4 makes the diagonal 1.66x
+        # longer without moving vertex 0 or changing the topology
+        stretched = octa.vertices.copy()
+        stretched[5, 2] = -4.0
+        assert vertex_tolerance(stretched) > 1.5 * vertex_tolerance(
+            octa.vertices)
+        p = octa.vertices[0] - [1.5 * vertex_tolerance(octa.vertices), 0, 0]
+        for cage, snapped in ((octa.vertices, False), (stretched, True)):
+            for given in (cage, ad.Var(cage)):
+                phi, flags = mvc_weights(given, octa.faces, p[None])
+                assert (flags[0] == FLAG_ON_VERTEX) == snapped
+                assert (ad.val(phi)[0, 0] == 1.0) == snapped
+
+    def test_tolerances_are_not_arguments(self, octa):
+        # a positional tolerance or config must fail, not be read as a flag
+        with pytest.raises(TypeError):
+            mvc_weights(octa.vertices, octa.faces, np.zeros((1, 3)), 1e-8)
+        with pytest.raises(TypeError):
+            compute_mvc(octa, np.zeros((1, 3)), None)
 
 
 class TestSerialization:
@@ -221,6 +234,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match="truncated MVC matrix file"):
             MvcMatrix.load_binary(path)
 
+    @pytest.mark.parametrize("rows,cols", [(10**12, 10), (2**62, 2**62)])
+    def test_header_larger_than_file(self, tmp_path, rows, cols):
+        path = tmp_path / "huge.bin"
+        path.write_bytes(b"MVCMAT01" + struct.pack("<qq", rows, cols)
+                         + np.zeros(6).tobytes())
+        with pytest.raises(ValueError, match="truncated MVC matrix file"):
+            MvcMatrix.load_binary(path)
+
     @pytest.mark.parametrize("rows,cols", [(-1, 6), (-2, -3)])
     def test_negative_dimensions(self, tmp_path, rows, cols):
         path = tmp_path / "neg.bin"
@@ -241,23 +262,17 @@ class TestKernelGradientPath:
     def test_var_output_matches_primal(self, octa):
         rng = np.random.default_rng(16)
         pts = rng.uniform(-0.4, 0.4, size=(12, 3))
-        cfg = MvcConfig()
-        eps = cfg.resolved_eps_vertex(octa)
-        primal, _ = mvc_weights(octa.vertices, octa.faces, pts, eps, 1e-7)
-        via_var, _ = mvc_weights(ad.Var(octa.vertices), octa.faces, pts,
-                                 eps, 1e-7)
+        primal, _ = mvc_weights(octa.vertices, octa.faces, pts)
+        via_var, _ = mvc_weights(ad.Var(octa.vertices), octa.faces, pts)
         assert np.array_equal(primal, ad.val(via_var))
 
     def test_jacobian_vs_fd_entries(self, octa):
         rng = np.random.default_rng(17)
         pts = rng.uniform(-0.35, 0.35, size=(4, 3))
-        cfg = MvcConfig()
-        eps = cfg.resolved_eps_vertex(octa)
         r = rng.normal(size=(4, 6))
 
         def downstream(x):
-            phi, _ = mvc_weights(x, octa.faces, pts, eps, 1e-7,
-                                 with_flags=False)
+            phi, _ = mvc_weights(x, octa.faces, pts, with_flags=False)
             return ad.sum_(phi * r)
 
         _, grad = ad.value_and_grad(downstream, octa.vertices)
@@ -267,8 +282,8 @@ class TestKernelGradientPath:
             vp[i, j] += h
             vm[i, j] -= h
             fp = float(np.sum(np.asarray(
-                mvc_weights(vp, octa.faces, pts, eps, 1e-7)[0]) * r))
+                mvc_weights(vp, octa.faces, pts)[0]) * r))
             fm = float(np.sum(np.asarray(
-                mvc_weights(vm, octa.faces, pts, eps, 1e-7)[0]) * r))
+                mvc_weights(vm, octa.faces, pts)[0]) * r))
             fd = (fp - fm) / (2 * h)
             assert abs(grad[i, j] - fd) <= 1e-4 * max(1.0, abs(fd))

@@ -16,9 +16,13 @@ import cagewarp.autodiff as ad
 from cagewarp.geometry import make_template_cage
 from cagewarp.gradients import EXCLUSION_FACTOR, grad_source_cage
 from cagewarp import mvc, runtime
-from cagewarp.mvc import FLAG_ON_FACE, FLAG_ON_VERTEX, MvcConfig, mvc_weights
-
-CFG = MvcConfig()
+from cagewarp.mvc import (
+    EPS_PLANE,
+    FLAG_ON_FACE,
+    FLAG_ON_VERTEX,
+    mvc_weights,
+    vertex_tolerance,
+)
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +52,7 @@ def _sweep(cage):
     """Named query sets at and around every kind of branch boundary."""
     rng = np.random.default_rng(42)
     v, f = cage.vertices, cage.faces
-    eps_v = CFG.resolved_eps_vertex(cage)
+    eps_v = vertex_tolerance(cage.vertices)
     e = _edges(cage)[::4]
     t = rng.uniform(0.1, 0.9, size=(len(e), 1))
     bary = rng.dirichlet([2.0, 2.0, 2.0], size=len(f))
@@ -78,9 +82,7 @@ def _downstream(n, c, seed=0):
 ])
 def test_weights_and_gradients_finite(cage, kind):
     pts = _sweep(cage)[kind]
-    eps_v = CFG.resolved_eps_vertex(cage)
-    phi, flags = mvc_weights(cage.vertices, cage.faces, pts, eps_v,
-                             CFG.eps_plane)
+    phi, flags = mvc_weights(cage.vertices, cage.faces, pts)
     assert np.all(np.isfinite(phi))
     assert np.abs(phi.sum(axis=1) - 1.0).max() <= 1e-12
     if kind == "on_vertex":
@@ -89,13 +91,12 @@ def test_weights_and_gradients_finite(cage, kind):
         assert np.all(flags == FLAG_ON_FACE)
 
     loss, _ = _downstream(len(pts), cage.n_vertices)
-    g = grad_source_cage(cage, pts, CFG, loss)        # raises if non-finite
+    g = grad_source_cage(cage, pts, loss)        # raises if non-finite
     assert np.all(np.isfinite(g.d_loss_d_source_cage))
 
     # the path the pipelines take: no exclusion mask around the kernel
     cage_var = ad.Var(cage.vertices)
-    phi_var, _ = mvc_weights(cage_var, cage.faces, pts, eps_v, CFG.eps_plane,
-                             with_flags=False)
+    phi_var, _ = mvc_weights(cage_var, cage.faces, pts, with_flags=False)
     ad.sum_(loss(phi_var) + phi_var * phi_var).backward()
     assert cage_var.grad is not None
     assert np.all(np.isfinite(cage_var.grad))
@@ -103,14 +104,12 @@ def test_weights_and_gradients_finite(cage, kind):
 
 def _fd_agrees(cage, pts, step, rtol):
     """Kernel gradient of a random linear loss against central differences."""
-    eps_v = CFG.resolved_eps_vertex(cage)
     loss, r = _downstream(len(pts), cage.n_vertices, seed=1)
-    g = grad_source_cage(cage, pts, CFG, loss)
+    g = grad_source_cage(cage, pts, loss)
     assert g.excluded_rows == 0
 
     def value(x):
-        phi, _ = mvc_weights(x, cage.faces, pts, eps_v, CFG.eps_plane,
-                             with_flags=False)
+        phi, _ = mvc_weights(x, cage.faces, pts, with_flags=False)
         return float(np.sum(phi * r))
 
     fd = np.zeros_like(cage.vertices)
@@ -126,7 +125,7 @@ def _fd_agrees(cage, pts, step, rtol):
 
 def test_fd_just_outside_vertex_exclusion(cage):
     pts = _sweep(cage)["outside_exclusion_vertex"][:4]
-    dist = 1.5 * EXCLUSION_FACTOR * CFG.resolved_eps_vertex(cage)
+    dist = 1.5 * EXCLUSION_FACTOR * vertex_tolerance(cage.vertices)
     # the step must stay well inside the distance to the nearby vertex
     _fd_agrees(cage, pts, step=1e-3 * dist, rtol=1e-5)
 
@@ -136,15 +135,14 @@ def test_fd_just_outside_plane_exclusion(cage):
     f = cage.faces[::10]
     centres = cage.vertices[f].mean(axis=1)
     normals = _face_normals(cage)[::10]
-    eps_v = CFG.resolved_eps_vertex(cage)
-    band = EXCLUSION_FACTOR * CFG.eps_plane
+    band = EXCLUSION_FACTOR * EPS_PLANE
     offsets = np.geomspace(1e-9, 1e-3, 61)
     pts, used = [], []
     for c, n in zip(centres, normals):
         for delta in offsets:
             p = (c - delta * n)[None]
-            _, _, aux = mvc_weights(cage.vertices, cage.faces, p, eps_v,
-                                    CFG.eps_plane, with_aux=True)
+            _, _, aux = mvc_weights(cage.vertices, cage.faces, p,
+                                    with_aux=True)
             if aux["plane_margin"][0] >= band:
                 break
         assert aux["plane_margin"][0] < 1.5 * band      # just outside
@@ -183,24 +181,21 @@ def test_rows_do_not_depend_on_block(cage):
     n = 3 * block + 5
     pts = _boundary_queries(cage, n, block, seed=7)
     v, f = cage.vertices, cage.faces
-    eps_v = CFG.resolved_eps_vertex(cage)
-    phi, flags = mvc_weights(v, f, pts, eps_v, CFG.eps_plane)
+    phi, flags = mvc_weights(v, f, pts)
     assert np.sum(flags == FLAG_ON_VERTEX) == 6
     assert np.sum(flags == FLAG_ON_FACE) == 6
     for i in range(n):
-        row, flag = mvc_weights(v, f, pts[i:i + 1], eps_v, CFG.eps_plane)
+        row, flag = mvc_weights(v, f, pts[i:i + 1])
         assert np.array_equal(phi[i], row[0]), i
         assert flags[i] == flag[0], i
 
 
 def _kernel_outputs(cage, pts):
     """Weights, flags, aux and the taped cage gradient of a linear loss."""
-    eps_v = CFG.resolved_eps_vertex(cage)
-    phi, flags, aux = mvc_weights(cage.vertices, cage.faces, pts, eps_v,
-                                  CFG.eps_plane, with_aux=True)
+    phi, flags, aux = mvc_weights(cage.vertices, cage.faces, pts,
+                                  with_aux=True)
     cage_var = ad.Var(cage.vertices)
-    phi_var, _ = mvc_weights(cage_var, cage.faces, pts, eps_v, CFG.eps_plane,
-                             with_flags=False)
+    phi_var, _ = mvc_weights(cage_var, cage.faces, pts, with_flags=False)
     loss, _ = _downstream(len(pts), cage.n_vertices, seed=3)
     loss(phi_var).backward()
     return phi, flags, aux, cage_var.grad
@@ -314,14 +309,13 @@ def test_only_taped_calls_keep_blocks(cage, monkeypatch):
     monkeypatch.setattr(mvc._Block, "__init__", tracked)
     block = mvc._block_rows(cage.n_faces)
     pts = _boundary_queries(cage, 3 * block + 5, block, seed=17)
-    eps_v = CFG.resolved_eps_vertex(cage)
     try:
         runtime.set_threads(2)
-        mvc_weights(cage.vertices, cage.faces, pts, eps_v, CFG.eps_plane)
+        mvc_weights(cage.vertices, cage.faces, pts)
         assert len(made) == 4
         assert all(ref() is None for ref in made)
-        phi, _ = mvc_weights(ad.Var(cage.vertices), cage.faces, pts, eps_v,
-                             CFG.eps_plane, with_flags=False)
+        phi, _ = mvc_weights(ad.Var(cage.vertices), cage.faces, pts,
+                             with_flags=False)
     finally:
         runtime.set_threads(None)
     assert len(made) == 8

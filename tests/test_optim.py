@@ -293,6 +293,14 @@ class TestDeformPair:
         assert np.all(np.isfinite(dcage.vertices))
         assert np.all(np.isfinite(dmesh.vertices))
 
+    def test_clap_weight_not_read(self):
+        # deform_pair has no cage Laplacian term, so its clap_weight is unused
+        src = normalized_box(3)
+        runs = [deform_pair(src, src, PipelineConfig(max_iters=2,
+                                                     clap_weight=clap))[3]
+                for clap in (0.05, -1.0)]
+        assert runs[0].trace_dicts() == runs[1].trace_dicts()
+
     def test_step_budget_below_one_rejected(self):
         src = normalized_box(3)
         for budget in (0, -1):
@@ -435,6 +443,14 @@ class TestFitCage:
         with pytest.raises(ValueError, match="no landmarks"):
             fit_cage(cage, pts, pts, np.zeros((0, 2), dtype=np.int64),
                      PipelineConfig())
+
+    @pytest.mark.parametrize("clap", [-1.0, float("nan")])
+    def test_negative_clap_weight_rejected(self, clap):
+        pts, cage = self._shape_and_cage()
+        lm = np.stack([np.arange(10), np.arange(10)], axis=1)
+        with pytest.raises(ValueError, match="clap_weight"):
+            fit_cage(cage, pts, pts, lm,
+                     PipelineConfig(clap_weight=clap, max_iters=1))
 
     def test_early_stop_honors_threshold_exactly(self):
         pts, cage = self._shape_and_cage()

@@ -86,7 +86,7 @@ def test_kdtree_results_do_not_depend_on_workers(threads):
     for cap in (1, 2, None):
         threads(cap)
         found = [a for q in queries for a in index.query(q)]
-        results.append(found + knn_neighborhoods(pts, k=8))
+        results.append(found + list(knn_neighborhoods(pts, k=8)))
     for got in results[1:]:
         assert len(got) == len(results[0])
         assert all(np.array_equal(a, b) for a, b in zip(got, results[0]))
