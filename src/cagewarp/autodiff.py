@@ -411,17 +411,19 @@ def swapaxes(x, a, b):
     )
 
 
-def smallest_eigvec(c):
+def smallest_eigvec(c, eig=None):
     """Unit eigenvector of the smallest eigenvalue of symmetric (...,3,3).
 
     The sign of the returned vector is whatever ``numpy.linalg.eigh``
-    produces; callers fix signs with a primal rule.  The backward pass uses
-    the standard eigenvector perturbation series and requires the smallest
-    eigenvalue to be simple; gaps are floored at 1e-12 to avoid blow-up at
-    (excluded) degenerate inputs.
+    produces; callers fix signs with a primal rule.  ``eig`` is the
+    ``(lam, vec)`` that ``numpy.linalg.eigh`` returned for ``val(c)``, for
+    callers that already have it.  The backward pass uses the standard
+    eigenvector perturbation series and requires the smallest eigenvalue
+    to be simple; gaps are floored at 1e-12 to avoid blow-up at (excluded)
+    degenerate inputs.
     """
     cv = val(c)
-    lam, vec = np.linalg.eigh(cv)
+    lam, vec = np.linalg.eigh(cv) if eig is None else eig
     v0 = vec[..., 0]
     if not is_var(c):
         return v0

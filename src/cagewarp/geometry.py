@@ -16,13 +16,15 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from . import autodiff as ad
 from . import runtime
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 DEGENERATE_FACE_AREA = 1e-12
 _COLLINEAR_RTOL = 1e-10
@@ -344,7 +346,7 @@ def pca_frames(positions, neighborhoods: PaddedNeighborhoods):
     lam, vec = np.linalg.eigh(cov_p)
     degenerate = lam[:, 1] <= _COLLINEAR_RTOL * np.maximum(lam[:, 2], 1e-30)
 
-    normals = ad.smallest_eigvec(cov)
+    normals = ad.smallest_eigvec(cov, (lam, vec))
     signs = _canonical_normal_signs(ad.val(normals))
     normals = normals * signs[:, None]
 
@@ -419,6 +421,9 @@ def cot_laplacian(mesh: TriMesh) -> sparse.csr_matrix:
 
     Raises on non-manifold edges (more than two incident faces).
     """
+    # scipy.sparse takes ~0.2 s to import, so only a Laplacian builder does
+    from scipy import sparse
+
     v = mesh.vertices
     f = mesh.faces
     n = mesh.n_vertices

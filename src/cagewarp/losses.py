@@ -46,8 +46,10 @@ class LossWeights:
     shape_mode: str = "man_made"
 
     def __post_init__(self):
-        if self.alpha_mvc < 0 or self.alpha_shape < 0:
-            raise ValueError("loss weights must be non-negative")
+        if not (self.alpha_mvc >= 0 and self.alpha_shape >= 0):
+            raise ValueError("loss weights must be non-negative, got "
+                             f"alpha_mvc={self.alpha_mvc}, "
+                             f"alpha_shape={self.alpha_shape}")
         if self.shape_mode not in ("man_made", "character"):
             raise ValueError(f"unknown shape_mode {self.shape_mode!r}")
 

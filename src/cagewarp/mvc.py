@@ -26,19 +26,19 @@ One vectorised pass evaluates these formulas over blocks of query rows.
 The block size follows the face count: 16 * max(1, 46080 // (3 F 16))
 rows, so a (3, F, rows) array, the largest a block builds, stays within
 360 KiB.  A 320-face cage runs 48-row blocks, an 80-face one 192-row
-blocks.  That size was measured against peak memory, since every thread
-holds one block's scratch: on 2 threads, 64-row blocks ran ``cagewarp
-transfer`` on a 320-face cage 5-10% faster than 48-row ones, but its peak
-RSS rose ~3 MiB further, to ~5% above the single-threaded 16-row kernel's.
+blocks.  That size was measured against peak memory, since
+every thread holds one block's scratch: on 2 threads, 64-row blocks ran
+``cagewarp transfer`` on a 320-face cage 5-10% faster than 48-row ones,
+but its peak RSS rose ~3 MiB further, to ~5% above the single-threaded
+16-row kernel's.
 Arc lengths and their sines are taken once per cage edge and gathered
 once per face corner.  The per-corner terms are added into their cage
-columns as products with sparse CSR incidence matrices whose column
-indices are sorted, so every column adds its terms in input order, the
-order ``np.bincount`` adds in: a row's weights are the same bits whatever
-block it falls in.  Unlike ``np.bincount``, a product releases the GIL
-while it sums.  The cage topology (edges, corner-to-edge map, incidence
-matrices) depends only on the faces and is cached per connectivity; only
-the face planes are rebuilt from the vertices on each call.
+columns by numpy scatters: every column adds its terms into 0.0 in
+increasing input order, the order ``np.bincount`` adds in, so a row's
+weights are the same bits whatever block it falls in.  The cage topology
+(edges, corner-to-edge map, scatters) depends only on the faces and is
+cached per connectivity; only the face planes are rebuilt from the
+vertices on each call.
 
 The blocks of a call run on up to ``runtime.thread_count()`` threads (the
 calling thread and pool threads; ``--threads 1`` runs them inline), and
@@ -80,7 +80,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from . import autodiff as ad
 from . import runtime
@@ -162,8 +161,13 @@ class MvcMatrix:
                 raise ValueError(
                     f"negative MVC matrix dimensions ({rows}, {cols})")
             size = rows * cols * 8
-            if size > os.fstat(fh.fileno()).st_size - fh.tell():
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            if size > left:
                 raise ValueError("truncated MVC matrix file")
+            if size < left:
+                raise ValueError(
+                    f"MVC matrix file has {left - size} bytes past its "
+                    f"({rows}, {cols}) payload")
             data = np.frombuffer(fh.read(size), dtype="<f8")
         return cls(weights=data.reshape(rows, cols).astype(np.float64))
 
@@ -264,26 +268,60 @@ class _CageTopology:
         for arr in (self.corner_edge, self.edge_a, self.edge_b):
             arr.flags.writeable = False
         # the scatters of (corner, face) and edge rows into their vertices
-        # and edges, as sparse incidence matrices
-        self.to_vertex = _incidence(self.ft.ravel(), n_vertices)
-        self.to_edge = _incidence(self.corner_edge.ravel(), len(uniq))
-        self.from_a = _incidence(self.edge_a, n_vertices)
-        self.from_b = _incidence(self.edge_b, n_vertices)
+        # and edges
+        self.to_vertex = _Scatter(self.ft.ravel(), n_vertices)
+        self.to_edge = _Scatter(self.corner_edge.ravel(), len(uniq))
+        self.from_a = _Scatter(self.edge_a, n_vertices)
+        self.from_b = _Scatter(self.edge_b, n_vertices)
 
 
-def _incidence(target, n_targets):
-    """CSR matrix S of shape (n_targets, len(target)), S[target[j], j] = 1.
+class _Scatter:
+    """Adds each row j of a (J, n) array into row target[j] of an output.
 
-    ``S @ x`` adds each row j of x into row target[j], starting from zeros.
-    Its column indices are sorted, so every target adds its rows in
-    increasing j, the order ``np.bincount`` adds them in: the sums are the
-    same bits whatever the row count of x.
+    Every target adds its rows into 0.0 in increasing j, the order
+    ``np.bincount`` adds in, so the sums (signed zeros included) are the
+    same bits whatever the column count.  The targets are ranked by row
+    count, most first; slot p holds the p-th row of each of the first t_p
+    ranked targets, and the source rows are gathered once in (slot, rank)
+    order.  A call adds slot p into the first t_p rows of a zeroed
+    accumulator, then gathers the accumulator back into target order.
+    Where the ranking leaves every target in place (the edges of a closed
+    cage, two corners each), the output is the accumulator.
     """
-    order = np.argsort(target, kind="stable")
-    indptr = np.zeros(n_targets + 1, dtype=np.int64)
-    np.cumsum(np.bincount(target, minlength=n_targets), out=indptr[1:])
-    return scipy.sparse.csr_array(
-        (np.ones(len(target)), order, indptr), shape=(n_targets, len(target)))
+
+    def __init__(self, target, n_targets):
+        counts = np.bincount(target, minlength=n_targets)
+        rank = np.argsort(-counts, kind="stable")     # rank -> target
+        first = np.cumsum(counts) - counts
+        by_target = np.argsort(target, kind="stable")
+        ranked = counts[rank]
+        self.slots, index, lo = [], [], 0
+        for p in range(int(ranked.max(initial=0))):
+            t = int(np.count_nonzero(ranked > p))
+            index.append(by_target[first[rank[:t]] + p])
+            self.slots.append((lo, lo + t))
+            lo += t
+        self.index = np.concatenate(index or [np.zeros(0, np.intp)])
+        self.n_hit = self.slots[0][1] if self.slots else 0
+        back = np.argsort(rank)                        # target -> rank
+        in_place = np.array_equal(back, np.arange(n_targets))
+        self.back = None if in_place else back
+        self.n_targets = n_targets
+
+    def __call__(self, ws, x, out):
+        """The sums of ``x`` per target, written into ``out``."""
+        n, t0 = x.shape[1], self.n_hit
+        src = _gather(x, self.index, ws.take("sc_src", (len(self.index), n)))
+        acc = out if self.back is None else ws.take(
+            "sc_acc", (self.n_targets, n))
+        acc[t0:] = 0.0                          # targets with no rows
+        # slot 0 adds into 0.0; x + 0.0 has the bits of 0.0 + x
+        np.add(src[:t0], 0.0, out=acc[:t0])
+        for lo, hi in self.slots[1:]:
+            np.add(acc[:hi - lo], src[lo:hi], out=acc[:hi - lo])
+        if self.back is None:
+            return out
+        return _gather(acc, self.back, out)
 
 
 @functools.lru_cache(maxsize=16)
@@ -370,14 +408,14 @@ class _Block:
     Arrays are laid out (corner, face, row), (edge, row) or (vertex, row),
     with vectors carrying a leading component axis; corner k's neighbours
     are k+1 (_NEXT) and k+2 (_PREV).  Every value of a row depends on that
-    row alone, and sums into cage columns are incidence-matrix products,
-    which add in input order, so a row's weights do not depend on its
-    block.
+    row alone, and the scatters into cage columns add in input order, so a
+    row's weights do not depend on its block.
 
     Temporaries live in the thread's workspace slots, named by the shape
     they hold: f1 (F, n), f3 (3, F, n), e1 (E, n), c1 (C, n), c3 (3, C, n),
-    and m1 / m3 for boolean masks of (F, n) / (3, F, n).  A taped block keeps,
-    in arrays of its own, only what its VJP cannot cheaply rebuild: the
+    and m1 / m3 for boolean masks of (F, n) / (3, F, n); the scatters
+    gather into sc_src and accumulate in sc_acc.  A taped block keeps, in
+    arrays of its own, only what its VJP cannot cheaply rebuild: the
     distances, unit vectors, per-edge arcs and their sines, h, sin(h -
     theta), c, s, the raw weights and the branch masks.  The per-corner
     gathers and the products and guards built from these are rebuilt in
@@ -502,7 +540,8 @@ class _Block:
             _guard(denom, t2, mask, dead)
             np.divide(num, denom, out=w[k])
             np.copyto(w[k], 0.0, where=dead)
-        w_sum = geo.to_vertex @ w.reshape(3 * nf, n)                   # (C, n)
+        w_sum = geo.to_vertex(ws, w.reshape(3 * nf, n),
+                              ws.take("c1b", c1))                     # (C, n)
 
         # rows on a face: that face's exact 2D barycentric weights only
         on_rows = np.zeros(0, dtype=np.int64)
@@ -649,7 +688,8 @@ class _Block:
 
         # theta = 2 asin(|chord| / 2), summed from corners onto edges
         length = self.length
-        g_len = geo.to_edge @ g_theta.reshape(3 * nf, n)              # (E, n)
+        g_len = geo.to_edge(ws, g_theta.reshape(3 * nf, n),
+                            ws.take("e1d", e1))                       # (E, n)
         x = np.minimum(half, _ASIN_CLAMP, out=te)
         np.sqrt(np.subtract(1.0, np.multiply(x, x, out=x), out=x), out=x)
         safe = ws.take("e1c", e1)
@@ -657,16 +697,18 @@ class _Block:
         np.copyto(safe, 1.0, where=length == 0.0)
         np.divide(g_len, np.multiply(x, safe, out=x), out=g_len)
         u, d = self.u, self.d
-        g_u = ws.take("c3a", (3,) + c1)
+        g_u, g_ub = ws.take("c3a", (3,) + c1), ws.take("c1b", c1)
         ci = safe
         for i in range(3):
             _gather(u[i], geo.edge_a, ci)
             np.subtract(ci, _gather(u[i], geo.edge_b, te), out=ci)
             np.multiply(ci, g_len, out=ci)
-            np.subtract(geo.from_a @ ci, geo.from_b @ ci, out=g_u[i])
-        g_d = geo.to_vertex @ g_dk.reshape(3 * nf, n)                 # (C, n)
-        # u = diff / d, d = |diff|, on the rows that were not snapped
+            geo.from_a(ws, ci, g_u[i])
+            np.subtract(g_u[i], geo.from_b(ws, ci, g_ub), out=g_u[i])
         t = ws.take("c3b", (3,) + c1)
+        # g is dead since g_num was gathered from it
+        g_d = geo.to_vertex(ws, g_dk.reshape(3 * nf, n), g)           # (C, n)
+        # u = diff / d, d = |diff|, on the rows that were not snapped
         tc = np.sum(np.multiply(g_u, u, out=t), axis=0, out=ws.take("c1b", c1))
         np.subtract(g_d, np.divide(tc, d, out=tc), out=g_d)
         g_diff = np.divide(g_u, d, out=g_u)

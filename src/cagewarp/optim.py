@@ -263,6 +263,7 @@ def deform_pair(source: TriMesh, target: TriMesh,
     the offset cage.
     """
     cfg = cfg or PipelineConfig()
+    weights = cfg.loss_weights()
     with runtime.thread_cap(cfg.threads):
         _check_normalized(source, "source mesh")
         _check_normalized(target, "target mesh")
@@ -274,7 +275,6 @@ def deform_pair(source: TriMesh, target: TriMesh,
         target_pts = _target_points(target, source_ps, cfg)
         target_index = (losses.SpatialIndex(target_pts)
                         if cfg.align_mode == "chamfer" else None)
-        weights = cfg.loss_weights()
         wmap = losses.term_weights(weights)
 
         def evaluate(leaves):

@@ -1,10 +1,12 @@
-"""What a fresh process imports: ``scipy.spatial`` only once a tree is built.
+"""What a fresh process imports: scipy only for a Laplacian or a k-d tree.
 
-Importing ``scipy.spatial`` (and with it ``scipy.linalg`` and
-``scipy.special``) costs a cold process ~0.2 s and ~15 MiB, and
-``transfer``, ``fit-cage`` and ``compute-mvc`` never build a k-d tree.
+Importing ``scipy.sparse`` costs a cold process ~0.2 s, and
+``scipy.spatial`` (with ``scipy.linalg`` and ``scipy.special``) ~0.2 s
+and ~15 MiB more.  ``transfer``, ``compute-mvc`` and the ``train_toy``
+pipeline build neither a Laplacian nor a tree, so they load no scipy at
+all; ``fit_cage`` loads ``scipy.sparse`` with its first cage Laplacian.
 Each check runs in a new interpreter, since this test process has long
-loaded it.
+loaded scipy.
 """
 
 import json
@@ -12,6 +14,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -23,7 +27,8 @@ loaded = {}
 
 
 def note(stage):
-    loaded[stage] = "scipy.spatial" in sys.modules
+    loaded[stage] = sorted({m for m in ("scipy", "scipy.sparse",
+                                        "scipy.spatial") if m in sys.modules})
 
 
 import cagewarp.cli  # noqa: E402
@@ -45,6 +50,16 @@ rc = cli.main(["transfer", "--cage", f"{work}/cage.obj", "--offsets",
                "--out", f"{work}/out"])
 assert rc == 0, rc
 note("transfer")
+
+rc = cli.main(["compute-mvc", "--cage", f"{work}/cage.obj", "--shape",
+               f"{work}/shape.obj", "--out", f"{work}/mvc"])
+assert rc == 0, rc
+note("compute-mvc")
+
+family = cw.SyntheticFamily(kind="ellipsoid")
+_, report = cw.train_toy(family, family.default_cage(), epochs=2, seed=0)
+assert report.iterations == 2, report.iterations
+note("train_toy")
 
 pts = cw.PointSet(points=shape.vertices)
 lm = np.stack([np.arange(20), np.arange(20)], axis=1)
@@ -82,19 +97,38 @@ print(json.dumps({"loaded": loaded, "fit_cage": fit_trace,
 """
 
 
-def test_scipy_spatial_loads_only_with_the_first_tree(tmp_path):
+@pytest.fixture(scope="module")
+def stages(tmp_path_factory):
+    """The scipy modules loaded after each stage of SCRIPT, and its traces."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "benchmarks")]
         + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    run = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)],
+    run = subprocess.run([sys.executable, "-c", SCRIPT,
+                          str(tmp_path_factory.mktemp("imports"))],
                          capture_output=True, text=True, env=env,
                          timeout=300)
     assert run.returncode == 0, run.stderr
-    got = json.loads(run.stdout.strip().splitlines()[-1])
-    assert got["loaded"] == {
+    return json.loads(run.stdout.strip().splitlines()[-1])
+
+
+def test_no_scipy_without_a_laplacian_or_a_tree(stages):
+    loaded = stages["loaded"]
+    for stage in ("import cagewarp.cli", "transfer", "compute-mvc",
+                  "train_toy"):
+        assert loaded[stage] == [], stage
+    assert loaded["fit_cage"] == ["scipy", "scipy.sparse"]
+
+
+def test_scipy_spatial_loads_only_with_the_first_tree(stages):
+    got = stages
+    spatial = {stage: "scipy.spatial" in mods
+               for stage, mods in got["loaded"].items()}
+    assert spatial == {
         "import cagewarp.cli": False,
         "transfer": False,
+        "compute-mvc": False,
+        "train_toy": False,
         "fit_cage": False,
         "traced fit_cage": False,
         "SpatialIndex": True,

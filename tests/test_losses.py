@@ -342,6 +342,9 @@ class TestTotalLoss:
     def test_invalid_weights(self):
         with pytest.raises(ValueError):
             LossWeights(alpha_mvc=-1.0)
+        for field in ("alpha_mvc", "alpha_shape"):
+            with pytest.raises(ValueError, match="non-negative"):
+                LossWeights(**{field: float("nan")})
         with pytest.raises(TypeError):
             LossWeights(clap_weight=0.05)   # fit_cage reads its own
         with pytest.raises(ValueError):

@@ -242,6 +242,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match="truncated MVC matrix file"):
             MvcMatrix.load_binary(path)
 
+    def test_bytes_past_payload(self, tmp_path):
+        # a (2, 3) header with its 6 doubles and 8 bytes more
+        path = tmp_path / "long.bin"
+        path.write_bytes(b"MVCMAT01" + struct.pack("<qq", 2, 3)
+                         + np.zeros(6).tobytes() + b"\x00" * 8)
+        with pytest.raises(ValueError, match="8 bytes past its"):
+            MvcMatrix.load_binary(path)
+
     @pytest.mark.parametrize("rows,cols", [(-1, 6), (-2, -3)])
     def test_negative_dimensions(self, tmp_path, rows, cols):
         path = tmp_path / "neg.bin"

@@ -250,33 +250,75 @@ def test_threads_do_not_change_kernel_bits(kind, monkeypatch):
         assert np.array_equal(grad, grad_t)
 
 
+def _bincount_sums(target, n_targets, x):
+    """Rows of ``x`` summed per target by ``np.bincount``."""
+    n = x.shape[1]
+    index = (target[:, None] * n + np.arange(n)).ravel()
+    return np.bincount(index, x.ravel(),
+                       minlength=n_targets * n).reshape(-1, n)
+
+
 class _BincountScatter:
-    """``S @ x`` of an incidence matrix, summed by ``np.bincount``."""
+    """``mvc._Scatter``'s interface, summed by ``np.bincount``."""
 
     def __init__(self, target, n_targets):
         self.target, self.n_targets = target, n_targets
 
-    def __matmul__(self, x):
-        n = x.shape[1]
-        index = (self.target[:, None] * n + np.arange(n)).ravel()
-        return np.bincount(index, x.ravel(),
-                           minlength=self.n_targets * n).reshape(-1, n)
+    def __call__(self, ws, x, out):
+        out[...] = _bincount_sums(self.target, self.n_targets, x)
+        return out
+
+
+@pytest.mark.parametrize("n_targets, n_rows, pairs", [
+    (1, 1, False), (7, 40, False), (162, 960, False), (40, 12, False),
+    (480, 960, True)])
+@pytest.mark.parametrize("cols", ["one", "3n", "-0.0"])
+def test_scatter_matches_bincount(n_targets, n_rows, pairs, cols):
+    # random targets, some with no rows at all (as from_a and from_b have),
+    # or two rows each (as to_edge has, which accumulates in place); every
+    # target adds its rows into 0.0 in increasing j, like np.bincount
+    rng = np.random.default_rng(n_targets * 1000 + n_rows)
+    if pairs:
+        target = rng.permutation(np.repeat(np.arange(n_targets), 2))
+    else:
+        hit = rng.choice(n_targets, size=max(1, n_targets - n_targets // 4),
+                         replace=False)
+        target = rng.choice(hit, size=n_rows)
+    n = {"one": 1, "3n": 3 * 17, "-0.0": 5}[cols]
+    x = (np.full((n_rows, n), -0.0) if cols == "-0.0"
+         else rng.normal(size=(n_rows, n)) * 10.0 ** rng.integers(
+             -8, 9, size=(n_rows, 1)))
+    scatter = mvc._Scatter(target, n_targets)
+    if pairs:
+        assert scatter.back is None
+    ws = mvc._Workspace()
+    out = np.full((n_targets, n), np.nan)
+    got = scatter(ws, x, out)
+    want = _bincount_sums(target, n_targets, x)
+    assert got is out
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    if cols == "-0.0":
+        assert not np.signbit(got).any()
+    # the workspace's buffers are reused, and a smaller call reads none of
+    # the larger one's leftovers
+    again = scatter(ws, x[:, :1].copy(), np.empty((n_targets, 1)))
+    assert np.array_equal(again.view(np.int64), want[:, :1].view(np.int64))
 
 
 @pytest.mark.parametrize("kind", ["sphere162", "sphere42"])
-def test_sparse_scatters_match_bincount(kind, monkeypatch):
-    # the kernel's sparse incidence products add in the order np.bincount
-    # adds in: weights, flags, aux and the taped cage gradient are the same
-    # bits, with snapped and on-face rows on every block boundary
+def test_numpy_scatters_match_bincount(kind, monkeypatch):
+    # the kernel's numpy scatters add in the order np.bincount adds in:
+    # weights, flags, aux and the taped cage gradient are the same bits,
+    # with snapped and on-face rows on every block boundary
     cage = make_template_cage(kind, scale=(1.0, 0.8, 0.9))
     block = mvc._block_rows(cage.n_faces)
     pts = _boundary_queries(cage, 3 * block + 5, block, seed=19)
     runs = {}
     try:
-        for scatter in ("sparse", "bincount"):
+        for scatter in ("numpy", "bincount"):
             mvc._topology.cache_clear()
             if scatter == "bincount":
-                monkeypatch.setattr(mvc, "_incidence", _BincountScatter)
+                monkeypatch.setattr(mvc, "_Scatter", _BincountScatter)
             for threads in (1, 2, 8):
                 runtime.set_threads(threads)
                 runs[scatter, threads] = _kernel_outputs(cage, pts)

@@ -301,6 +301,18 @@ class TestDeformPair:
                 for clap in (0.05, -1.0)]
         assert runs[0].trace_dicts() == runs[1].trace_dicts()
 
+    @pytest.mark.parametrize("field", ["alpha_mvc", "alpha_shape"])
+    def test_nan_loss_weight_rejected(self, field, monkeypatch):
+        # NaN fails every comparison, so it must fail the check before a step
+        def no_step(*args, **kwargs):
+            raise AssertionError("deform_pair took a step")
+
+        monkeypatch.setattr(optim, "run_adam", no_step)
+        src = normalized_box(3)
+        cfg = PipelineConfig(max_iters=2, **{field: float("nan")})
+        with pytest.raises(ValueError, match="non-negative"):
+            deform_pair(src, src, cfg)
+
     def test_step_budget_below_one_rejected(self):
         src = normalized_box(3)
         for budget in (0, -1):
