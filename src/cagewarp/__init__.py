@@ -26,11 +26,6 @@ from .losses import (
     l2_corresponded,
     mvc_consistency,
     mvc_penalty,
-    normal_loss,
-    p2f_loss,
-    shape_loss,
-    symmetry_loss,
-    total_loss,
 )
 from .meshio import load_mesh, load_points, save_mesh, save_points
 from .mvc import MvcError, MvcMatrix, compute_mvc, deform
@@ -84,16 +79,11 @@ __all__ = [
     "make_template_cage",
     "mvc_consistency",
     "mvc_penalty",
-    "normal_loss",
     "normalize_to_unit_box",
-    "p2f_loss",
     "reflect_x",
     "sample_surface",
     "save_mesh",
     "save_points",
-    "shape_loss",
-    "symmetry_loss",
-    "total_loss",
     "train_toy",
     "transfer",
 ]

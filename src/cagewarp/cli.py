@@ -65,7 +65,6 @@ def _load_config(args) -> PipelineConfig:
         cfg.seed = args.seed
     if args.threads is not None:
         cfg.threads = args.threads
-    runtime.set_threads(cfg.threads)
     return cfg
 
 
@@ -117,18 +116,22 @@ def _run(args) -> None:
     The command returns (outputs, metrics, report).  Its wall time is the
     optimizer's when it returns an ``OptimReport``, else the time from the
     start manifest to its return.  A gradient check that failed raises only
-    after its report and manifest are written.
+    after its report and manifest are written.  The command runs under the
+    config's thread cap (None keeps the caller's), and the caller's cap is
+    restored when it returns.
     """
     cfg = _load_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(out, args.command, cfg,
-                           {name: getattr(args, name) for name in args.inputs})
-    t0 = time.perf_counter()
-    outputs, metrics, report = args.func(args, cfg, out)
-    wall_time = time.perf_counter() - t0 if report is None \
-        else report.wall_time
-    manifest.finalize(outputs + [_write_report(out, metrics, wall_time)])
+    with runtime.thread_cap(cfg.threads):
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        manifest = RunManifest(
+            out, args.command, cfg,
+            {name: getattr(args, name) for name in args.inputs})
+        t0 = time.perf_counter()
+        outputs, metrics, report = args.func(args, cfg, out)
+        wall_time = time.perf_counter() - t0 if report is None \
+            else report.wall_time
+        manifest.finalize(outputs + [_write_report(out, metrics, wall_time)])
     if metrics.get("pass") is False:
         raise RuntimeError("gradient check failed")
 

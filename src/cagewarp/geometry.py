@@ -124,7 +124,6 @@ class PointSet:
     neighborhoods: PaddedNeighborhoods | None = None
     pca_normals: np.ndarray | None = None
     pca_offsets: np.ndarray | None = None
-    pca_degenerate: np.ndarray | None = None
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
@@ -395,14 +394,12 @@ def attach_pca_frames(points: PointSet) -> PointSet:
     """Return a copy of ``points`` with normals/offsets computed."""
     if points.neighborhoods is None:
         raise ValueError("point set carries no neighborhoods")
-    normals, _, offsets, degenerate = pca_frames(points.points,
-                                                 points.neighborhoods)
+    normals, _, offsets, _ = pca_frames(points.points, points.neighborhoods)
     return PointSet(
         points=points.points,
         neighborhoods=points.neighborhoods,
         pca_normals=np.asarray(normals),
         pca_offsets=np.asarray(offsets),
-        pca_degenerate=degenerate,
     )
 
 

@@ -135,11 +135,6 @@ def p2f_term(before: PointSet, after_positions):
     return ad.mean_(d * d)
 
 
-def p2f_loss(before: PointSet, after: PointSet):
-    """Point-to-surface preservation between source and deformed sets."""
-    return float(ad.val(p2f_term(before, as_positions(after))))
-
-
 def normal_term(before: PointSet, after_positions):
     """Mean (1 - n . n') over paired plane normals (generic)."""
     _require_frames(before, "before")
@@ -151,11 +146,6 @@ def normal_term(before: PointSet, after_positions):
     return ad.mean_(1.0 - ad.dot_last(before.pca_normals, n_after * flip[:, None]))
 
 
-def normal_loss(before: PointSet, after: PointSet):
-    """Angular change of the fitted plane normals."""
-    return float(ad.val(normal_term(before, as_positions(after))))
-
-
 def symmetry_term(points, index=None):
     """Chamfer distance to the reflection across x = 0 (generic).
 
@@ -163,10 +153,6 @@ def symmetry_term(points, index=None):
     """
     p = as_positions(points)
     return chamfer(p, p * _REFLECT_X, index_a=index)
-
-
-def symmetry_loss(points):
-    return float(ad.val(symmetry_term(points)))
 
 
 def shape_terms(before: PointSet, after_positions, cage_after_positions,
@@ -183,13 +169,6 @@ def shape_terms(before: PointSet, after_positions, cage_after_positions,
     elif mode != "character":
         raise ValueError(f"unknown shape mode {mode!r}")
     return terms
-
-
-def shape_loss(before: PointSet, after, cage_after, mode: str) -> LossBreakdown:
-    """Shape preservation: p2f (+ normal + symmetries for man-made shapes)."""
-    terms = shape_terms(before, as_positions(after), as_positions(cage_after),
-                        mode)
-    return LossBreakdown.from_terms(terms, {k: 1.0 for k in terms})
 
 
 # -- combined objective ---------------------------------------------------------
@@ -243,16 +222,6 @@ def weighted_total(terms: dict, weights: dict):
         contrib = value * weights[name]
         total = contrib if total is None else total + contrib
     return total
-
-
-def total_loss(source: PointSet, deformed, target, mvc, cage_deformed,
-               weights: LossWeights, align_mode: str = "chamfer") -> LossBreakdown:
-    """Combined objective: weighted coordinates + alignment + shape terms."""
-    terms = total_terms(
-        source, as_positions(deformed), as_positions(target), mvc,
-        as_positions(cage_deformed), weights, align_mode,
-    )
-    return LossBreakdown.from_terms(terms, term_weights(weights))
 
 
 # -- cage fitting -----------------------------------------------------------------

@@ -189,21 +189,31 @@ def save_mesh(mesh: TriMesh, path) -> None:
         _write_rows(fh, "f %d %d %d\n", mesh.faces + 1)
 
 
+def _read_csv_rows(path, width: int, convert, layout: str,
+                   bad_value: str) -> list:
+    """Rows of ``width`` values of a CSV file, each value read with
+    ``convert``; blank rows are skipped.  A row of another width raises
+    ``ParseError`` "line N: expected <layout>", a value ``convert``
+    rejects "line N: <bad_value>"."""
+    rows = []
+    with open(path, "r") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != width:
+                raise ParseError(f"line {lineno}: expected {layout}")
+            try:
+                rows.append([convert(x) for x in row])
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: {bad_value}") from exc
+    return rows
+
+
 def load_points(path) -> PointSet:
     """Load a point set from OBJ `v` records or a CSV of x,y,z rows."""
     p = Path(path)
     if p.suffix.lower() == ".csv":
-        pts = []
-        with open(p, "r") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != 3:
-                    raise ParseError(f"line {lineno}: expected x,y,z")
-                try:
-                    pts.append([float(x) for x in row])
-                except ValueError as exc:
-                    raise ParseError(f"line {lineno}: bad coordinate") from exc
+        pts = _read_csv_rows(p, 3, float, "x,y,z", "bad coordinate")
         return PointSet(points=np.array(pts, dtype=np.float64).reshape(-1, 3))
     mesh = load_mesh(p)
     return PointSet(points=mesh.vertices)
@@ -218,17 +228,8 @@ def save_points(points: PointSet, path) -> None:
 
 def load_landmarks(path) -> np.ndarray:
     """CSV of `src_index,dst_index` integer pairs -> (L, 2) array."""
-    pairs = []
-    with open(path, "r") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise ParseError(f"line {lineno}: expected src_index,dst_index")
-            try:
-                pairs.append((int(row[0]), int(row[1])))
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad landmark index") from exc
+    pairs = _read_csv_rows(path, 2, int, "src_index,dst_index",
+                           "bad landmark index")
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
@@ -239,17 +240,7 @@ def save_landmarks(pairs: np.ndarray, path) -> None:
 
 def load_offsets(path) -> np.ndarray:
     """CSV of `dx,dy,dz` rows -> (C, 3) array."""
-    rows = []
-    with open(path, "r") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise ParseError(f"line {lineno}: expected dx,dy,dz")
-            try:
-                rows.append([float(x) for x in row])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad offset value") from exc
+    rows = _read_csv_rows(path, 3, float, "dx,dy,dz", "bad offset value")
     return np.array(rows, dtype=np.float64).reshape(-1, 3)
 
 

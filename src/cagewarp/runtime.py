@@ -29,9 +29,13 @@ KDTREE_SERIAL_BELOW = 1024
 
 
 def set_threads(n: int | None) -> None:
-    """Cap internal parallelism; None/0 means use all available cores."""
+    """Cap internal parallelism; None/0 means use all available cores.
+    A negative count raises ``ValueError``."""
     global _threads
-    _threads = int(n) if n else None
+    n = int(n) if n else 0
+    if n < 0:
+        raise ValueError(f"thread count must be 0 or more, got {n}")
+    _threads = n or None
 
 
 @contextlib.contextmanager

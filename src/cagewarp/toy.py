@@ -29,6 +29,10 @@ from .mvc import compute_mvc
 from .optim import run_adam
 from .optim import adam_step  # noqa: F401 (benchmarks/spans.py patches it here)
 
+BASE_HALF_EXTENT = 0.25   # half extent of every family's base mesh
+HIDDEN = 32               # hidden units of the offset predictor
+STEP_SIZE = 5e-3          # train_toy's Adam step
+
 _SPHERE42_INRADIUS = None
 
 
@@ -57,17 +61,16 @@ class SyntheticFamily:
 
     kind: str = "ellipsoid"
     scale_range: tuple = (0.5, 1.5)
-    base_half_extent: float = 0.25
     base_mesh: TriMesh = field(init=False)
 
     def __post_init__(self):
         if self.kind == "ellipsoid":
             self.base_mesh = make_template_cage(
-                "sphere162", scale=(self.base_half_extent,) * 3
+                "sphere162", scale=(BASE_HALF_EXTENT,) * 3
             )
         elif self.kind == "box":
             self.base_mesh = make_box_mesh(
-                4, scale=(self.base_half_extent,) * 3
+                4, scale=(BASE_HALF_EXTENT,) * 3
             )
         else:
             raise ValueError(f"unknown family kind {self.kind!r}")
@@ -97,7 +100,7 @@ class SyntheticFamily:
         The sphere template's faces sag inside its nominal radius, so the
         scale is divided by the template inradius to guarantee containment.
         """
-        r = margin * self.base_half_extent / _sphere42_inradius()
+        r = margin * BASE_HALF_EXTENT / _sphere42_inradius()
         if self.kind == "box":
             r *= np.sqrt(3.0)  # circumscribe the corners
         return make_template_cage("sphere42", scale=(r, r, r))
@@ -118,14 +121,13 @@ class OffsetPredictor:
     cage: TriMesh | None = None
 
     @classmethod
-    def init(cls, descriptor_dim: int, n_cage_vertices: int,
-             hidden: int = 32, seed: int = 0,
+    def init(cls, descriptor_dim: int, n_cage_vertices: int, seed: int = 0,
              cage: TriMesh | None = None) -> "OffsetPredictor":
         rng = np.random.default_rng(seed)
         return cls(
-            w1=rng.normal(scale=0.5, size=(hidden, descriptor_dim)),
-            b1=np.zeros(hidden),
-            w2=np.zeros((n_cage_vertices * 3, hidden)),
+            w1=rng.normal(scale=0.5, size=(HIDDEN, descriptor_dim)),
+            b1=np.zeros(HIDDEN),
+            w2=np.zeros((n_cage_vertices * 3, HIDDEN)),
             b2=np.zeros(n_cage_vertices * 3),
             cage=cage,
         )
@@ -193,9 +195,7 @@ def forward_offsets(params: dict, descriptors: np.ndarray):
 
 
 def train_toy(family: SyntheticFamily, source_cage: TriMesh,
-              epochs: int = 5000, seed: int = 0,
-              step_size: float = 5e-3, n_train: int = 24,
-              hidden: int = 32,
+              epochs: int = 5000, seed: int = 0, n_train: int = 24,
               weights: LossWeights | None = None):
     """Fit the offset predictor to the family end to end.
 
@@ -223,7 +223,7 @@ def train_toy(family: SyntheticFamily, source_cage: TriMesh,
 
     predictor = OffsetPredictor.init(
         family.descriptor_dim, source_cage.n_vertices,
-        hidden=hidden, seed=seed, cage=source_cage,
+        seed=seed, cage=source_cage,
     )
     wmap = {"mvc": weights.alpha_mvc, "align": 1.0}
     if weights.alpha_shape > 0:
@@ -245,7 +245,7 @@ def train_toy(family: SyntheticFamily, source_cage: TriMesh,
             terms["p2f"] = p2f_sum / float(len(descriptors))
         return terms, wmap
 
-    params, report = run_adam(predictor.params(), step_size, epochs, evaluate)
+    params, report = run_adam(predictor.params(), STEP_SIZE, epochs, evaluate)
     predictor.replace_params(params)
     report.final_metrics = {
         "train_total": report.trace[-1].total,

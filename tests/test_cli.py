@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cagewarp import meshio
+from cagewarp import cli, meshio, runtime
 from cagewarp.cli import main
 from cagewarp.geometry import (
     TriMesh,
@@ -281,3 +281,55 @@ class TestManifest:
         assert len(man["inputs"]["input"]["sha256"]) == 64
         assert any(p.endswith("cage.obj") for p in man["outputs"])
         assert "config" in man and man["config"]["cage_scale"] == 1.05
+
+
+class TestThreadCap:
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """Thread counts the command body saw; the cap is reset after."""
+        seen = []
+        cage_around = cli.cage_around
+
+        def spy(*args):
+            seen.append(runtime.thread_count())
+            return cage_around(*args)
+
+        monkeypatch.setattr(cli, "cage_around", spy)
+        yield seen
+        runtime.set_threads(None)
+
+    @pytest.mark.parametrize("caller, flag, inside", [
+        (None, "1", 1),
+        (1, None, 1),
+        (1, "2", 2),
+    ])
+    def test_command_runs_under_its_cap_and_restores_the_callers(
+            self, source_target, tmp_path, seen, caller, flag, inside):
+        runtime.set_threads(caller)
+        before = runtime.thread_count()
+        argv = ["make-cage", "--input", str(source_target[0]),
+                "--out", str(tmp_path / "o")]
+        if flag is not None:
+            argv += ["--threads", flag]
+        assert main(argv) == 0
+        assert seen == [inside]
+        assert runtime.thread_count() == before
+
+    def test_fresh_default_uses_all_cores(self, source_target, tmp_path,
+                                          seen):
+        assert main(["make-cage", "--input", str(source_target[0]),
+                     "--out", str(tmp_path / "o")]) == 0
+        runtime.set_threads(None)
+        assert seen == [runtime.thread_count()]
+
+    def test_negative_threads_rejected(self, source_target, tmp_path, seen,
+                                       capsys):
+        runtime.set_threads(1)
+        out = tmp_path / "o"
+        assert main(["make-cage", "--input", str(source_target[0]),
+                     "--threads", "-2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("cagewarp make-cage: error: thread count must be 0 "
+                       "or more, got -2\n")
+        assert seen == [] and not out.exists()
+        assert runtime.thread_count() == 1

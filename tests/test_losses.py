@@ -25,16 +25,19 @@ from cagewarp.losses import (
     l2_corresponded,
     mvc_consistency,
     mvc_penalty,
-    normal_loss,
     normal_term,
-    p2f_loss,
     p2f_term,
-    shape_loss,
-    symmetry_loss,
-    total_loss,
+    shape_terms,
+    symmetry_term,
+    term_weights,
+    total_terms,
 )
 from cagewarp.mvc import MvcMatrix, compute_mvc
 from conftest import random_rotation
+
+
+def value(term) -> float:
+    return float(ad.val(term))
 
 
 def framed_cloud(rng, n=15, k=6) -> PointSet:
@@ -135,7 +138,7 @@ class TestP2f:
         before = framed_cloud(rng)
         rot = random_rotation(rng)
         after = PointSet(points=before.points @ rot.T + rng.normal(size=3))
-        assert p2f_loss(before, after) < 1e-9
+        assert value(p2f_term(before, after.points)) < 1e-9
 
     def test_lifted_point_contribution(self):
         pts = np.array(
@@ -172,15 +175,14 @@ class TestP2f:
 
     def test_missing_frames(self):
         with pytest.raises(ValueError):
-            p2f_loss(PointSet(points=np.zeros((3, 3))),
-                     PointSet(points=np.zeros((3, 3))))
+            p2f_term(PointSet(points=np.zeros((3, 3))), np.zeros((3, 3)))
 
 
 class TestNormalLoss:
     def test_identity_zero(self):
         rng = np.random.default_rng(9)
         before = framed_cloud(rng)
-        assert normal_loss(before, PointSet(points=before.points)) < 1e-12
+        assert value(normal_term(before, before.points)) < 1e-12
 
     def test_ninety_degree_rotation_contributes_one(self):
         pts = np.array(
@@ -236,19 +238,25 @@ class TestNormalLoss:
 class TestSymmetry:
     def test_symmetric_pair(self):
         pts = np.array([[1.0, 0, 0], [-1.0, 0, 0]])
-        assert symmetry_loss(pts) == 0.0
+        assert value(symmetry_term(pts)) == 0.0
 
     def test_single_point_arithmetic(self):
-        assert symmetry_loss(np.array([[1.0, 0, 0]])) == pytest.approx(8.0)
+        assert value(symmetry_term(np.array([[1.0, 0, 0]]))) == \
+            pytest.approx(8.0)
 
     def test_plane_points_zero(self):
         pts = np.random.default_rng(11).normal(size=(10, 3))
         pts[:, 0] = 0.0
-        assert symmetry_loss(pts) == 0.0
+        assert value(symmetry_term(pts)) == 0.0
 
     def test_reflection_invariant(self):
         pts = np.random.default_rng(12).normal(size=(15, 3))
-        assert symmetry_loss(pts) == symmetry_loss(reflect_x(pts))
+        assert value(symmetry_term(pts)) == value(symmetry_term(reflect_x(pts)))
+
+
+def shape_breakdown(before, after, cage_after, mode) -> LossBreakdown:
+    terms = shape_terms(before, after, cage_after, mode)
+    return LossBreakdown.from_terms(terms, {k: 1.0 for k in terms})
 
 
 class TestShapeLoss:
@@ -259,13 +267,14 @@ class TestShapeLoss:
             neighborhoods=one_ring_neighborhoods(mesh),
         ))
         cage = make_template_cage("sphere42", scale=(0.6, 0.5, 0.4))
-        b = shape_loss(before, before.points, cage.vertices, "man_made")
+        b = shape_breakdown(before, before.points, cage.vertices, "man_made")
         assert b.total < 1e-9
 
     def test_character_mode_ignores_symmetry(self):
         rng = np.random.default_rng(13)
         before = framed_cloud(rng)
-        b = shape_loss(before, before.points, np.zeros((4, 3)), "character")
+        b = shape_breakdown(before, before.points, np.zeros((4, 3)),
+                            "character")
         assert set(b.terms) == {"p2f"}
         assert b.total < 1e-12
 
@@ -274,12 +283,19 @@ class TestShapeLoss:
         before = framed_cloud(rng)
         after = before.points + 0.1 * rng.normal(size=before.points.shape)
         cage = rng.normal(size=(8, 3))
-        b = shape_loss(before, after, cage, "man_made")
+        b = shape_breakdown(before, after, cage, "man_made")
         assert b.total == pytest.approx(sum(b.terms.values()), abs=1e-12)
-        indep = (p2f_loss(before, PointSet(points=after))
-                 + normal_loss(before, PointSet(points=after))
-                 + symmetry_loss(after) + symmetry_loss(cage))
+        indep = (value(p2f_term(before, after))
+                 + value(normal_term(before, after))
+                 + value(symmetry_term(after)) + value(symmetry_term(cage)))
         assert b.total == pytest.approx(indep, abs=1e-12)
+
+
+def total_breakdown(source, deformed, target, m, cage_deformed, weights,
+                    align_mode) -> LossBreakdown:
+    terms = total_terms(source, deformed, target, m, cage_deformed, weights,
+                        align_mode)
+    return LossBreakdown.from_terms(terms, term_weights(weights))
 
 
 class TestTotalLoss:
@@ -298,8 +314,8 @@ class TestTotalLoss:
     def test_identity_zero(self):
         rng = np.random.default_rng(15)
         cage, source, m = self._setup(rng)
-        b = total_loss(source, source.points, source.points, m,
-                       cage.vertices, LossWeights(), "chamfer")
+        b = total_breakdown(source, source.points, source.points, m,
+                            cage.vertices, LossWeights(), "chamfer")
         assert b.total < 1e-9
 
     def test_single_term(self):
@@ -313,10 +329,12 @@ class TestTotalLoss:
         rng = np.random.default_rng(16)
         cage, source, m = self._setup(rng)
         target = source.points + 0.05
-        b1 = total_loss(source, source.points, target, m, cage.vertices,
-                        LossWeights(alpha_mvc=1.0), "chamfer")
-        b10 = total_loss(source, source.points, target, m, cage.vertices,
-                         LossWeights(alpha_mvc=10.0), "chamfer")
+        b1 = total_breakdown(source, source.points, target, m,
+                             cage.vertices, LossWeights(alpha_mvc=1.0),
+                             "chamfer")
+        b10 = total_breakdown(source, source.points, target, m,
+                              cage.vertices, LossWeights(alpha_mvc=10.0),
+                              "chamfer")
         assert b10.weights["mvc"] == 10.0
         assert (b10.total - b1.total) == pytest.approx(
             9.0 * b1.terms["mvc"], abs=1e-12
@@ -326,8 +344,8 @@ class TestTotalLoss:
         rng = np.random.default_rng(17)
         cage, source, m = self._setup(rng)
         target = source.points + 0.02 * rng.normal(size=source.points.shape)
-        b = total_loss(source, source.points + 0.01, target, m,
-                       cage.vertices, LossWeights(), "chamfer")
+        b = total_breakdown(source, source.points + 0.01, target, m,
+                            cage.vertices, LossWeights(), "chamfer")
         weighted = sum(b.weights[k] * b.terms[k] for k in b.terms)
         assert b.total == pytest.approx(weighted, abs=1e-12)
 
@@ -335,8 +353,9 @@ class TestTotalLoss:
         rng = np.random.default_rng(18)
         cage, source, m = self._setup(rng)
         target = source.points + [0, 0, 0.1]
-        b = total_loss(source, source.points, target, m, cage.vertices,
-                       LossWeights(shape_mode="character"), "l2")
+        b = total_breakdown(source, source.points, target, m,
+                            cage.vertices, LossWeights(shape_mode="character"),
+                            "l2")
         assert b.terms["align"] == pytest.approx(0.01)
 
     def test_invalid_weights(self):

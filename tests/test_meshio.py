@@ -218,3 +218,30 @@ def test_degenerate_face_still_mesh_error(tmp_path):
     assert meshio._read_plain(path.read_text()) is not None
     with pytest.raises(MeshError, match="degenerate faces"):
         meshio.load_mesh(path)
+
+
+CSV_READERS = {
+    "points": (lambda p: meshio.load_points(p).points, "1,2,3", "x,y,z",
+               "bad coordinate", "1,2,z"),
+    "landmarks": (meshio.load_landmarks, "1,2", "src_index,dst_index",
+                  "bad landmark index", "1,2.5"),
+    "offsets": (meshio.load_offsets, "1,2,3", "dx,dy,dz", "bad offset value",
+                "1,nan?,3"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(CSV_READERS))
+def test_csv_rows_skip_blanks_and_name_the_bad_line(tmp_path, reader):
+    load, good, layout, bad_value, bad_row = CSV_READERS[reader]
+    path = tmp_path / f"{reader}.csv"
+    path.write_text(f"\n{good}\n   \n{good}\n")
+    got = load(path)
+    assert np.array_equal(got, [[1, 2, 3][:got.shape[1]]] * 2)
+    for text, message in (
+            (f"{good}\n\n{good},4\n", f"line 3: expected {layout}"),
+            (f"{good}\n1\n", f"line 2: expected {layout}"),
+            (f"\n \n{good}\n{bad_row}\n", f"line 4: {bad_value}")):
+        path.write_text(text)
+        with pytest.raises(meshio.ParseError) as err:
+            load(path)
+        assert str(err.value) == message

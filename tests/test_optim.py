@@ -15,7 +15,7 @@ from cagewarp.geometry import (
     normalize_to_unit_box,
     sample_surface,
 )
-from cagewarp.losses import chamfer, l2_corresponded, mvc_penalty, symmetry_loss
+from cagewarp.losses import chamfer, mvc_penalty
 from cagewarp.mvc import FLAG_EXTERIOR_OK, compute_mvc
 from cagewarp.optim import (
     AdamState,

@@ -64,6 +64,20 @@ def test_thread_cap_none_keeps_the_callers_cap(threads):
     assert runtime.thread_count() == 1
 
 
+@pytest.mark.parametrize("n", [-1, -2])
+def test_negative_thread_count_rejected(threads, n):
+    threads(3)
+    with pytest.raises(ValueError, match=f"got {n}$"):
+        runtime.set_threads(n)
+    with pytest.raises(ValueError, match=f"got {n}$"):
+        with runtime.thread_cap(n):
+            pass
+    assert runtime.thread_count() == 3
+    for all_cores in (0, None):
+        threads(all_cores)
+        assert runtime.kdtree_workers() == -1
+
+
 def test_small_kdtree_queries_run_serially(threads):
     n = runtime.KDTREE_SERIAL_BELOW
     assert runtime.kdtree_workers() == -1
