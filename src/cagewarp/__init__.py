@@ -8,12 +8,10 @@ from .geometry import (
     SpatialIndex,
     Transform,
     TriMesh,
-    compute_pca_frame,
     cot_laplacian,
     make_box_mesh,
     make_template_cage,
     normalize_to_unit_box,
-    reflect_x,
     sample_surface,
 )
 from .gradients import Gradient, check_gradients, grad_deformed, grad_source_cage
@@ -63,7 +61,6 @@ __all__ = [
     "chamfer",
     "check_gradients",
     "compute_mvc",
-    "compute_pca_frame",
     "cot_laplacian",
     "deform",
     "deform_pair",
@@ -80,7 +77,6 @@ __all__ = [
     "mvc_consistency",
     "mvc_penalty",
     "normalize_to_unit_box",
-    "reflect_x",
     "sample_surface",
     "save_mesh",
     "save_points",

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, meshio, runtime
-from .geometry import cage_around, normalize_to_unit_box
+from .geometry import TriMesh, cage_around, normalize_to_unit_box
 from .gradients import GRADCHECK_OPS, builtin_check
 from .losses import eval_metrics
 from .mvc import (
@@ -34,8 +34,8 @@ from .mvc import (
     FLAG_ON_VERTEX,
     compute_mvc,
 )
-from .optim import PipelineConfig, deform_pair, fit_cage, transfer_mesh
-from .toy import SyntheticFamily, eval_toy, train_toy
+from .optim import PipelineConfig, deform_pair, fit_cage, transfer
+from .toy import SyntheticFamily, check_holdout, eval_toy, train_toy
 
 log = logging.getLogger("cagewarp")
 
@@ -214,7 +214,8 @@ def cmd_transfer(args, cfg, out):
     cage = meshio.load_mesh(args.cage)
     offsets = meshio.load_offsets(args.offsets)
     novel = meshio.load_mesh(args.shape)
-    deformed = transfer_mesh(cage, offsets, novel)
+    deformed = TriMesh(transfer(cage, offsets, novel.vertices).points,
+                       novel.faces.copy())
     out_path = out / "deformed.obj"
     meshio.save_mesh(deformed, out_path)
     return [out_path], {
@@ -245,6 +246,7 @@ def cmd_gradcheck(args, cfg, out):
 
 
 def cmd_train_toy(args, cfg, out):
+    check_holdout(args.holdout)
     family = SyntheticFamily(kind=args.family)
     cage = family.default_cage(margin=cfg.cage_scale)
     predictor, report = train_toy(family, cage, epochs=args.epochs,

@@ -217,13 +217,6 @@ def sample_surface(mesh: TriMesh, n: int, seed: int) -> PointSet:
     return PointSet(points=pts)
 
 
-def reflect_x(points: PointSet | np.ndarray):
-    """Mirror across the x=0 plane.  Derived per-point data is dropped."""
-    if isinstance(points, PointSet):
-        return PointSet(points=points.points * np.array([-1.0, 1.0, 1.0]))
-    return np.asarray(points, dtype=np.float64) * np.array([-1.0, 1.0, 1.0])
-
-
 class SpatialIndex:
     """Exact nearest-neighbor queries over a fixed point set."""
 
@@ -313,14 +306,6 @@ def _canonical_normal_signs(normals: np.ndarray) -> np.ndarray:
     return s
 
 
-def _line_orthogonal(direction: np.ndarray) -> np.ndarray:
-    """Deterministic unit vector orthogonal to ``direction``."""
-    axis = np.zeros(3)
-    axis[int(np.argmin(np.abs(direction)))] = 1.0
-    n = np.cross(direction, axis)
-    return n / np.linalg.norm(n)
-
-
 def pca_frames(positions, neighborhoods: PaddedNeighborhoods):
     """Plane fits of every point's neighborhood.
 
@@ -352,42 +337,17 @@ def pca_frames(positions, neighborhoods: PaddedNeighborhoods):
     if degenerate.any():
         fixed = ad.val(normals).copy()
         for i in np.nonzero(degenerate)[0]:
+            # the line's cross product with its smallest-component axis
             line = vec[i, :, 2]
-            n = _line_orthogonal(line)
-            s = _canonical_normal_signs(n[None, :])[0]
-            fixed[i] = n * s
+            axis = np.zeros(3)
+            axis[int(np.argmin(np.abs(line)))] = 1.0
+            n = np.cross(line, axis)
+            n = n / np.linalg.norm(n)
+            fixed[i] = n * _canonical_normal_signs(n[None, :])[0]
         normals = ad.where(degenerate[:, None], fixed, normals)
 
     offsets = ad.absolute(ad.dot_last(normals, positions - centroid))
     return normals, centroid, offsets, degenerate
-
-
-def compute_pca_frame(points: PointSet, i: int):
-    """Plane fit for one point: (unit normal, neighborhood centroid, offset)."""
-    if points.neighborhoods is None:
-        raise ValueError("point set carries no neighborhoods")
-    idx, _, counts = points.neighborhoods
-    nb = idx[i, :int(counts[i])]
-    if len(nb) < 3:
-        raise ValueError(f"point {i} has fewer than 3 neighbors")
-    normal, centroid, offset, _ = _single_frame(points.points, nb, i)
-    return normal, centroid, offset
-
-
-def _single_frame(positions: np.ndarray, nb: np.ndarray, i: int):
-    q = positions[np.asarray(nb, dtype=np.int64)]
-    centroid = q.mean(axis=0)
-    centered = q - centroid
-    cov = centered.T @ centered / len(q)
-    lam, vec = np.linalg.eigh(cov)
-    degenerate = lam[1] <= _COLLINEAR_RTOL * max(lam[2], 1e-30)
-    if degenerate:
-        n = _line_orthogonal(vec[:, 2])
-    else:
-        n = vec[:, 0]
-    n = n * _canonical_normal_signs(n[None, :])[0]
-    offset = float(abs(n @ (positions[i] - centroid)))
-    return n, centroid, offset, degenerate
 
 
 def attach_pca_frames(points: PointSet) -> PointSet:

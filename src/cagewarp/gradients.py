@@ -159,15 +159,20 @@ def check_gradients(op_name: str, configs, fd_step: float,
 
     Each configuration is a pair (value_fn, grad_and_x0) where grad_and_x0
     supplies (analytic gradient ndarray, evaluation point ndarray); value_fn
-    maps a point of the same shape to a float.
+    maps a point of the same shape to a float.  A non-finite error in any
+    configuration fails the check and is reported as NaN.  Raises
+    ``ValueError`` when ``configs`` is empty.
     """
     max_err = 0.0
     n_configs = 0
     for value_fn, (analytic, x0) in configs:
         fd = central_fd(value_fn, x0, fd_step)
         err = float(relative_errors(np.asarray(analytic), fd).max())
-        max_err = max(max_err, err)
+        max_err = max(max_err, err) if np.isfinite(err) else np.nan
         n_configs += 1
+    if not n_configs:
+        raise ValueError(f"gradient check of {op_name!r} received no "
+                         "configuration")
     return GradCheckReport(
         op=op_name,
         n_configs=n_configs,
@@ -180,7 +185,6 @@ def check_gradients(op_name: str, configs, fd_step: float,
 
 # -- builtin randomized configurations ---------------------------------------
 
-_ICO = None
 CAGE_JITTER = 0.15   # random_cage radii lie in [1 - CAGE_JITTER, 1 + CAGE_JITTER]
 
 # (central-difference step, relative-error bound) per op group: the source
@@ -192,13 +196,9 @@ DEFORMED_FD_STEP, DEFORMED_RTOL = 1e-5, 1e-4
 
 def random_cage(rng: np.random.Generator) -> TriMesh:
     """Jittered icosahedron: 12 vertices, always closed and oriented."""
-    global _ICO
-    if _ICO is None:
-        _ICO = (_ICO_VERTS / np.linalg.norm(_ICO_VERTS, axis=1, keepdims=True),
-                _ICO_FACES)
-    verts, faces = _ICO
+    verts = _ICO_VERTS / np.linalg.norm(_ICO_VERTS, axis=1, keepdims=True)
     radii = 1.0 + rng.uniform(-CAGE_JITTER, CAGE_JITTER, size=(len(verts), 1))
-    return TriMesh(verts * radii, faces.copy())
+    return TriMesh(verts * radii, _ICO_FACES.copy())
 
 
 def random_queries(rng: np.random.Generator, n: int,
@@ -329,14 +329,15 @@ def builtin_check(op: str, n_configs: int = 10,
             configs.append(_deformed_group_config(rng, builder))
         elif op == "cage_laplacian":
             cage = random_cage(rng)
+            ref = losses.CageLaplacian(cage)
             v0 = cage.vertices + rng.normal(scale=0.05,
                                             size=cage.vertices.shape)
             value, g = ad.value_and_grad(
-                lambda x, cage=cage: losses.cage_laplacian_loss(cage, x), v0
+                lambda x, ref=ref: losses.cage_laplacian_loss(ref, x), v0
             )
 
-            def value_fn(x, cage=cage):
-                return float(ad.val(losses.cage_laplacian_loss(cage, x)))
+            def value_fn(x, ref=ref):
+                return float(ad.val(losses.cage_laplacian_loss(ref, x)))
 
             configs.append((value_fn, (g, v0)))
         else:

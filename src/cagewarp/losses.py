@@ -32,7 +32,6 @@ from .geometry import (
     pca_frames,
     sample_surface,
 )
-from .mvc import MvcMatrix
 
 _REFLECT_X = np.array([-1.0, 1.0, 1.0])
 
@@ -113,9 +112,8 @@ def mvc_penalty(weights):
     ``ad.ordered_sum``), so the value equals the double loop over rows and
     columns bit for bit instead of depending on numpy's pairwise blocking.
     """
-    w = weights.weights if isinstance(weights, MvcMatrix) else weights
-    wv = ad.val(w)
-    neg = ad.minimum(w, 0.0)
+    wv = ad.val(weights)
+    neg = ad.minimum(weights, 0.0)
     return ad.ordered_sum(neg * neg) / float(wv.shape[0] * wv.shape[1])
 
 
@@ -234,22 +232,17 @@ def mvc_consistency(rows_a, rows_b):
     double loop over rows and columns bit for bit (numpy's pairwise sum
     differs from it by a few ulp).
     """
-    a, b = rows_a, rows_b
-    if isinstance(a, MvcMatrix):
-        a = a.weights
-    if isinstance(b, MvcMatrix):
-        b = b.weights
-    if ad.val(a).shape != ad.val(b).shape:
+    if ad.val(rows_a).shape != ad.val(rows_b).shape:
         raise ValueError("weight row blocks must have equal shape")
-    d = a - b
+    d = rows_a - rows_b
     return ad.ordered_sum(d * d)
 
 
 class CageLaplacian:
     """Dense cotangent Laplacian L of an undeformed cage and |L v0| per vertex.
 
-    Built once per cage; ``cage_laplacian_loss`` accepts it in place of the
-    cage, so a loop over one template does not rebuild L every step.
+    Built once per cage and passed to ``cage_laplacian_loss``, so a loop over
+    one template does not rebuild L every step.
     """
 
     def __init__(self, cage: TriMesh):
@@ -258,17 +251,14 @@ class CageLaplacian:
         self.shape = cage.vertices.shape
 
 
-def cage_laplacian_loss(cage_before, cage_after_vertices):
+def cage_laplacian_loss(ref: CageLaplacian, cage_after_vertices):
     """Sum of squared changes of per-vertex Laplacian magnitudes.
 
-    ``cage_before`` is the undeformed cage (a TriMesh) or its
-    ``CageLaplacian``; the cotangent weights come from the undeformed cage
-    and serve both evaluations.  The per-vertex squares are summed in vertex
-    order, one at a time, so the value equals the loop over vertices bit for
-    bit.
+    ``ref`` is the ``CageLaplacian`` of the undeformed cage; its cotangent
+    weights serve both evaluations.  The per-vertex squares are summed in
+    vertex order, one at a time, so the value equals the loop over vertices
+    bit for bit.
     """
-    ref = cage_before if isinstance(cage_before, CageLaplacian) \
-        else CageLaplacian(cage_before)
     after = cage_after_vertices
     if ad.val(after).shape != ref.shape:
         raise ValueError("cage connectivity mismatch")

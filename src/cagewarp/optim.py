@@ -39,7 +39,7 @@ from .geometry import (
     sample_surface,
 )
 from .losses import LossBreakdown, LossWeights
-from .mvc import compute_mvc, mvc_weights
+from .mvc import compute_mvc, deform, mvc_weights
 
 DEFORM_STEP_SIZE = 2e-3
 DEFORM_MAX_ITERS = 3000
@@ -264,6 +264,11 @@ def deform_pair(source: TriMesh, target: TriMesh,
     """
     cfg = cfg or PipelineConfig()
     weights = cfg.loss_weights()
+    for key, low in (("n_sample_points", 0), ("n_eval_samples", 1),
+                     ("plateau_window", 1)):
+        if not getattr(cfg, key) >= low:
+            raise ValueError(
+                f"{key} must be at least {low}, got {getattr(cfg, key)}")
     with runtime.thread_cap(cfg.threads):
         _check_normalized(source, "source mesh")
         _check_normalized(target, "target mesh")
@@ -312,9 +317,8 @@ def deform_pair(source: TriMesh, target: TriMesh,
         )
         cage = TriMesh(params["cage"], cage_faces)
         deformed_cage = TriMesh(params["cage"] + params["offsets"], cage_faces)
-        vert_mvc = compute_mvc(cage, source.vertices, with_flags=False)
-        deformed_mesh = TriMesh(vert_mvc.weights @ deformed_cage.vertices,
-                                source.faces.copy())
+        deformed = transfer(cage, params["offsets"], source.vertices)
+        deformed_mesh = TriMesh(deformed.points, source.faces.copy())
         report.final_metrics = losses.eval_metrics(
             deformed_mesh, target, source,
             n_samples=cfg.n_eval_samples, seed=cfg.seed,
@@ -401,11 +405,4 @@ def transfer(fitted_cage: TriMesh, stored_cage_offsets: np.ndarray,
             f"count {fitted_cage.n_vertices}"
         )
     m = compute_mvc(fitted_cage, novel_shape, with_flags=False)
-    deformed = m.weights @ (fitted_cage.vertices + offsets)
-    return PointSet(points=deformed)
-
-
-def transfer_mesh(fitted_cage: TriMesh, stored_cage_offsets: np.ndarray,
-                  novel_mesh: TriMesh) -> TriMesh:
-    out = transfer(fitted_cage, stored_cage_offsets, novel_mesh.vertices)
-    return TriMesh(out.points, novel_mesh.faces.copy())
+    return deform(novel_shape, m, fitted_cage.vertices + offsets)

@@ -33,22 +33,6 @@ BASE_HALF_EXTENT = 0.25   # half extent of every family's base mesh
 HIDDEN = 32               # hidden units of the offset predictor
 STEP_SIZE = 5e-3          # train_toy's Adam step
 
-_SPHERE42_INRADIUS = None
-
-
-def _sphere42_inradius() -> float:
-    """Distance from the center to the nearest face plane of the template."""
-    global _SPHERE42_INRADIUS
-    if _SPHERE42_INRADIUS is None:
-        cage = make_template_cage("sphere42")
-        v = cage.vertices[cage.faces]
-        n = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
-        n /= np.linalg.norm(n, axis=1, keepdims=True)
-        _SPHERE42_INRADIUS = float(
-            np.abs(np.einsum("fi,fi->f", n, v[:, 0])).min()
-        )
-    return _SPHERE42_INRADIUS
-
 
 @dataclass
 class SyntheticFamily:
@@ -98,9 +82,15 @@ class SyntheticFamily:
         """Convex cage containing the source member.
 
         The sphere template's faces sag inside its nominal radius, so the
-        scale is divided by the template inradius to guarantee containment.
+        scale is divided by the template inradius (the distance from the
+        center to the nearest face plane) to guarantee containment.
         """
-        r = margin * BASE_HALF_EXTENT / _sphere42_inradius()
+        template = make_template_cage("sphere42")
+        v = template.vertices[template.faces]
+        n = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
+        n /= np.linalg.norm(n, axis=1, keepdims=True)
+        inradius = float(np.abs(np.einsum("fi,fi->f", n, v[:, 0])).min())
+        r = margin * BASE_HALF_EXTENT / inradius
         if self.kind == "box":
             r *= np.sqrt(3.0)  # circumscribe the corners
         return make_template_cage("sphere42", scale=(r, r, r))
@@ -254,10 +244,17 @@ def train_toy(family: SyntheticFamily, source_cage: TriMesh,
     return predictor, report
 
 
+def check_holdout(n_holdout: int) -> None:
+    """Reject a held-out set too small to evaluate."""
+    if n_holdout < 1:
+        raise ValueError(f"n_holdout must be at least 1, got {n_holdout}")
+
+
 def eval_toy(predictor: OffsetPredictor, family: SyntheticFamily,
              n_holdout: int = 20, seed: int = 1000,
              n_cd_samples: int = 1000) -> dict:
     """Held-out alignment of the predictor vs the zero-offset baseline."""
+    check_holdout(n_holdout)
     if predictor.cage is None:
         raise ValueError("predictor carries no cage")
     rng = np.random.default_rng(seed)

@@ -249,6 +249,13 @@ class TestGradcheckCommand:
                               "rtol", "fd_step"}
         assert check["op"] == "l2" and check["n_configs"] == 3
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_no_configuration_fails(self, tmp_path, capsys, n):
+        out = tmp_path / "gc"
+        assert main(["gradcheck", "--n-configs", n, "--out", str(out)]) == 1
+        assert "no configuration" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
 
 class TestTrainToyCommand:
     def test_train_and_reload(self, tmp_path):
@@ -267,6 +274,19 @@ class TestTrainToyCommand:
         out = tmp_path / "toy0"
         assert main(["train-toy", "--epochs", "0", "--out", str(out)]) == 1
         assert "step budget must be at least 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("holdout", ["0", "-2"])
+    def test_empty_holdout_rejected_before_training(self, tmp_path, capsys,
+                                                    monkeypatch, holdout):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train-toy trained")
+
+        monkeypatch.setattr(cli, "train_toy", no_training)
+        out = tmp_path / "toy0"
+        assert main(["train-toy", "--epochs", "2", "--holdout", holdout,
+                     "--out", str(out)]) == 1
+        assert (f"n_holdout must be at least 1, got {holdout}"
+                in capsys.readouterr().err)
 
 
 class TestManifest:

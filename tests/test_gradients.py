@@ -129,6 +129,35 @@ class TestHarness:
         )
         assert not rep_bad.passed
 
+    def test_non_finite_error_fails_and_reads_nan(self):
+        x0 = np.ones(3)
+
+        def nan_fn(x):
+            return float("nan")
+
+        def square(x):
+            return float(x @ x)
+
+        # a NaN value, a NaN analytic gradient, and a NaN after or before a
+        # finite error: each fails, whatever the order of the configurations
+        for configs in (
+            [(nan_fn, (np.ones(3), x0))],
+            [(square, (np.full(3, np.nan), x0))],
+            [(square, (2 * x0, x0)), (nan_fn, (np.ones(3), x0))],
+            [(nan_fn, (np.ones(3), x0)), (square, (2 * x0, x0))],
+        ):
+            rep = check_gradients("demo", configs, fd_step=1e-6, rtol=1e-5)
+            assert not rep.passed
+            assert np.isnan(rep.max_rel_err)
+            assert rep.n_configs == len(configs)
+
+    def test_no_configuration_rejected(self):
+        with pytest.raises(ValueError, match="no configuration"):
+            check_gradients("demo", [], fd_step=1e-6, rtol=1e-5)
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="no configuration"):
+                builtin_check("l2", n_configs=n)
+
     def test_relative_error_floor(self):
         a = np.array([0.0, 1.0])
         f = np.array([1e-12, 1.0])

@@ -137,3 +137,12 @@ def test_scipy_spatial_loads_only_with_the_first_tree(stages):
     assert got["fit_cage"] == {"absent": [], "kdtree_builds": 0}
     assert got["deform_pair"]["absent"] == []
     assert got["deform_pair"]["kdtree_builds"] > 0
+
+
+def test_public_names_resolve_once_in_order():
+    import cagewarp
+
+    names = cagewarp.__all__
+    assert all(hasattr(cagewarp, n) for n in names)
+    assert len(set(names)) == len(names)
+    assert names == sorted(names)

@@ -13,7 +13,6 @@ from cagewarp.geometry import (
     normalize_to_unit_box,
     one_ring_neighborhoods,
     pad_neighborhoods,
-    reflect_x,
 )
 from cagewarp.losses import (
     CageLaplacian,
@@ -32,7 +31,7 @@ from cagewarp.losses import (
     term_weights,
     total_terms,
 )
-from cagewarp.mvc import MvcMatrix, compute_mvc
+from cagewarp.mvc import compute_mvc
 from conftest import random_rotation
 
 
@@ -121,8 +120,8 @@ class TestMvcPenalty:
         assert mvc_penalty(w) == pytest.approx(acc / 35.0, abs=1e-14)
 
     def test_accepts_matrix(self):
-        m = MvcMatrix(weights=np.array([[-0.1, 1.1]]))
-        assert mvc_penalty(m) == pytest.approx(0.01 / 2)
+        w = np.array([[-0.1, 1.1]])
+        assert mvc_penalty(w) == pytest.approx(0.01 / 2)
 
     def test_zero_iff_no_negative(self):
         w = np.array([[1.0, 0.0], [0.5, 0.5]])
@@ -251,7 +250,8 @@ class TestSymmetry:
 
     def test_reflection_invariant(self):
         pts = np.random.default_rng(12).normal(size=(15, 3))
-        assert value(symmetry_term(pts)) == value(symmetry_term(reflect_x(pts)))
+        mirrored = pts * np.array([-1.0, 1.0, 1.0])
+        assert value(symmetry_term(pts)) == value(symmetry_term(mirrored))
 
 
 def shape_breakdown(before, after, cage_after, mode) -> LossBreakdown:
@@ -308,7 +308,7 @@ class TestTotalLoss:
             points=mesh.vertices.copy(),
             neighborhoods=one_ring_neighborhoods(mesh),
         ))
-        m = compute_mvc(cage, source.points)
+        m = compute_mvc(cage, source.points).weights
         return cage, source, m
 
     def test_identity_zero(self):
@@ -398,16 +398,16 @@ class TestConsistency:
 
 class TestCageLaplacianLoss:
     def test_identity_zero(self, octa):
-        assert cage_laplacian_loss(octa, octa.vertices) == 0.0
+        assert cage_laplacian_loss(CageLaplacian(octa), octa.vertices) == 0.0
 
     def test_translation_zero(self, octa):
         moved = octa.vertices + np.array([0.4, -0.3, 0.2])
-        assert cage_laplacian_loss(octa, moved) < 1e-24
+        assert cage_laplacian_loss(CageLaplacian(octa), moved) < 1e-24
 
     def test_matches_independent_recomputation(self, octa):
         rng = np.random.default_rng(21)
         after = octa.vertices + 0.15 * rng.normal(size=(6, 3))
-        got = cage_laplacian_loss(octa, after)
+        got = cage_laplacian_loss(CageLaplacian(octa), after)
         from cagewarp.geometry import cot_laplacian
 
         lap = cot_laplacian(octa).toarray()
@@ -417,22 +417,7 @@ class TestCageLaplacianLoss:
 
     def test_connectivity_mismatch(self, octa):
         with pytest.raises(ValueError):
-            cage_laplacian_loss(octa, octa.vertices[:4])
-        with pytest.raises(ValueError):
             cage_laplacian_loss(CageLaplacian(octa), octa.vertices[:4])
-
-    def test_prebuilt_reference_gives_the_same_bits(self, octa):
-        rng = np.random.default_rng(22)
-        after = octa.vertices + 0.15 * rng.normal(size=(6, 3))
-        ref = CageLaplacian(octa)
-        assert cage_laplacian_loss(ref, after) == cage_laplacian_loss(
-            octa, after)
-        grads = []
-        for before in (octa, ref):
-            x = ad.Var(after)
-            cage_laplacian_loss(before, x).backward()
-            grads.append(x.grad)
-        assert np.array_equal(grads[0], grads[1])
 
 
 class TestEvalMetrics:

@@ -25,7 +25,6 @@ from cagewarp.optim import (
     deform_pair,
     fit_cage,
     transfer,
-    transfer_mesh,
 )
 
 
@@ -158,8 +157,8 @@ class TestDeformPair:
                                scale=1.05 * 0.5 * (src.bbox()[1] - src.bbox()[0])),
             src.vertices,
         )
-        assert first.terms["mvc"] == pytest.approx(float(mvc_penalty(m0)),
-                                                   abs=1e-12)
+        assert first.terms["mvc"] == pytest.approx(
+            float(mvc_penalty(m0.weights)), abs=1e-12)
         expected_total = (
             1.0 * first.terms["mvc"]
             + 0.1 * (first.terms["symmetry_shape"]
@@ -318,6 +317,22 @@ class TestDeformPair:
         for budget in (0, -1):
             with pytest.raises(ValueError, match=f"got {budget}"):
                 deform_pair(src, src, PipelineConfig(max_iters=budget))
+
+    @pytest.mark.parametrize("key,bad", [
+        ("n_eval_samples", 0), ("n_eval_samples", -5),
+        ("plateau_window", 0), ("plateau_window", -1),
+        ("n_sample_points", -1),
+    ])
+    def test_bad_count_rejected_before_a_step(self, key, bad, monkeypatch):
+        # each failed late (after the run) or silently (stall after one
+        # step, vertex mode) before it was checked up front
+        def no_step(*args, **kwargs):
+            raise AssertionError("deform_pair took a step")
+
+        monkeypatch.setattr(optim, "run_adam", no_step)
+        src = normalized_box(3)
+        with pytest.raises(ValueError, match=f"{key} must be at least"):
+            deform_pair(src, src, PipelineConfig(max_iters=2, **{key: bad}))
 
     def test_step_size_zero_or_below_rejected(self):
         # 0 is not read as "use the default step"
@@ -584,5 +599,5 @@ class TestTransfer:
         )
         cage, dcage, dmesh, _ = deform_pair(src, tgt, cfg)
         offsets = dcage.vertices - cage.vertices
-        replay = transfer_mesh(cage, offsets, src)
-        assert np.abs(replay.vertices - dmesh.vertices).max() < 1e-6
+        replay = transfer(cage, offsets, src.vertices)
+        assert np.abs(replay.points - dmesh.vertices).max() < 1e-6

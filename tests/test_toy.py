@@ -207,6 +207,14 @@ class TestEvalToy:
         assert res["l2_ratio"] <= 0.5
         assert np.isfinite(list(res.values())).all()
 
+    def test_empty_holdout_rejected(self):
+        fam = SyntheticFamily()
+        cage = fam.default_cage()
+        pred = OffsetPredictor.init(3, cage.n_vertices, seed=0, cage=cage)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=f"n_holdout .* got {n}"):
+                eval_toy(pred, fam, n_holdout=n)
+
     def test_requires_cage(self):
         pred = OffsetPredictor.init(3, 42, seed=0)
         with pytest.raises(ValueError):
