@@ -140,10 +140,7 @@ class Var:
 
         def vjp(g, k=key, shape=self.value.shape):
             acc = np.zeros(shape, dtype=np.float64)
-            if _is_basic_key(k):
-                acc[k] += g
-            else:
-                np.add.at(acc, k, g)
+            np.add.at(acc, k, g)
             return acc
 
         return Var._make(out, (self,), (vjp,), "getitem")
@@ -186,10 +183,6 @@ class Var:
                 if id(p) not in seen:
                     stack.append((p, False))
         return order
-
-def _is_basic_key(key) -> bool:
-    items = key if isinstance(key, tuple) else (key,)
-    return all(isinstance(k, (int, slice, type(None), type(Ellipsis))) for k in items)
 
 
 # -- generic helpers ------------------------------------------------------

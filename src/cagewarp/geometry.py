@@ -218,7 +218,7 @@ def sample_surface(mesh: TriMesh, n: int, seed: int) -> PointSet:
 
 
 class SpatialIndex:
-    """Exact nearest-neighbor queries over a fixed point set."""
+    """Exact nearest-neighbor queries; the package's one k-d tree builder."""
 
     def __init__(self, points: np.ndarray):
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
@@ -230,10 +230,11 @@ class SpatialIndex:
         self._tree = cKDTree(pts)
         self.points = pts
 
-    def query(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def query(self, q: np.ndarray, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """(distances, indices) of each query's ``k`` nearest points."""
         q = np.asarray(q, dtype=np.float64)
         workers = runtime.kdtree_workers(q.size // 3)
-        return self._tree.query(q, workers=workers)
+        return self._tree.query(q, k=k, workers=workers)
 
     def query_index(self, q: np.ndarray) -> np.ndarray:
         return self.query(q)[1]
@@ -257,11 +258,7 @@ def knn_neighborhoods(points: np.ndarray, k: int = 8) -> PaddedNeighborhoods:
     pts = np.asarray(points, dtype=np.float64)
     if len(pts) <= k:
         raise ValueError(f"need more than {k} points for k={k} neighborhoods")
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(pts)
-    workers = runtime.kdtree_workers(len(pts))
-    _, idx = tree.query(pts, k=k + 1, workers=workers)
+    _, idx = SpatialIndex(pts).query(pts, k=k + 1)
     n = len(pts)
     # drop each point itself, or, where a duplicate point hid it from the
     # query, the farthest of the k + 1
@@ -462,13 +459,16 @@ def make_template_cage(kind: str, center=(0.0, 0.0, 0.0), scale=(1.0, 1.0, 1.0))
     if kind not in levels:
         raise ValueError(f"unknown cage template {kind!r}")
     scale = np.asarray(scale, dtype=np.float64)
-    if np.any(scale <= 0):
-        raise ValueError("scale components must be positive")
+    center = np.asarray(center, dtype=np.float64)
+    if not (np.all(scale > 0) and np.isfinite(np.append(scale, center)).all()):
+        raise ValueError("cage scale must be positive and finite and its "
+                         f"center finite, got scale {scale.tolist()}, "
+                         f"center {center.tolist()}")
     verts = _ICO_VERTS / np.linalg.norm(_ICO_VERTS, axis=1, keepdims=True)
     faces = _ICO_FACES
     for _ in range(levels[kind]):
         verts, faces = _subdivide_project(verts, faces)
-    verts = verts * scale + np.asarray(center, dtype=np.float64)
+    verts = verts * scale + center
     return TriMesh(verts, faces)
 
 

@@ -37,6 +37,7 @@ from .mvc import (
     EPS_PLANE,
     MvcMatrix,
     compute_mvc,
+    deform,
     mvc_weights,
     vertex_tolerance,
 )
@@ -235,8 +236,8 @@ def _deformed_group_config(rng, loss_builder, n_points=10):
     v0 = cage.vertices + rng.normal(scale=0.05, size=cage.vertices.shape)
     g = grad_deformed(m, v0, loss)
 
-    def value_fn(x, w=m.weights):
-        return float(ad.val(loss(w @ np.asarray(x))))
+    def value_fn(x, pts=pts, m=m):
+        return float(ad.val(loss(deform(pts, m, x).points)))
 
     return value_fn, (g.d_loss_d_deformed_cage, v0)
 

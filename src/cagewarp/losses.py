@@ -270,29 +270,32 @@ def cage_laplacian_loss(ref: CageLaplacian, cage_after_vertices):
 # -- evaluation metrics --------------------------------------------------------------
 
 
+def sampled_chamfer_x100(a: TriMesh, b: TriMesh, n_samples: int = 5000,
+                         seed: int = 0) -> float:
+    """100 x the chamfer distance between ``n_samples`` area-uniform samples
+    (``seed``) of each mesh, normalized to the unit box on its own."""
+    a_n, _ = normalize_to_unit_box(a)
+    b_n, _ = normalize_to_unit_box(b)
+    cd = float(chamfer(sample_surface(a_n, n_samples, seed).points,
+                       sample_surface(b_n, n_samples, seed).points))
+    return cd * 100.0
+
+
 def eval_metrics(deformed: TriMesh, target: TriMesh, source: TriMesh,
                  n_samples: int = 5000, seed: int = 0) -> dict:
     """Alignment (chamfer x100) and detail distortion (Laplacian delta x1000).
 
     Both metrics are evaluated on unit-box-normalized geometry: the chamfer
-    distance between fresh area-uniform samples of the (independently
-    normalized) deformed and target meshes, and the mean per-vertex change
-    of the source-connectivity cotangent Laplacian applied to the source vs.
-    the deformed vertices, with the deformed mesh expressed in the source's
-    normalized frame.
+    distance of ``sampled_chamfer_x100`` between the deformed and target
+    meshes, and the mean per-vertex change of the source-connectivity
+    cotangent Laplacian applied to the source vs. the deformed vertices,
+    with the deformed mesh expressed in the source's normalized frame.
     """
     if deformed.faces.shape != source.faces.shape or not np.array_equal(
         deformed.faces, source.faces
     ):
         raise ValueError("deformed and source must share connectivity")
-    deformed_n, _ = normalize_to_unit_box(deformed)
-    target_n, _ = normalize_to_unit_box(target)
-    cd = float(
-        chamfer(
-            sample_surface(deformed_n, n_samples, seed).points,
-            sample_surface(target_n, n_samples, seed).points,
-        )
-    )
+    cd_x100 = sampled_chamfer_x100(deformed, target, n_samples, seed)
     source_n, t_src = normalize_to_unit_box(source)
     deformed_in_src = t_src.apply(deformed.vertices)
     lap = cot_laplacian(source_n)
@@ -300,7 +303,7 @@ def eval_metrics(deformed: TriMesh, target: TriMesh, source: TriMesh,
         lap @ source_n.vertices - lap @ deformed_in_src, axis=1
     ).mean()
     return {
-        "cd_x100": cd * 100.0,
+        "cd_x100": cd_x100,
         "dcotlap_x1000": float(delta) * 1000.0,
         "n_samples": int(n_samples),
         "seed": int(seed),

@@ -2,11 +2,12 @@
 
 Only `v` and `f` records are interpreted; normals, texture coordinates and
 vertex colors in the input are ignored.  Faces must be triangles unless quad
-fan-triangulation is requested.  Floats are written with 17 significant
-digits so a save/load round trip is bit-exact.
+fan-triangulation is requested, and every number read must be finite.
+Floats are written with 17 significant digits so a save/load round trip is
+bit-exact.
 
 Both directions work on whole record kinds, not lines: a file in the plain
-layout (``v`` records of numbers, then ``f`` records of three indices,
+layout (``v`` records of finite numbers, then ``f`` records of three indices,
 ``a/b/c`` tokens and records of other kinds allowed) is read by one
 ``np.loadtxt`` call per record kind, and every other file, every malformed
 one included, by the line-by-line parser, which reports the first bad
@@ -16,6 +17,7 @@ line.  Writers format a chunk of rows with one ``%``.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -51,8 +53,8 @@ def load_mesh(path, triangulate_quads: bool = False) -> TriMesh:
     """Load a triangulated OBJ file.
 
     Quads are fan-triangulated when ``triangulate_quads`` is set, otherwise
-    any non-triangle face is rejected.  Faces with area below
-    ``DEGENERATE_FACE_AREA`` are rejected.
+    any non-triangle face is rejected.  So are infinite or NaN vertex
+    coordinates, and faces with area below ``DEGENERATE_FACE_AREA``.
     """
     with open(path, "r") as fh:
         text = fh.read()
@@ -80,9 +82,9 @@ def _read_plain(text: str):
     ``_read_records`` skips them.  Each record kind is then converted in
     one ``np.loadtxt`` call, which takes a subset of the tokens ``float``
     and ``int`` take and reads them to the same values.  Anything else, a
-    face without three indices or with one out of range and every
-    malformed file included, is left to ``_read_records``, so the errors
-    and their line numbers are that parser's.
+    face without three indices or with one out of range, a non-finite
+    coordinate and every malformed file included, is left to
+    ``_read_records``, so the errors and their lines are that parser's.
     """
     lines = text.split("\n")
     if "#" in text:
@@ -113,6 +115,8 @@ def _read_plain(text: str):
         return None
     if faces.shape != (len(f_rows), 3) or (
             faces.size and (faces.min() < 1 or faces.max() > len(verts))):
+        return None
+    if not np.isfinite(verts).all():
         return None
     return verts, faces - 1
 
@@ -151,6 +155,8 @@ def _read_records(lines, triangulate_quads: bool):
                 verts.append([float(x) for x in parts[1:4]])
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: bad vertex coordinate") from exc
+            if not all(map(math.isfinite, verts[-1])):
+                raise ParseError(f"line {lineno}: non-finite vertex coordinate")
         elif parts[0] == "f":
             idx = [
                 _parse_face_token(t, len(verts), lineno) for t in parts[1:]
@@ -194,7 +200,8 @@ def _read_csv_rows(path, width: int, convert, layout: str,
     """Rows of ``width`` values of a CSV file, each value read with
     ``convert``; blank rows are skipped.  A row of another width raises
     ``ParseError`` "line N: expected <layout>", a value ``convert``
-    rejects "line N: <bad_value>"."""
+    rejects "line N: <bad_value>", an infinite or NaN one "line N:
+    non-finite value"."""
     rows = []
     with open(path, "r") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
@@ -206,6 +213,8 @@ def _read_csv_rows(path, width: int, convert, layout: str,
                 rows.append([convert(x) for x in row])
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: {bad_value}") from exc
+            if not all(map(math.isfinite, rows[-1])):
+                raise ParseError(f"line {lineno}: non-finite value")
     return rows
 
 

@@ -194,7 +194,7 @@ def mvc_weights(cage_vertices, faces: np.ndarray, points: np.ndarray, *,
     taped = ad.is_var(cage_vertices)
     geo = _CageGeometry(ad.val(cage_vertices), faces)
     eps_vertex = vertex_tolerance(geo.cage)
-    block = _block_rows(len(geo.faces))
+    block = _block_rows(len(geo.topo.faces))
     out = _Rows(n, geo.n_vertices, with_flags)
 
     def run(lo):
@@ -331,16 +331,13 @@ def _topology(n_vertices, face_bytes):
 
 
 class _CageGeometry:
-    """Per-call cage data shared by all blocks: cached topology, face planes."""
+    """Per-call cage data shared by all blocks: the cached topology
+    (``topo``) and the face planes."""
 
     def __init__(self, cage, faces):
         faces = np.ascontiguousarray(faces, dtype=np.int64)
-        topo = _topology(len(cage), faces.tobytes())
-        self.cage, self.faces, self.n_vertices = cage, topo.faces, len(cage)
-        self.ft, self.corner_edge = topo.ft, topo.corner_edge
-        self.edge_a, self.edge_b = topo.edge_a, topo.edge_b
-        self.to_vertex, self.to_edge = topo.to_vertex, topo.to_edge
-        self.from_a, self.from_b = topo.from_a, topo.from_b
+        self.topo = _topology(len(cage), faces.tobytes())
+        self.cage, self.n_vertices = cage, len(cage)
         v0, v1, v2 = cage[faces[:, 0]], cage[faces[:, 1]], cage[faces[:, 2]]
         # det[v0 - p, v1 - p, v2 - p] = det[v0, v1, v2] - p . area_normal
         self.area_normal = np.cross(v1 - v0, v2 - v0)
@@ -424,9 +421,11 @@ class _Block:
 
     def __init__(self, geo, pts, rows, eps_vertex, out, taped):
         self.geo, self.rows = geo, rows
-        ft, ce = geo.ft, geo.corner_edge
+        topo = geo.topo
+        ft, ce = topo.ft, topo.corner_edge
         pts = pts[rows]
-        n, nv, nf, ne = len(pts), geo.n_vertices, len(ft[0]), len(geo.edge_a)
+        n, nv, nf = len(pts), geo.n_vertices, len(ft[0])
+        ne = len(topo.edge_a)
         f1, f3, e1, c1 = (nf, n), (3, nf, n), (ne, n), (nv, n)
         ws = _scratch.use((nv, nf))
         # untaped, the kept arrays are workspace slots too; a slot name that
@@ -457,8 +456,8 @@ class _Block:
         chord2 = ws.take("e1a", e1)
         ci, te = ws.take("e1b", e1), ws.take("e1c", e1)
         for i in range(3):
-            _gather(u[i], geo.edge_a, ci)
-            np.subtract(ci, _gather(u[i], geo.edge_b, te), out=ci)
+            _gather(u[i], topo.edge_a, ci)
+            np.subtract(ci, _gather(u[i], topo.edge_b, te), out=ci)
             if i == 0:
                 np.multiply(ci, ci, out=chord2)
             else:
@@ -490,7 +489,7 @@ class _Block:
         if on_face.any():
             fi, ri = np.nonzero(on_face)
             dplane = np.abs(np.einsum(
-                "ki,ki->k", pts[ri] - geo.cage[geo.faces[fi, 0]],
+                "ki,ki->k", pts[ri] - geo.cage[topo.faces[fi, 0]],
                 geo.unit_normal[fi]))
             on_face[fi, ri] = dplane <= eps_vertex
 
@@ -540,8 +539,8 @@ class _Block:
             _guard(denom, t2, mask, dead)
             np.divide(num, denom, out=w[k])
             np.copyto(w[k], 0.0, where=dead)
-        w_sum = geo.to_vertex(ws, w.reshape(3 * nf, n),
-                              ws.take("c1b", c1))                     # (C, n)
+        w_sum = topo.to_vertex(ws, w.reshape(3 * nf, n),
+                               ws.take("c1b", c1))                    # (C, n)
 
         # rows on a face: that face's exact 2D barycentric weights only
         on_rows = np.zeros(0, dtype=np.int64)
@@ -572,8 +571,10 @@ class _Block:
         inside (-1, 1), asin's derivative is taken at an argument clamped
         to 1 - 1e-12, and a zero-length norm has gradient 0.
         """
-        geo, ft, ce = self.geo, self.geo.ft, self.geo.corner_edge
-        n, nv, nf, ne = len(g_sum), geo.n_vertices, len(ft[0]), len(geo.edge_a)
+        geo, topo = self.geo, self.geo.topo
+        ft, ce = topo.ft, topo.corner_edge
+        n, nv, nf = len(g_sum), geo.n_vertices, len(ft[0])
+        ne = len(topo.edge_a)
         f1, f3, e1, c1 = (nf, n), (3, nf, n), (ne, n), (nv, n)
         ws = _scratch.use((nv, nf))
         cc, s, dead = self.cc, self.s, self.dead
@@ -688,8 +689,8 @@ class _Block:
 
         # theta = 2 asin(|chord| / 2), summed from corners onto edges
         length = self.length
-        g_len = geo.to_edge(ws, g_theta.reshape(3 * nf, n),
-                            ws.take("e1d", e1))                       # (E, n)
+        g_len = topo.to_edge(ws, g_theta.reshape(3 * nf, n),
+                             ws.take("e1d", e1))                      # (E, n)
         x = np.minimum(half, _ASIN_CLAMP, out=te)
         np.sqrt(np.subtract(1.0, np.multiply(x, x, out=x), out=x), out=x)
         safe = ws.take("e1c", e1)
@@ -700,14 +701,14 @@ class _Block:
         g_u, g_ub = ws.take("c3a", (3,) + c1), ws.take("c1b", c1)
         ci = safe
         for i in range(3):
-            _gather(u[i], geo.edge_a, ci)
-            np.subtract(ci, _gather(u[i], geo.edge_b, te), out=ci)
+            _gather(u[i], topo.edge_a, ci)
+            np.subtract(ci, _gather(u[i], topo.edge_b, te), out=ci)
             np.multiply(ci, g_len, out=ci)
-            geo.from_a(ws, ci, g_u[i])
-            np.subtract(g_u[i], geo.from_b(ws, ci, g_ub), out=g_u[i])
+            topo.from_a(ws, ci, g_u[i])
+            np.subtract(g_u[i], topo.from_b(ws, ci, g_ub), out=g_u[i])
         t = ws.take("c3b", (3,) + c1)
         # g is dead since g_num was gathered from it
-        g_d = geo.to_vertex(ws, g_dk.reshape(3 * nf, n), g)           # (C, n)
+        g_d = topo.to_vertex(ws, g_dk.reshape(3 * nf, n), g)          # (C, n)
         # u = diff / d, d = |diff|, on the rows that were not snapped
         tc = np.sum(np.multiply(g_u, u, out=t), axis=0, out=ws.take("c1b", c1))
         np.subtract(g_d, np.divide(tc, d, out=tc), out=g_d)
@@ -722,7 +723,7 @@ def _flags(ws, geo, chord2, det, d, on_rows, near):
     # solid angle of each face: 2 atan2(det[u0,u1,u2], 1 + sum u_a.u_b),
     # with u_a.u_b = 1 - |u_a - u_b|^2 / 2 for unit vectors; the scratch
     # is slots of the forward's temporaries that are dead by now
-    ce, ft, f1 = geo.corner_edge, geo.ft, det.shape
+    ce, ft, f1 = geo.topo.corner_edge, geo.topo.ft, det.shape
     dots, tf, t0 = ws.take("f1e", f1), ws.take("f1a", f1), ws.take("f1f", f1)
     _gather(chord2, ce[0], dots)
     for k in (1, 2):

@@ -28,25 +28,19 @@ _pool_lock = threading.Lock()
 KDTREE_SERIAL_BELOW = 1024
 
 
-def set_threads(n: int | None) -> None:
-    """Cap internal parallelism; None/0 means use all available cores.
-    A negative count raises ``ValueError``."""
-    global _threads
-    n = int(n) if n else 0
-    if n < 0:
-        raise ValueError(f"thread count must be 0 or more, got {n}")
-    _threads = n or None
-
-
 @contextlib.contextmanager
 def thread_cap(n: int | None):
-    """``set_threads(n)`` for the body of a ``with``; None keeps the
-    caller's cap.  The caller's cap is restored when it exits, also by an
+    """Cap internal parallelism for the body of a ``with``: 0 means all
+    available cores, None keeps the caller's cap, a negative count raises
+    ``ValueError``.  The caller's cap is restored when it exits, also by an
     exception."""
     global _threads
     saved = _threads
     if n is not None:
-        set_threads(n)
+        n = int(n)
+        if n < 0:
+            raise ValueError(f"thread count must be 0 or more, got {n}")
+        _threads = n or None
     try:
         yield
     finally:

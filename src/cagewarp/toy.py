@@ -25,7 +25,7 @@ from .geometry import (
     pointset_from_mesh_vertices,
 )
 from .losses import LossWeights
-from .mvc import compute_mvc
+from .mvc import compute_mvc, deform
 from .optim import run_adam
 from .optim import adam_step  # noqa: F401 (benchmarks/spans.py patches it here)
 
@@ -259,27 +259,22 @@ def eval_toy(predictor: OffsetPredictor, family: SyntheticFamily,
         raise ValueError("predictor carries no cage")
     rng = np.random.default_rng(seed)
     base = family.source_mesh()
-    phi = compute_mvc(predictor.cage, base.vertices, with_flags=False).weights
+    m = compute_mvc(predictor.cage, base.vertices, with_flags=False)
     cage_v = predictor.cage.vertices
-    baseline_pts = phi @ cage_v                     # identity deformation
+    bmesh = TriMesh(deform(base.vertices, m, cage_v).points,
+                    base.faces)                 # identity deformation
 
     descriptors = family.sample_descriptors(n_holdout, rng)
     l2s, l2s_base, cds, cds_base = [], [], [], []
     for s in descriptors:
         target = family.member(s)
-        deformed = phi @ (cage_v + predictor.predict(s))
-        l2s.append(float(losses.l2_corresponded(deformed, target.vertices)))
-        l2s_base.append(
-            float(losses.l2_corresponded(baseline_pts, target.vertices))
-        )
-        dmesh = TriMesh(deformed, base.faces.copy())
-        bmesh = TriMesh(baseline_pts, base.faces.copy())
-        cds.append(float(losses.eval_metrics(
-            dmesh, target, base, n_samples=n_cd_samples, seed=seed
-        )["cd_x100"]))
-        cds_base.append(float(losses.eval_metrics(
-            bmesh, target, base, n_samples=n_cd_samples, seed=seed
-        )["cd_x100"]))
+        dmesh = TriMesh(
+            deform(base.vertices, m, cage_v + predictor.predict(s)).points,
+            base.faces)
+        for mesh, l2, cd in ((dmesh, l2s, cds), (bmesh, l2s_base, cds_base)):
+            l2.append(float(losses.l2_corresponded(mesh, target.vertices)))
+            cd.append(losses.sampled_chamfer_x100(mesh, target, n_cd_samples,
+                                                  seed))
     mean_l2 = float(np.mean(l2s))
     mean_l2_base = float(np.mean(l2s_base))
     return {

@@ -83,6 +83,18 @@ def test_getitem_fancy_and_basic():
     check(fn, x0)
 
 
+@pytest.mark.parametrize("key", [2, (slice(1, 4), 0), (Ellipsis, 1),
+                                 (None, slice(None, 2))],
+                         ids=["int", "slice-int", "ellipsis", "newaxis"])
+def test_getitem_basic_key_gradient_lands_in_place(key):
+    x0 = RNG.normal(size=(5, 4))
+    w = RNG.normal(size=x0[key].shape)
+    _, g = ad.value_and_grad(lambda x: ad.sum_(x[key] * w), x0)
+    want = np.zeros_like(x0)
+    want[key] = w
+    assert np.array_equal(g, want)
+
+
 def test_smallest_eigvec_fd():
     x0 = RNG.normal(size=(4, 8, 3))
     t = RNG.normal(size=(4, 3))

@@ -237,6 +237,42 @@ class TestFitTransferEval:
         assert abs(rep["metrics"]["dcotlap_x1000"]) < 1e-9
 
 
+class TestNonFiniteInputs:
+    """A NaN or infinite input value fails before any output is written."""
+
+    def _fails(self, argv, out, capsys, message):
+        assert main(argv + ["--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_transfer_nan_offset(self, source_target, tmp_path, capsys):
+        cage_path = tmp_path / "cage.obj"
+        meshio.save_mesh(make_template_cage("sphere42", scale=0.8), cage_path)
+        off_path = tmp_path / "off.csv"
+        off_path.write_text("0,0,0\n" * 5 + "0.1,nan,0\n" + "0,0,0\n" * 36)
+        self._fails(["transfer", "--cage", str(cage_path), "--offsets",
+                     str(off_path), "--shape", str(source_target[0])],
+                    tmp_path / "tr", capsys, "line 6: non-finite value")
+
+    def test_compute_mvc_nan_vertex(self, tetra, tmp_path, capsys):
+        cage_path = tmp_path / "tetra.obj"
+        meshio.save_mesh(tetra, cage_path)
+        shape_path = tmp_path / "shape.obj"
+        shape_path.write_text("v 0 0 0\nv nan 0 1\n")
+        self._fails(["compute-mvc", "--cage", str(cage_path),
+                     "--shape", str(shape_path)],
+                    tmp_path / "mvc", capsys,
+                    "line 2: non-finite vertex coordinate")
+
+    def test_make_cage_infinite_scale(self, source_target, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"cage_scale": Infinity}')
+        self._fails(["make-cage", "--input", str(source_target[0]),
+                     "--config", str(cfg)], tmp_path / "mc", capsys,
+                    "cage scale must be positive and finite and its center "
+                    "finite, got scale [inf, inf, inf]")
+
+
 class TestGradcheckCommand:
     def test_single_op_report_schema(self, tmp_path):
         out = tmp_path / "gc"
@@ -306,7 +342,7 @@ class TestManifest:
 class TestThreadCap:
     @pytest.fixture
     def seen(self, monkeypatch):
-        """Thread counts the command body saw; the cap is reset after."""
+        """Thread counts the command body saw."""
         seen = []
         cage_around = cli.cage_around
 
@@ -315,8 +351,7 @@ class TestThreadCap:
             return cage_around(*args)
 
         monkeypatch.setattr(cli, "cage_around", spy)
-        yield seen
-        runtime.set_threads(None)
+        return seen
 
     @pytest.mark.parametrize("caller, flag, inside", [
         (None, "1", 1),
@@ -325,31 +360,31 @@ class TestThreadCap:
     ])
     def test_command_runs_under_its_cap_and_restores_the_callers(
             self, source_target, tmp_path, seen, caller, flag, inside):
-        runtime.set_threads(caller)
-        before = runtime.thread_count()
         argv = ["make-cage", "--input", str(source_target[0]),
                 "--out", str(tmp_path / "o")]
         if flag is not None:
             argv += ["--threads", flag]
-        assert main(argv) == 0
-        assert seen == [inside]
-        assert runtime.thread_count() == before
+        with runtime.thread_cap(caller):
+            before = runtime.thread_count()
+            assert main(argv) == 0
+            assert seen == [inside]
+            assert runtime.thread_count() == before
 
     def test_fresh_default_uses_all_cores(self, source_target, tmp_path,
                                           seen):
         assert main(["make-cage", "--input", str(source_target[0]),
                      "--out", str(tmp_path / "o")]) == 0
-        runtime.set_threads(None)
-        assert seen == [runtime.thread_count()]
+        with runtime.thread_cap(0):
+            assert seen == [runtime.thread_count()]
 
     def test_negative_threads_rejected(self, source_target, tmp_path, seen,
                                        capsys):
-        runtime.set_threads(1)
         out = tmp_path / "o"
-        assert main(["make-cage", "--input", str(source_target[0]),
-                     "--threads", "-2", "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err == ("cagewarp make-cage: error: thread count must be 0 "
-                       "or more, got -2\n")
-        assert seen == [] and not out.exists()
-        assert runtime.thread_count() == 1
+        with runtime.thread_cap(1):
+            assert main(["make-cage", "--input", str(source_target[0]),
+                         "--threads", "-2", "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err == ("cagewarp make-cage: error: thread count must be "
+                           "0 or more, got -2\n")
+            assert seen == [] and not out.exists()
+            assert runtime.thread_count() == 1

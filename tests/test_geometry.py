@@ -401,6 +401,17 @@ class TestTemplateCage:
         with pytest.raises(ValueError):
             make_template_cage("sphere42", scale=(0.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize("scale, center", [
+        ((1.0, np.nan, 1.0), (0.0, 0.0, 0.0)),
+        (np.inf, (0.0, 0.0, 0.0)),
+        ((1.0, 1.0, 1.0), (0.0, np.nan, 0.0)),
+        ((1.0, 1.0, 1.0), (-np.inf, 0.0, 0.0)),
+    ], ids=["nan-scale", "inf-scale", "nan-center", "inf-center"])
+    def test_non_finite_scale_or_center_rejected(self, scale, center):
+        # nan <= 0 is false, so a positivity check alone lets NaN through
+        with pytest.raises(ValueError, match="must be .*finite.*, got"):
+            make_template_cage("sphere42", center=center, scale=scale)
+
 
 class TestSpatialIndex:
     def test_matches_linear_scan(self):
@@ -412,6 +423,10 @@ class TestSpatialIndex:
         brute = np.linalg.norm(queries[:, None, :] - pts[None], axis=2)
         assert np.array_equal(i, brute.argmin(axis=1))
         assert np.allclose(d, brute.min(axis=1))
+        # k nearest, nearest first
+        d, i = idx.query(queries, k=4)
+        assert np.array_equal(i, np.argsort(brute, axis=1)[:, :4])
+        assert np.allclose(d, np.sort(brute, axis=1)[:, :4])
 
     def test_empty(self):
         with pytest.raises(ValueError):

@@ -94,7 +94,6 @@ TET_FACES = "f 1 3 2\nf 1 2 4\nf 1 4 3\nf 2 3 4\n"
     TET + "f +1 03 2\nf 1 2 4\nf 1 4 3\nf 2 3 4\n",
     "v  0\t0 0  \n" + TET[8:] + "f  1\t3  2 \n" + TET_FACES[8:],
     (TET + TET_FACES).replace("\n", "\r\n"),
-    "v 1e999 nan -inf\n" + TET[8:],
     "o tet\nvn 0 0 1\nvt 0 0\n" + TET + "usemtl x\ns off\n" + TET_FACES,
     TET + "f 1/1/1 3/3/3 2/2/2\n" + TET_FACES[8:],
     TET + "  # indented comment\n" + TET_FACES,
@@ -105,7 +104,7 @@ TET_FACES = "f 1 3 2\nf 1 2 4\nf 1 4 3\nf 2 3 4\n"
     (TET + "vn 0 0 1\n" + TET_FACES.replace(" 3", " 3/1/1")).replace(
         "\n", "\r\n"),
 ], ids=["plain", "comments", "number-forms", "vertex-colors",
-        "signed-indices", "spacing", "crlf", "inf-nan", "other-records",
+        "signed-indices", "spacing", "crlf", "other-records",
         "slashed-tokens", "blank-with-spaces", "token-forms",
         "exporter-layout", "crlf-slashed"])
 def test_plain_and_line_parsers_agree(text):
@@ -167,13 +166,17 @@ def test_other_layouts_read_line_by_line(tmp_path, text):
     ("o a\ng a\nvn 0 0 1\nvt 0 0\nv\t0 0 0\nv 1 0 0\nv\t0 x 0\n"
      "f 1/1/1 2//1 3/1\n", "line 7: bad vertex coordinate"),
     (TET + "f 1/1\x0b3 2 4\n", "line 5: face has 4 vertices"),
+    ("v 1e999 nan -inf\n" + TET[8:], "line 1: non-finite vertex coordinate"),
+    (TET + "v 0 nan 1\n" + TET_FACES, "line 5: non-finite vertex coordinate"),
+    ("v 0 0 0\nv 1 0 0\nv 0 -inf 0\nv 0 0 1\n" + TET_FACES,
+     "line 3: non-finite vertex coordinate"),
 ], ids=["coordinate", "short-vertex", "face-token", "index-high", "index-zero",
         "float-index", "float-index-late", "exponent-index", "negative-index",
         "huge-index", "forward-reference", "quad", "bare-f", "blank-face",
         "two-indices", "slashed-token", "ignored-records", "tab-vertex",
         "indented-vertex", "leading-slash", "slashed-quad", "slashed-two",
         "slashed-float", "slashed-high", "exporter-vertex",
-        "vertical-tab-in-tail"])
+        "vertical-tab-in-tail", "inf-nan", "nan-vertex", "inf-vertex"])
 def test_malformed_obj_keeps_error_and_line(tmp_path, text, message):
     path = tmp_path / "bad.obj"
     path.write_text(text)
@@ -245,3 +248,14 @@ def test_csv_rows_skip_blanks_and_name_the_bad_line(tmp_path, reader):
         with pytest.raises(meshio.ParseError) as err:
             load(path)
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize("reader", ["points", "offsets"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_csv_non_finite_value_names_the_line(tmp_path, reader, value):
+    load, good = CSV_READERS[reader][:2]
+    path = tmp_path / f"{reader}.csv"
+    path.write_text(f"{good}\n1,{value},3\n")
+    with pytest.raises(meshio.ParseError) as err:
+        load(path)
+    assert str(err.value) == "line 2: non-finite value"

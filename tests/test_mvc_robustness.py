@@ -230,14 +230,11 @@ def test_threads_do_not_change_kernel_bits(kind, monkeypatch):
     block = mvc._block_rows(cage.n_faces)
     pts = _boundary_queries(cage, 3 * block + 5, block, seed=13)
     runs = []
-    try:
-        for threads in (1, 2, 8):
-            runtime.set_threads(threads)
+    for threads in (1, 2, 8):
+        with runtime.thread_cap(threads):
             runs.append(_kernel_outputs(cage, pts))
-        monkeypatch.setattr(mvc, "_block_rows", lambda n_faces: 16)
-        runs.append(_kernel_outputs(cage, pts))
-    finally:
-        runtime.set_threads(None)
+    monkeypatch.setattr(mvc, "_block_rows", lambda n_faces: 16)
+    runs.append(_kernel_outputs(cage, pts))
     phi, flags, aux, grad = runs[0]
     assert np.sum(flags == FLAG_ON_VERTEX) == 6
     assert np.sum(flags == FLAG_ON_FACE) == 6
@@ -320,10 +317,9 @@ def test_numpy_scatters_match_bincount(kind, monkeypatch):
             if scatter == "bincount":
                 monkeypatch.setattr(mvc, "_Scatter", _BincountScatter)
             for threads in (1, 2, 8):
-                runtime.set_threads(threads)
-                runs[scatter, threads] = _kernel_outputs(cage, pts)
+                with runtime.thread_cap(threads):
+                    runs[scatter, threads] = _kernel_outputs(cage, pts)
     finally:
-        runtime.set_threads(None)
         monkeypatch.undo()
         mvc._topology.cache_clear()
     phi, flags, aux, grad = runs["bincount", 1]
@@ -351,15 +347,12 @@ def test_only_taped_calls_keep_blocks(cage, monkeypatch):
     monkeypatch.setattr(mvc._Block, "__init__", tracked)
     block = mvc._block_rows(cage.n_faces)
     pts = _boundary_queries(cage, 3 * block + 5, block, seed=17)
-    try:
-        runtime.set_threads(2)
+    with runtime.thread_cap(2):
         mvc_weights(cage.vertices, cage.faces, pts)
         assert len(made) == 4
         assert all(ref() is None for ref in made)
         phi, _ = mvc_weights(ad.Var(cage.vertices), cage.faces, pts,
                              with_flags=False)
-    finally:
-        runtime.set_threads(None)
     assert len(made) == 8
     assert all(ref() is not None for ref in made[4:])
     del phi

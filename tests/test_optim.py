@@ -201,8 +201,7 @@ class TestDeformPair:
         pts = sample_surface(shape, 40, seed=3)
         cage = make_template_cage("sphere42", scale=(0.35, 0.27, 0.30))
         lm = np.stack([np.arange(20), np.arange(20)], axis=1)
-        runtime.set_threads(3)
-        try:
+        with runtime.thread_cap(3):
             deform_pair(src, src, PipelineConfig(seed=0, max_iters=1,
                                                  threads=1,
                                                  n_eval_samples=50))
@@ -216,8 +215,6 @@ class TestDeformPair:
             with pytest.raises(ValueError, match="no landmarks"):
                 fit_cage(cage, pts, pts, lm[:0], PipelineConfig(threads=1))
             assert runtime.thread_count() == 3
-        finally:
-            runtime.set_threads(None)
 
     def test_default_threads_keep_the_callers_cap(self, monkeypatch):
         # threads=None runs under the cap the caller set, not on every core
@@ -234,14 +231,11 @@ class TestDeformPair:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(optim, "mvc_weights", spy)
-        runtime.set_threads(1)
-        try:
+        with runtime.thread_cap(1):
             deform_pair(src, src, PipelineConfig(seed=0, max_iters=1,
                                                  n_eval_samples=50))
             fit_cage(cage, pts, pts, lm, PipelineConfig(max_iters=1))
             assert runtime.thread_count() == 1
-        finally:
-            runtime.set_threads(None)
         assert len(seen) == 2 and set(seen) == {1}
 
     def test_source_vertex_on_initial_cage_vertex(self):
@@ -333,6 +327,19 @@ class TestDeformPair:
         src = normalized_box(3)
         with pytest.raises(ValueError, match=f"{key} must be at least"):
             deform_pair(src, src, PipelineConfig(max_iters=2, **{key: bad}))
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+    def test_non_finite_cage_scale_rejected_before_a_step(self, scale,
+                                                          monkeypatch):
+        # a NaN or infinite scale would make a cage of NaN or inf vertices
+        def no_step(*args, **kwargs):
+            raise AssertionError("deform_pair took a step")
+
+        monkeypatch.setattr(optim, "run_adam", no_step)
+        src = normalized_box(3)
+        with pytest.raises(ValueError, match="cage scale .* finite"):
+            deform_pair(src, src, PipelineConfig(max_iters=2,
+                                                 cage_scale=scale))
 
     def test_step_size_zero_or_below_rejected(self):
         # 0 is not read as "use the default step"

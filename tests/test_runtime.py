@@ -10,20 +10,15 @@ import pytest
 from cagewarp import runtime
 
 
-@pytest.fixture
-def threads():
-    yield runtime.set_threads
-    runtime.set_threads(None)
-
-
-def test_each_item_runs_once_and_results_keep_order(threads):
+def test_each_item_runs_once_and_results_keep_order():
     # more threads than cores, switching as often as the interpreter allows
     ran = []
-    threads(8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = runtime.map_ordered(lambda x: ran.append(x) or x * x, range(500))
+        with runtime.thread_cap(8):
+            got = runtime.map_ordered(lambda x: ran.append(x) or x * x,
+                                      range(500))
     finally:
         sys.setswitchinterval(interval)
     assert got == [x * x for x in range(500)]
@@ -31,14 +26,15 @@ def test_each_item_runs_once_and_results_keep_order(threads):
 
 
 @pytest.mark.parametrize("cap, n_items", [(1, 5), (8, 1)])
-def test_one_thread_or_one_item_runs_inline(threads, cap, n_items):
-    threads(cap)
+def test_one_thread_or_one_item_runs_inline(cap, n_items):
     caller = threading.get_ident()
-    got = runtime.map_ordered(lambda _: threading.get_ident(), range(n_items))
+    with runtime.thread_cap(cap):
+        got = runtime.map_ordered(lambda _: threading.get_ident(),
+                                  range(n_items))
     assert got == [caller] * n_items
 
 
-def test_error_is_raised_after_every_thread_stops(threads):
+def test_error_is_raised_after_every_thread_stops():
     done = []
 
     def work(x):
@@ -47,48 +43,46 @@ def test_error_is_raised_after_every_thread_stops(threads):
         time.sleep(0.001)
         done.append(x)
 
-    threads(4)
-    with pytest.raises(ValueError, match="item 3"):
+    with runtime.thread_cap(4), pytest.raises(ValueError, match="item 3"):
         runtime.map_ordered(work, range(40))
     finished = len(done)
     time.sleep(0.05)
     assert len(done) == finished == 39
 
 
-def test_thread_cap_none_keeps_the_callers_cap(threads):
-    threads(1)
-    with runtime.thread_cap(None):
+def test_thread_cap_none_keeps_the_callers_cap():
+    with runtime.thread_cap(1):
+        with runtime.thread_cap(None):
+            assert runtime.thread_count() == 1
+        with runtime.thread_cap(3):
+            assert runtime.thread_count() == 3
         assert runtime.thread_count() == 1
-    with runtime.thread_cap(3):
-        assert runtime.thread_count() == 3
-    assert runtime.thread_count() == 1
 
 
 @pytest.mark.parametrize("n", [-1, -2])
-def test_negative_thread_count_rejected(threads, n):
-    threads(3)
-    with pytest.raises(ValueError, match=f"got {n}$"):
-        runtime.set_threads(n)
-    with pytest.raises(ValueError, match=f"got {n}$"):
-        with runtime.thread_cap(n):
-            pass
-    assert runtime.thread_count() == 3
-    for all_cores in (0, None):
-        threads(all_cores)
+def test_negative_thread_count_rejected(n):
+    with runtime.thread_cap(3):
+        with pytest.raises(ValueError, match=f"got {n}$"):
+            with runtime.thread_cap(n):
+                pass
+        assert runtime.thread_count() == 3
+        with runtime.thread_cap(0):
+            assert runtime.kdtree_workers() == -1
+    with runtime.thread_cap(None):
         assert runtime.kdtree_workers() == -1
 
 
-def test_small_kdtree_queries_run_serially(threads):
+def test_small_kdtree_queries_run_serially():
     n = runtime.KDTREE_SERIAL_BELOW
     assert runtime.kdtree_workers() == -1
     assert runtime.kdtree_workers(n - 1) == 1
     assert runtime.kdtree_workers(n) == -1
-    threads(3)
-    assert runtime.kdtree_workers() == runtime.kdtree_workers(n) == 3
-    assert runtime.kdtree_workers(1) == 1
+    with runtime.thread_cap(3):
+        assert runtime.kdtree_workers() == runtime.kdtree_workers(n) == 3
+        assert runtime.kdtree_workers(1) == 1
 
 
-def test_kdtree_results_do_not_depend_on_workers(threads):
+def test_kdtree_results_do_not_depend_on_workers():
     from cagewarp.geometry import SpatialIndex, knn_neighborhoods
 
     rng = np.random.default_rng(4)
@@ -97,10 +91,10 @@ def test_kdtree_results_do_not_depend_on_workers(threads):
     queries = [rng.normal(size=(50, 3)), rng.normal(size=(2000, 3))]
     index = SpatialIndex(pts)
     results = []
-    for cap in (1, 2, None):
-        threads(cap)
-        found = [a for q in queries for a in index.query(q)]
-        results.append(found + list(knn_neighborhoods(pts, k=8)))
+    for cap in (1, 2, 0):
+        with runtime.thread_cap(cap):
+            found = [a for q in queries for a in index.query(q)]
+            results.append(found + list(knn_neighborhoods(pts, k=8)))
     for got in results[1:]:
         assert len(got) == len(results[0])
         assert all(np.array_equal(a, b) for a, b in zip(got, results[0]))

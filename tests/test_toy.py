@@ -207,6 +207,37 @@ class TestEvalToy:
         assert res["l2_ratio"] <= 0.5
         assert np.isfinite(list(res.values())).all()
 
+    def test_chamfer_matches_eval_metrics_without_a_laplacian(
+            self, monkeypatch):
+        # eval_toy reads only the chamfer of eval_metrics, so it builds no
+        # cotangent Laplacian and gives eval_metrics' cd_x100 bits
+        fam = SyntheticFamily()
+        cage = fam.default_cage()
+        pred = OffsetPredictor.init(3, cage.n_vertices, seed=0, cage=cage)
+        pred.w2 = np.random.default_rng(2).normal(scale=0.01,
+                                                  size=pred.w2.shape)
+        built = []
+        cot_laplacian = losses.cot_laplacian
+        monkeypatch.setattr(losses, "cot_laplacian",
+                            lambda mesh: built.append(mesh)
+                            or cot_laplacian(mesh))
+        res = eval_toy(pred, fam, n_holdout=4, seed=7, n_cd_samples=300)
+        assert built == []
+        base = fam.source_mesh()
+        phi = compute_mvc(cage, base.vertices).weights
+        rng = np.random.default_rng(7)
+        cds, cds_base = [], []
+        for s in fam.sample_descriptors(4, rng):
+            target = fam.member(s)
+            for verts, out in ((cage.vertices + pred.predict(s), cds),
+                               (cage.vertices, cds_base)):
+                mesh = TriMesh(phi @ verts, base.faces)
+                out.append(losses.eval_metrics(mesh, target, base, 300,
+                                               7)["cd_x100"])
+        assert len(built) == 8
+        assert res["mean_cd_x100"] == float(np.mean(cds))
+        assert res["baseline_mean_cd_x100"] == float(np.mean(cds_base))
+
     def test_empty_holdout_rejected(self):
         fam = SyntheticFamily()
         cage = fam.default_cage()
