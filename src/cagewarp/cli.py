@@ -5,7 +5,8 @@ Every command writes into --out: its artifact files, a report.json whose
 time and other run-specific data live under "provenance"), and a
 manifest.json recording the command, the config snapshot, input file
 hashes and output paths.  The manifest is written when the run starts and
-finalized when it ends.
+finished when it ends: "completed" with its outputs, or "failed" with the
+error.
 
 Log verbosity comes from the CAGEWARP_LOG environment variable
 (error | info | debug).
@@ -91,11 +92,9 @@ class RunManifest:
         with open(self.path, "w") as fh:
             json.dump(self.data, fh, indent=2, sort_keys=True)
 
-    def finalize(self, outputs: list) -> None:
-        self.data["outputs"] = [str(p) for p in outputs]
-        self.data["status"] = "completed"
-        self.data["finished"] = time.strftime("%Y-%m-%dT%H:%M:%SZ",
-                                              time.gmtime())
+    def finish(self, status: str, **fields) -> None:
+        self.data.update(fields, status=status, finished=time.strftime(
+            "%Y-%m-%dT%H:%M:%SZ", time.gmtime()))
         self._write()
 
 
@@ -115,10 +114,11 @@ def _run(args) -> None:
 
     The command returns (outputs, metrics, report).  Its wall time is the
     optimizer's when it returns an ``OptimReport``, else the time from the
-    start manifest to its return.  A gradient check that failed raises only
-    after its report and manifest are written.  The command runs under the
-    config's thread cap (None keeps the caller's), and the caller's cap is
-    restored when it returns.
+    start manifest to its return.  A command that raises marks its manifest
+    failed and writes no report; a gradient check that failed raises only
+    after its report and completed manifest are written.  The command runs
+    under the config's thread cap (None keeps the caller's), and the
+    caller's cap is restored when it returns.
     """
     cfg = _load_config(args)
     with runtime.thread_cap(cfg.threads):
@@ -128,10 +128,15 @@ def _run(args) -> None:
             out, args.command, cfg,
             {name: getattr(args, name) for name in args.inputs})
         t0 = time.perf_counter()
-        outputs, metrics, report = args.func(args, cfg, out)
+        try:
+            outputs, metrics, report = args.func(args, cfg, out)
+        except BaseException as exc:
+            manifest.finish("failed", error=str(exc))
+            raise
         wall_time = time.perf_counter() - t0 if report is None \
             else report.wall_time
-        manifest.finalize(outputs + [_write_report(out, metrics, wall_time)])
+        outputs.append(_write_report(out, metrics, wall_time))
+        manifest.finish("completed", outputs=[str(p) for p in outputs])
     if metrics.get("pass") is False:
         raise RuntimeError("gradient check failed")
 

@@ -27,6 +27,7 @@ if TYPE_CHECKING:
     from scipy import sparse
 
 DEGENERATE_FACE_AREA = 1e-12
+KDTREE_BLOCK = 1024       # query rows per k-d tree block
 _COLLINEAR_RTOL = 1e-10
 
 
@@ -102,6 +103,17 @@ def validate_cage(mesh: TriMesh) -> None:
         raise MeshError("cage has no faces")
     if not mesh.is_closed_oriented():
         raise MeshError("cage must be closed and consistently oriented")
+
+
+def check_manifold_edges(mesh: TriMesh) -> None:
+    """Raise on non-manifold edges (more than two incident faces)."""
+    n = mesh.n_vertices
+    a, b = _face_edges(mesh.faces)
+    edges, uses = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
+                            return_counts=True)
+    bad = [divmod(int(e), n) for e in edges[uses > 2][:5]]
+    if bad:
+        raise MeshError(f"non-manifold edges: {bad}")
 
 
 class PaddedNeighborhoods(NamedTuple):
@@ -231,13 +243,18 @@ class SpatialIndex:
         self.points = pts
 
     def query(self, q: np.ndarray, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        """(distances, indices) of each query's ``k`` nearest points."""
-        q = np.asarray(q, dtype=np.float64)
-        workers = runtime.kdtree_workers(q.size // 3)
-        return self._tree.query(q, k=k, workers=workers)
+        """(distances, indices) of each query row's ``k`` nearest points.
 
-    def query_index(self, q: np.ndarray) -> np.ndarray:
-        return self.query(q)[1]
+        The rows run in blocks of ``KDTREE_BLOCK`` on ``runtime.map_ordered``,
+        so a query of one block runs on the calling thread.
+        """
+        q = np.asarray(q, dtype=np.float64).reshape(-1, 3)
+        # no rows make one empty block, which keeps the result's shapes
+        blocks = [q[i:i + KDTREE_BLOCK]
+                  for i in range(0, max(len(q), 1), KDTREE_BLOCK)]
+        d, i = zip(*runtime.map_ordered(
+            lambda b: self._tree.query(b, k=k, workers=1), blocks))
+        return np.concatenate(d), np.concatenate(i)
 
 
 # -- neighborhoods ---------------------------------------------------------
@@ -378,15 +395,10 @@ def cot_laplacian(mesh: TriMesh) -> sparse.csr_matrix:
     # scipy.sparse takes ~0.2 s to import, so only a Laplacian builder does
     from scipy import sparse
 
+    check_manifold_edges(mesh)
     v = mesh.vertices
     f = mesh.faces
     n = mesh.n_vertices
-    a, b = _face_edges(f)
-    edges, uses = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
-                            return_counts=True)
-    bad = [divmod(int(e), n) for e in edges[uses > 2][:5]]
-    if bad:
-        raise MeshError(f"non-manifold edges: {bad}")
 
     rows, cols, vals = [], [], []
     for k in range(3):

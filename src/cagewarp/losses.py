@@ -85,8 +85,8 @@ def chamfer(a, b, index_a=None, index_b=None):
         index_b = SpatialIndex(bv)
     if index_a is None:
         index_a = SpatialIndex(av)
-    idx_ab = index_b.query_index(av)
-    idx_ba = index_a.query_index(bv)
+    idx_ab = index_b.query(av)[1]
+    idx_ba = index_a.query(bv)[1]
     d_ab = pa - pb[idx_ab]
     d_ba = pb - pa[idx_ba]
     return (ad.mean_(ad.sum_(d_ab * d_ab, axis=-1))
@@ -270,14 +270,20 @@ def cage_laplacian_loss(ref: CageLaplacian, cage_after_vertices):
 # -- evaluation metrics --------------------------------------------------------------
 
 
+def unit_box_samples(mesh: TriMesh, n_samples: int, seed: int) -> np.ndarray:
+    """``n_samples`` area-uniform samples (``seed``) of the mesh normalized
+    to the unit box on its own: the points ``sampled_chamfer_x100``
+    compares."""
+    mesh_n, _ = normalize_to_unit_box(mesh)
+    return sample_surface(mesh_n, n_samples, seed).points
+
+
 def sampled_chamfer_x100(a: TriMesh, b: TriMesh, n_samples: int = 5000,
                          seed: int = 0) -> float:
-    """100 x the chamfer distance between ``n_samples`` area-uniform samples
-    (``seed``) of each mesh, normalized to the unit box on its own."""
-    a_n, _ = normalize_to_unit_box(a)
-    b_n, _ = normalize_to_unit_box(b)
-    cd = float(chamfer(sample_surface(a_n, n_samples, seed).points,
-                       sample_surface(b_n, n_samples, seed).points))
+    """100 x the chamfer distance between the ``unit_box_samples`` of each
+    mesh."""
+    cd = float(chamfer(unit_box_samples(a, n_samples, seed),
+                       unit_box_samples(b, n_samples, seed)))
     return cd * 100.0
 
 

@@ -169,7 +169,8 @@ def _read_records(lines, triangulate_quads: bool):
             else:
                 raise ParseError(
                     f"line {lineno}: face has {len(idx)} vertices; "
-                    "only triangles are accepted (enable quad triangulation)"
+                    "only triangles are accepted (the library's "
+                    "load_mesh(..., triangulate_quads=True) splits larger faces)"
                 )
         # all other records (vn, vt, usemtl, o, g, s, ...) are ignored
     return (np.array(verts, dtype=np.float64).reshape(-1, 3),

@@ -34,6 +34,7 @@ from .geometry import (
     as_positions,
     attach_pca_frames,
     cage_around,
+    check_manifold_edges,
     knn_neighborhoods,
     pointset_from_mesh_vertices,
     sample_surface,
@@ -46,6 +47,10 @@ DEFORM_MAX_ITERS = 3000
 FIT_STEP_SIZE = 5e-4
 FIT_MAX_ITERS = 10_000
 DEGENERATE_CAGE_AREA = 1e-10
+
+# what a JSON config value of each field type may be: (description, types)
+_JSON_TYPES = {"int": ("an integer", int), "float": ("a number", (int, float)),
+               "str": ("a string", str)}
 
 
 class OptimizationError(Exception):
@@ -204,6 +209,16 @@ class PipelineConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for f in fields(cls):
+            kind, _, nullable = f.type.partition(" | ")
+            what, types = _JSON_TYPES[kind]
+            value = data.get(f.name)
+            if f.name not in data or (value is None and nullable):
+                continue
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ValueError(
+                    f"config key {f.name!r} must be {what}"
+                    f"{' or null' if nullable else ''}, got {value!r}")
         return cls(**data)
 
     def to_dict(self) -> dict:
@@ -269,9 +284,13 @@ def deform_pair(source: TriMesh, target: TriMesh,
         if not getattr(cfg, key) >= low:
             raise ValueError(
                 f"{key} must be at least {low}, got {getattr(cfg, key)}")
+    if cfg.align_mode not in ("chamfer", "l2"):
+        raise ValueError(f"unknown align_mode {cfg.align_mode!r}")
     with runtime.thread_cap(cfg.threads):
         _check_normalized(source, "source mesh")
         _check_normalized(target, "target mesh")
+        # else eval_metrics' source Laplacian raises only after the last step
+        check_manifold_edges(source)
 
         cage0 = cage_around(source, cfg.cage_template, cfg.cage_scale)
         cage_faces = cage0.faces

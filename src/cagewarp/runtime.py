@@ -1,11 +1,11 @@
 """Process-wide runtime knobs: the thread cap for internal parallelism.
 
-Two kinds of work run on threads: exact nearest-neighbor queries of at
-least ``KDTREE_SERIAL_BELOW`` rows (``cKDTree`` query workers) and the MVC
-kernel's blocks of query rows (``map_ordered`` over a shared thread pool).
-Neither changes any result bit: each query row is computed by itself, and
-whatever is summed across rows is summed on the calling thread in a fixed
-order.
+``map_ordered`` is the one place package work runs on threads: the MVC
+kernel's blocks of query rows and the k-d tree's blocks of query rows are
+its items, taken by the calling thread and a shared pool.  No result bit
+depends on the thread count: each row is computed by itself, block sizes
+depend only on the data, and whatever is summed across rows is summed on
+the calling thread in a fixed order.
 """
 
 from __future__ import annotations
@@ -19,13 +19,6 @@ _threads: int | None = None
 _pool: ThreadPoolExecutor | None = None
 _pool_size = 0
 _pool_lock = threading.Lock()
-
-
-# Below this many query rows a serial cKDTree query beat one with
-# workers=-1 on every tree size measured (162, 866 and 5000 points on a
-# sphere; 2 cores): 500 and 866 rows won 15 of 15 rounds, 1024 to 3000
-# rows were split, and 5000 rows lost 13 of 15.
-KDTREE_SERIAL_BELOW = 1024
 
 
 @contextlib.contextmanager
@@ -47,12 +40,9 @@ def thread_cap(n: int | None):
         _threads = saved
 
 
-def kdtree_workers(n_queries: int | None = None) -> int:
-    """Worker count for a cKDTree query of ``n_queries`` rows (-1 = all
-    cores).  Fewer than ``KDTREE_SERIAL_BELOW`` rows run on the calling
-    thread, since cKDTree starts new threads on every query."""
-    if n_queries is not None and n_queries < KDTREE_SERIAL_BELOW:
-        return 1
+def kdtree_workers() -> int:
+    """The cap in cKDTree's terms (-1 = all cores).  No query uses it; it
+    stays only because the benchmark records it in each run's provenance."""
     return _threads if _threads is not None else -1
 
 
@@ -72,7 +62,9 @@ def map_ordered(fn, items) -> list:
     The calling thread and up to ``thread_count() - 1`` pool threads take
     the items one at a time, in order; with one thread or one item every
     call runs inline.  Results come back in item order, and an exception a
-    call raised is raised here once every thread has stopped.
+    call raised is raised here once every thread has stopped.  ``fn`` must
+    not call ``map_ordered`` itself: from a busy pool thread it would wait
+    on itself.
     """
     items = list(items)
     workers = min(thread_count(), len(items))

@@ -264,17 +264,26 @@ def eval_toy(predictor: OffsetPredictor, family: SyntheticFamily,
     bmesh = TriMesh(deform(base.vertices, m, cage_v).points,
                     base.faces)                 # identity deformation
 
+    # the baseline's samples and each target's are sampled and indexed once
+    bpts = losses.unit_box_samples(bmesh, n_cd_samples, seed)
+    bindex = losses.SpatialIndex(bpts)
+
     descriptors = family.sample_descriptors(n_holdout, rng)
     l2s, l2s_base, cds, cds_base = [], [], [], []
     for s in descriptors:
         target = family.member(s)
+        tpts = losses.unit_box_samples(target, n_cd_samples, seed)
+        tindex = losses.SpatialIndex(tpts)
         dmesh = TriMesh(
             deform(base.vertices, m, cage_v + predictor.predict(s)).points,
             base.faces)
-        for mesh, l2, cd in ((dmesh, l2s, cds), (bmesh, l2s_base, cds_base)):
-            l2.append(float(losses.l2_corresponded(mesh, target.vertices)))
-            cd.append(losses.sampled_chamfer_x100(mesh, target, n_cd_samples,
-                                                  seed))
+        dpts = losses.unit_box_samples(dmesh, n_cd_samples, seed)
+        l2s.append(float(losses.l2_corresponded(dmesh, target.vertices)))
+        l2s_base.append(float(losses.l2_corresponded(bmesh, target.vertices)))
+        # the x100 of sampled_chamfer_x100, on the prebuilt trees
+        cds.append(float(losses.chamfer(dpts, tpts, index_b=tindex)) * 100.0)
+        cds_base.append(float(losses.chamfer(bpts, tpts, index_a=bindex,
+                                             index_b=tindex)) * 100.0)
     mean_l2 = float(np.mean(l2s))
     mean_l2_base = float(np.mean(l2s_base))
     return {

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cagewarp.geometry import TriMesh
+from cagewarp.geometry import TriMesh, make_box_mesh, normalize_to_unit_box
 
 TETRA_VERTS = np.array(
     [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
@@ -40,3 +40,13 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def finned_box() -> TriMesh:
+    """A unit-box box(3) mesh with a two-face fin on its edge (0, 1), which
+    then has four incident faces."""
+    box, _ = normalize_to_unit_box(make_box_mesh(3))
+    n = box.n_vertices
+    fin = np.array([[0.3, -1 / 3, -0.3], [0.2, -1 / 3, -0.4]])
+    return TriMesh(np.vstack([box.vertices, fin]),
+                   np.vstack([box.faces, [[0, 1, n], [1, 0, n + 1]]]))

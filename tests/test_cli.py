@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cagewarp import cli, meshio, runtime
+from cagewarp import cli, meshio, optim, runtime
 from cagewarp.cli import main
 from cagewarp.geometry import (
     TriMesh,
@@ -13,6 +13,7 @@ from cagewarp.geometry import (
     sample_surface,
 )
 from cagewarp.mvc import MvcMatrix
+from conftest import finned_box
 
 
 @pytest.fixture
@@ -337,6 +338,77 @@ class TestManifest:
         assert len(man["inputs"]["input"]["sha256"]) == 64
         assert any(p.endswith("cage.obj") for p in man["outputs"])
         assert "config" in man and man["config"]["cage_scale"] == 1.05
+
+
+class TestFailedRun:
+    """A command that raises exits 1, writes no report and marks its
+    manifest failed; a config value of the wrong type fails first."""
+
+    def _fails(self, argv, out, capsys, message):
+        assert main(argv + ["--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("config, message", [
+        ('{"align_mode": "chamfr"}', "unknown align_mode 'chamfr'"),
+        ('{"max_iters": 0}', "step budget must be at least 1, got 0"),
+    ])
+    def test_deform_error_marks_the_manifest_failed(
+            self, source_target, tmp_path, capsys, config, message):
+        sp, tp = source_target
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        out = tmp_path / "d"
+        self._fails(["deform", "--source", str(sp), "--target", str(tp),
+                     "--config", str(cfg)], out, capsys, message)
+        man = load_manifest(out)
+        assert man["status"] == "failed" and man["outputs"] == []
+        assert message in man["error"] and "finished" in man
+
+    def test_non_manifold_source_fails_before_the_loop(
+            self, source_target, tmp_path, capsys, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("deform took a step")
+
+        monkeypatch.setattr(optim, "run_adam", no_step)
+        src = tmp_path / "fin.obj"
+        meshio.save_mesh(finned_box(), src)
+        out = tmp_path / "d"
+        self._fails(["deform", "--source", str(src), "--target",
+                     str(source_target[1])], out, capsys,
+                    "non-manifold edges: [(0, 1)]")
+        assert load_manifest(out)["status"] == "failed"
+
+    @pytest.mark.parametrize("config, message", [
+        ('{"threads": 1.5}', "'threads' must be an integer or null, got 1.5"),
+        ('{"max_iters": 2.5}',
+         "'max_iters' must be an integer or null, got 2.5"),
+        ('{"seed": 1.5}', "'seed' must be an integer, got 1.5"),
+    ])
+    def test_wrong_config_type_fails_naming_the_key(
+            self, source_target, tmp_path, capsys, config, message):
+        sp, tp = source_target
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        out = tmp_path / "d"
+        self._fails(["deform", "--source", str(sp), "--target", str(tp),
+                     "--config", str(cfg)], out, capsys, message)
+        assert not out.exists()
+
+    def test_failed_gradcheck_keeps_a_completed_manifest(
+            self, tmp_path, capsys, monkeypatch):
+        class Failed:
+            passed = False
+
+            def to_dict(self):
+                return {"op": "l2", "pass": False}
+
+        monkeypatch.setattr(cli, "builtin_check", lambda *a, **k: Failed())
+        out = tmp_path / "gc"
+        assert main(["gradcheck", "--op", "l2", "--out", str(out)]) == 1
+        assert "gradient check failed" in capsys.readouterr().err
+        assert load_report(out)["metrics"]["pass"] is False
+        assert load_manifest(out)["status"] == "completed"
 
 
 class TestThreadCap:

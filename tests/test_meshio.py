@@ -147,7 +147,8 @@ def test_other_layouts_read_line_by_line(tmp_path, text):
     ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 4\nv 0 0 1\n",
      "line 4: face index 4 out of range 1..3"),
     (TET + "f 1 2 3 4\n", "line 5: face has 4 vertices; only triangles are "
-     "accepted (enable quad triangulation)"),
+     "accepted (the library's load_mesh(..., triangulate_quads=True) splits "
+     "larger faces)"),
     (TET + "f\n", "line 5: face has 0 vertices"),
     (TET + "f   \n", "line 5: face has 0 vertices"),
     (TET + "f 1 2\n", "line 5: face has 2 vertices"),

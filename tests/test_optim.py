@@ -7,6 +7,7 @@ import pytest
 import cagewarp.autodiff as ad
 from cagewarp import losses, optim, runtime
 from cagewarp.geometry import (
+    MeshError,
     PointSet,
     TriMesh,
     cage_around,
@@ -17,6 +18,7 @@ from cagewarp.geometry import (
 )
 from cagewarp.losses import chamfer, mvc_penalty
 from cagewarp.mvc import FLAG_EXTERIOR_OK, compute_mvc
+from conftest import finned_box
 from cagewarp.optim import (
     AdamState,
     OptimizationError,
@@ -121,6 +123,33 @@ class TestPipelineConfig:
         cfg = PipelineConfig.from_json(path)
         assert cfg.step_size == 5e-4 and cfg.max_iters == 10000
         assert cfg.consistency_threshold == 1e-5 and cfg.clap_weight == 0.05
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"threads": 1.5}', "'threads' must be an integer or null, got 1.5"),
+        ('{"max_iters": 2.5}',
+         "'max_iters' must be an integer or null, got 2.5"),
+        ('{"seed": 1.5}', "'seed' must be an integer, got 1.5"),
+        ('{"seed": true}', "'seed' must be an integer, got True"),
+        ('{"seed": null}', "'seed' must be an integer, got None"),
+        ('{"alpha_mvc": "1"}', "'alpha_mvc' must be a number, got '1'"),
+        ('{"step_size": false}',
+         "'step_size' must be a number or null, got False"),
+        ('{"align_mode": 1}', "'align_mode' must be a string, got 1"),
+    ])
+    def test_value_of_the_wrong_type_rejected(self, tmp_path, text, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^config key {message}$"):
+            PipelineConfig.from_json(path)
+
+    def test_int_for_a_float_and_null_for_an_optional_accepted(self,
+                                                               tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"step_size": 1, "threads": null, "max_iters": null,'
+                        ' "cage_scale": 2}')
+        cfg = PipelineConfig.from_json(path)
+        assert cfg.step_size == 1 and cfg.cage_scale == 2
+        assert cfg.threads is None and cfg.max_iters is None
 
 
 class TestDeformPair:
@@ -327,6 +356,32 @@ class TestDeformPair:
         src = normalized_box(3)
         with pytest.raises(ValueError, match=f"{key} must be at least"):
             deform_pair(src, src, PipelineConfig(max_iters=2, **{key: bad}))
+
+    def test_unknown_align_mode_rejected_before_the_cage(self, monkeypatch):
+        def no_cage(*args, **kwargs):
+            raise AssertionError("deform_pair built a cage")
+
+        monkeypatch.setattr(optim, "cage_around", no_cage)
+        src = normalized_box(3)
+        with pytest.raises(ValueError, match="unknown align_mode 'chamfr'"):
+            deform_pair(src, src, PipelineConfig(max_iters=2,
+                                                 align_mode="chamfr"))
+
+    def test_non_manifold_source_rejected_before_a_step(self, monkeypatch):
+        # its metrics' Laplacian used to fail only after the whole budget
+        steps = []
+        run_adam = optim.run_adam
+
+        def spy(params, step_size, max_iters, evaluate, **kwargs):
+            return run_adam(params, step_size, max_iters,
+                            lambda leaves: steps.append(1) or evaluate(leaves),
+                            **kwargs)
+
+        monkeypatch.setattr(optim, "run_adam", spy)
+        src = finned_box()
+        with pytest.raises(MeshError, match=r"non-manifold edges: \[\(0, 1\)\]"):
+            deform_pair(src, normalized_box(3), PipelineConfig(max_iters=1))
+        assert steps == []
 
     @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
     def test_non_finite_cage_scale_rejected_before_a_step(self, scale,

@@ -1,4 +1,5 @@
-"""The thread cap and the ordered map the coordinate kernel runs its blocks on."""
+"""The thread cap and the ordered map the coordinate kernel and the k-d tree
+run their blocks on."""
 
 import sys
 import threading
@@ -72,14 +73,60 @@ def test_negative_thread_count_rejected(n):
         assert runtime.kdtree_workers() == -1
 
 
-def test_small_kdtree_queries_run_serially():
-    n = runtime.KDTREE_SERIAL_BELOW
-    assert runtime.kdtree_workers() == -1
-    assert runtime.kdtree_workers(n - 1) == 1
-    assert runtime.kdtree_workers(n) == -1
-    with runtime.thread_cap(3):
-        assert runtime.kdtree_workers() == runtime.kdtree_workers(n) == 3
-        assert runtime.kdtree_workers(1) == 1
+class _SpyTree:
+    """A k-d tree that records the thread, row count and keywords of each
+    query it answers."""
+
+    def __init__(self, tree):
+        self._tree = tree
+        self.calls = []
+
+    def query(self, q, **kwargs):
+        self.calls.append((threading.current_thread(), len(q), kwargs))
+        return self._tree.query(q, **kwargs)
+
+
+def test_kdtree_queries_run_as_serial_blocks_on_the_pool():
+    from cagewarp.geometry import SpatialIndex
+
+    rng = np.random.default_rng(3)
+    index = SpatialIndex(rng.normal(size=(900, 3)))
+    spy = index._tree = _SpyTree(index._tree)
+    q = rng.normal(size=(5000, 3))
+    caller = threading.current_thread()
+    for cap in (1, 2):
+        spy.calls.clear()
+        with runtime.thread_cap(cap):
+            index.query(q, k=3)
+        assert sum(n for _, n, _ in spy.calls) == 5000
+        assert all(n <= 1024 and kw == {"k": 3, "workers": 1}
+                   for _, n, kw in spy.calls)
+        threads = {t for t, _, _ in spy.calls}
+        if cap == 1:
+            assert threads == {caller}
+        else:
+            assert all(t is caller or t.name.startswith("cagewarp_")
+                       for t in threads)
+
+
+@pytest.mark.parametrize("n", [0, 50, 1023, 1024, 1025, 5000])
+@pytest.mark.parametrize("k", [1, 9])
+def test_blocked_query_equals_one_serial_query(n, k):
+    from scipy.spatial import cKDTree
+
+    from cagewarp.geometry import SpatialIndex
+
+    rng = np.random.default_rng(n)
+    pts = rng.normal(size=(900, 3))
+    q = rng.normal(size=(n, 3))
+    want = cKDTree(pts).query(q, k=k, workers=1)
+    index = SpatialIndex(pts)
+    for cap in (1, 2, 0):
+        with runtime.thread_cap(cap):
+            got = index.query(q, k=k)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert np.array_equal(a, b)
 
 
 def test_kdtree_results_do_not_depend_on_workers():
@@ -87,7 +134,7 @@ def test_kdtree_results_do_not_depend_on_workers():
 
     rng = np.random.default_rng(4)
     pts = rng.normal(size=(900, 3))
-    # one query below the serial threshold, one above it
+    # one query of a single block, one of two
     queries = [rng.normal(size=(50, 3)), rng.normal(size=(2000, 3))]
     index = SpatialIndex(pts)
     results = []

@@ -238,6 +238,43 @@ class TestEvalToy:
         assert res["mean_cd_x100"] == float(np.mean(cds))
         assert res["baseline_mean_cd_x100"] == float(np.mean(cds_base))
 
+    def test_samples_and_trees_built_once_per_mesh(self, monkeypatch):
+        # one tree over the baseline's samples, and per member one over the
+        # target's and one over the deformed mesh's; the same bits as one
+        # sampled_chamfer_x100 per (mesh, target) pair
+        fam = SyntheticFamily()
+        cage = fam.default_cage()
+        pred = OffsetPredictor.init(3, cage.n_vertices, seed=0, cage=cage)
+        pred.w2 = np.random.default_rng(3).normal(scale=0.01,
+                                                  size=pred.w2.shape)
+        base = fam.source_mesh()
+        phi = compute_mvc(cage, base.vertices).weights
+        want = {"l2": [], "l2_base": [], "cd": [], "cd_base": []}
+        for s in fam.sample_descriptors(3, np.random.default_rng(9)):
+            target = fam.member(s)
+            for verts, key in ((cage.vertices + pred.predict(s), ""),
+                               (cage.vertices, "_base")):
+                mesh = TriMesh(phi @ verts, base.faces)
+                want["l2" + key].append(float(l2_corresponded(
+                    mesh, target.vertices)))
+                want["cd" + key].append(losses.sampled_chamfer_x100(
+                    mesh, target, 250, 9))
+        built = []
+        index = losses.SpatialIndex
+        monkeypatch.setattr(losses, "SpatialIndex",
+                            lambda pts: built.append(len(pts)) or index(pts))
+        res = eval_toy(pred, fam, n_holdout=3, seed=9, n_cd_samples=250)
+        assert built == [250] * 7
+        mean_l2 = float(np.mean(want["l2"]))
+        assert res == {
+            "n_holdout": 3, "seed": 9, "mean_l2": mean_l2,
+            "max_l2": float(np.max(want["l2"])),
+            "baseline_mean_l2": float(np.mean(want["l2_base"])),
+            "l2_ratio": mean_l2 / float(np.mean(want["l2_base"])),
+            "mean_cd_x100": float(np.mean(want["cd"])),
+            "baseline_mean_cd_x100": float(np.mean(want["cd_base"])),
+        }
+
     def test_empty_holdout_rejected(self):
         fam = SyntheticFamily()
         cage = fam.default_cage()
