@@ -16,15 +16,12 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from . import runtime
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 DEGENERATE_FACE_AREA = 1e-12
 KDTREE_BLOCK = 1024       # query rows per k-d tree block
@@ -105,8 +102,14 @@ def validate_cage(mesh: TriMesh) -> None:
         raise MeshError("cage must be closed and consistently oriented")
 
 
-def check_manifold_edges(mesh: TriMesh) -> None:
-    """Raise on non-manifold edges (more than two incident faces)."""
+def check_laplacian_mesh(mesh: TriMesh) -> np.ndarray:
+    """Raise MeshError unless ``mesh`` has a finite cotangent Laplacian.
+
+    No edge may have more than two incident faces, and no face a corner
+    whose cross product is zero (a face of zero area).  Returns the half
+    cotangent of every corner, (3, F): corner k of a face weighs its
+    opposite edge (f[k + 1], f[k + 2]).
+    """
     n = mesh.n_vertices
     a, b = _face_edges(mesh.faces)
     edges, uses = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
@@ -114,6 +117,15 @@ def check_manifold_edges(mesh: TriMesh) -> None:
     bad = [divmod(int(e), n) for e in edges[uses > 2][:5]]
     if bad:
         raise MeshError(f"non-manifold edges: {bad}")
+    corners = np.take(mesh.vertices, mesh.faces.T, axis=0)   # (3, F, 3)
+    e1 = corners[[1, 2, 0]] - corners
+    e2 = corners[[2, 0, 1]] - corners
+    cross = np.linalg.norm(np.cross(e1, e2), axis=2)
+    flat = np.flatnonzero((cross == 0.0).any(axis=0))
+    if flat.size:
+        raise MeshError(f"zero-area face {flat[0]}: "
+                        f"{mesh.faces[flat[0]].tolist()}")
+    return 0.5 * ((e1 * e2).sum(axis=2) / cross)
 
 
 class PaddedNeighborhoods(NamedTuple):
@@ -387,38 +399,85 @@ def pointset_from_mesh_vertices(mesh: TriMesh) -> PointSet:
 # -- cotangent Laplacian ----------------------------------------------------
 
 
-def cot_laplacian(mesh: TriMesh) -> sparse.csr_matrix:
+class Laplacian:
+    """An n x n sparse matrix: ``toarray()`` and ``L @ x``.
+
+    ``keys`` (row * n + column, increasing) and ``values`` are its nonzero
+    entries in the order of a CSR matrix.  ``L @ x`` adds each row's
+    products into 0.0 in column order, as a CSR product does.  The rows are
+    ranked by entry count, most first, and slot p holds the p-th entry of
+    each of the first t_p ranked rows; a product gathers and multiplies
+    every entry at once, adds slot p into the first t_p rows of the
+    accumulator, and gathers the accumulator back into row order.
+    """
+
+    def __init__(self, n, keys, values):
+        self.shape = (n, n)
+        self.keys, self.values = keys, values
+        counts = np.bincount(keys // n, minlength=n)
+        rank = np.argsort(-counts, kind="stable")      # rank -> row
+        ranked = counts[rank]
+        first = (np.cumsum(counts) - counts)[rank]
+        index, self._slots = [], []
+        for p in range(int(ranked.max(initial=0))):
+            t = int(np.count_nonzero(ranked > p))
+            index.append(first[:t] + p)
+            self._slots.append(t)
+        index = np.concatenate(index or [np.zeros(0, np.intp)])
+        self._cols = keys[index] % n
+        self._weights = values[index, None]
+        self._back = np.argsort(rank)                  # row -> rank
+
+    def toarray(self) -> np.ndarray:
+        n = self.shape[0]
+        dense = np.zeros(n * n)
+        dense[self.keys] = self.values
+        return dense.reshape(n, n)
+
+    def __matmul__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        n = self.shape[0]
+        if x.ndim not in (1, 2) or len(x) != n:
+            raise ValueError(
+                f"cannot multiply a {n} x {n} matrix by shape {x.shape}")
+        cols = x.reshape(n, -1)
+        prod = np.take(cols, self._cols, axis=0)
+        np.multiply(prod, self._weights, out=prod)
+        acc = np.zeros(cols.shape)
+        lo = 0
+        for t in self._slots:
+            np.add(acc[:t], prod[lo:lo + t], out=acc[:t])
+            lo += t
+        return np.take(acc, self._back, axis=0).reshape(x.shape)
+
+
+def cot_laplacian(mesh: TriMesh) -> Laplacian:
     """Cotangent-weighted Laplacian (off-diag (cot a + cot b)/2, zero row sums).
 
-    Raises on non-manifold edges (more than two incident faces).
+    Raises MeshError where ``check_laplacian_mesh`` does.  The entries have
+    the bits of scipy's ``coo_matrix(...).tocsr() + diags(-row sums)``:
+    the half cotangents of an edge's faces added, each diagonal entry 0.0
+    minus the ``np.add.reduceat`` of its row's off-diagonal entries in
+    column order (how ``csr.sum(axis=1)`` adds), and every entry that comes
+    out exactly zero dropped.
     """
-    # scipy.sparse takes ~0.2 s to import, so only a Laplacian builder does
-    from scipy import sparse
-
-    check_manifold_edges(mesh)
-    v = mesh.vertices
-    f = mesh.faces
-    n = mesh.n_vertices
-
-    rows, cols, vals = [], [], []
-    for k in range(3):
-        i = f[:, (k + 1) % 3]
-        j = f[:, (k + 2) % 3]
-        o = f[:, k]
-        e1 = v[i] - v[o]
-        e2 = v[j] - v[o]
-        cot = (e1 * e2).sum(axis=1) / np.linalg.norm(np.cross(e1, e2), axis=1)
-        w = 0.5 * cot
-        rows.extend((i, j))
-        cols.extend((j, i))
-        vals.extend((w, w))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    lap = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    diag = -np.asarray(lap.sum(axis=1)).ravel()
-    lap = lap + sparse.diags(diag)
-    return lap.tocsr()
+    w = check_laplacian_mesh(mesh).ravel()
+    n, f = mesh.n_vertices, mesh.faces.T
+    i, j = f[[1, 2, 0]].ravel(), f[[2, 0, 1]].ravel()
+    keys = np.concatenate([i * n + j, j * n + i])
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], np.concatenate([w, w])[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    keys, values = keys[first], np.add.reduceat(values, first)
+    rows = keys // n
+    first = np.flatnonzero(np.diff(rows, prepend=-1))
+    diag = 0.0 - np.add.reduceat(values, first)
+    # two sorted runs: a stable sort merges them
+    keys = np.concatenate([keys, rows[first] * (n + 1)])
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], np.concatenate([values, diag])[order]
+    nonzero = values != 0.0
+    return Laplacian(n, keys[nonzero], values[nonzero])
 
 
 # -- template cages ----------------------------------------------------------

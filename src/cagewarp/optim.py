@@ -34,7 +34,7 @@ from .geometry import (
     as_positions,
     attach_pca_frames,
     cage_around,
-    check_manifold_edges,
+    check_laplacian_mesh,
     knn_neighborhoods,
     pointset_from_mesh_vertices,
     sample_surface,
@@ -48,9 +48,13 @@ FIT_STEP_SIZE = 5e-4
 FIT_MAX_ITERS = 10_000
 DEGENERATE_CAGE_AREA = 1e-10
 
-# what a JSON config value of each field type may be: (description, types)
-_JSON_TYPES = {"int": ("an integer", int), "float": ("a number", (int, float)),
-               "str": ("a string", str)}
+# what a config value of each field type may be, bools excepted:
+# (description, types)
+_FIELD_TYPES = {
+    "int": ("an integer", (int, np.integer)),
+    "float": ("a number", (int, float, np.integer, np.floating)),
+    "str": ("a string", str),
+}
 
 
 class OptimizationError(Exception):
@@ -201,24 +205,25 @@ class PipelineConfig:
     plateau_window: int = 200
     plateau_rel_tol: float = 1e-6
 
-    @classmethod
-    def from_json(cls, path) -> "PipelineConfig":
-        with open(path, "r") as fh:
-            data = json.load(fh)
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for f in fields(cls):
+    def __post_init__(self):
+        for f in fields(self):
             kind, _, nullable = f.type.partition(" | ")
-            what, types = _JSON_TYPES[kind]
-            value = data.get(f.name)
-            if f.name not in data or (value is None and nullable):
+            what, types = _FIELD_TYPES[kind]
+            value = getattr(self, f.name)
+            if value is None and nullable:
                 continue
             if isinstance(value, bool) or not isinstance(value, types):
                 raise ValueError(
                     f"config key {f.name!r} must be {what}"
                     f"{' or null' if nullable else ''}, got {value!r}")
+
+    @classmethod
+    def from_json(cls, path) -> "PipelineConfig":
+        with open(path, "r") as fh:
+            data = json.load(fh)
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
 
     def to_dict(self) -> dict:
@@ -290,7 +295,7 @@ def deform_pair(source: TriMesh, target: TriMesh,
         _check_normalized(source, "source mesh")
         _check_normalized(target, "target mesh")
         # else eval_metrics' source Laplacian raises only after the last step
-        check_manifold_edges(source)
+        check_laplacian_mesh(source)
 
         cage0 = cage_around(source, cfg.cage_template, cfg.cage_scale)
         cage_faces = cage0.faces

@@ -50,3 +50,13 @@ def finned_box() -> TriMesh:
     fin = np.array([[0.3, -1 / 3, -0.3], [0.2, -1 / 3, -0.4]])
     return TriMesh(np.vstack([box.vertices, fin]),
                    np.vstack([box.faces, [[0, 1, n], [1, 0, n + 1]]]))
+
+
+def collapsed_face_box(subdiv=3) -> TriMesh:
+    """A unit-box box(subdiv) mesh with vertex 2 of face 0 moved onto its
+    vertex 1, so face 0 (and its neighbour across that edge) has zero area;
+    the moved vertex is inside a side, so the bounding box stays."""
+    box, _ = normalize_to_unit_box(make_box_mesh(subdiv))
+    v = box.vertices.copy()
+    v[box.faces[0, 2]] = v[box.faces[0, 1]]
+    return TriMesh(v, box.faces)

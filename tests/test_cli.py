@@ -13,7 +13,7 @@ from cagewarp.geometry import (
     sample_surface,
 )
 from cagewarp.mvc import MvcMatrix
-from conftest import finned_box
+from conftest import collapsed_face_box, finned_box
 
 
 @pytest.fixture
@@ -377,6 +377,16 @@ class TestFailedRun:
         self._fails(["deform", "--source", str(src), "--target",
                      str(source_target[1])], out, capsys,
                     "non-manifold edges: [(0, 1)]")
+        assert load_manifest(out)["status"] == "failed"
+
+    def test_zero_area_source_fails_eval(self, tmp_path, capsys):
+        # the reader names the zero-area faces before any Laplacian is built
+        mesh = tmp_path / "collapsed.obj"
+        meshio.save_mesh(collapsed_face_box(), mesh)
+        out = tmp_path / "e"
+        self._fails(["eval", "--deformed", str(mesh), "--target", str(mesh),
+                     "--source", str(mesh)], out, capsys,
+                    "degenerate faces (area < 1e-12): [0, 7]")
         assert load_manifest(out)["status"] == "failed"
 
     @pytest.mark.parametrize("config, message", [

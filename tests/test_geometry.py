@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from cagewarp.geometry import (
     sample_surface,
 )
 from cagewarp import meshio
-from conftest import random_rotation
+from conftest import collapsed_face_box, random_rotation
 
 
 class TestTriMesh:
@@ -326,7 +328,83 @@ class TestPcaFrame:
         assert np.abs(np.linalg.norm(ps.pca_normals, axis=1) - 1).max() < 1e-6
 
 
+def csr_laplacian_oracle(mesh):
+    """The cotangent Laplacian as scipy builds it: every corner's half
+    cotangent as two coo entries, summed into csr, plus diags(-row sums)."""
+    from scipy import sparse
+
+    v, f, n = mesh.vertices, mesh.faces, mesh.n_vertices
+    rows, cols, vals = [], [], []
+    for k in range(3):
+        i, j, o = f[:, (k + 1) % 3], f[:, (k + 2) % 3], f[:, k]
+        e1, e2 = v[i] - v[o], v[j] - v[o]
+        w = 0.5 * ((e1 * e2).sum(axis=1)
+                   / np.linalg.norm(np.cross(e1, e2), axis=1))
+        rows.extend((i, j))
+        cols.extend((j, i))
+        vals.extend((w, w))
+    lap = sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n)).tocsr()
+    return (lap + sparse.diags(-np.asarray(lap.sum(axis=1)).ravel())).tocsr()
+
+
+_ORACLE_MESHES = {
+    "sphere42": lambda: make_template_cage("sphere42"),
+    "sphere162": lambda: make_template_cage("sphere162"),
+    "box12": lambda: make_box_mesh(12),
+    "box24": lambda: make_box_mesh(24),
+}
+
+
 class TestCotLaplacian:
+    def _assert_scipy_bits(self, mesh):
+        want, got = csr_laplacian_oracle(mesh), cot_laplacian(mesh)
+        dense = got.toarray()
+        assert dense.tobytes() == want.toarray().tobytes()
+        assert np.array_equal(np.signbit(dense), np.signbit(want.toarray()))
+        rng = np.random.default_rng(mesh.n_vertices)
+        for x in (mesh.vertices, rng.normal(size=(mesh.n_vertices, 3)),
+                  mesh.vertices[:, 1], rng.normal(size=mesh.n_vertices)):
+            assert (got @ x).tobytes() == (want @ x).tobytes()
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.01])
+    @pytest.mark.parametrize("name", sorted(_ORACLE_MESHES))
+    def test_bits_match_scipy(self, name, jitter):
+        mesh = _ORACLE_MESHES[name]()
+        rng = np.random.default_rng(7)
+        self._assert_scipy_bits(TriMesh(
+            mesh.vertices + jitter * rng.normal(size=mesh.vertices.shape),
+            mesh.faces))
+
+    def test_bits_match_scipy_on_the_fixtures(self, tetra, octa):
+        self._assert_scipy_bits(tetra)
+        self._assert_scipy_bits(octa)
+        # an open mesh (edges of one face) and a vertex in no face (no row)
+        self._assert_scipy_bits(TriMesh(octa.vertices, octa.faces[:5]))
+        self._assert_scipy_bits(TriMesh(
+            np.vstack([tetra.vertices, [[3.0, 0.0, 0.0]]]), tetra.faces))
+
+    def test_zero_entries_dropped(self):
+        # the flat sides of a box give right angles: cot 90 = 0 exactly
+        box = make_box_mesh(3)
+        lap = cot_laplacian(box)
+        assert np.all(lap.values != 0.0)
+        assert len(lap.values) == csr_laplacian_oracle(box).nnz
+        # fewer than one entry per vertex and two per edge
+        assert len(lap.values) < box.n_vertices + 3 * box.n_faces
+
+    def test_product_needs_one_row_per_vertex(self, tetra):
+        with pytest.raises(ValueError, match="by shape"):
+            cot_laplacian(tetra) @ np.ones((5, 3))
+
+    def test_zero_area_face_rejected_naming_it(self):
+        mesh = collapsed_face_box()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeshError, match=r"^zero-area face 0: \[0, 1, 2\]$"):
+                cot_laplacian(mesh)
+
     def test_tetra_symmetry_and_nullspace(self, tetra):
         lap = cot_laplacian(tetra).toarray()
         off = lap[~np.eye(4, dtype=bool)]

@@ -1,12 +1,11 @@
-"""What a fresh process imports: scipy only for a Laplacian or a k-d tree.
+"""What a fresh process imports: scipy only for a k-d tree.
 
-Importing ``scipy.sparse`` costs a cold process ~0.2 s, and
-``scipy.spatial`` (with ``scipy.linalg`` and ``scipy.special``) ~0.2 s
-and ~15 MiB more.  ``transfer``, ``compute-mvc`` and the ``train_toy``
-pipeline build neither a Laplacian nor a tree, so they load no scipy at
-all; ``fit_cage`` loads ``scipy.sparse`` with its first cage Laplacian.
-Each check runs in a new interpreter, since this test process has long
-loaded scipy.
+Importing ``scipy.spatial`` (with ``scipy.linalg`` and ``scipy.special``)
+costs a cold process ~0.2 s and ~15 MiB, and ``scipy.sparse`` ~0.2 s more.
+The cotangent Laplacian is built in numpy, so ``transfer``,
+``compute-mvc``, the ``train_toy`` pipeline, ``fit_cage`` and its command,
+and the cage Laplacian gradient check load no scipy at all.  Each check
+runs in a new interpreter, since this test process has long loaded scipy.
 """
 
 import json
@@ -68,6 +67,24 @@ _, report = cw.fit_cage(cage, pts, pts, lm, cfg)
 assert report.iterations == 2, report.iterations
 note("fit_cage")
 
+from cagewarp.gradients import builtin_check  # noqa: E402
+
+check = builtin_check("cage_laplacian", n_configs=1)
+assert check.passed, check
+note("gradcheck cage_laplacian")
+
+meshio.save_points(pts, f"{work}/pts.csv")
+meshio.save_landmarks(lm, f"{work}/lm.csv")
+with open(f"{work}/fit.json", "w") as fh:
+    json.dump({"max_iters": 2, "consistency_threshold": 0.0}, fh)
+rc = cli.main(["fit-cage", "--template", f"{work}/cage.obj",
+               "--source-shape", f"{work}/pts.csv",
+               "--novel-shape", f"{work}/pts.csv",
+               "--landmarks", f"{work}/lm.csv",
+               "--config", f"{work}/fit.json", "--out", f"{work}/fit"])
+assert rc == 0, rc
+note("cagewarp fit-cage")
+
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
@@ -112,12 +129,12 @@ def stages(tmp_path_factory):
     return json.loads(run.stdout.strip().splitlines()[-1])
 
 
-def test_no_scipy_without_a_laplacian_or_a_tree(stages):
+def test_no_scipy_without_a_tree(stages):
     loaded = stages["loaded"]
     for stage in ("import cagewarp.cli", "transfer", "compute-mvc",
-                  "train_toy"):
+                  "train_toy", "fit_cage", "gradcheck cage_laplacian",
+                  "cagewarp fit-cage", "traced fit_cage"):
         assert loaded[stage] == [], stage
-    assert loaded["fit_cage"] == ["scipy", "scipy.sparse"]
 
 
 def test_scipy_spatial_loads_only_with_the_first_tree(stages):
@@ -130,6 +147,8 @@ def test_scipy_spatial_loads_only_with_the_first_tree(stages):
         "compute-mvc": False,
         "train_toy": False,
         "fit_cage": False,
+        "gradcheck cage_laplacian": False,
+        "cagewarp fit-cage": False,
         "traced fit_cage": False,
         "SpatialIndex": True,
     }

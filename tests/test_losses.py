@@ -3,6 +3,7 @@ import pytest
 
 import cagewarp.autodiff as ad
 from cagewarp.geometry import (
+    MeshError,
     PointSet,
     SpatialIndex,
     TriMesh,
@@ -32,7 +33,7 @@ from cagewarp.losses import (
     total_terms,
 )
 from cagewarp.mvc import compute_mvc
-from conftest import random_rotation
+from conftest import collapsed_face_box, random_rotation
 
 
 def value(term) -> float:
@@ -444,6 +445,12 @@ class TestEvalMetrics:
         other, _ = normalize_to_unit_box(make_box_mesh(3))
         with pytest.raises(ValueError):
             eval_metrics(other, mesh, mesh, n_samples=100, seed=0)
+
+    def test_zero_area_source_face_rejected(self):
+        # the Laplacian divided by the zero cross product: dcotlap_x1000 nan
+        mesh = collapsed_face_box()
+        with pytest.raises(MeshError, match="zero-area face 0"):
+            eval_metrics(mesh, mesh, mesh, n_samples=100, seed=0)
 
     def test_report_fields(self):
         mesh, _ = normalize_to_unit_box(make_box_mesh(2))

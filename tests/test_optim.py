@@ -18,7 +18,7 @@ from cagewarp.geometry import (
 )
 from cagewarp.losses import chamfer, mvc_penalty
 from cagewarp.mvc import FLAG_EXTERIOR_OK, compute_mvc
-from conftest import finned_box
+from conftest import collapsed_face_box, finned_box
 from cagewarp.optim import (
     AdamState,
     OptimizationError,
@@ -383,6 +383,49 @@ class TestDeformPair:
             deform_pair(src, normalized_box(3), PipelineConfig(max_iters=1))
         assert steps == []
 
+    def test_zero_area_source_face_rejected_before_a_step(self, monkeypatch):
+        # its metrics' Laplacian divided by the zero cross product and gave
+        # dcotlap_x1000 = nan, after the whole budget
+        steps = []
+        run_adam = optim.run_adam
+
+        def spy(params, step_size, max_iters, evaluate, **kwargs):
+            return run_adam(params, step_size, max_iters,
+                            lambda leaves: steps.append(1) or evaluate(leaves),
+                            **kwargs)
+
+        monkeypatch.setattr(optim, "run_adam", spy)
+        with pytest.raises(MeshError, match=r"zero-area face 0: \[0, 1, 2\]"):
+            deform_pair(collapsed_face_box(), normalized_box(3),
+                        PipelineConfig(max_iters=1))
+        assert steps == []
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", 1.5, "'seed' must be an integer, got 1.5"),
+        ("n_eval_samples", 100.5,
+         "'n_eval_samples' must be an integer, got 100.5"),
+        ("threads", 1.5, "'threads' must be an integer or null, got 1.5"),
+    ])
+    def test_config_built_in_code_type_checked(self, key, value, message,
+                                               monkeypatch):
+        # seed and n_eval_samples failed in eval_metrics after every step;
+        # threads=1.5 ran to the end
+        steps = []
+        monkeypatch.setattr(optim, "run_adam",
+                            lambda *args, **kwargs: steps.append(1))
+        src = normalized_box(3)
+        with pytest.raises(ValueError, match=f"^config key {message}$"):
+            deform_pair(src, src, PipelineConfig(max_iters=3, **{key: value}))
+        assert steps == []
+
+    def test_config_takes_numpy_integers_but_not_bools(self):
+        cfg = PipelineConfig(seed=np.int64(3), threads=np.int32(1),
+                             max_iters=np.uint8(2), step_size=np.float32(0.5))
+        assert (cfg.seed, cfg.threads, cfg.max_iters) == (3, 1, 2)
+        for bad in (True, np.True_):
+            with pytest.raises(ValueError, match="'seed' must be an integer"):
+                PipelineConfig(seed=bad)
+
     @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
     def test_non_finite_cage_scale_rejected_before_a_step(self, scale,
                                                           monkeypatch):
@@ -585,6 +628,23 @@ class TestFitCage:
             with pytest.raises(ValueError, match=f"step size .* got {step}"):
                 fit_cage(cage, pts, pts, lm,
                          PipelineConfig(step_size=step, max_iters=2))
+
+    def test_zero_area_template_face_rejected_before_a_step(self,
+                                                            monkeypatch):
+        # the step-0 Laplacian loss was NaN: "non-finite total loss"
+        steps = []
+        monkeypatch.setattr(optim, "run_adam",
+                            lambda *args, **kwargs: steps.append(1))
+        pts, cage = self._shape_and_cage()
+        v = cage.vertices.copy()
+        a, b, c = cage.faces[0]
+        v[c] = v[b]
+        lm = np.stack([np.arange(40), np.arange(40)], axis=1)
+        with pytest.raises(MeshError,
+                           match=rf"zero-area face 0: \[{a}, {b}, {c}\]"):
+            fit_cage(TriMesh(v, cage.faces), pts, pts, lm,
+                     PipelineConfig(max_iters=2))
+        assert steps == []
 
     def test_template_laplacian_built_once(self, monkeypatch):
         calls = []
