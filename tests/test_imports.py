@@ -1,7 +1,7 @@
 """What a fresh process imports: scipy only for a k-d tree.
 
-Importing ``scipy.spatial`` (with ``scipy.linalg`` and ``scipy.special``)
-costs a cold process ~0.2 s and ~15 MiB, and ``scipy.sparse`` ~0.2 s more.
+Importing ``scipy.spatial`` (with ``scipy.sparse``, ``scipy.linalg`` and
+``scipy.special``) costs a cold process ~0.4 s and ~15 MiB.
 The cotangent Laplacian is built in numpy, so ``transfer``,
 ``compute-mvc``, the ``train_toy`` pipeline, ``fit_cage`` and its command,
 and the cage Laplacian gradient check load no scipy at all.  Each check
