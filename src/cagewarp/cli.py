@@ -99,10 +99,13 @@ class RunManifest:
 
 
 def _write_report(out_dir: Path, metrics: dict, wall_time: float) -> Path:
+    """``report.json``: the metrics, and in ``provenance`` the wall time, the
+    version and the thread count the command ran under."""
     path = out_dir / "report.json"
     payload = {
         "metrics": metrics,
-        "provenance": {"wall_time_s": wall_time, "version": __version__},
+        "provenance": {"wall_time_s": wall_time, "version": __version__,
+                       "threads": runtime.thread_count()},
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

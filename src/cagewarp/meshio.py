@@ -54,7 +54,9 @@ def load_mesh(path, triangulate_quads: bool = False) -> TriMesh:
 
     Quads are fan-triangulated when ``triangulate_quads`` is set, otherwise
     any non-triangle face is rejected.  So are infinite or NaN vertex
-    coordinates, and faces with area below ``DEGENERATE_FACE_AREA``.
+    coordinates, and faces of zero area or of area below
+    ``DEGENERATE_FACE_AREA`` times the squared largest side of the bounding
+    box, so that the test does not depend on the mesh's units.
     """
     with open(path, "r") as fh:
         text = fh.read()
@@ -64,10 +66,13 @@ def load_mesh(path, triangulate_quads: bool = False) -> TriMesh:
     mesh = TriMesh(*parsed)
     if mesh.n_faces:
         areas = mesh.face_areas()
-        bad = np.nonzero(areas < DEGENERATE_FACE_AREA)[0]
+        lo, hi = mesh.bbox()
+        side = float((hi - lo).max())
+        threshold = DEGENERATE_FACE_AREA * side * side
+        bad = np.nonzero((areas < threshold) | (areas == 0.0))[0]
         if len(bad):
             raise MeshError(
-                f"degenerate faces (area < {DEGENERATE_FACE_AREA}): "
+                f"degenerate faces (area < {threshold:.3g}): "
                 f"{bad[:5].tolist()}"
             )
     return mesh

@@ -22,15 +22,21 @@ EPS_VERTEX_REL x the bounding-box diagonal of the cage the call is given
 (``vertex_tolerance``).  Exterior queries are allowed and produce
 (partially negative) valid weights.  Neither tolerance is a parameter.
 
-One vectorised pass evaluates these formulas over blocks of query rows.
-The block size follows the face count: 16 * max(1, 46080 // (3 F 16))
-rows, so a (3, F, rows) array, the largest a block builds, stays within
-360 KiB.  A 320-face cage runs 48-row blocks, an 80-face one 192-row
-blocks.  That size was measured against peak memory, since
-every thread holds one block's scratch: on 2 threads, 64-row blocks ran
-``cagewarp transfer`` on a 320-face cage 5-10% faster than 48-row ones,
-but its peak RSS rose ~3 MiB further, to ~5% above the single-threaded
-16-row kernel's.
+One vectorised pass evaluates these formulas over blocks of query rows,
+with one numpy call per formula over all three corners (or all three
+vector components): per-corner arrays are stored cyclically as (5, F,
+rows), corners 0, 1, 2, 0, 1, so the neighbours k+1 and k+2 are slices.
+The block size follows the face count: 16 * max(1, 614400 // (5 F 8 16))
+rows, so a (5, F, rows) float64 array, the largest a block builds, stays
+within 600 KiB.  A 320-face cage runs 48-row blocks, an 80-face one
+192-row blocks.  That size was measured against peak memory, since every
+thread holds one block's scratch: on a 320-face cage a thread's slots
+hold 4.0 MiB after an untaped call and 6.1 MiB after a taped forward and
+VJP, within the 4.15 and 6.48 MiB a test holds them to.  On 2 threads,
+48-row blocks ran a taped forward and VJP of 866 rows on a 320-face cage
+faster than 32-row ones, although a (5, F, 32) array fits a 2 MiB L2
+cache three times over: fewer blocks make fewer numpy calls, and each
+call holds the interpreter lock.
 Arc lengths and their sines are taken once per cage edge and gathered
 once per face corner.  The per-corner terms are added into their cage
 columns by numpy scatters: every column adds its terms into 0.0 in
@@ -44,7 +50,8 @@ The blocks of a call run on up to ``runtime.thread_count()`` threads (the
 calling thread and pool threads; ``--threads 1`` runs them inline), and
 each block writes its rows straight into the call's output arrays.  A
 block's temporaries live in its thread's workspace: named slots allocated
-once and written with ``out=``, instead of fresh arrays per operation.
+once and written with ``out=``, instead of fresh arrays per operation,
+through views made once per block shape.
 Fresh arrays over glibc's 128 KiB mmap threshold go back to the OS when
 freed and page-fault again at the next allocation, which made threads
 over such blocks slower than one thread.  The results do not depend on
@@ -104,11 +111,13 @@ _ASIN_CLAMP = 1.0 - 1e-12   # asin's derivative is taken inside +-1
 
 # Row granularity of the kernel: blocks are a multiple of it, and the cage
 # gradient sums the rows in chunks of it.  A block takes as many chunks as
-# keep a (3, F, rows) array within _BLOCK_ENTRIES float64s (360 KiB).
+# keep its largest array, a cyclic (5, F, rows) float64 one, within
+# _BLOCK_BYTES.
 _BLOCK_ROWS = 16
-_BLOCK_ENTRIES = 46080
+_BLOCK_BYTES = 600 * 1024
 _NEXT = np.array([1, 2, 0])   # corner k -> k + 1
 _PREV = np.array([2, 0, 1])   # corner k -> k + 2
+_CYCLE = np.array([0, 1, 2, 0, 1])   # corners k, k + 1, k + 2 as slices
 
 
 class MvcError(Exception):
@@ -194,8 +203,8 @@ def mvc_weights(cage_vertices, faces: np.ndarray, points: np.ndarray, *,
     taped = ad.is_var(cage_vertices)
     geo = _CageGeometry(ad.val(cage_vertices), faces)
     eps_vertex = vertex_tolerance(geo.cage)
-    block = _block_rows(len(geo.topo.faces))
-    out = _Rows(n, geo.n_vertices, with_flags)
+    block = _block_rows(geo.topo.n_faces)
+    out = _Rows(n, geo.n_vertices, with_flags, with_aux)
 
     def run(lo):
         # the block writes its rows into ``out``; an untaped one dies here
@@ -232,7 +241,8 @@ def mvc_weights(cage_vertices, faces: np.ndarray, points: np.ndarray, *,
 
 def _block_rows(n_faces):
     """Query rows per block for a cage of ``n_faces`` faces."""
-    return _BLOCK_ROWS * max(1, _BLOCK_ENTRIES // (3 * n_faces * _BLOCK_ROWS))
+    return _BLOCK_ROWS * max(
+        1, _BLOCK_BYTES // (5 * n_faces * 8 * _BLOCK_ROWS))
 
 
 def _tape_node(cage_var, phi, totals, row_near, blocks):
@@ -247,7 +257,7 @@ def _tape_node(cage_var, phi, totals, row_near, blocks):
         for parts in runtime.map_ordered(
                 lambda blk: blk.vjp(g_sum[blk.rows]), blocks):
             for part in parts:
-                grad += part.T
+                grad += part
         return grad
 
     return ad.Var._make(phi, (cage_var,), (vjp,), "mvc_weights")
@@ -258,14 +268,19 @@ class _CageTopology:
 
     def __init__(self, n_vertices, faces):
         self.faces = faces
-        self.ft = faces.T                                       # (3, F)
+        self.n_faces = len(faces)
+        self.ft = np.ascontiguousarray(faces.T)                 # (3, F)
         # the edge opposite each corner, as an index into unique edges
         a, b = self.ft[_NEXT], self.ft[_PREV]
         keys = np.minimum(a, b) * n_vertices + np.maximum(a, b)
         uniq, corner_edge = np.unique(keys, return_inverse=True)
         self.corner_edge = corner_edge.reshape(3, -1)
+        # corners k, k + 1, k + 2 as the row slices [0:3], [1:4], [2:5]
+        self.ce5 = self.corner_edge[_CYCLE]
         self.edge_a, self.edge_b = np.divmod(uniq, n_vertices)
-        for arr in (self.corner_edge, self.edge_a, self.edge_b):
+        self.n_edges = len(uniq)
+        for arr in (self.ft, self.corner_edge, self.ce5, self.edge_a,
+                    self.edge_b):
             arr.flags.writeable = False
         # the scatters of (corner, face) and edge rows into their vertices
         # and edges
@@ -276,7 +291,8 @@ class _CageTopology:
 
 
 class _Scatter:
-    """Adds each row j of a (J, n) array into row target[j] of an output.
+    """Adds each row j of a (..., J, n) array into row target[j] of a
+    (..., T, n) output, for every index of the leading axes at once.
 
     Every target adds its rows into 0.0 in increasing j, the order
     ``np.bincount`` adds in, so the sums (signed zeros included) are the
@@ -308,20 +324,38 @@ class _Scatter:
         self.back = None if in_place else back
         self.n_targets = n_targets
 
+    def _scratch(self, ws, shape):
+        """The gathered rows, and unless in place the accumulator's views
+        (``_steps``)."""
+        lead, n = shape[:-2], shape[-1]
+        src = ws.take("sc_src", lead + (len(self.index), n))
+        if self.back is None:
+            return src, None
+        return src, self._steps(ws.take(
+            "sc_acc", lead + (self.n_targets, n)), src)
+
+    def _steps(self, acc, src):
+        """``acc``, its rows that no source row adds into, and the
+        (accumulator, source) views of each slot."""
+        return acc, acc[..., self.n_hit:, :], [
+            (acc[..., :hi - lo, :], src[..., lo:hi, :])
+            for lo, hi in self.slots]
+
     def __call__(self, ws, x, out):
         """The sums of ``x`` per target, written into ``out``."""
-        n, t0 = x.shape[1], self.n_hit
-        src = _gather(x, self.index, ws.take("sc_src", (len(self.index), n)))
-        acc = out if self.back is None else ws.take(
-            "sc_acc", (self.n_targets, n))
-        acc[t0:] = 0.0                          # targets with no rows
-        # slot 0 adds into 0.0; x + 0.0 has the bits of 0.0 + x
-        np.add(src[:t0], 0.0, out=acc[:t0])
-        for lo, hi in self.slots[1:]:
-            np.add(acc[:hi - lo], src[lo:hi], out=acc[:hi - lo])
+        src, steps = ws.views(self._scratch, x.shape)
+        x.take(self.index, axis=-2, out=src, mode="clip")
+        acc, idle, slots = steps or self._steps(out, src)
+        idle.fill(0.0)                          # targets with no rows
+        if slots:
+            # slot 0 adds into 0.0; x + 0.0 has the bits of 0.0 + x
+            part, rows = slots[0]
+            np.add(rows, 0.0, out=part)
+        for part, rows in slots[1:]:
+            np.add(part, rows, out=part)
         if self.back is None:
             return out
-        return _gather(acc, self.back, out)
+        return acc.take(self.back, axis=-2, out=out, mode="clip")
 
 
 @functools.lru_cache(maxsize=16)
@@ -332,31 +366,44 @@ def _topology(n_vertices, face_bytes):
 
 class _CageGeometry:
     """Per-call cage data shared by all blocks: the cached topology
-    (``topo``) and the face planes."""
+    (``topo``), the vertices and the face planes."""
 
     def __init__(self, cage, faces):
         faces = np.ascontiguousarray(faces, dtype=np.int64)
-        self.topo = _topology(len(cage), faces.tobytes())
+        topo = self.topo = _topology(len(cage), faces.tobytes())
         self.cage, self.n_vertices = cage, len(cage)
-        v0, v1, v2 = cage[faces[:, 0]], cage[faces[:, 1]], cage[faces[:, 2]]
-        # det[v0 - p, v1 - p, v2 - p] = det[v0, v1, v2] - p . area_normal
-        self.area_normal = np.cross(v1 - v0, v2 - v0)
-        self.det0 = np.einsum("fi,fi->f", v0, np.cross(v1, v2))
-        fn_len = np.linalg.norm(self.area_normal, axis=1, keepdims=True)
+        # corner positions with components 0, 1, 2, 0, 1, so that the
+        # components k + 1 and k + 2 of a cross product are slices
+        v0, v1, v2 = cage[:, _CYCLE].take(topo.ft, axis=0)      # (F, 5)
+        e1, e2 = v1 - v0, v2 - v0
+        # det[v0 - p, v1 - p, v2 - p] = det0 - p . area_normal; the
+        # products are np.cross's, its (F, 3) C-ordered results are what
+        # np.einsum adds in its order
+        self.area_normal = (e1[:, 1:4] * e2[:, 2:5]
+                            - e1[:, 2:5] * e2[:, 1:4])
+        self.det0 = np.einsum(
+            "fi,fi->f", cage.take(topo.ft[0], axis=0),
+            v1[:, 1:4] * v2[:, 2:5] - v1[:, 2:5] * v2[:, 1:4])
+        sq = self.area_normal * self.area_normal
+        fn_len = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])[:, None]
         self.unit_normal = self.area_normal / np.where(
             fn_len < _DENOM_TINY, 1.0, fn_len)
+        # by component, for broadcasting against a block's (3, 1, n) points
+        self.cage_t = cage.T[:, :, None]                    # (3, C, 1)
+        self.normal_t = self.area_normal.T[:, :, None]      # (3, F, 1)
+        self.det0_t = self.det0[:, None]                    # (F, 1)
 
 
 class _Rows:
     """Per-row outputs of one call; each block writes its own rows."""
 
-    def __init__(self, n, n_vertices, with_flags):
+    def __init__(self, n, n_vertices, with_flags, with_aux):
         self.w_sum = np.empty((n, n_vertices))
         self.row_near = np.empty(n, dtype=bool)
         self.nearest = np.empty(n, dtype=np.int64)
         self.flags = np.empty(n, dtype=np.uint8) if with_flags else None
         self.min_vertex_dist = np.empty(n)
-        self.plane_margin = np.empty(n)
+        self.plane_margin = np.empty(n) if with_aux else None
 
 
 class _Workspace(threading.local):
@@ -365,17 +412,22 @@ class _Workspace(threading.local):
     A named slot is allocated once and handed out again, as a view of its
     first entries, to every later block on this thread, so a block's
     temporaries are written with ``out=`` instead of being allocated and
-    freed per operation.  The slots serve one cage size (vertex and face
-    counts) at a time; a call on another size drops them, so a thread holds
-    at most one block's worth of scratch.
+    freed per operation.  ``views(build, *shape)`` returns the views that
+    ``build(workspace, *shape)`` takes, made on the first call for that
+    shape and reused after; replacing a slot by a larger one drops every
+    cached view, so no view outlives its slot.  The slots serve one cage
+    size (vertex and face counts) at a time; a call on another size drops
+    them, so a thread holds at most one block's worth of scratch.
     """
 
+    _MAX_VIEWS = 64
+
     def __init__(self):
-        self.key, self.slots = None, {}
+        self.key, self.slots, self.cache, self.replaced = None, {}, {}, 0
 
     def use(self, key):
         if key != self.key:
-            self.key, self.slots = key, {}
+            self.key, self.slots, self.cache = key, {}, {}
         return self
 
     def take(self, name, shape, dtype=np.float64):
@@ -383,66 +435,170 @@ class _Workspace(threading.local):
         buf = self.slots.get(name)
         if buf is None or buf.size < size:
             buf = self.slots[name] = np.empty(size, dtype)
+            self.cache.clear()
+            self.replaced += 1
         return buf[:size].reshape(shape)
+
+    def views(self, build, *shape):
+        key = (build, shape)
+        got = self.cache.get(key)
+        if got is None:
+            replaced = self.replaced
+            got = build(self, *shape)
+            if self.replaced != replaced:
+                # a slot grew while ``build`` took views of it: again, now
+                # that every slot is large enough
+                got = build(self, *shape)
+            if len(self.cache) >= self._MAX_VIEWS:
+                self.cache.clear()
+            self.cache[key] = got
+        return got
 
 
 _scratch = _Workspace()
 
 
-def _fresh(name, shape, dtype=np.float64):
-    """A new array, for what a taped block keeps for its VJP."""
-    return np.empty(shape, dtype)
+class _Kept:
+    """What a taped block keeps for its VJP, in arrays of its own (the
+    names of ``_ForwardViews`` that an untaped block takes as slots)."""
+
+    def __init__(self, nv, nf, ne, n):
+        f1, f3, e1 = (nf, n), (3, nf, n), (ne, n)
+        self.u, self.d = np.empty((3, nv, n)), np.empty((nv, n))
+        self.length, self.theta_e, self.sin_e = (np.empty(e1)
+                                                 for _ in range(3))
+        self.h, self.dead = np.empty(f1), np.empty(f1, dtype=bool)
+        self.sin_hm, self.cc, self.s, self.w = (np.empty(f3)
+                                                for _ in range(4))
 
 
-def _gather(x, index, out):
-    """``x[index]`` along axis 0, written into ``out``."""
-    return np.take(x, index, axis=0, out=out, mode="clip")
+class _ForwardViews:
+    """The forward's workspace views for one block shape.
+
+    Untaped, the arrays a taped block keeps (``_Kept``) are slots too.  A
+    slot named twice holds values whose lifetimes do not overlap; the
+    comment on each says when the earlier one is dead.
+    """
+
+    def __init__(self, ws, nv, nf, ne, n, taped):
+        f1, f3, f5 = (nf, n), (3, nf, n), (5, nf, n)
+        e1, e3, c1, c3 = (ne, n), (3, ne, n), (nv, n), (3, nv, n)
+        take = ws.take      # each slot's largest view first: none grows
+        # u * u, then chord components, then corner arcs
+        self.theta5 = take("f5a", f5)
+        self.sq, self.ua = take("f5a", c3), take("f5a", e3)
+        # chord components, then corner sines, then a temporary; the
+        # scatters gather into this slot too, where it is dead
+        self.sin5 = take("sc_src", f5)
+        self.ub = take("sc_src", e3)
+        self.tmp3b = take("sc_src", f3)     # once sin5 is dead
+        # components of p . area_normal, then c
+        self.cc5, self.prod3 = take("f5c", f5), take("f5c", f3)
+        self.denom_c = self.num = take("f3a", f3)
+        self.tmp3 = self.denom = take("f3b", f3)
+        self.mask3 = take("m3", f3, bool)
+        self.chord2 = take("e1a", e1)
+        self.tf, self.det = take("f1a", f1), take("f1c", f1)
+        self.det_sign = take("f1d", f1)
+        self.two_sin_h = self.s_min = take("f1e", f1)   # s_min once c is
+        self.on_face = take("m1a", f1, bool)
+        self.w_sum = take("c1b", c1)
+        # the winding number's, once the weights are summed
+        self.dots3, self.d3 = take("f5a", f3), take("f3b", f3)
+        self.dots, self.by_row = take("f1e", f1), take("f1b", (n, nf))
+        if not taped:
+            self.u, self.d = take("c3a", c3), take("c1a", c1)
+            self.length = self.theta_e = take("e1b", e1)
+            self.sin_e, self.h = take("e1c", e1), take("f1b", f1)
+            self.sin_hm = self.cc5[:3]      # c overwrites it once read
+            self.s = take("f3a", f3)        # once denom_c is dead
+            self.w = self.theta5[:3]        # once num is computed
+            self.dead = take("m1b", f1, bool)
+
+
+class _VjpViews:
+    """The VJP's workspace views for one block shape (see ``_Block``)."""
+
+    def __init__(self, ws, nv, nf, ne, n):
+        f1, f3, f5 = (nf, n), (3, nf, n), (5, nf, n)
+        e1, e3, c1, c3 = (ne, n), (3, ne, n), (nv, n), (3, nv, n)
+        take = ws.take      # each slot's largest view first: none grows
+        # corner arcs, then g_sin, then the chord components, then u * g
+        self.theta5, self.g_sin = take("f5a", f5), take("f5a", f3)
+        self.ua, self.c3t = take("f5a", e3), take("f5a", c3)
+        # corner sines, then chord components; the scatters gather into
+        # this slot too, where it is dead
+        self.sin5, self.ub = take("sc_src", f5), take("sc_src", e3)
+        self.cc5, self.g_dk = take("f5c", f5), take("f5c", f3)
+        self.gn5 = take("f5d", f5)          # g_num, then g_dd, then g_denc
+        # d per corner, then s_{k+1}, then q and cos(theta)
+        self.dk = self.s_next = self.q = take("f3a", f3)
+        # denom, g_den, g_s, g_q, denom_c and g_hm, one after another
+        self.denom = take("f3b", f3)
+        self.tmp3 = take("f3c", f3)
+        self.g_theta, self.g_c = take("f3d", f3), take("f3e", f3)
+        self.mask3 = take("m3", f3, bool)
+        self.half, self.te = take("e1a", e1), take("e1b", e1)
+        self.safe, self.g_len = take("e1c", e1), take("e1d", e1)
+        self.g_h, self.tf = take("f1a", f1), take("f1b", f1)
+        self.cos_h, self.two_sin_h = take("f1c", f1), take("f1d", f1)
+        self.g, self.tc = take("c1a", c1), take("c1b", c1)
+        self.g_u, self.g_ub = take("c3a", c3), take("c3b", c3)
+
+
+def _sum3(x, out):
+    """``(x[0] + x[1]) + x[2]`` of a (3, ...) array, in one call: the sum
+    starts from -0.0, so signed zeros come out as from the two adds."""
+    return np.add.reduce(x, axis=0, out=out, initial=-0.0)
 
 
 class _Block:
     """Forward pass over one block of query rows, and its VJP.
 
     Arrays are laid out (corner, face, row), (edge, row) or (vertex, row),
-    with vectors carrying a leading component axis; corner k's neighbours
-    are k+1 (_NEXT) and k+2 (_PREV).  Every value of a row depends on that
-    row alone, and the scatters into cage columns add in input order, so a
-    row's weights do not depend on its block.
+    with vectors carrying a leading component axis.  Per-corner arrays
+    whose neighbours are read are stored cyclically as (5, F, n), corners
+    0, 1, 2, 0, 1, so that corners k, k+1 and k+2 of all three k are the
+    slices [0:3], [1:4] and [2:5], and each formula over the three corners
+    (or the three vector components) is one numpy call.  Elementwise
+    operations give the same bits batched as per corner, and every sum
+    keeps its order, so a row's values are those of a per-corner loop.
+    Every value of a row depends on that row alone, and the scatters into
+    cage columns add in input order, so a row's weights do not depend on
+    its block.
 
-    Temporaries live in the thread's workspace slots, named by the shape
-    they hold: f1 (F, n), f3 (3, F, n), e1 (E, n), c1 (C, n), c3 (3, C, n),
-    and m1 / m3 for boolean masks of (F, n) / (3, F, n); the scatters
-    gather into sc_src and accumulate in sc_acc.  A taped block keeps, in
-    arrays of its own, only what its VJP cannot cheaply rebuild: the
-    distances, unit vectors, per-edge arcs and their sines, h, sin(h -
-    theta), c, s, the raw weights and the branch masks.  The per-corner
-    gathers and the products and guards built from these are rebuilt in
-    the VJP by the same operations, so they carry the same bits.
+    Temporaries live in the thread's workspace, resolved once per block
+    shape (``_ForwardViews``, ``_VjpViews``).  Slots are named by the
+    largest shape they hold: f5 (5, F, n), f3 (3, F, n), f1 (F, n), e1 (E,
+    n), c1 (C, n), c3 (3, C, n), and m1 / m3 for boolean masks of (F, n) /
+    (3, F, n); an f5 slot also holds the (3, E, n) chord components and
+    the (3, C, n) squares of u.  The scatters gather into sc_src and
+    accumulate in sc_acc.  A taped block keeps, in arrays of its own
+    (``_Kept``), only what its VJP cannot cheaply rebuild: the distances,
+    unit vectors, per-edge arcs and their sines, h, sin(h - theta), c, s
+    (stored as s_{k+2}, the order the denominators read), the raw weights
+    and the branch masks.  The per-corner gathers and the products and
+    guards built from these are rebuilt in the VJP by the same operations,
+    so they carry the same bits.
     """
 
     def __init__(self, geo, pts, rows, eps_vertex, out, taped):
         self.geo, self.rows = geo, rows
         topo = geo.topo
-        ft, ce = topo.ft, topo.corner_edge
+        ft = topo.ft
         pts = pts[rows]
-        n, nv, nf = len(pts), geo.n_vertices, len(ft[0])
-        ne = len(topo.edge_a)
-        f1, f3, e1, c1 = (nf, n), (3, nf, n), (ne, n), (nv, n)
-        ws = _scratch.use((nv, nf))
-        # untaped, the kept arrays are workspace slots too; a slot name that
-        # repeats below reuses a slot whose old contents are dead by then
-        keep = _fresh if taped else ws.take
-        tf, mask = ws.take("f1a", f1), ws.take("m1c", f1, bool)
+        n, nf = len(pts), topo.n_faces
+        ws = _scratch.use((geo.n_vertices, nf))
+        v = ws.views(_ForwardViews, geo.n_vertices, nf, topo.n_edges, n,
+                     taped)
+        k = _Kept(geo.n_vertices, nf, topo.n_edges, n) if taped else v
+        p3 = pts.T[:, None, :]                                  # (3, 1, n)
 
-        u = keep("c3a", (3,) + c1)    # v - p here, made unit below
-        np.subtract(geo.cage.T[:, :, None], pts.T[:, None, :], out=u)
-        d = keep("c1a", c1)
-        tc = ws.take("c1b", c1)
-        np.multiply(u[0], u[0], out=d)
-        for i in (1, 2):
-            np.add(d, np.multiply(u[i], u[i], out=tc), out=d)
-        np.sqrt(d, out=d)
+        u, d = k.u, k.d                 # v - p here, made unit below
+        np.subtract(geo.cage_t, p3, out=u)
+        np.sqrt(_sum3(np.multiply(u, u, out=v.sq), d), out=d)
         near = out.row_near[rows]
-        np.less(np.min(d, axis=0, out=out.min_vertex_dist[rows]), eps_vertex,
+        np.less(d.min(axis=0, out=out.min_vertex_dist[rows]), eps_vertex,
                 out=near)
         if near.any():
             out.nearest[rows] = d.argmin(axis=0)
@@ -451,41 +607,31 @@ class _Block:
             d[d < eps_vertex] = 1.0
         np.divide(u, d, out=u)
 
-        # arc theta = 2 asin(|u_a - u_b| / 2) of each edge seen from p,
-        # one chord component at a time
-        chord2 = ws.take("e1a", e1)
-        ci, te = ws.take("e1b", e1), ws.take("e1c", e1)
-        for i in range(3):
-            _gather(u[i], topo.edge_a, ci)
-            np.subtract(ci, _gather(u[i], topo.edge_b, te), out=ci)
-            if i == 0:
-                np.multiply(ci, ci, out=chord2)
-            else:
-                np.add(chord2, np.multiply(ci, ci, out=te), out=chord2)
-        length = keep("e1b", e1)
+        # arc theta = 2 asin(|u_a - u_b| / 2) of each edge seen from p
+        chord = np.subtract(
+            u.take(topo.edge_a, axis=1, out=v.ua, mode="clip"),
+            u.take(topo.edge_b, axis=1, out=v.ub, mode="clip"), out=v.ua)
+        chord2 = _sum3(np.multiply(chord, chord, out=chord), v.chord2)
+        length, theta_e, sin_e = k.length, k.theta_e, k.sin_e
         np.sqrt(chord2, out=length)
-        np.divide(length, 2.0, out=te)
-        np.arcsin(np.clip(te, -1.0, 1.0, out=te), out=te)
-        theta_e = keep("e1c", e1)
-        np.multiply(2.0, te, out=theta_e)
-        sin_e = keep("e1d", e1)
+        # the half chord is >= 0, so its clip to [-1, 1] is a minimum
+        np.minimum(np.divide(length, 2.0, out=theta_e), 1.0, out=theta_e)
+        np.arcsin(theta_e, out=theta_e)
+        np.multiply(2.0, theta_e, out=theta_e)
         np.sin(theta_e, out=sin_e)
-        # each corner's arc and its sine (those of the opposite edge) are
-        # gathered once; t0, t1, t2 are (F, n) scratch
-        theta = _gather(theta_e, ce, ws.take("f3d", f3))
-        sin_t = _gather(sin_e, ce, ws.take("f3e", f3))
-        t0, t1, t2 = (ws.take(name, f1) for name in ("f1f", "f1g", "f1h"))
-        h = keep("f1b", f1)
-        np.add(np.add(theta[0], theta[1], out=h), theta[2], out=h)
-        np.divide(h, 2.0, out=h)
+        # each corner's arc and its sine (those of the opposite edge)
+        theta = theta_e.take(topo.ce5, axis=0, out=v.theta5, mode="clip")
+        sin_t = sin_e.take(topo.ce5, axis=0, out=v.sin5, mode="clip")
+        h = k.h
+        np.divide(_sum3(theta[:3], h), 2.0, out=h)
 
         # A nearly full half-turn of arc marks p as on (or extremely close
         # to) the face; asin conditioning limits how sharply that can be
         # resolved, so candidates are confirmed against the actual plane
         # distance before the exact-2D replacement fires.  Points that are
         # merely near the plane keep the (accurate) general accumulation.
-        on_face = np.less(np.subtract(np.pi, h, out=tf), EPS_PLANE,
-                          out=ws.take("m1a", f1, bool))
+        tf = np.subtract(np.pi, h, out=v.tf)
+        on_face = np.less(tf, EPS_PLANE, out=v.on_face)
         if on_face.any():
             fi, ri = np.nonzero(on_face)
             dplane = np.abs(np.einsum(
@@ -494,246 +640,222 @@ class _Block:
             on_face[fi, ri] = dplane <= eps_vertex
 
         # det[u_0, u_1, u_2] d_0 d_1 d_2 = det0 - p . area_normal
-        an = geo.area_normal
-        det = ws.take("f1c", f1)
-        np.multiply(an[:, 0:1], pts[:, 0], out=det)
-        for i in (1, 2):
-            np.add(det, np.multiply(an[:, i:i + 1], pts[:, i], out=tf),
-                   out=det)
-        np.subtract(geo.det0[:, None], det, out=det)
-        det_sign = np.sign(det, out=ws.take("f1d", f1))         # primal
-        two_sin_h = ws.take("f1e", f1)
-        np.multiply(2.0, np.sin(h, out=two_sin_h), out=two_sin_h)
-        # untaped, c_k overwrites sin(h - theta_k) once it is read
-        sin_hm, cc, s = keep("f3a", f3), keep("f3a", f3), keep("f3b", f3)
-        for k in range(3):
-            nk, pk = _NEXT[k], _PREV[k]
-            np.sin(np.subtract(h, theta[k], out=sin_hm[k]), out=sin_hm[k])
-            denom_c = np.multiply(sin_t[nk], sin_t[pk], out=t0)
-            _guard(denom_c, t1, mask)
-            np.multiply(two_sin_h, sin_hm[k], out=cc[k])
-            np.divide(cc[k], denom_c, out=cc[k])
-            np.clip(np.subtract(cc[k], 1.0, out=cc[k]), -1.0, 1.0, out=cc[k])
-            q = np.multiply(cc[k], cc[k], out=t0)
-            np.subtract(1.0, q, out=q)
-            np.sqrt(np.maximum(q, 0.0, out=s[k]), out=s[k])
-            np.multiply(det_sign, s[k], out=s[k])
-        s_min = np.abs(s[0], out=two_sin_h)
-        for k in (1, 2):
-            np.minimum(s_min, np.abs(s[k], out=t0), out=s_min)
-        np.minimum(np.abs(np.subtract(np.pi, h, out=tf), out=tf).min(axis=0),
-                   s_min.min(axis=0), out=out.plane_margin[rows])
-        dead = keep("m1b", f1, bool)
+        det = _sum3(np.multiply(geo.normal_t, p3, out=v.prod3), v.det)
+        np.subtract(geo.det0_t, det, out=det)
+        det_sign = np.sign(det, out=v.det_sign)                 # primal
+        two_sin_h = np.multiply(2.0, np.sin(h, out=v.two_sin_h),
+                                out=v.two_sin_h)
+        sin_hm, cc = k.sin_hm, v.cc5
+        np.sin(np.subtract(h, theta[:3], out=sin_hm), out=sin_hm)
+        denom_c = np.multiply(sin_t[1:4], sin_t[2:5], out=v.denom_c)
+        _guard(denom_c, v.tmp3, v.mask3)
+        c = cc[:3]
+        np.divide(np.multiply(two_sin_h, sin_hm, out=c), denom_c, out=c)
+        np.subtract(c, 1.0, out=c).clip(-1.0, 1.0, out=c)
+        np.copyto(cc[3:], cc[:2])
+        # s[k] = s_{k+2}, from c_{k+2}
+        s = np.multiply(cc[2:5], cc[2:5], out=k.s)
+        np.subtract(1.0, s, out=s)
+        np.sqrt(np.maximum(s, 0.0, out=s), out=s)
+        np.multiply(det_sign, s, out=s)
+        s_min = np.minimum.reduce(np.abs(s, out=v.tmp3), axis=0,
+                                  out=v.s_min)
+        if out.plane_margin is not None:
+            np.minimum(np.abs(tf, out=tf).min(axis=0), s_min.min(axis=0),
+                       out=out.plane_margin[rows])
+        dead = k.dead
         np.logical_or(np.less_equal(s_min, EPS_PLANE, out=dead), on_face,
                       out=dead)
-        w = keep("f3c", f3)
-        for k in range(3):
-            nk, pk = _NEXT[k], _PREV[k]
-            # num_k = theta_k - c_{k+1} theta_{k+2} - c_{k+2} theta_{k+1}
-            num = np.subtract(theta[k], np.multiply(cc[nk], theta[pk], out=t0),
-                              out=t0)
-            np.subtract(num, np.multiply(cc[pk], theta[nk], out=t1), out=num)
-            # denom_k = d_k sin(theta_{k+1}) s_{k+2}
-            denom = np.multiply(_gather(d, ft[k], t1), sin_t[nk], out=t1)
-            np.multiply(denom, s[pk], out=denom)
-            _guard(denom, t2, mask, dead)
-            np.divide(num, denom, out=w[k])
-            np.copyto(w[k], 0.0, where=dead)
-        w_sum = topo.to_vertex(ws, w.reshape(3 * nf, n),
-                               ws.take("c1b", c1))                    # (C, n)
+        # denom_k = d_k sin(theta_{k+1}) s_{k+2}
+        denom = d.take(ft, axis=0, out=v.denom, mode="clip")
+        np.multiply(np.multiply(denom, sin_t[1:4], out=denom), s, out=denom)
+        _guard(denom, v.tmp3b, v.mask3, dead)
+        # num_k = theta_k - c_{k+1} theta_{k+2} - c_{k+2} theta_{k+1}
+        num = np.multiply(cc[1:4], theta[2:5], out=v.num)
+        np.subtract(theta[:3], num, out=num)
+        np.subtract(num, np.multiply(cc[2:5], theta[1:4], out=v.tmp3b),
+                    out=num)
+        w = np.divide(num, denom, out=k.w)
+        np.copyto(w, 0.0, where=dead)
+        w_sum = topo.to_vertex(ws, w.reshape(3 * nf, n), v.w_sum)  # (C, n)
 
         # rows on a face: that face's exact 2D barycentric weights only
         on_rows = np.zeros(0, dtype=np.int64)
         if on_face.any():
             on_rows = np.nonzero(on_face.any(axis=0) & ~near)[0]
         if on_rows.size:
-            r = on_rows
+            r, ce = on_rows, topo.corner_edge
             f = self.fsel = np.argmax(on_face[:, r], axis=0)
             d_on = d[ft[:, f], r]
             w_sum[:, r] = 0.0
             w_sum[ft[:, f], r] = sin_e[ce[:, f], r] * d_on[_NEXT] * d_on[_PREV]
         out.w_sum[rows] = w_sum.T
         if out.flags is not None:
-            out.flags[rows] = _flags(ws, geo, chord2, det, d, on_rows, near)
+            out.flags[rows] = _flags(v, topo, chord2, det, d, on_rows, near)
         if taped:
-            self.d, self.u, self.length, self.theta_e, self.sin_e = (
-                d, u, length, theta_e, sin_e)
-            self.h, self.sin_hm, self.cc, self.s, self.w = h, sin_hm, cc, s, w
-            self.dead, self.det_sign = dead, det_sign.astype(np.int8)
-            self.on_rows = on_rows
+            np.copyto(k.cc, c)
+            k.det_sign = det_sign.astype(np.int8)
+            self.kept, self.on_rows = k, on_rows
 
     def vjp(self, g_sum):
-        """The cage gradient (C, 3) from the gradient (n, C) of the raw rows,
-        as its transposed partial sums over _BLOCK_ROWS-row chunks.
+        """The cage gradient from the gradient (n, C) of the raw rows, as
+        its (C, 3) partial sums over _BLOCK_ROWS-row chunks.
 
         The adjoint of the forward pass, branch by branch: masked lanes and
         guarded denominators pass no gradient, clip passes it strictly
         inside (-1, 1), asin's derivative is taken at an argument clamped
         to 1 - 1e-12, and a zero-length norm has gradient 0.
         """
-        geo, topo = self.geo, self.geo.topo
-        ft, ce = topo.ft, topo.corner_edge
-        n, nv, nf = len(g_sum), geo.n_vertices, len(ft[0])
-        ne = len(topo.edge_a)
-        f1, f3, e1, c1 = (nf, n), (3, nf, n), (ne, n), (nv, n)
+        geo, topo, k = self.geo, self.geo.topo, self.kept
+        ft = topo.ft
+        n, nv, nf = len(g_sum), geo.n_vertices, topo.n_faces
         ws = _scratch.use((nv, nf))
-        cc, s, dead = self.cc, self.s, self.dead
-        tf, tf2, mask = ws.take("f1a", f1), ws.take("f1c", f1), ws.take(
-            "m3", f3, bool)
-        theta = _gather(self.theta_e, ce, ws.take("f3b", f3))
-        sin_t = _gather(self.sin_e, ce, ws.take("f3c", f3))
-        dk = _gather(self.d, ft, ws.take("f3d", f3))
+        v = ws.views(_VjpViews, nv, nf, topo.n_edges, n)
+        dead, s = k.dead, k.s                           # s[k] = s_{k+2}
+        theta = k.theta_e.take(topo.ce5, axis=0, out=v.theta5, mode="clip")
+        sin_t = k.sin_e.take(topo.ce5, axis=0, out=v.sin5, mode="clip")
+        c = k.cc
+        cc = c.take(_CYCLE, axis=0, out=v.cc5, mode="clip")
+        dk = k.d.take(ft, axis=0, out=v.dk, mode="clip")
+        t, mask, gn = v.tmp3, v.mask3, v.gn5
 
-        g = ws.take("c1a", c1)
+        g = v.g
         np.copyto(g, g_sum.T)
-        g_sin = ws.take("f3e", f3)
-        g_sin.fill(0.0)
-        g_dk = ws.take("f3f", f3)
-        g_dk.fill(0.0)
         if self.on_rows.size:
             r, f = self.on_rows, self.fsel
             g_on = g[ft[:, f], r]                               # (3, r)
-            for k in range(3):
-                k1, k2 = (k + 1) % 3, (k + 2) % 3
-                g_sin[k, f, r] += g_on[k] * dk[k1, f, r] * dk[k2, f, r]
-                g_dk[k1, f, r] += g_on[k] * sin_t[k, f, r] * dk[k2, f, r]
-                g_dk[k2, f, r] += g_on[k] * sin_t[k, f, r] * dk[k1, f, r]
             g[:, r] = 0.0                   # the general sum is replaced
 
         # w = num / denom off the dead lanes
-        g_num = _gather(g, ft, ws.take("f3g", f3))
+        g_num = g.take(ft, axis=0, out=gn[:3], mode="clip")
         np.copyto(g_num, 0.0, where=dead)
-        denom = ws.take("f3h", f3)
-        for k in range(3):
-            np.multiply(dk[k], sin_t[_NEXT[k]], out=denom[k])
-            np.multiply(denom[k], s[_PREV[k]], out=denom[k])
-        denom_bad = _guard(denom, ws.take("f3a", f3), mask, dead)
+        denom = np.multiply(dk, sin_t[1:4], out=v.denom)
+        np.multiply(denom, s, out=denom)
+        denom_bad = _guard(denom, t, mask, dead)
         np.divide(g_num, denom, out=g_num)
+        np.copyto(gn[3:], gn[:2])
         g_den = np.negative(g_num, out=denom)
-        np.multiply(g_den, self.w, out=g_den)
+        np.multiply(g_den, k.w, out=g_den)
         np.copyto(g_den, 0.0, where=denom_bad)
         # num_k = theta_k - c_{k+1} theta_{k+2} - c_{k+2} theta_{k+1}
-        g_theta, g_c = ws.take("f3a", f3), ws.take("f3i", f3)
-        for k in range(3):
-            nk, pk = _NEXT[k], _PREV[k]
-            np.subtract(g_num[k], np.multiply(g_num[nk], cc[pk], out=tf),
-                        out=g_theta[k])
-            np.subtract(g_theta[k], np.multiply(g_num[pk], cc[nk], out=tf),
-                        out=g_theta[k])
-            np.multiply(np.negative(g_num[pk], out=g_c[k]), theta[nk],
-                        out=g_c[k])
-            np.subtract(g_c[k], np.multiply(g_num[nk], theta[pk], out=tf),
-                        out=g_c[k])
+        g_theta, g_c = v.g_theta, v.g_c
+        np.subtract(g_num, np.multiply(gn[1:4], cc[2:5], out=t), out=g_theta)
+        np.subtract(g_theta, np.multiply(gn[2:5], cc[1:4], out=t),
+                    out=g_theta)
+        np.multiply(np.negative(gn[2:5], out=g_c), theta[1:4], out=g_c)
+        np.subtract(g_c, np.multiply(gn[1:4], theta[2:5], out=t), out=g_c)
+        # the gradients of sin(theta) and d per corner start here, where
+        # theta and c are dead, with the 2D weights of the rows on a face
+        g_sin, g_dk = v.g_sin, v.g_dk
+        g_sin.fill(0.0)
+        g_dk.fill(0.0)
+        if self.on_rows.size:
+            for i in range(3):
+                i1, i2 = (i + 1) % 3, (i + 2) % 3
+                g_sin[i, f, r] += g_on[i] * dk[i1, f, r] * dk[i2, f, r]
+                g_dk[i1, f, r] += g_on[i] * sin_t[i, f, r] * dk[i2, f, r]
+                g_dk[i2, f, r] += g_on[i] * sin_t[i, f, r] * dk[i1, f, r]
         # denom_k = d_k sin(theta_{k+1}) s_{k+2}
-        g_dd = np.multiply(g_den, dk, out=g_num)
-        for k in range(3):
-            nk, pk = _NEXT[k], _PREV[k]
-            np.multiply(np.multiply(g_den[k], sin_t[nk], out=tf), s[pk],
-                        out=tf)
-            np.add(g_dk[k], tf, out=g_dk[k])
-            np.add(g_sin[k], np.multiply(g_dd[pk], s[nk], out=tf),
-                   out=g_sin[k])
-        g_s = denom
-        for k in range(3):
-            np.multiply(g_dd[_NEXT[k]], sin_t[_PREV[k]], out=g_s[k])
+        np.multiply(g_den, dk, out=g_num)                  # g_dd, cyclic
+        np.copyto(gn[3:], gn[:2])
+        np.multiply(np.multiply(g_den, sin_t[1:4], out=t), s, out=t)
+        np.add(g_dk, t, out=g_dk)
+        s_next = s.take(_PREV, axis=0, out=v.s_next, mode="clip")
+        np.add(g_sin, np.multiply(gn[2:5], s_next, out=t), out=g_sin)
+        g_s = np.multiply(gn[1:4], sin_t[2:5], out=g_den)
         # s_k = sign(det) sqrt(q_k), q_k = 1 - c_k^2, off the q_bad lanes
-        q = np.multiply(cc, cc, out=g_dd)
+        q = np.multiply(c, c, out=v.q)
         np.subtract(1.0, q, out=q)
         q_bad = np.less(q, EPS_PLANE * EPS_PLANE, out=mask)
         np.copyto(q, 1.0, where=q_bad)
         np.multiply(2.0, np.sqrt(q, out=q), out=q)
-        g_q = np.multiply(g_s, self.det_sign, out=g_s)
+        g_q = np.multiply(g_s, k.det_sign, out=g_s)
         np.divide(g_q, q, out=g_q)
         np.copyto(g_q, 0.0, where=q_bad)
-        np.multiply(np.multiply(2.0, cc, out=q), g_q, out=q)
+        np.multiply(np.multiply(2.0, c, out=q), g_q, out=q)
         np.subtract(g_c, q, out=g_c)
         # c_k = clip(2 sin(h) sin(h - theta_k) / denom_c_k - 1), where the
         # unclipped lanes have 2 sin(h) sin(h - theta_k) / denom_c_k = c_k + 1
-        np.copyto(g_c, 0.0, where=np.greater_equal(np.abs(cc, out=q), 1.0,
+        np.copyto(g_c, 0.0, where=np.greater_equal(np.abs(c, out=q), 1.0,
                                                    out=mask))
-        denom_c = g_q
-        for k in range(3):
-            np.multiply(sin_t[_NEXT[k]], sin_t[_PREV[k]], out=denom_c[k])
+        denom_c = np.multiply(sin_t[1:4], sin_t[2:5], out=g_q)
         denom_c_bad = _guard(denom_c, q, mask)
         g_a = np.divide(g_c, denom_c, out=g_c)
-        g_denc = np.negative(g_a, out=denom_c)
-        np.multiply(g_denc, np.add(cc, 1.0, out=q), out=g_denc)
+        g_denc = np.negative(g_a, out=gn[:3])
+        np.multiply(g_denc, np.add(c, 1.0, out=q), out=g_denc)
         np.copyto(g_denc, 0.0, where=denom_c_bad)
+        np.copyto(gn[3:], gn[:2])
         # cos(theta) = 1 - 2 sin^2(theta / 2); h - theta_k by addition
-        half = ws.take("e1a", e1)
-        np.minimum(np.divide(self.length, 2.0, out=half), 1.0, out=half)
-        te = ws.take("e1b", e1)
-        np.multiply(np.multiply(2.0, half, out=te), half, out=te)
-        cos_t = _gather(np.subtract(1.0, te, out=te), ce, q)
-        cos_h = np.cos(self.h, out=ws.take("f1d", f1))
-        two_sin_h = ws.take("f1e", f1)
-        np.multiply(2.0, np.sin(self.h, out=two_sin_h), out=two_sin_h)
-        g_hm, x = ws.take("f3j", f3), ws.take("f3k", f3)
+        half = np.minimum(np.divide(k.length, 2.0, out=v.half), 1.0,
+                          out=v.half)
+        te = np.multiply(np.multiply(2.0, half, out=v.te), half, out=v.te)
+        cos_t = np.subtract(1.0, te, out=te).take(topo.corner_edge, axis=0,
+                                                  out=q, mode="clip")
+        cos_h = np.cos(k.h, out=v.cos_h)
+        two_sin_h = np.multiply(2.0, np.sin(k.h, out=v.two_sin_h),
+                                out=v.two_sin_h)
+        tf, x, g_hm = v.tf, t, denom_c
         np.multiply(cos_h, cos_t, out=x)
-        np.add(x, np.multiply(np.divide(two_sin_h, 2.0, out=tf), sin_t,
+        np.add(x, np.multiply(np.divide(two_sin_h, 2.0, out=tf), sin_t[:3],
                               out=g_hm), out=x)
         np.multiply(np.multiply(g_a, two_sin_h, out=g_hm), x, out=g_hm)
-        g_h = ws.take("f1f", f1)
-        np.sum(np.multiply(g_a, self.sin_hm, out=x), axis=0, out=g_h)
+        g_h = np.sum(np.multiply(g_a, k.sin_hm, out=x), axis=0, out=v.g_h)
         np.multiply(np.multiply(2.0, g_h, out=g_h), cos_h, out=g_h)
         np.add(g_h, np.sum(g_hm, axis=0, out=tf), out=g_h)
-        # denom_c_k = sin(theta_{k+1}) sin(theta_{k+2})
-        for k in range(3):
-            nk, pk = _NEXT[k], _PREV[k]
-            np.multiply(g_denc[pk], sin_t[nk], out=tf)
-            np.add(tf, np.multiply(g_denc[nk], sin_t[pk], out=tf2), out=tf)
-            np.add(g_sin[k], tf, out=g_sin[k])
+        # denom_c_k = sin(theta_{k+1}) sin(theta_{k+2}); g_a is dead
+        np.multiply(gn[2:5], sin_t[1:4], out=t)
+        np.add(t, np.multiply(gn[1:4], sin_t[2:5], out=g_c), out=t)
+        np.add(g_sin, t, out=g_sin)
         np.subtract(np.multiply(g_sin, cos_t, out=x), g_hm, out=x)
         np.add(x, np.divide(g_h, 2.0, out=tf), out=x)
         np.add(g_theta, x, out=g_theta)
 
         # theta = 2 asin(|chord| / 2), summed from corners onto edges
-        length = self.length
-        g_len = topo.to_edge(ws, g_theta.reshape(3 * nf, n),
-                             ws.take("e1d", e1))                      # (E, n)
+        length = k.length
+        g_len = topo.to_edge(ws, g_theta.reshape(3 * nf, n), v.g_len)
         x = np.minimum(half, _ASIN_CLAMP, out=te)
         np.sqrt(np.subtract(1.0, np.multiply(x, x, out=x), out=x), out=x)
-        safe = ws.take("e1c", e1)
+        safe = v.safe
         np.copyto(safe, length)
         np.copyto(safe, 1.0, where=length == 0.0)
         np.divide(g_len, np.multiply(x, safe, out=x), out=g_len)
-        u, d = self.u, self.d
-        g_u, g_ub = ws.take("c3a", (3,) + c1), ws.take("c1b", c1)
-        ci = safe
-        for i in range(3):
-            _gather(u[i], topo.edge_a, ci)
-            np.subtract(ci, _gather(u[i], topo.edge_b, te), out=ci)
-            np.multiply(ci, g_len, out=ci)
-            topo.from_a(ws, ci, g_u[i])
-            np.subtract(g_u[i], topo.from_b(ws, ci, g_ub), out=g_u[i])
-        t = ws.take("c3b", (3,) + c1)
+        u, d = k.u, k.d
+        chord = np.subtract(
+            u.take(topo.edge_a, axis=1, out=v.ua, mode="clip"),
+            u.take(topo.edge_b, axis=1, out=v.ub, mode="clip"), out=v.ua)
+        np.multiply(chord, g_len, out=chord)
+        g_u = topo.from_a(ws, chord, v.g_u)                      # (3, C, n)
+        np.subtract(g_u, topo.from_b(ws, chord, v.g_ub), out=g_u)
         # g is dead since g_num was gathered from it
         g_d = topo.to_vertex(ws, g_dk.reshape(3 * nf, n), g)          # (C, n)
         # u = diff / d, d = |diff|, on the rows that were not snapped
-        tc = np.sum(np.multiply(g_u, u, out=t), axis=0, out=ws.take("c1b", c1))
+        tc = np.sum(np.multiply(g_u, u, out=v.c3t), axis=0, out=v.tc)
         np.subtract(g_d, np.divide(tc, d, out=tc), out=g_d)
         g_diff = np.divide(g_u, d, out=g_u)
-        np.add(g_diff, np.multiply(u, g_d, out=t), out=g_diff)
-        return [g_diff[:, :, lo:lo + _BLOCK_ROWS].sum(axis=2)
-                for lo in range(0, n, _BLOCK_ROWS)]
+        np.add(g_diff, np.multiply(u, g_d, out=v.c3t), out=g_diff)
+        # the sums of each _BLOCK_ROWS-row chunk, and of the shorter last
+        m = n // _BLOCK_ROWS
+        lead = m * _BLOCK_ROWS
+        parts = list(g_diff[:, :, :lead].reshape(3, nv, m, _BLOCK_ROWS)
+                     .sum(axis=3).T)
+        if lead < n:
+            parts.append(g_diff[:, :, lead:].sum(axis=2).T)
+        return parts
 
 
-def _flags(ws, geo, chord2, det, d, on_rows, near):
+def _flags(v, topo, chord2, det, d, on_rows, near):
     """Per-row flags; interior/exterior decided by the winding number."""
     # solid angle of each face: 2 atan2(det[u0,u1,u2], 1 + sum u_a.u_b),
     # with u_a.u_b = 1 - |u_a - u_b|^2 / 2 for unit vectors; the scratch
     # is slots of the forward's temporaries that are dead by now
-    ce, ft, f1 = geo.topo.corner_edge, geo.topo.ft, det.shape
-    dots, tf, t0 = ws.take("f1e", f1), ws.take("f1a", f1), ws.take("f1f", f1)
-    _gather(chord2, ce[0], dots)
-    for k in (1, 2):
-        np.add(dots, _gather(chord2, ce[k], tf), out=dots)
+    dots = _sum3(chord2.take(topo.corner_edge, axis=0, out=v.dots3,
+                             mode="clip"), v.dots)
     np.subtract(4.0, np.multiply(0.5, dots, out=dots), out=dots)
-    np.multiply(_gather(d, ft[0], tf), _gather(d, ft[1], t0), out=tf)
-    np.multiply(tf, _gather(d, ft[2], t0), out=tf)
+    tf = np.multiply.reduce(d.take(topo.ft, axis=0, out=v.d3, mode="clip"),
+                            axis=0, out=v.tf)
     omega = np.arctan2(np.divide(det, tf, out=tf), dots, out=tf)
     np.multiply(2.0, omega, out=omega)
-    by_row = ws.take("f1b", omega.shape[::-1])   # rows contiguous for the sum
+    by_row = v.by_row                   # rows contiguous for the sum
     np.copyto(by_row, omega.T)
     solid = by_row.sum(axis=1)
     flags = np.full(len(solid), FLAG_EXTERIOR_OK, dtype=np.uint8)

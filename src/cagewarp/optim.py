@@ -205,17 +205,20 @@ class PipelineConfig:
     plateau_window: int = 200
     plateau_rel_tol: float = 1e-6
 
-    def __post_init__(self):
-        for f in fields(self):
-            kind, _, nullable = f.type.partition(" | ")
-            what, types = _FIELD_TYPES[kind]
-            value = getattr(self, f.name)
-            if value is None and nullable:
-                continue
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise ValueError(
-                    f"config key {f.name!r} must be {what}"
-                    f"{' or null' if nullable else ''}, got {value!r}")
+    def __setattr__(self, name, value):
+        # construction assigns every field through here too, so a value of
+        # the wrong type fails, naming its key, however it was set
+        spec = self.__dataclass_fields__.get(name)
+        if spec is None:
+            raise AttributeError(f"unknown config key {name!r}")
+        kind, _, nullable = spec.type.partition(" | ")
+        what, types = _FIELD_TYPES[kind]
+        if not (value is None and nullable) and (
+                isinstance(value, bool) or not isinstance(value, types)):
+            raise ValueError(
+                f"config key {name!r} must be {what}"
+                f"{' or null' if nullable else ''}, got {value!r}")
+        super().__setattr__(name, value)
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":

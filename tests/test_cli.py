@@ -459,6 +459,25 @@ class TestThreadCap:
         with runtime.thread_cap(0):
             assert seen == [runtime.thread_count()]
 
+    def test_report_records_the_thread_count(self, source_target, tmp_path):
+        # provenance.threads is the count the command ran under; the
+        # metrics bytes are the same under any count
+        src = str(source_target[0])
+        assert main(["make-cage", "--input", src,
+                     "--out", str(tmp_path / "c")]) == 0
+        reports = []
+        for extra in ([], ["--threads", "1"]):
+            out = tmp_path / f"m{len(extra)}"
+            assert main(["compute-mvc", "--cage", str(tmp_path / "c" /
+                                                      "cage.obj"),
+                         "--shape", src, "--out", str(out)] + extra) == 0
+            reports.append(load_report(out))
+        with runtime.thread_cap(0):
+            cores = runtime.thread_count()
+        assert [r["provenance"]["threads"] for r in reports] == [cores, 1]
+        assert (json.dumps(reports[0]["metrics"], sort_keys=True)
+                == json.dumps(reports[1]["metrics"], sort_keys=True))
+
     def test_negative_threads_rejected(self, source_target, tmp_path, seen,
                                        capsys):
         out = tmp_path / "o"

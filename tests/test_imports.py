@@ -10,6 +10,7 @@ runs in a new interpreter, since this test process has long loaded scipy.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -165,3 +166,19 @@ def test_public_names_resolve_once_in_order():
     assert all(hasattr(cagewarp, n) for n in names)
     assert len(set(names)) == len(names)
     assert names == sorted(names)
+
+
+PRIVATE_NUMPY = re.compile(r"\b(?:np|numpy)\.(?:_core|core)\b")
+
+
+def test_no_private_numpy_namespace():
+    # numpy>=1.24's public names only: numpy.core became the private
+    # numpy._core in numpy 2, so neither may be reached from the package
+    hits = [f"{path.name}:{number}: {line.strip()}"
+            for path in sorted((ROOT / "src" / "cagewarp").glob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if PRIVATE_NUMPY.search(line)]
+    assert hits == []
+    for line in ("from numpy._core import umath", "np._core.umath.clip",
+                 "import numpy.core.multiarray", "np.core.numeric"):
+        assert PRIVATE_NUMPY.search(line), line

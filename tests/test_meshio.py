@@ -224,6 +224,42 @@ def test_degenerate_face_still_mesh_error(tmp_path):
         meshio.load_mesh(path)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])
+def test_mesh_in_any_units_round_trips(tmp_path, scale):
+    # the area threshold follows the mesh's extent: box(3) x 1e-6 (largest
+    # face area 2.2e-13) used to fail with "degenerate faces (area < 1e-12)"
+    box = make_box_mesh(3)
+    mesh = TriMesh(box.vertices * scale, box.faces)
+    path = tmp_path / "scaled.obj"
+    meshio.save_mesh(mesh, path)
+    back = meshio.load_mesh(path)
+    assert np.array_equal(back.vertices, mesh.vertices)
+    assert np.array_equal(back.faces, mesh.faces)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6])
+def test_collinear_face_rejected_at_any_scale(tmp_path, scale):
+    # a box(3) with one more face on three collinear points of an edge
+    box = make_box_mesh(3)
+    v = np.vstack([box.vertices, [[-1.0, -1.0, -1.0 / 3.0],
+                                  [-1.0, -1.0, 1.0 / 3.0]]]) * scale
+    corner = int(np.nonzero((box.vertices == -1.0).all(axis=1))[0][0])
+    n = len(box.vertices)
+    mesh = TriMesh(v, np.vstack([box.faces, [[corner, n, n + 1]]]))
+    path = tmp_path / "collinear.obj"
+    meshio.save_mesh(mesh, path)
+    with pytest.raises(MeshError, match=rf"degenerate faces .*: \[{box.n_faces}\]"):
+        meshio.load_mesh(path)
+
+
+def test_mesh_of_one_point_rejected(tmp_path):
+    # a zero extent gives a zero threshold; zero-area faces still fail
+    path = tmp_path / "point.obj"
+    path.write_text("v 1 1 1\nv 1 1 1\nv 1 1 1\nf 1 2 3\n")
+    with pytest.raises(MeshError, match=r"degenerate faces .*: \[0\]"):
+        meshio.load_mesh(path)
+
+
 CSV_READERS = {
     "points": (lambda p: meshio.load_points(p).points, "1,2,3", "x,y,z",
                "bad coordinate", "1,2,z"),

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import cagewarp.autodiff as ad
-from cagewarp.geometry import make_template_cage
+import per_corner_mvc
+from cagewarp.geometry import TriMesh, make_template_cage
 from cagewarp.gradients import EXCLUSION_FACTOR, grad_source_cage
 from cagewarp import mvc, runtime
 from cagewarp.mvc import (
@@ -262,7 +263,8 @@ class _BincountScatter:
         self.target, self.n_targets = target, n_targets
 
     def __call__(self, ws, x, out):
-        out[...] = _bincount_sums(self.target, self.n_targets, x)
+        for i in np.ndindex(x.shape[:-2]):
+            out[i] = _bincount_sums(self.target, self.n_targets, x[i])
         return out
 
 
@@ -363,5 +365,154 @@ def test_only_taped_calls_keep_blocks(cage, monkeypatch):
                                            (320, 48), (500, 16), (5120, 16)])
 def test_block_rows_follow_face_count(n_faces, rows):
     assert mvc._block_rows(n_faces) == rows
-    # a (3, F, rows) array stays within 360 KiB unless rows is minimal
-    assert 3 * n_faces * rows * 8 <= 360 * 1024 or rows == 16
+    # a cyclic (5, F, rows) array stays within 600 KiB unless rows is minimal
+    assert 5 * n_faces * rows * 8 <= 600 * 1024 or rows == 16
+
+
+@pytest.mark.parametrize("pairs", [False, True])
+def test_scatter_adds_each_leading_slice(pairs):
+    # the VJP scatters the three components of a (3, J, n) array in one
+    # call; each (J, n) slice gets the bits np.bincount gives it alone
+    rng = np.random.default_rng(31)
+    if pairs:
+        target = rng.permutation(np.repeat(np.arange(60), 2))
+    else:
+        target = rng.choice(40, size=120)
+    scatter = mvc._Scatter(target, 60 if pairs else 42)
+    x = rng.normal(size=(3, 120, 7))
+    x[1, ::5] = -0.0
+    out = np.full((3, scatter.n_targets, 7), np.nan)
+    got = scatter(mvc._Workspace(), x, out)
+    assert got is out
+    for i in range(3):
+        want = _bincount_sums(target, scatter.n_targets, x[i])
+        assert np.array_equal(got[i].view(np.int64), want.view(np.int64))
+
+
+def _plane_cages():
+    rng = np.random.default_rng(29)
+    s42, s162 = (make_template_cage(k) for k in ("sphere42", "sphere162"))
+    jittered = s162.vertices + rng.normal(scale=0.03,
+                                          size=s162.vertices.shape)
+    # face 0's third corner moved to within 1e-9 of its first edge
+    near = s42.vertices.copy()
+    a, b, c = s42.faces[0]
+    mid = 0.5 * (near[a] + near[b])
+    near[c] = mid + 1e-9 * (near[c] - mid)
+    return {"sphere42": (s42.vertices, s42.faces),
+            "sphere162": (s162.vertices, s162.faces),
+            "jittered": (jittered, s162.faces),
+            "near_degenerate": (near, s42.faces)}
+
+
+@pytest.mark.parametrize("kind", ["sphere42", "sphere162", "jittered",
+                                  "near_degenerate"])
+def test_face_planes_match_cross_product_oracle(kind):
+    # the planes are built by component arithmetic: the bits of np.cross,
+    # of np.einsum over np.cross and of np.linalg.norm
+    v, f = _plane_cages()[kind]
+    geo = mvc._CageGeometry(v, f)
+    v0, v1, v2 = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
+    area_normal = np.cross(v1 - v0, v2 - v0)
+    det0 = np.einsum("fi,fi->f", v0, np.cross(v1, v2))
+    fn_len = np.linalg.norm(area_normal, axis=1, keepdims=True)
+    unit_normal = area_normal / np.where(fn_len < 1e-300, 1.0, fn_len)
+    for got, want in ((geo.area_normal, area_normal), (geo.det0, det0),
+                      (geo.unit_normal, unit_normal)):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_workspace_views_follow_a_grown_slot():
+    ws = mvc._Workspace()
+
+    def build(w, n):
+        return w.take("a", (n,))
+
+    small = ws.views(build, 2)
+    assert ws.views(build, 2) is small
+    big = ws.views(build, 8)
+    again = ws.views(build, 2)
+    assert again is not small and np.shares_memory(again, big)
+
+
+def test_no_cached_view_survives_a_resize(monkeypatch):
+    # one thread, one workspace, calls that change cage size and row count
+    # (growing and shrinking the slots), taped and untaped: each gives the
+    # bits of the same call on a fresh workspace
+    cages = {k: make_template_cage(k, scale=(1.0, 0.8, 0.9))
+             for k in ("sphere42", "sphere162")}
+    calls = []
+    for kind, rows in [("sphere42", 1), ("sphere42", 48), ("sphere162", 1),
+                       ("sphere162", "2b+5"), ("sphere162", 48),
+                       ("sphere42", "2b+5"), ("sphere42", 1),
+                       ("sphere162", 1)]:
+        cage = cages[kind]
+        if rows == "2b+5":
+            rows = 2 * mvc._block_rows(cage.n_faces) + 5
+        calls.append((cage, _boundary_queries(cage, rows, 16, seed=rows)))
+    with runtime.thread_cap(1):
+        monkeypatch.setattr(mvc, "_scratch", mvc._Workspace())
+        got = [_kernel_outputs(cage, pts) for cage, pts in calls]
+        for (cage, pts), run in zip(calls, got):
+            monkeypatch.setattr(mvc, "_scratch", mvc._Workspace())
+            want = _kernel_outputs(cage, pts)
+            for a, b in zip(run, want):
+                if isinstance(a, dict):
+                    for key in a:
+                        assert np.array_equal(a[key], b[key]), key
+                else:
+                    assert np.array_equal(a, b)
+
+
+def test_scratch_at_320_faces_stays_within_budget(monkeypatch):
+    # a thread's slots on a 320-face cage, whose blocks hold cyclic (5, F,
+    # n) corner arrays, stay within what blocks of the same size held with
+    # (3, F, n) ones: 4.15 MiB after an untaped call and 6.48 MiB after a
+    # taped forward and VJP
+    cage = make_template_cage("sphere162", scale=(1.0, 0.8, 0.9))
+    pts = _boundary_queries(cage, 2 * mvc._block_rows(cage.n_faces) + 5,
+                            16, seed=37)
+    ws = mvc._Workspace()
+    monkeypatch.setattr(mvc, "_scratch", ws)
+    with runtime.thread_cap(1):
+        mvc_weights(cage.vertices, cage.faces, pts)
+        untaped = sum(b.nbytes for b in ws.slots.values())
+        _kernel_outputs(cage, pts)
+        taped = sum(b.nbytes for b in ws.slots.values())
+    assert untaped <= 4.15 * 2 ** 20
+    assert taped <= 6.48 * 2 ** 20
+
+
+@pytest.mark.parametrize("kind", ["sphere162", "sphere42", "jittered"])
+def test_batched_block_matches_per_corner_loops(kind, monkeypatch):
+    # the block's batched numpy calls against the per-corner loops they
+    # replaced: weights, flags, aux and the taped cage gradient, with
+    # snapped and on-face rows on every block boundary, to the bit
+    cage = (make_template_cage(kind, scale=(1.0, 0.8, 0.9))
+            if kind != "jittered" else
+            TriMesh(*_plane_cages()["jittered"]))
+    block = mvc._block_rows(cage.n_faces)
+    pts = _boundary_queries(cage, 2 * block + 5, block, seed=41)
+    with runtime.thread_cap(1):
+        batched = _kernel_outputs(cage, pts)
+        flagged = _taped_flagged_grad(cage, pts)
+        monkeypatch.setattr(mvc, "_Block", per_corner_mvc.PerCornerBlock)
+        loops = _kernel_outputs(cage, pts)
+        assert np.array_equal(flagged, _taped_flagged_grad(cage, pts))
+    phi, flags, aux, grad = batched
+    assert np.sum(flags == FLAG_ON_VERTEX) == 4
+    assert np.sum(flags == FLAG_ON_FACE) == 4
+    for a, b in zip((phi, flags, grad), (loops[0], loops[1], loops[3])):
+        assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
+    for key in aux:
+        assert np.array_equal(aux[key].view(np.uint8),
+                              loops[2][key].view(np.uint8)), key
+
+
+def _taped_flagged_grad(cage, pts):
+    """The cage gradient of a taped call that also classifies its rows."""
+    cage_var = ad.Var(cage.vertices)
+    phi_var, _ = mvc_weights(cage_var, cage.faces, pts)
+    loss, _ = _downstream(len(pts), cage.n_vertices, seed=5)
+    loss(phi_var).backward()
+    return cage_var.grad

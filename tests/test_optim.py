@@ -418,6 +418,34 @@ class TestDeformPair:
             deform_pair(src, src, PipelineConfig(max_iters=3, **{key: value}))
         assert steps == []
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", 1.5, "'seed' must be an integer, got 1.5"),
+        ("threads", 1.5, "'threads' must be an integer or null, got 1.5"),
+        ("align_mode", 1, "'align_mode' must be a string, got 1"),
+    ])
+    def test_config_assignment_type_checked(self, key, value, message,
+                                            monkeypatch):
+        # cfg.seed = 1.5 after construction used to take every step and
+        # fail in eval_metrics; the assignment itself now fails
+        steps = []
+        monkeypatch.setattr(optim, "run_adam",
+                            lambda *args, **kwargs: steps.append(1))
+        src = normalized_box(3)
+        cfg = PipelineConfig(max_iters=3)
+        with pytest.raises(ValueError, match=f"^config key {message}$"):
+            setattr(cfg, key, value)
+            deform_pair(src, src, cfg)
+        assert steps == []
+        assert getattr(cfg, key) == getattr(PipelineConfig(), key)
+
+    def test_config_assignment_keeps_good_values_and_names_unknown_keys(
+            self):
+        cfg = PipelineConfig()
+        cfg.seed, cfg.threads, cfg.step_size = np.int64(4), None, 0.5
+        assert (cfg.seed, cfg.threads, cfg.step_size) == (4, None, 0.5)
+        with pytest.raises(AttributeError, match="unknown config key 'sed'"):
+            cfg.sed = 1
+
     def test_config_takes_numpy_integers_but_not_bools(self):
         cfg = PipelineConfig(seed=np.int64(3), threads=np.int32(1),
                              max_iters=np.uint8(2), step_size=np.float32(0.5))
