@@ -31,7 +31,7 @@ rows, so a (5, F, rows) float64 array, the largest a block builds, stays
 within 600 KiB.  A 320-face cage runs 48-row blocks, an 80-face one
 192-row blocks.  That size was measured against peak memory, since every
 thread holds one block's scratch: on a 320-face cage a thread's slots
-hold 4.0 MiB after an untaped call and 6.1 MiB after a taped forward and
+hold 4.0 MiB after an untaped call and 6.3 MiB after a taped forward and
 VJP, within the 4.15 and 6.48 MiB a test holds them to.  On 2 threads,
 48-row blocks ran a taped forward and VJP of 866 rows on a 320-face cage
 faster than 32-row ones, although a (5, F, 32) array fits a 2 MiB L2
@@ -61,7 +61,7 @@ what is summed across blocks is summed on the calling thread in row order.
 Passing the cage vertices as an autodiff Var makes phi a single tape node.
 Its VJP is the hand-derived adjoint of the formulas above and of the row
 normalization, evaluated block by block, on the same threads, from what
-each block kept (~50 KB a row on a 320-face cage, held until the backward
+each block kept (~49 KB a row on a 320-face cage, held until the backward
 pass), and returns d loss / d cage vertices directly.  Each block sums its
 rows' contributions to that gradient in 16-row chunks, and the calling
 thread adds the chunk sums in row order, so the gradient bits depend on
@@ -464,10 +464,11 @@ class _Kept:
 
     def __init__(self, nv, nf, ne, n):
         f1, f3, e1 = (nf, n), (3, nf, n), (ne, n)
-        self.u, self.d = np.empty((3, nv, n)), np.empty((nv, n))
+        self.d = np.empty((nv, n))
         self.length, self.theta_e, self.sin_e = (np.empty(e1)
                                                  for _ in range(3))
-        self.h, self.dead = np.empty(f1), np.empty(f1, dtype=bool)
+        self.h, self.two_sin_h = np.empty(f1), np.empty(f1)
+        self.dead = np.empty(f1, dtype=bool)
         self.sin_hm, self.cc, self.s, self.w = (np.empty(f3)
                                                 for _ in range(4))
 
@@ -500,14 +501,16 @@ class _ForwardViews:
         self.chord2 = take("e1a", e1)
         self.tf, self.det = take("f1a", f1), take("f1c", f1)
         self.det_sign = take("f1d", f1)
-        self.two_sin_h = self.s_min = take("f1e", f1)   # s_min once c is
+        self.s_min = take("f1e", f1)
+        self.u = take("c3a", c3)
         self.on_face = take("m1a", f1, bool)
         self.w_sum = take("c1b", c1)
         # the winding number's, once the weights are summed
         self.dots3, self.d3 = take("f5a", f3), take("f3b", f3)
         self.dots, self.by_row = take("f1e", f1), take("f1b", (n, nf))
         if not taped:
-            self.u, self.d = take("c3a", c3), take("c1a", c1)
+            self.d = take("c1a", c1)
+            self.two_sin_h = self.s_min     # s_min is taken once c is
             self.length = self.theta_e = take("e1b", e1)
             self.sin_e, self.h = take("e1c", e1), take("f1b", f1)
             self.sin_hm = self.cc5[:3]      # c overwrites it once read
@@ -541,7 +544,7 @@ class _VjpViews:
         self.half, self.te = take("e1a", e1), take("e1b", e1)
         self.safe, self.g_len = take("e1c", e1), take("e1d", e1)
         self.g_h, self.tf = take("f1a", f1), take("f1b", f1)
-        self.cos_h, self.two_sin_h = take("f1c", f1), take("f1d", f1)
+        self.cos_h, self.u = take("f1c", f1), take("c3c", c3)
         self.g, self.tc = take("c1a", c1), take("c1b", c1)
         self.g_u, self.g_ub = take("c3a", c3), take("c3b", c3)
 
@@ -575,11 +578,11 @@ class _Block:
     the (3, C, n) squares of u.  The scatters gather into sc_src and
     accumulate in sc_acc.  A taped block keeps, in arrays of its own
     (``_Kept``), only what its VJP cannot cheaply rebuild: the distances,
-    unit vectors, per-edge arcs and their sines, h, sin(h - theta), c, s
+    per-edge arcs and their sines, h and 2 sin(h), sin(h - theta), c, s
     (stored as s_{k+2}, the order the denominators read), the raw weights
-    and the branch masks.  The per-corner gathers and the products and
-    guards built from these are rebuilt in the VJP by the same operations,
-    so they carry the same bits.
+    and the branch masks.  The unit vectors, the per-corner gathers and
+    the products and guards built from these are rebuilt in the VJP by the
+    same operations, so they carry the same bits.
     """
 
     def __init__(self, geo, pts, rows, eps_vertex, out, taped):
@@ -594,7 +597,7 @@ class _Block:
         k = _Kept(geo.n_vertices, nf, topo.n_edges, n) if taped else v
         p3 = pts.T[:, None, :]                                  # (3, 1, n)
 
-        u, d = k.u, k.d                 # v - p here, made unit below
+        u, d = v.u, k.d                 # v - p here, made unit below
         np.subtract(geo.cage_t, p3, out=u)
         np.sqrt(_sum3(np.multiply(u, u, out=v.sq), d), out=d)
         near = out.row_near[rows]
@@ -643,8 +646,8 @@ class _Block:
         det = _sum3(np.multiply(geo.normal_t, p3, out=v.prod3), v.det)
         np.subtract(geo.det0_t, det, out=det)
         det_sign = np.sign(det, out=v.det_sign)                 # primal
-        two_sin_h = np.multiply(2.0, np.sin(h, out=v.two_sin_h),
-                                out=v.two_sin_h)
+        two_sin_h = np.multiply(2.0, np.sin(h, out=k.two_sin_h),
+                                out=k.two_sin_h)
         sin_hm, cc = k.sin_hm, v.cc5
         np.sin(np.subtract(h, theta[:3], out=sin_hm), out=sin_hm)
         denom_c = np.multiply(sin_t[1:4], sin_t[2:5], out=v.denom_c)
@@ -695,7 +698,7 @@ class _Block:
         if taped:
             np.copyto(k.cc, c)
             k.det_sign = det_sign.astype(np.int8)
-            self.kept, self.on_rows = k, on_rows
+            self.kept, self.on_rows, self.p3 = k, on_rows, p3
 
     def vjp(self, g_sum):
         """The cage gradient from the gradient (n, C) of the raw rows, as
@@ -791,9 +794,7 @@ class _Block:
         te = np.multiply(np.multiply(2.0, half, out=v.te), half, out=v.te)
         cos_t = np.subtract(1.0, te, out=te).take(topo.corner_edge, axis=0,
                                                   out=q, mode="clip")
-        cos_h = np.cos(k.h, out=v.cos_h)
-        two_sin_h = np.multiply(2.0, np.sin(k.h, out=v.two_sin_h),
-                                out=v.two_sin_h)
+        cos_h, two_sin_h = np.cos(k.h, out=v.cos_h), k.two_sin_h
         tf, x, g_hm = v.tf, t, denom_c
         np.multiply(cos_h, cos_t, out=x)
         np.add(x, np.multiply(np.divide(two_sin_h, 2.0, out=tf), sin_t[:3],
@@ -819,7 +820,9 @@ class _Block:
         np.copyto(safe, length)
         np.copyto(safe, 1.0, where=length == 0.0)
         np.divide(g_len, np.multiply(x, safe, out=x), out=g_len)
-        u, d = k.u, k.d
+        # u = (v - p) / d again, with the snapped distances of the forward
+        d = k.d
+        u = np.divide(np.subtract(geo.cage_t, self.p3, out=v.u), d, out=v.u)
         chord = np.subtract(
             u.take(topo.edge_a, axis=1, out=v.ua, mode="clip"),
             u.take(topo.edge_b, axis=1, out=v.ub, mode="clip"), out=v.ua)
