@@ -415,7 +415,9 @@ class _Workspace(threading.local):
     freed per operation.  ``views(build, *shape)`` returns the views that
     ``build(workspace, *shape)`` takes, made on the first call for that
     shape and reused after; replacing a slot by a larger one drops every
-    cached view, so no view outlives its slot.  The slots serve one cage
+    cached view, so no view outlives its slot.  A build takes each slot's
+    largest view first, so that a slot grows at most once in it and its
+    views all share one buffer.  The slots serve one cage
     size (vertex and face counts) at a time; a call on another size drops
     them, so a thread holds at most one block's worth of scratch.
     """
@@ -423,7 +425,7 @@ class _Workspace(threading.local):
     _MAX_VIEWS = 64
 
     def __init__(self):
-        self.key, self.slots, self.cache, self.replaced = None, {}, {}, 0
+        self.key, self.slots, self.cache = None, {}, {}
 
     def use(self, key):
         if key != self.key:
@@ -436,19 +438,13 @@ class _Workspace(threading.local):
         if buf is None or buf.size < size:
             buf = self.slots[name] = np.empty(size, dtype)
             self.cache.clear()
-            self.replaced += 1
         return buf[:size].reshape(shape)
 
     def views(self, build, *shape):
         key = (build, shape)
         got = self.cache.get(key)
         if got is None:
-            replaced = self.replaced
             got = build(self, *shape)
-            if self.replaced != replaced:
-                # a slot grew while ``build`` took views of it: again, now
-                # that every slot is large enough
-                got = build(self, *shape)
             if len(self.cache) >= self._MAX_VIEWS:
                 self.cache.clear()
             self.cache[key] = got
@@ -484,12 +480,12 @@ class _ForwardViews:
     def __init__(self, ws, nv, nf, ne, n, taped):
         f1, f3, f5 = (nf, n), (3, nf, n), (5, nf, n)
         e1, e3, c1, c3 = (ne, n), (3, ne, n), (nv, n), (3, nv, n)
-        take = ws.take      # each slot's largest view first: none grows
-        # u * u, then chord components, then corner arcs
+        take = ws.take      # each slot's largest view first
+        # corner arcs; before them u * u and chord components
         self.theta5 = take("f5a", f5)
         self.sq, self.ua = take("f5a", c3), take("f5a", e3)
-        # chord components, then corner sines, then a temporary; the
-        # scatters gather into this slot too, where it is dead
+        # corner sines, then a temporary; before them chord components.
+        # The scatters gather into this slot too, where it is dead
         self.sin5 = take("sc_src", f5)
         self.ub = take("sc_src", e3)
         self.tmp3b = take("sc_src", f3)     # once sin5 is dead
@@ -525,7 +521,7 @@ class _VjpViews:
     def __init__(self, ws, nv, nf, ne, n):
         f1, f3, f5 = (nf, n), (3, nf, n), (5, nf, n)
         e1, e3, c1, c3 = (ne, n), (3, ne, n), (nv, n), (3, nv, n)
-        take = ws.take      # each slot's largest view first: none grows
+        take = ws.take      # each slot's largest view first
         # corner arcs, then g_sin, then the chord components, then u * g
         self.theta5, self.g_sin = take("f5a", f5), take("f5a", f3)
         self.ua, self.c3t = take("f5a", e3), take("f5a", c3)
@@ -575,8 +571,9 @@ class _Block:
     largest shape they hold: f5 (5, F, n), f3 (3, F, n), f1 (F, n), e1 (E,
     n), c1 (C, n), c3 (3, C, n), and m1 / m3 for boolean masks of (F, n) /
     (3, F, n); an f5 slot also holds the (3, E, n) chord components and
-    the (3, C, n) squares of u.  The scatters gather into sc_src and
-    accumulate in sc_acc.  A taped block keeps, in arrays of its own
+    the (3, C, n) squares of u.  The scatters gather into sc_src, the slot
+    of the corner sines, at points where it is dead, and accumulate in
+    sc_acc.  A taped block keeps, in arrays of its own
     (``_Kept``), only what its VJP cannot cheaply rebuild: the distances,
     per-edge arcs and their sines, h and 2 sin(h), sin(h - theta), c, s
     (stored as s_{k+2}, the order the denominators read), the raw weights
