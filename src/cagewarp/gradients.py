@@ -17,6 +17,7 @@ implementation against central differences.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,9 +191,7 @@ CAGE_JITTER = 0.15   # random_cage radii lie in [1 - CAGE_JITTER, 1 + CAGE_JITTE
 
 # (central-difference step, relative-error bound) per op group: the source
 # group differentiates through the weights themselves
-SOURCE_OPS = ("source", "mvc_penalty", "consistency")
-SOURCE_FD_STEP, SOURCE_RTOL = 1e-6, 1e-3
-DEFORMED_FD_STEP, DEFORMED_RTOL = 1e-5, 1e-4
+_GROUP_STEPS = {"source": (1e-6, 1e-3), "deformed": (1e-5, 1e-4)}
 
 
 def random_cage(rng: np.random.Generator) -> TriMesh:
@@ -210,143 +209,121 @@ def random_queries(rng: np.random.Generator, n: int,
     return d * rng.uniform(r_lo, r_hi, size=(n, 1))
 
 
-def _source_group_config(rng, downstream, n_points=8,
-                         r_lo: float = 0.2, r_hi: float = 0.6):
-    """(value_fn, (analytic, x0)) for d downstream(phi) / d source cage."""
-    while True:
+def _source(downstream, n_points=8, r_lo: float = 0.2, r_hi: float = 0.6):
+    """(group, config builder) of d f(phi) / d source cage, where
+    ``f = downstream(rng)`` draws before the cage and the queries."""
+
+    def config(rng):
+        f = downstream(rng)
+        while True:
+            cage = random_cage(rng)
+            pts = random_queries(rng, n_points, r_lo=r_lo, r_hi=r_hi)
+            g = grad_source_cage(cage, pts, f)
+            if g.excluded_rows == 0:
+                break
+
+        def value_fn(x):
+            phi, _ = mvc_weights(x, cage.faces, pts, with_flags=False)
+            return float(ad.val(f(phi)))
+
+        return value_fn, (g.d_loss_d_source_cage, cage.vertices.copy())
+
+    return "source", config
+
+
+def _deformed(loss_builder, n_points=10):
+    """(group, config builder) of a loss of the deformed points, where
+    ``loss_builder(rng, pts)`` draws after the cage and the queries."""
+
+    def config(rng):
         cage = random_cage(rng)
-        pts = random_queries(rng, n_points, r_lo=r_lo, r_hi=r_hi)
-        g = grad_source_cage(cage, pts, downstream)
-        if g.excluded_rows == 0:
-            break
+        pts = random_queries(rng, n_points)
+        m = compute_mvc(cage, pts)
+        loss = loss_builder(rng, pts)
+        v0 = cage.vertices + rng.normal(scale=0.05, size=cage.vertices.shape)
+        g = grad_deformed(m, v0, loss)
 
-    def value_fn(x, faces=cage.faces, pts=pts):
-        phi, _ = mvc_weights(x, faces, pts, with_flags=False)
-        return float(ad.val(downstream(phi)))
+        def value_fn(x):
+            return float(ad.val(loss(deform(pts, m, x).points)))
 
-    return value_fn, (g.d_loss_d_source_cage, cage.vertices.copy())
+        return value_fn, (g.d_loss_d_deformed_cage, v0)
+
+    return "deformed", config
 
 
-def _deformed_group_config(rng, loss_builder, n_points=10):
-    """(value_fn, (analytic, x0)) for a loss of the deformed points."""
+def _cage_laplacian_config(rng):
     cage = random_cage(rng)
-    pts = random_queries(rng, n_points)
-    m = compute_mvc(cage, pts)
-    loss = loss_builder(rng, pts, m)
+    loss = functools.partial(losses.cage_laplacian_loss,
+                             losses.CageLaplacian(cage))
     v0 = cage.vertices + rng.normal(scale=0.05, size=cage.vertices.shape)
-    g = grad_deformed(m, v0, loss)
+    _, g = ad.value_and_grad(loss, v0)
+    return (lambda x: float(ad.val(loss(x)))), (g, v0)
 
-    def value_fn(x, pts=pts, m=m):
-        return float(ad.val(loss(deform(pts, m, x).points)))
 
-    return value_fn, (g.d_loss_d_deformed_cage, v0)
+def _linear_and_negative_squares(rng):
+    r = rng.normal(size=(8, 12))
+    return lambda phi: ad.sum_(phi * r) + ad.sum_(
+        ad.minimum(phi, 0.0) * ad.minimum(phi, 0.0))
+
+
+def _consistency_to_random_rows(rng):
+    rows = rng.uniform(0, 0.2, size=(8, 12))
+    return lambda phi: losses.mvc_consistency(rows, phi)
+
+
+def _weighted_squares(rng, pts):
+    t = rng.normal(size=pts.shape)
+    a = rng.uniform(0.5, 2.0, size=(len(pts), 1)).ravel()
+    return lambda p: ad.sum_(ad.sum_((p - t) * (p - t), axis=-1) * a)
+
+
+def _chamfer_to_random_points(rng, pts):
+    t = random_queries(rng, len(pts) + 3)
+    return lambda p: losses.chamfer(p, t)
+
+
+def _l2_to_moved_points(rng, pts):
+    t = pts + rng.normal(scale=0.1, size=pts.shape)
+    return lambda p: losses.l2_corresponded(p, t)
+
+
+def _plane_term(term, rng, pts):
+    """``term`` against the queries' k-NN plane fits."""
+    before = attach_pca_frames(PointSet(
+        points=pts.copy(), neighborhoods=knn_neighborhoods(pts, k=5)))
+    return lambda p: term(before, p)
+
+
+# op -> (group, config builder), in report order.  A builder draws one
+# (value_fn, (analytic, x0)) configuration from the check's generator.
+_CHECKS = {
+    "deformed": _deformed(_weighted_squares),
+    "source": _source(_linear_and_negative_squares),
+    "chamfer": _deformed(_chamfer_to_random_points),
+    "l2": _deformed(_l2_to_moved_points),
+    # exterior queries so negative entries (and a live gradient) exist
+    "mvc_penalty": _source(lambda rng: losses.mvc_penalty,
+                           r_lo=1.2, r_hi=1.5),
+    "p2f": _deformed(functools.partial(_plane_term, losses.p2f_term),
+                     n_points=12),
+    "normal": _deformed(functools.partial(_plane_term, losses.normal_term),
+                        n_points=12),
+    "symmetry": _deformed(lambda rng, pts: losses.symmetry_term),
+    "consistency": _source(_consistency_to_random_rows),
+    "cage_laplacian": ("deformed", _cage_laplacian_config),
+}
+GRADCHECK_OPS = tuple(_CHECKS)
+SOURCE_OPS = tuple(op for op, (group, _) in _CHECKS.items()
+                   if group == "source")
 
 
 def builtin_check(op: str, n_configs: int = 10,
                   seed: int = 0) -> GradCheckReport:
     """Randomized FD check of one named operation or loss."""
+    if op not in _CHECKS:
+        raise ValueError(f"unknown gradcheck op {op!r}")
+    group, config = _CHECKS[op]
+    fd_step, rtol = _GROUP_STEPS[group]
     rng = np.random.default_rng(seed)
-    if op in SOURCE_OPS:
-        fd_step, rtol = SOURCE_FD_STEP, SOURCE_RTOL
-    else:
-        fd_step, rtol = DEFORMED_FD_STEP, DEFORMED_RTOL
-
-    configs = []
-    for _ in range(n_configs):
-        if op == "source":
-            r = rng.normal(size=(8, 12))
-
-            def downstream(phi, r=r):
-                return ad.sum_(phi * r) + ad.sum_(
-                    ad.minimum(phi, 0.0) * ad.minimum(phi, 0.0)
-                )
-
-            configs.append(_source_group_config(rng, downstream))
-        elif op == "mvc_penalty":
-            # exterior queries so negative entries (and a live gradient) exist
-            configs.append(_source_group_config(
-                rng, losses.mvc_penalty, r_lo=1.2, r_hi=1.5
-            ))
-        elif op == "consistency":
-            rows = rng.uniform(0, 0.2, size=(8, 12))
-
-            def downstream(phi, rows=rows):
-                return losses.mvc_consistency(rows, phi)
-
-            configs.append(_source_group_config(rng, downstream))
-        elif op == "deformed":
-            def builder(rng, pts, m):
-                t = rng.normal(size=pts.shape)
-                a = rng.uniform(0.5, 2.0, size=(len(pts), 1))
-
-                def loss(p, t=t, a=a):
-                    d = p - t
-                    return ad.sum_(ad.sum_(d * d, axis=-1) * a.ravel())
-
-                return loss
-
-            configs.append(_deformed_group_config(rng, builder))
-        elif op == "chamfer":
-            def builder(rng, pts, m):
-                t = random_queries(rng, len(pts) + 3)
-
-                def loss(p, t=t):
-                    return losses.chamfer(p, t)
-
-                return loss
-
-            configs.append(_deformed_group_config(rng, builder))
-        elif op == "l2":
-            def builder(rng, pts, m):
-                t = pts + rng.normal(scale=0.1, size=pts.shape)
-
-                def loss(p, t=t):
-                    return losses.l2_corresponded(p, t)
-
-                return loss
-
-            configs.append(_deformed_group_config(rng, builder))
-        elif op in ("p2f", "normal"):
-            def builder(rng, pts, m, which=op):
-                before = attach_pca_frames(PointSet(
-                    points=pts.copy(),
-                    neighborhoods=knn_neighborhoods(pts, k=5),
-                ))
-                term = losses.p2f_term if which == "p2f" else losses.normal_term
-
-                def loss(p, before=before, term=term):
-                    return term(before, p)
-
-                return loss
-
-            configs.append(_deformed_group_config(rng, builder, n_points=12))
-        elif op == "symmetry":
-            def builder(rng, pts, m):
-                def loss(p):
-                    return losses.symmetry_term(p)
-
-                return loss
-
-            configs.append(_deformed_group_config(rng, builder))
-        elif op == "cage_laplacian":
-            cage = random_cage(rng)
-            ref = losses.CageLaplacian(cage)
-            v0 = cage.vertices + rng.normal(scale=0.05,
-                                            size=cage.vertices.shape)
-            value, g = ad.value_and_grad(
-                lambda x, ref=ref: losses.cage_laplacian_loss(ref, x), v0
-            )
-
-            def value_fn(x, ref=ref):
-                return float(ad.val(losses.cage_laplacian_loss(ref, x)))
-
-            configs.append((value_fn, (g, v0)))
-        else:
-            raise ValueError(f"unknown gradcheck op {op!r}")
+    configs = [config(rng) for _ in range(n_configs)]
     return check_gradients(op, configs, fd_step=fd_step, rtol=rtol)
-
-
-GRADCHECK_OPS = (
-    "deformed", "source", "chamfer", "l2", "mvc_penalty",
-    "p2f", "normal", "symmetry", "consistency", "cage_laplacian",
-)

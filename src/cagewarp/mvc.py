@@ -39,7 +39,7 @@ cache three times over: fewer blocks make fewer numpy calls, and each
 call holds the interpreter lock.
 Arc lengths and their sines are taken once per cage edge and gathered
 once per face corner.  The per-corner terms are added into their cage
-columns by numpy scatters: every column adds its terms into 0.0 in
+columns by ``geometry.Scatter``: every column adds its terms into 0.0 in
 increasing input order, the order ``np.bincount`` adds in, so a row's
 weights are the same bits whatever block it falls in.  The cage topology
 (edges, corner-to-edge map, scatters) depends only on the faces and is
@@ -49,9 +49,9 @@ vertices on each call.
 The blocks of a call run on up to ``runtime.thread_count()`` threads (the
 calling thread and pool threads; ``--threads 1`` runs them inline), and
 each block writes its rows straight into the call's output arrays.  A
-block's temporaries live in its thread's workspace: named slots allocated
-once and written with ``out=``, instead of fresh arrays per operation,
-through views made once per block shape.
+block's temporaries live in its thread's ``runtime.Workspace``: named slots
+allocated once and written with ``out=``, instead of fresh arrays per
+operation, through views made once per block shape.
 Fresh arrays over glibc's 128 KiB mmap threshold go back to the OS when
 freed and page-fault again at the next allocation, which made threads
 over such blocks slower than one thread.  The results do not depend on
@@ -80,17 +80,15 @@ untaped pass, so callers that read only the weights pass
 from __future__ import annotations
 
 import functools
-import math
 import os
 import struct
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import runtime
-from .geometry import PointSet, TriMesh, as_positions, validate_cage
+from .geometry import PointSet, Scatter, TriMesh, as_positions, validate_cage
 
 FLAG_INTERIOR = 0
 FLAG_ON_VERTEX = 1
@@ -284,78 +282,10 @@ class _CageTopology:
             arr.flags.writeable = False
         # the scatters of (corner, face) and edge rows into their vertices
         # and edges
-        self.to_vertex = _Scatter(self.ft.ravel(), n_vertices)
-        self.to_edge = _Scatter(self.corner_edge.ravel(), len(uniq))
-        self.from_a = _Scatter(self.edge_a, n_vertices)
-        self.from_b = _Scatter(self.edge_b, n_vertices)
-
-
-class _Scatter:
-    """Adds each row j of a (..., J, n) array into row target[j] of a
-    (..., T, n) output, for every index of the leading axes at once.
-
-    Every target adds its rows into 0.0 in increasing j, the order
-    ``np.bincount`` adds in, so the sums (signed zeros included) are the
-    same bits whatever the column count.  The targets are ranked by row
-    count, most first; slot p holds the p-th row of each of the first t_p
-    ranked targets, and the source rows are gathered once in (slot, rank)
-    order.  A call adds slot p into the first t_p rows of a zeroed
-    accumulator, then gathers the accumulator back into target order.
-    Where the ranking leaves every target in place (the edges of a closed
-    cage, two corners each), the output is the accumulator.
-    """
-
-    def __init__(self, target, n_targets):
-        counts = np.bincount(target, minlength=n_targets)
-        rank = np.argsort(-counts, kind="stable")     # rank -> target
-        first = np.cumsum(counts) - counts
-        by_target = np.argsort(target, kind="stable")
-        ranked = counts[rank]
-        self.slots, index, lo = [], [], 0
-        for p in range(int(ranked.max(initial=0))):
-            t = int(np.count_nonzero(ranked > p))
-            index.append(by_target[first[rank[:t]] + p])
-            self.slots.append((lo, lo + t))
-            lo += t
-        self.index = np.concatenate(index or [np.zeros(0, np.intp)])
-        self.n_hit = self.slots[0][1] if self.slots else 0
-        back = np.argsort(rank)                        # target -> rank
-        in_place = np.array_equal(back, np.arange(n_targets))
-        self.back = None if in_place else back
-        self.n_targets = n_targets
-
-    def _scratch(self, ws, shape):
-        """The gathered rows, and unless in place the accumulator's views
-        (``_steps``)."""
-        lead, n = shape[:-2], shape[-1]
-        src = ws.take("sc_src", lead + (len(self.index), n))
-        if self.back is None:
-            return src, None
-        return src, self._steps(ws.take(
-            "sc_acc", lead + (self.n_targets, n)), src)
-
-    def _steps(self, acc, src):
-        """``acc``, its rows that no source row adds into, and the
-        (accumulator, source) views of each slot."""
-        return acc, acc[..., self.n_hit:, :], [
-            (acc[..., :hi - lo, :], src[..., lo:hi, :])
-            for lo, hi in self.slots]
-
-    def __call__(self, ws, x, out):
-        """The sums of ``x`` per target, written into ``out``."""
-        src, steps = ws.views(self._scratch, x.shape)
-        x.take(self.index, axis=-2, out=src, mode="clip")
-        acc, idle, slots = steps or self._steps(out, src)
-        idle.fill(0.0)                          # targets with no rows
-        if slots:
-            # slot 0 adds into 0.0; x + 0.0 has the bits of 0.0 + x
-            part, rows = slots[0]
-            np.add(rows, 0.0, out=part)
-        for part, rows in slots[1:]:
-            np.add(part, rows, out=part)
-        if self.back is None:
-            return out
-        return acc.take(self.back, axis=-2, out=out, mode="clip")
+        self.to_vertex = Scatter(self.ft.ravel(), n_vertices)
+        self.to_edge = Scatter(self.corner_edge.ravel(), len(uniq))
+        self.from_a = Scatter(self.edge_a, n_vertices)
+        self.from_b = Scatter(self.edge_b, n_vertices)
 
 
 @functools.lru_cache(maxsize=16)
@@ -366,7 +296,8 @@ def _topology(n_vertices, face_bytes):
 
 class _CageGeometry:
     """Per-call cage data shared by all blocks: the cached topology
-    (``topo``), the vertices and the face planes."""
+    (``topo``), the vertices and the face planes (unit normals only once
+    a block reads them)."""
 
     def __init__(self, cage, faces):
         faces = np.ascontiguousarray(faces, dtype=np.int64)
@@ -384,14 +315,17 @@ class _CageGeometry:
         self.det0 = np.einsum(
             "fi,fi->f", cage.take(topo.ft[0], axis=0),
             v1[:, 1:4] * v2[:, 2:5] - v1[:, 2:5] * v2[:, 1:4])
-        sq = self.area_normal * self.area_normal
-        fn_len = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])[:, None]
-        self.unit_normal = self.area_normal / np.where(
-            fn_len < _DENOM_TINY, 1.0, fn_len)
         # by component, for broadcasting against a block's (3, 1, n) points
         self.cage_t = cage.T[:, :, None]                    # (3, C, 1)
         self.normal_t = self.area_normal.T[:, :, None]      # (3, F, 1)
         self.det0_t = self.det0[:, None]                    # (F, 1)
+
+    @functools.cached_property
+    def unit_normal(self):
+        """Unit face normals, made when a block finds a row on a face."""
+        sq = self.area_normal * self.area_normal
+        fn_len = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])[:, None]
+        return self.area_normal / np.where(fn_len < _DENOM_TINY, 1.0, fn_len)
 
 
 class _Rows:
@@ -406,52 +340,7 @@ class _Rows:
         self.plane_margin = np.empty(n) if with_aux else None
 
 
-class _Workspace(threading.local):
-    """One thread's scratch buffers for block temporaries.
-
-    A named slot is allocated once and handed out again, as a view of its
-    first entries, to every later block on this thread, so a block's
-    temporaries are written with ``out=`` instead of being allocated and
-    freed per operation.  ``views(build, *shape)`` returns the views that
-    ``build(workspace, *shape)`` takes, made on the first call for that
-    shape and reused after; replacing a slot by a larger one drops every
-    cached view, so no view outlives its slot.  A build takes each slot's
-    largest view first, so that a slot grows at most once in it and its
-    views all share one buffer.  The slots serve one cage
-    size (vertex and face counts) at a time; a call on another size drops
-    them, so a thread holds at most one block's worth of scratch.
-    """
-
-    _MAX_VIEWS = 64
-
-    def __init__(self):
-        self.key, self.slots, self.cache = None, {}, {}
-
-    def use(self, key):
-        if key != self.key:
-            self.key, self.slots, self.cache = key, {}, {}
-        return self
-
-    def take(self, name, shape, dtype=np.float64):
-        size = math.prod(shape)
-        buf = self.slots.get(name)
-        if buf is None or buf.size < size:
-            buf = self.slots[name] = np.empty(size, dtype)
-            self.cache.clear()
-        return buf[:size].reshape(shape)
-
-    def views(self, build, *shape):
-        key = (build, shape)
-        got = self.cache.get(key)
-        if got is None:
-            got = build(self, *shape)
-            if len(self.cache) >= self._MAX_VIEWS:
-                self.cache.clear()
-            self.cache[key] = got
-        return got
-
-
-_scratch = _Workspace()
+_scratch = runtime.Workspace()
 
 
 class _Kept:
@@ -486,9 +375,9 @@ class _ForwardViews:
         self.sq, self.ua = take("f5a", c3), take("f5a", e3)
         # corner sines, then a temporary; before them chord components.
         # The scatters gather into this slot too, where it is dead
-        self.sin5 = take("sc_src", f5)
-        self.ub = take("sc_src", e3)
-        self.tmp3b = take("sc_src", f3)     # once sin5 is dead
+        self.sin5 = take(Scatter.GATHER_SLOT, f5)
+        self.ub = take(Scatter.GATHER_SLOT, e3)
+        self.tmp3b = take(Scatter.GATHER_SLOT, f3)     # once sin5 is dead
         # components of p . area_normal, then c
         self.cc5, self.prod3 = take("f5c", f5), take("f5c", f3)
         self.denom_c = self.num = take("f3a", f3)
@@ -527,7 +416,8 @@ class _VjpViews:
         self.ua, self.c3t = take("f5a", e3), take("f5a", c3)
         # corner sines, then chord components; the scatters gather into
         # this slot too, where it is dead
-        self.sin5, self.ub = take("sc_src", f5), take("sc_src", e3)
+        self.sin5 = take(Scatter.GATHER_SLOT, f5)
+        self.ub = take(Scatter.GATHER_SLOT, e3)
         self.cc5, self.g_dk = take("f5c", f5), take("f5c", f3)
         self.gn5 = take("f5d", f5)          # g_num, then g_dd, then g_denc
         # d per corner, then s_{k+1}, then q and cos(theta)
@@ -571,9 +461,9 @@ class _Block:
     largest shape they hold: f5 (5, F, n), f3 (3, F, n), f1 (F, n), e1 (E,
     n), c1 (C, n), c3 (3, C, n), and m1 / m3 for boolean masks of (F, n) /
     (3, F, n); an f5 slot also holds the (3, E, n) chord components and
-    the (3, C, n) squares of u.  The scatters gather into sc_src, the slot
-    of the corner sines, at points where it is dead, and accumulate in
-    sc_acc.  A taped block keeps, in arrays of its own
+    the (3, C, n) squares of u.  The scatters gather into
+    ``Scatter.GATHER_SLOT``, the slot of the corner sines, at points where
+    it is dead.  A taped block keeps, in arrays of its own
     (``_Kept``), only what its VJP cannot cheaply rebuild: the distances,
     per-edge arcs and their sines, h and 2 sin(h), sin(h - theta), c, s
     (stored as s_{k+2}, the order the denominators read), the raw weights

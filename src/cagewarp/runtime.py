@@ -11,9 +11,12 @@ the calling thread in a fixed order.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
+
+import numpy as np
 
 _threads: int | None = None
 _pool: ThreadPoolExecutor | None = None
@@ -106,3 +109,48 @@ def _executor() -> ThreadPoolExecutor:
             _pool = ThreadPoolExecutor(size, thread_name_prefix="cagewarp")
             _pool_size = size
         return _pool
+
+
+class Workspace(threading.local):
+    """One thread's scratch buffers for block temporaries.
+
+    A named slot is allocated once and handed out again, as a view of its
+    first entries, to every later block on this thread, so a block's
+    temporaries are written with ``out=`` instead of being allocated and
+    freed per operation.  ``views(build, *shape)`` returns the views that
+    ``build(workspace, *shape)`` takes, made on the first call for that
+    shape and reused after; replacing a slot by a larger one drops every
+    cached view, so no view outlives its slot.  A build takes each slot's
+    largest view first, so that a slot grows at most once in it and its
+    views all share one buffer.  The slots serve one ``use(key)`` at a time
+    (for the MVC kernel, one cage size); another key drops them, so a
+    thread holds at most one block's worth of scratch.
+    """
+
+    _MAX_VIEWS = 64
+
+    def __init__(self):
+        self.key, self.slots, self.cache = None, {}, {}
+
+    def use(self, key):
+        if key != self.key:
+            self.key, self.slots, self.cache = key, {}, {}
+        return self
+
+    def take(self, name, shape, dtype=np.float64):
+        size = math.prod(shape)
+        buf = self.slots.get(name)
+        if buf is None or buf.size < size:
+            buf = self.slots[name] = np.empty(size, dtype)
+            self.cache.clear()
+        return buf[:size].reshape(shape)
+
+    def views(self, build, *shape):
+        key = (build, shape)
+        got = self.cache.get(key)
+        if got is None:
+            got = build(self, *shape)
+            if len(self.cache) >= self._MAX_VIEWS:
+                self.cache.clear()
+            self.cache[key] = got
+        return got

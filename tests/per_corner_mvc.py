@@ -10,7 +10,7 @@ block.  A test swaps it in for ``mvc._Block`` and compares the outputs.
 
 import numpy as np
 
-from cagewarp import mvc
+from cagewarp import mvc, runtime
 from cagewarp.mvc import EPS_PLANE, FLAG_EXTERIOR_OK, FLAG_INTERIOR
 from cagewarp.mvc import FLAG_ON_FACE, FLAG_ON_VERTEX
 
@@ -20,7 +20,7 @@ _ASIN_CLAMP = mvc._ASIN_CLAMP
 _NEXT = np.array([1, 2, 0])   # corner k -> k + 1
 _PREV = np.array([2, 0, 1])   # corner k -> k + 2
 
-_scratch = mvc._Workspace()
+_scratch = runtime.Workspace()
 
 
 def _fresh(name, shape, dtype=np.float64):

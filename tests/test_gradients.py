@@ -5,6 +5,7 @@ import cagewarp.autodiff as ad
 from cagewarp.geometry import TriMesh
 from cagewarp.gradients import (
     GRADCHECK_OPS,
+    SOURCE_OPS,
     builtin_check,
     central_fd,
     check_gradients,
@@ -158,6 +159,18 @@ class TestHarness:
             with pytest.raises(ValueError, match="no configuration"):
                 builtin_check("l2", n_configs=n)
 
+    def test_unknown_op_named_before_any_configuration(self):
+        for n in (0, 1):
+            with pytest.raises(ValueError, match="unknown gradcheck op"):
+                builtin_check("nope", n_configs=n)
+
+    def test_ops_in_report_order(self):
+        # `gradcheck --op all` reports the ops in this order
+        assert GRADCHECK_OPS == ("deformed", "source", "chamfer", "l2",
+                                 "mvc_penalty", "p2f", "normal", "symmetry",
+                                 "consistency", "cage_laplacian")
+        assert SOURCE_OPS == ("source", "mvc_penalty", "consistency")
+
     def test_relative_error_floor(self):
         a = np.array([0.0, 1.0])
         f = np.array([1e-12, 1.0])
@@ -179,3 +192,6 @@ class TestHarness:
     def test_all_ops_pass_small(self, op):
         r = builtin_check(op, n_configs=3, seed=11)
         assert r.passed, (op, r.max_rel_err)
+        # the source group differentiates through the weights themselves
+        assert (r.fd_step, r.rtol) == ((1e-6, 1e-3) if op in SOURCE_OPS
+                                       else (1e-5, 1e-4))

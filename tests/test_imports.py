@@ -6,8 +6,11 @@ The cotangent Laplacian is built in numpy, so ``transfer``,
 ``compute-mvc``, the ``train_toy`` pipeline, ``fit_cage`` and its command,
 and the cage Laplacian gradient check load no scipy at all.  Each check
 runs in a new interpreter, since this test process has long loaded scipy.
+
+What each module imports of the package follows its layer (``LAYERS``).
 """
 
+import ast
 import json
 import os
 import re
@@ -182,3 +185,71 @@ def test_no_private_numpy_namespace():
     for line in ("from numpy._core import umath", "np._core.umath.clip",
                  "import numpy.core.multiarray", "np.core.numeric"):
         assert PRIVATE_NUMPY.search(line), line
+
+
+# The package's layers, lowest first: a module imports only from its own
+# layer or those below it.
+LAYERS = (("runtime", "autodiff"), ("geometry",), ("mvc", "losses", "meshio"),
+          ("optim", "gradients"), ("toy",), ("cli",))
+LAYER = {module: i for i, layer in enumerate(LAYERS) for module in layer}
+PACKAGE = ROOT / "src" / "cagewarp"
+
+
+def package_imports(source):
+    """The package modules that ``from .`` imports in ``source`` name.
+    ``from . import __version__`` reads the package's version string and
+    names no module."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = ([node.module.split(".")[0]] if node.module
+                     else [alias.name for alias in node.names])
+            found.update(n for n in names if n != "__version__")
+    return found
+
+
+@pytest.fixture(scope="module")
+def imports():
+    """module -> the package modules it imports, for every module but
+    ``__init__``."""
+    return {path.stem: package_imports(path.read_text())
+            for path in sorted(PACKAGE.glob("*.py"))
+            if path.stem != "__init__"}
+
+
+def test_every_module_has_a_layer(imports):
+    assert set(imports) == set(LAYER)
+    assert set().union(*imports.values()) <= set(LAYER)
+
+
+def test_no_module_imports_from_a_layer_above(imports):
+    upward = sorted((module, name) for module, names in imports.items()
+                    for name in names if LAYER[name] > LAYER[module])
+    assert upward == []
+
+
+@pytest.mark.parametrize("module, forbidden", [
+    # losses take weight arrays, not the kernel
+    ("losses", "mvc"),
+    # the kernel's scatter and scratch live below it, in geometry and
+    # runtime
+    ("geometry", "mvc"),
+])
+def test_module_does_not_import(imports, module, forbidden):
+    assert forbidden not in imports[module]
+
+
+def test_package_imports_reads_every_form():
+    source = """
+from . import autodiff as ad
+from . import __version__, meshio
+from .geometry import TriMesh
+from .mvc.sub import x
+import numpy
+
+
+def f():
+    from .optim import run_adam
+"""
+    assert package_imports(source) == {"autodiff", "meshio", "geometry",
+                                       "mvc", "optim"}

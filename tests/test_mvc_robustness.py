@@ -14,7 +14,7 @@ import pytest
 
 import cagewarp.autodiff as ad
 import per_corner_mvc
-from cagewarp.geometry import TriMesh, make_template_cage
+from cagewarp.geometry import Scatter, TriMesh, make_template_cage
 from cagewarp.gradients import EXCLUSION_FACTOR, grad_source_cage
 from cagewarp import mvc, runtime
 from cagewarp.mvc import (
@@ -257,10 +257,14 @@ def _bincount_sums(target, n_targets, x):
 
 
 class _BincountScatter:
-    """``mvc._Scatter``'s interface, summed by ``np.bincount``."""
+    """``geometry.Scatter``'s interface, summed by ``np.bincount``."""
+
+    GATHER_SLOT = Scatter.GATHER_SLOT
+    made = 0
 
     def __init__(self, target, n_targets):
         self.target, self.n_targets = target, n_targets
+        _BincountScatter.made += 1
 
     def __call__(self, ws, x, out):
         for i in np.ndindex(x.shape[:-2]):
@@ -287,10 +291,10 @@ def test_scatter_matches_bincount(n_targets, n_rows, pairs, cols):
     x = (np.full((n_rows, n), -0.0) if cols == "-0.0"
          else rng.normal(size=(n_rows, n)) * 10.0 ** rng.integers(
              -8, 9, size=(n_rows, 1)))
-    scatter = mvc._Scatter(target, n_targets)
+    scatter = Scatter(target, n_targets)
     if pairs:
         assert scatter.back is None
-    ws = mvc._Workspace()
+    ws = runtime.Workspace()
     out = np.full((n_targets, n), np.nan)
     got = scatter(ws, x, out)
     want = _bincount_sums(target, n_targets, x)
@@ -317,10 +321,15 @@ def test_numpy_scatters_match_bincount(kind, monkeypatch):
         for scatter in ("numpy", "bincount"):
             mvc._topology.cache_clear()
             if scatter == "bincount":
-                monkeypatch.setattr(mvc, "_Scatter", _BincountScatter)
+                # the name _CageTopology reads; the swap must take effect
+                monkeypatch.setattr(mvc, "Scatter", _BincountScatter)
+                monkeypatch.setattr(_BincountScatter, "made", 0)
             for threads in (1, 2, 8):
                 with runtime.thread_cap(threads):
                     runs[scatter, threads] = _kernel_outputs(cage, pts)
+            if scatter == "bincount":
+                # to_vertex, to_edge, from_a and from_b of the one topology
+                assert _BincountScatter.made == 4
     finally:
         monkeypatch.undo()
         mvc._topology.cache_clear()
@@ -378,11 +387,11 @@ def test_scatter_adds_each_leading_slice(pairs):
         target = rng.permutation(np.repeat(np.arange(60), 2))
     else:
         target = rng.choice(40, size=120)
-    scatter = mvc._Scatter(target, 60 if pairs else 42)
+    scatter = Scatter(target, 60 if pairs else 42)
     x = rng.normal(size=(3, 120, 7))
     x[1, ::5] = -0.0
     out = np.full((3, scatter.n_targets, 7), np.nan)
-    got = scatter(mvc._Workspace(), x, out)
+    got = scatter(runtime.Workspace(), x, out)
     assert got is out
     for i in range(3):
         want = _bincount_sums(target, scatter.n_targets, x[i])
@@ -423,7 +432,7 @@ def test_face_planes_match_cross_product_oracle(kind):
 
 
 def test_workspace_views_follow_a_grown_slot():
-    ws = mvc._Workspace()
+    ws = runtime.Workspace()
 
     def build(w, n):
         return w.take("a", (n,))
@@ -451,10 +460,10 @@ def test_no_cached_view_survives_a_resize(monkeypatch):
             rows = 2 * mvc._block_rows(cage.n_faces) + 5
         calls.append((cage, _boundary_queries(cage, rows, 16, seed=rows)))
     with runtime.thread_cap(1):
-        monkeypatch.setattr(mvc, "_scratch", mvc._Workspace())
+        monkeypatch.setattr(mvc, "_scratch", runtime.Workspace())
         got = [_kernel_outputs(cage, pts) for cage, pts in calls]
         for (cage, pts), run in zip(calls, got):
-            monkeypatch.setattr(mvc, "_scratch", mvc._Workspace())
+            monkeypatch.setattr(mvc, "_scratch", runtime.Workspace())
             want = _kernel_outputs(cage, pts)
             for a, b in zip(run, want):
                 if isinstance(a, dict):
@@ -472,7 +481,7 @@ def test_scratch_at_320_faces_stays_within_budget(monkeypatch):
     cage = make_template_cage("sphere162", scale=(1.0, 0.8, 0.9))
     pts = _boundary_queries(cage, 2 * mvc._block_rows(cage.n_faces) + 5,
                             16, seed=37)
-    ws = mvc._Workspace()
+    ws = runtime.Workspace()
     monkeypatch.setattr(mvc, "_scratch", ws)
     with runtime.thread_cap(1):
         mvc_weights(cage.vertices, cage.faces, pts)
