@@ -14,7 +14,7 @@ from .geometry import (
     normalize_to_unit_box,
     sample_surface,
 )
-from .gradients import Gradient, check_gradients, grad_deformed, grad_source_cage
+from .gradients import check_gradients, grad_source_cage
 from .losses import (
     LossBreakdown,
     LossWeights,
@@ -41,7 +41,6 @@ from .toy import OffsetPredictor, SyntheticFamily, eval_toy, train_toy
 
 __all__ = [
     "AdamState",
-    "Gradient",
     "LossBreakdown",
     "LossWeights",
     "MeshError",
@@ -67,7 +66,6 @@ __all__ = [
     "eval_metrics",
     "eval_toy",
     "fit_cage",
-    "grad_deformed",
     "grad_source_cage",
     "l2_corresponded",
     "load_mesh",

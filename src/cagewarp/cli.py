@@ -115,13 +115,13 @@ def _write_report(out_dir: Path, metrics: dict, wall_time: float) -> Path:
 def _run(args) -> None:
     """Run one command with the bookkeeping every command shares.
 
-    The command returns (outputs, metrics, report).  Its wall time is the
-    optimizer's when it returns an ``OptimReport``, else the time from the
-    start manifest to its return.  A command that raises marks its manifest
-    failed and writes no report; a gradient check that failed raises only
-    after its report and completed manifest are written.  The command runs
-    under the config's thread cap (None keeps the caller's), and the
-    caller's cap is restored when it returns.
+    The command returns (outputs, metrics).  Its wall time is the time from
+    the start manifest to its return, setup and final evaluation included.
+    A command that raises marks its manifest failed and writes no report; a
+    gradient check that failed raises only after its report and completed
+    manifest are written.  The command runs under the config's thread cap
+    (None keeps the caller's), and the caller's cap is restored when it
+    returns.
     """
     cfg = _load_config(args)
     with runtime.thread_cap(cfg.threads):
@@ -132,12 +132,11 @@ def _run(args) -> None:
             {name: getattr(args, name) for name in args.inputs})
         t0 = time.perf_counter()
         try:
-            outputs, metrics, report = args.func(args, cfg, out)
+            outputs, metrics = args.func(args, cfg, out)
         except BaseException as exc:
             manifest.finish("failed", error=str(exc))
             raise
-        wall_time = time.perf_counter() - t0 if report is None \
-            else report.wall_time
+        wall_time = time.perf_counter() - t0
         outputs.append(_write_report(out, metrics, wall_time))
         manifest.finish("completed", outputs=[str(p) for p in outputs])
     if metrics.get("pass") is False:
@@ -164,7 +163,7 @@ def cmd_make_cage(args, cfg, out):
         "n_vertices": cage.n_vertices,
         "n_faces": cage.n_faces,
         "cage_scale": cfg.cage_scale,
-    }, None
+    }
 
 
 def cmd_compute_mvc(args, cfg, out):
@@ -187,7 +186,7 @@ def cmd_compute_mvc(args, cfg, out):
         "n_on_vertex": int((m.flags == FLAG_ON_VERTEX).sum()),
         "n_on_face": int((m.flags == FLAG_ON_FACE).sum()),
         "n_exterior": int((m.flags == FLAG_EXTERIOR_OK).sum()),
-    }, None
+    }
 
 
 def cmd_deform(args, cfg, out):
@@ -203,7 +202,7 @@ def cmd_deform(args, cfg, out):
     offsets_path = out / "cage_offsets.csv"
     meshio.save_offsets(deformed_cage.vertices - cage.vertices, offsets_path)
     outputs.append(offsets_path)
-    return outputs, _optim_metrics(report), report
+    return outputs, _optim_metrics(report)
 
 
 def cmd_fit_cage(args, cfg, out):
@@ -215,7 +214,7 @@ def cmd_fit_cage(args, cfg, out):
                               landmarks, cfg)
     cage_path = out / "fitted_cage.obj"
     meshio.save_mesh(fitted, cage_path)
-    return [cage_path], _optim_metrics(report), report
+    return [cage_path], _optim_metrics(report)
 
 
 def cmd_transfer(args, cfg, out):
@@ -229,7 +228,7 @@ def cmd_transfer(args, cfg, out):
     return [out_path], {
         "n_vertices": deformed.n_vertices,
         "offset_norm_max": float(np.linalg.norm(offsets, axis=1).max()),
-    }, None
+    }
 
 
 def cmd_eval(args, cfg, out):
@@ -240,7 +239,7 @@ def cmd_eval(args, cfg, out):
         n_samples=cfg.n_eval_samples,
         seed=cfg.seed,
     )
-    return [], metrics, None
+    return [], metrics
 
 
 def cmd_gradcheck(args, cfg, out):
@@ -250,7 +249,7 @@ def cmd_gradcheck(args, cfg, out):
     return [], {
         "checks": [c.to_dict() for c in checks],
         "pass": all(c.passed for c in checks),
-    }, None
+    }
 
 
 def cmd_train_toy(args, cfg, out):
@@ -267,7 +266,7 @@ def cmd_train_toy(args, cfg, out):
         "train_total": report.final_metrics["train_total"],
         "epochs": args.epochs,
         "eval": eval_report,
-    }, report
+    }
 
 
 def _add_common(sp) -> None:

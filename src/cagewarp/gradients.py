@@ -7,12 +7,14 @@ Two argument groups exist:
 * the source cage vertices, which enter nonlinearly through the weights
   phi themselves.
 
-Both are obtained by reverse accumulation over the autodiff tape.  The
-weights enter it as one node whose VJP is the closed-form adjoint of the
-coordinate formulas (see ``mvc``), so the source-cage gradient costs one
-pass over the kept per-block values rather than a walk over per-operation
-temporaries.  A finite-difference harness cross-checks any gradient
-implementation against central differences.
+Both are obtained by reverse accumulation over the autodiff tape: the first
+as ``ad.value_and_grad(lambda v: loss(ad.matmul(m.weights, v)), v0)``, the
+second by ``grad_source_cage``, which adds the exclusion of rows on a branch
+boundary.  The weights enter the tape as one node whose VJP is the
+closed-form adjoint of the coordinate formulas (see ``mvc``), so the
+source-cage gradient costs one pass over the kept per-block values rather
+than a walk over per-operation temporaries.  A finite-difference harness
+cross-checks any gradient implementation against central differences.
 """
 
 from __future__ import annotations
@@ -34,79 +36,42 @@ from .geometry import (
     knn_neighborhoods,
     validate_cage,
 )
-from .mvc import (
-    EPS_PLANE,
-    MvcMatrix,
-    compute_mvc,
-    deform,
-    mvc_weights,
-    vertex_tolerance,
-)
+from .mvc import EPS_PLANE, compute_mvc, mvc_weights, vertex_tolerance
 
 EXCLUSION_FACTOR = 10.0
 
 
-@dataclass
-class Gradient:
-    """Per-cage-vertex loss gradients, one row per vertex."""
+def grad_source_cage(cage: TriMesh, points, downstream):
+    """The gradient of ``downstream(phi)`` with respect to the source cage.
 
-    d_loss_d_deformed_cage: np.ndarray | None = None
-    d_loss_d_source_cage: np.ndarray | None = None
-    value: float = 0.0
-    excluded_rows: int = 0
-
-    def check_finite(self) -> None:
-        for g in (self.d_loss_d_deformed_cage, self.d_loss_d_source_cage):
-            if g is not None and not np.all(np.isfinite(g)):
-                raise FloatingPointError("non-finite gradient entries")
-
-
-def grad_deformed(mvc: MvcMatrix, deformed_cage_vertices, loss) -> Gradient:
-    """Gradient of ``loss`` with respect to the deformed cage vertices.
-
-    ``loss`` maps the (N, 3) deformed point positions (an autodiff Var) to a
-    scalar; the chain rule through the linear interpolation gives
-    d loss / d v'_j = sum_i phi_ji * d loss / d p'_i.
-    """
-    value, g = ad.value_and_grad(
-        lambda verts: loss(ad.matmul(mvc.weights, verts)),
-        deformed_cage_vertices)
-    grad = Gradient(d_loss_d_deformed_cage=g, value=value)
-    grad.check_finite()
-    return grad
-
-
-def grad_source_cage(cage: TriMesh, points, downstream) -> Gradient:
-    """Gradient of ``downstream(phi)`` with respect to the source cage.
-
-    Rows whose query lies within 10x of the vertex-snap or plane-degeneracy
-    tolerances of ``mvc`` sit on a branch boundary of the weight
-    computation; their gradient is undefined, so they are replaced by
-    constants (zero gradient) and counted in ``excluded_rows``.
+    Returns (value, gradient, excluded_rows), the gradient one row per cage
+    vertex.  Rows whose query lies within 10x of the vertex-snap or
+    plane-degeneracy tolerances of ``mvc`` sit on a branch boundary of the
+    weight computation; their gradient is undefined, so they are replaced
+    by constants (zero gradient) and counted in ``excluded_rows``.  Raises
+    ``FloatingPointError`` on a non-finite gradient entry.
     """
     validate_cage(cage)
-    cage_var = ad.Var(cage.vertices)
-    phi, _, aux = mvc_weights(cage_var, cage.faces, as_positions(points),
-                              with_aux=True, with_flags=False)
-    excluded = (
-        (aux["min_vertex_dist"]
-         < EXCLUSION_FACTOR * vertex_tolerance(cage.vertices))
-        | (aux["plane_margin"] < EXCLUSION_FACTOR * EPS_PLANE)
-    )
-    if excluded.any():
-        phi = ad.where(excluded[:, None], ad.val(phi), phi)
-    out = downstream(phi)
-    out.backward()
-    g = cage_var.grad
-    if g is None:
-        g = np.zeros_like(cage.vertices)
-    grad = Gradient(
-        d_loss_d_source_cage=g,
-        value=float(ad.val(out)),
-        excluded_rows=int(excluded.sum()),
-    )
-    grad.check_finite()
-    return grad
+    excluded = None
+
+    def loss(cage_vertices):
+        nonlocal excluded
+        phi, _, aux = mvc_weights(cage_vertices, cage.faces,
+                                  as_positions(points), with_aux=True,
+                                  with_flags=False)
+        excluded = (
+            (aux["min_vertex_dist"]
+             < EXCLUSION_FACTOR * vertex_tolerance(cage.vertices))
+            | (aux["plane_margin"] < EXCLUSION_FACTOR * EPS_PLANE)
+        )
+        if excluded.any():
+            phi = ad.where(excluded[:, None], ad.val(phi), phi)
+        return downstream(phi)
+
+    value, g = ad.value_and_grad(loss, cage.vertices)
+    if not np.all(np.isfinite(g)):
+        raise FloatingPointError("non-finite gradient entries")
+    return value, g, int(excluded.sum())
 
 
 @dataclass
@@ -209,24 +174,31 @@ def random_queries(rng: np.random.Generator, n: int,
     return d * rng.uniform(r_lo, r_hi, size=(n, 1))
 
 
+def _config(fn, x0: np.ndarray, analytic: np.ndarray | None = None):
+    """(value_fn, (analytic, x0)) of ``fn``, a scalar function generic over
+    arrays and Vars; the analytic gradient is its tape gradient unless
+    given."""
+    if analytic is None:
+        _, analytic = ad.value_and_grad(fn, x0)
+    return (lambda x: float(ad.val(fn(x)))), (analytic, x0)
+
+
 def _source(downstream, n_points=8, r_lo: float = 0.2, r_hi: float = 0.6):
     """(group, config builder) of d f(phi) / d source cage, where
-    ``f = downstream(rng)`` draws before the cage and the queries."""
+    ``f = downstream(rng)`` draws before the cage and the queries.  The
+    analytic gradient is ``grad_source_cage``'s, so that is what is checked."""
 
     def config(rng):
         f = downstream(rng)
         while True:
             cage = random_cage(rng)
             pts = random_queries(rng, n_points, r_lo=r_lo, r_hi=r_hi)
-            g = grad_source_cage(cage, pts, f)
-            if g.excluded_rows == 0:
+            _, g, excluded_rows = grad_source_cage(cage, pts, f)
+            if excluded_rows == 0:
                 break
-
-        def value_fn(x):
-            phi, _ = mvc_weights(x, cage.faces, pts, with_flags=False)
-            return float(ad.val(f(phi)))
-
-        return value_fn, (g.d_loss_d_source_cage, cage.vertices.copy())
+        return _config(
+            lambda x: f(mvc_weights(x, cage.faces, pts, with_flags=False)[0]),
+            cage.vertices.copy(), analytic=g)
 
     return "source", config
 
@@ -238,15 +210,10 @@ def _deformed(loss_builder, n_points=10):
     def config(rng):
         cage = random_cage(rng)
         pts = random_queries(rng, n_points)
-        m = compute_mvc(cage, pts)
+        weights = compute_mvc(cage, pts, with_flags=False).weights
         loss = loss_builder(rng, pts)
         v0 = cage.vertices + rng.normal(scale=0.05, size=cage.vertices.shape)
-        g = grad_deformed(m, v0, loss)
-
-        def value_fn(x):
-            return float(ad.val(loss(deform(pts, m, x).points)))
-
-        return value_fn, (g.d_loss_d_deformed_cage, v0)
+        return _config(lambda v: loss(ad.matmul(weights, v)), v0)
 
     return "deformed", config
 
@@ -256,8 +223,7 @@ def _cage_laplacian_config(rng):
     loss = functools.partial(losses.cage_laplacian_loss,
                              losses.CageLaplacian(cage))
     v0 = cage.vertices + rng.normal(scale=0.05, size=cage.vertices.shape)
-    _, g = ad.value_and_grad(loss, v0)
-    return (lambda x: float(ad.val(loss(x)))), (g, v0)
+    return _config(loss, v0)
 
 
 def _linear_and_negative_squares(rng):

@@ -224,6 +224,9 @@ class PipelineConfig:
     def from_json(cls, path) -> "PipelineConfig":
         with open(path, "r") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("config file must hold a JSON object, got "
+                             f"{type(data).__name__}")
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -288,10 +291,13 @@ def deform_pair(source: TriMesh, target: TriMesh,
     cfg = cfg or PipelineConfig()
     weights = cfg.loss_weights()
     for key, low in (("n_sample_points", 0), ("n_eval_samples", 1),
-                     ("plateau_window", 1)):
+                     ("plateau_window", 1), ("seed", 0)):
         if not getattr(cfg, key) >= low:
             raise ValueError(
                 f"{key} must be at least {low}, got {getattr(cfg, key)}")
+    # NaN fails every comparison, so it would switch the stall rule off
+    if np.isnan(cfg.plateau_rel_tol):
+        raise ValueError("plateau_rel_tol must not be NaN")
     if cfg.align_mode not in ("chamfer", "l2"):
         raise ValueError(f"unknown align_mode {cfg.align_mode!r}")
     with runtime.thread_cap(cfg.threads):
@@ -369,6 +375,9 @@ def fit_cage(template_cage: TriMesh, source_shape: PointSet,
     if not cfg.clap_weight >= 0:
         raise ValueError(
             f"clap_weight must be non-negative, got {cfg.clap_weight}")
+    # NaN fails every comparison, so it would switch the early stop off
+    if np.isnan(cfg.consistency_threshold):
+        raise ValueError("consistency_threshold must not be NaN")
     with runtime.thread_cap(cfg.threads):
         landmarks = np.asarray(landmarks, dtype=np.int64).reshape(-1, 2)
         if not len(landmarks):

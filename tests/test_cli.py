@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -306,6 +307,18 @@ class TestTrainToyCommand:
         pred = OffsetPredictor.from_json(out / "predictor.json")
         assert pred.cage is not None
 
+
+    def test_wall_time_includes_the_evaluation(self, tmp_path, monkeypatch):
+        # the command's own timer, not the training loop's, sets wall_time_s
+        def slow_eval(*args, **kwargs):
+            time.sleep(0.2)
+            return {}
+
+        monkeypatch.setattr(cli, "eval_toy", slow_eval)
+        out = tmp_path / "toy"
+        assert main(["train-toy", "--epochs", "2", "--holdout", "1",
+                     "--out", str(out)]) == 0
+        assert load_report(out)["provenance"]["wall_time_s"] >= 0.2
 
     def test_epochs_below_one_rejected(self, tmp_path, capsys):
         out = tmp_path / "toy0"

@@ -142,6 +142,16 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match=f"^config key {message}$"):
             PipelineConfig.from_json(path)
 
+    @pytest.mark.parametrize("text, kind", [
+        ("[]", "list"), ("3", "int"), ('"x"', "str"), ("null", "NoneType"),
+    ])
+    def test_non_object_file_rejected(self, tmp_path, text, kind):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^config file must hold a JSON "
+                                             f"object, got {kind}$"):
+            PipelineConfig.from_json(path)
+
     def test_int_for_a_float_and_null_for_an_optional_accepted(self,
                                                                tmp_path):
         path = tmp_path / "cfg.json"
@@ -335,6 +345,47 @@ class TestDeformPair:
         with pytest.raises(ValueError, match="non-negative"):
             deform_pair(src, src, cfg)
 
+    def test_nan_plateau_tolerance_rejected(self, monkeypatch):
+        # NaN fails every comparison, so the stall rule would never fire
+        def no_step(*args, **kwargs):
+            raise AssertionError("deform_pair took a step")
+
+        monkeypatch.setattr(optim, "run_adam", no_step)
+        src = normalized_box(3)
+        cfg = PipelineConfig(max_iters=2, plateau_rel_tol=float("nan"))
+        with pytest.raises(ValueError, match="plateau_rel_tol must not be NaN"):
+            deform_pair(src, src, cfg)
+
+    def test_sampled_run_finite_and_thread_invariant(self):
+        src = normalized_box(3)
+        tgt, _ = normalize_to_unit_box(
+            TriMesh(src.vertices * [1.2, 1.0, 0.9], src.faces))
+        runs = []
+        for threads in (1, 2):
+            with runtime.thread_cap(threads):
+                cage, dcage, dmesh, rep = deform_pair(src, tgt, PipelineConfig(
+                    seed=0, max_iters=3, n_sample_points=200,
+                    n_eval_samples=200))
+            assert rep.iterations == 3
+            assert all(np.isfinite(b.total) for b in rep.trace)
+            assert all(np.isfinite(v) for v in rep.final_metrics.values())
+            runs.append((rep.trace_dicts(), rep.final_metrics,
+                         dcage.vertices.tobytes(), dmesh.vertices.tobytes()))
+        assert runs[0] == runs[1]
+
+    def test_l2_rejected_on_the_sampled_path_before_a_step(self,
+                                                           monkeypatch):
+        # equal vertex counts, but the losses run on samples, not vertices
+        steps = []
+        monkeypatch.setattr(optim, "run_adam",
+                            lambda *args, **kwargs: steps.append(1))
+        src = normalized_box(3)
+        cfg = PipelineConfig(max_iters=2, align_mode="l2",
+                             n_sample_points=64)
+        with pytest.raises(ValueError, match="dense correspondence"):
+            deform_pair(src, src, cfg)
+        assert steps == []
+
     def test_step_budget_below_one_rejected(self):
         src = normalized_box(3)
         for budget in (0, -1):
@@ -344,7 +395,7 @@ class TestDeformPair:
     @pytest.mark.parametrize("key,bad", [
         ("n_eval_samples", 0), ("n_eval_samples", -5),
         ("plateau_window", 0), ("plateau_window", -1),
-        ("n_sample_points", -1),
+        ("n_sample_points", -1), ("seed", -1),
     ])
     def test_bad_count_rejected_before_a_step(self, key, bad, monkeypatch):
         # each failed late (after the run) or silently (stall after one
@@ -611,6 +662,19 @@ class TestFitCage:
         with pytest.raises(ValueError, match="clap_weight"):
             fit_cage(cage, pts, pts, lm,
                      PipelineConfig(clap_weight=clap, max_iters=1))
+
+    def test_nan_consistency_threshold_rejected(self, monkeypatch):
+        # NaN fails every comparison, so the early stop would never fire
+        def no_step(*args, **kwargs):
+            raise AssertionError("fit_cage took a step")
+
+        monkeypatch.setattr(optim, "run_adam", no_step)
+        pts, cage = self._shape_and_cage()
+        lm = np.stack([np.arange(10), np.arange(10)], axis=1)
+        cfg = PipelineConfig(max_iters=2, consistency_threshold=float("nan"))
+        with pytest.raises(ValueError,
+                           match="consistency_threshold must not be NaN"):
+            fit_cage(cage, pts, pts, lm, cfg)
 
     def test_early_stop_honors_threshold_exactly(self):
         pts, cage = self._shape_and_cage()
