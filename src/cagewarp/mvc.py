@@ -61,7 +61,7 @@ what is summed across blocks is summed on the calling thread in row order.
 Passing the cage vertices as an autodiff Var makes phi a single tape node.
 Its VJP is the hand-derived adjoint of the formulas above and of the row
 normalization, evaluated block by block, on the same threads, from what
-each block kept (~49 KB a row on a 320-face cage, held until the backward
+each block kept (~35 KB a row on a 320-face cage, held until the backward
 pass), and returns d loss / d cage vertices directly.  Each block sums its
 rows' contributions to that gradient in 16-row chunks, and the calling
 thread adds the chunk sums in row order, so the gradient bits depend on
@@ -344,18 +344,20 @@ _scratch = runtime.Workspace()
 
 
 class _Kept:
-    """What a taped block keeps for its VJP, in arrays of its own (the
-    names of ``_ForwardViews`` that an untaped block takes as slots)."""
+    """What a taped block keeps for its VJP, in arrays of its own: the
+    distances, the edges' chord lengths and arc sines, 2 sin(h), sin(h -
+    theta), c, the raw weights, the branch masks and sign(det).  All but c
+    and sign(det) are names of ``_ForwardViews`` that an untaped block
+    takes as slots.  The VJP rebuilds the arcs, h and s from these."""
 
     def __init__(self, nv, nf, ne, n):
         f1, f3, e1 = (nf, n), (3, nf, n), (ne, n)
         self.d = np.empty((nv, n))
-        self.length, self.theta_e, self.sin_e = (np.empty(e1)
-                                                 for _ in range(3))
-        self.h, self.two_sin_h = np.empty(f1), np.empty(f1)
+        self.length, self.sin_e = np.empty(e1), np.empty(e1)
+        self.two_sin_h = np.empty(f1)
         self.dead = np.empty(f1, dtype=bool)
-        self.sin_hm, self.cc, self.s, self.w = (np.empty(f3)
-                                                for _ in range(4))
+        self.det_sign = np.empty(f1, dtype=np.int8)
+        self.sin_hm, self.cc, self.w = (np.empty(f3) for _ in range(3))
 
 
 class _ForwardViews:
@@ -390,16 +392,19 @@ class _ForwardViews:
         self.u = take("c3a", c3)
         self.on_face = take("m1a", f1, bool)
         self.w_sum = take("c1b", c1)
+        # the edge arcs (untaped, in place of the chord lengths) and h; s
+        # until num overwrites it, once the denominators have read it
+        self.theta_e, self.h = take("e1b", e1), take("f1b", f1)
+        self.s = take("f3a", f3)
         # the winding number's, once the weights are summed
         self.dots3, self.d3 = take("f5a", f3), take("f3b", f3)
         self.dots, self.by_row = take("f1e", f1), take("f1b", (n, nf))
         if not taped:
             self.d = take("c1a", c1)
             self.two_sin_h = self.s_min     # s_min is taken once c is
-            self.length = self.theta_e = take("e1b", e1)
-            self.sin_e, self.h = take("e1c", e1), take("f1b", f1)
+            self.length = self.theta_e
+            self.sin_e = take("e1c", e1)
             self.sin_hm = self.cc5[:3]      # c overwrites it once read
-            self.s = take("f3a", f3)        # once denom_c is dead
             self.w = self.theta5[:3]        # once num is computed
             self.dead = take("m1b", f1, bool)
 
@@ -420,12 +425,14 @@ class _VjpViews:
         self.ub = take(Scatter.GATHER_SLOT, e3)
         self.cc5, self.g_dk = take("f5c", f5), take("f5c", f3)
         self.gn5 = take("f5d", f5)          # g_num, then g_dd, then g_denc
-        # d per corner, then s_{k+1}, then q and cos(theta)
-        self.dk = self.s_next = self.q = take("f3a", f3)
+        # s (as s_{k+2}) until s_{k+1} is gathered, then q and cos(theta)
+        self.s = self.q = take("f3a", f3)
         # denom, g_den, g_s, g_q, denom_c and g_hm, one after another
         self.denom = take("f3b", f3)
         self.tmp3 = take("f3c", f3)
-        self.g_theta, self.g_c = take("f3d", f3), take("f3e", f3)
+        # d per corner for the denominators, then g_theta
+        self.dk = self.g_theta = take("f3d", f3)
+        self.g_c = take("f3e", f3)
         self.mask3 = take("m3", f3, bool)
         self.half, self.te = take("e1a", e1), take("e1b", e1)
         self.safe, self.g_len = take("e1c", e1), take("e1d", e1)
@@ -465,11 +472,12 @@ class _Block:
     ``Scatter.GATHER_SLOT``, the slot of the corner sines, at points where
     it is dead.  A taped block keeps, in arrays of its own
     (``_Kept``), only what its VJP cannot cheaply rebuild: the distances,
-    per-edge arcs and their sines, h and 2 sin(h), sin(h - theta), c, s
-    (stored as s_{k+2}, the order the denominators read), the raw weights
-    and the branch masks.  The unit vectors, the per-corner gathers and
-    the products and guards built from these are rebuilt in the VJP by the
-    same operations, so they carry the same bits.
+    the edges' chord lengths and arc sines, 2 sin(h), sin(h - theta), c,
+    the raw weights, the branch masks and sign(det).  The VJP rebuilds the
+    rest by the forward's own operations, so it carries the same bits: the
+    arcs from the chord lengths, h from the arcs, s (as s_{k+2}, the order
+    the denominators read) from c and sign(det), and the unit vectors, the
+    per-corner gathers and the products and guards built from these.
     """
 
     def __init__(self, geo, pts, rows, eps_vertex, out, taped):
@@ -502,7 +510,7 @@ class _Block:
             u.take(topo.edge_a, axis=1, out=v.ua, mode="clip"),
             u.take(topo.edge_b, axis=1, out=v.ub, mode="clip"), out=v.ua)
         chord2 = _sum3(np.multiply(chord, chord, out=chord), v.chord2)
-        length, theta_e, sin_e = k.length, k.theta_e, k.sin_e
+        length, theta_e, sin_e = k.length, v.theta_e, k.sin_e
         np.sqrt(chord2, out=length)
         # the half chord is >= 0, so its clip to [-1, 1] is a minimum
         np.minimum(np.divide(length, 2.0, out=theta_e), 1.0, out=theta_e)
@@ -512,7 +520,7 @@ class _Block:
         # each corner's arc and its sine (those of the opposite edge)
         theta = theta_e.take(topo.ce5, axis=0, out=v.theta5, mode="clip")
         sin_t = sin_e.take(topo.ce5, axis=0, out=v.sin5, mode="clip")
-        h = k.h
+        h = v.h
         np.divide(_sum3(theta[:3], h), 2.0, out=h)
 
         # A nearly full half-turn of arc marks p as on (or extremely close
@@ -544,7 +552,7 @@ class _Block:
         np.subtract(c, 1.0, out=c).clip(-1.0, 1.0, out=c)
         np.copyto(cc[3:], cc[:2])
         # s[k] = s_{k+2}, from c_{k+2}
-        s = np.multiply(cc[2:5], cc[2:5], out=k.s)
+        s = np.multiply(cc[2:5], cc[2:5], out=v.s)
         np.subtract(1.0, s, out=s)
         np.sqrt(np.maximum(s, 0.0, out=s), out=s)
         np.multiply(det_sign, s, out=s)
@@ -584,7 +592,7 @@ class _Block:
             out.flags[rows] = _flags(v, topo, chord2, det, d, on_rows, near)
         if taped:
             np.copyto(k.cc, c)
-            k.det_sign = det_sign.astype(np.int8)
+            np.copyto(k.det_sign, det_sign, casting="unsafe")
             self.kept, self.on_rows, self.p3 = k, on_rows, p3
 
     def vjp(self, g_sum):
@@ -601,11 +609,23 @@ class _Block:
         n, nv, nf = len(g_sum), geo.n_vertices, topo.n_faces
         ws = _scratch.use((nv, nf))
         v = ws.views(_VjpViews, nv, nf, topo.n_edges, n)
-        dead, s = k.dead, k.s                           # s[k] = s_{k+2}
-        theta = k.theta_e.take(topo.ce5, axis=0, out=v.theta5, mode="clip")
+        dead = k.dead
+        # the arcs, h and s again, by the forward's operations: theta = 2
+        # asin(min(length / 2, 1)), h = the corner arcs' sum / 2, read only
+        # as cos(h), and s[k] = s_{k+2} = sign(det) sqrt(1 - c_{k+2}^2)
+        half = np.minimum(np.divide(k.length, 2.0, out=v.half), 1.0,
+                          out=v.half)
+        theta_e = np.multiply(2.0, np.arcsin(half, out=v.te), out=v.te)
+        theta = theta_e.take(topo.ce5, axis=0, out=v.theta5, mode="clip")
         sin_t = k.sin_e.take(topo.ce5, axis=0, out=v.sin5, mode="clip")
+        cos_h = np.divide(_sum3(theta[:3], v.cos_h), 2.0, out=v.cos_h)
+        np.cos(cos_h, out=cos_h)
         c = k.cc
         cc = c.take(_CYCLE, axis=0, out=v.cc5, mode="clip")
+        s = np.multiply(cc[2:5], cc[2:5], out=v.s)
+        np.subtract(1.0, s, out=s)
+        np.sqrt(np.maximum(s, 0.0, out=s), out=s)
+        np.multiply(k.det_sign, s, out=s)
         dk = k.d.take(ft, axis=0, out=v.dk, mode="clip")
         t, mask, gn = v.tmp3, v.mask3, v.gn5
 
@@ -640,17 +660,19 @@ class _Block:
         g_sin.fill(0.0)
         g_dk.fill(0.0)
         if self.on_rows.size:
+            d_on = k.d[ft[:, f], r]                             # (3, r)
             for i in range(3):
                 i1, i2 = (i + 1) % 3, (i + 2) % 3
-                g_sin[i, f, r] += g_on[i] * dk[i1, f, r] * dk[i2, f, r]
-                g_dk[i1, f, r] += g_on[i] * sin_t[i, f, r] * dk[i2, f, r]
-                g_dk[i2, f, r] += g_on[i] * sin_t[i, f, r] * dk[i1, f, r]
-        # denom_k = d_k sin(theta_{k+1}) s_{k+2}
+                g_sin[i, f, r] += g_on[i] * d_on[i1] * d_on[i2]
+                g_dk[i1, f, r] += g_on[i] * sin_t[i, f, r] * d_on[i2]
+                g_dk[i2, f, r] += g_on[i] * sin_t[i, f, r] * d_on[i1]
+        # denom_k = d_k sin(theta_{k+1}) s_{k+2}; d per corner again
+        dk = k.d.take(ft, axis=0, out=t, mode="clip")
         np.multiply(g_den, dk, out=g_num)                  # g_dd, cyclic
         np.copyto(gn[3:], gn[:2])
         np.multiply(np.multiply(g_den, sin_t[1:4], out=t), s, out=t)
         np.add(g_dk, t, out=g_dk)
-        s_next = s.take(_PREV, axis=0, out=v.s_next, mode="clip")
+        s_next = s.take(_PREV, axis=0, out=t, mode="clip")
         np.add(g_sin, np.multiply(gn[2:5], s_next, out=t), out=g_sin)
         g_s = np.multiply(gn[1:4], sin_t[2:5], out=g_den)
         # s_k = sign(det) sqrt(q_k), q_k = 1 - c_k^2, off the q_bad lanes
@@ -676,12 +698,10 @@ class _Block:
         np.copyto(g_denc, 0.0, where=denom_c_bad)
         np.copyto(gn[3:], gn[:2])
         # cos(theta) = 1 - 2 sin^2(theta / 2); h - theta_k by addition
-        half = np.minimum(np.divide(k.length, 2.0, out=v.half), 1.0,
-                          out=v.half)
         te = np.multiply(np.multiply(2.0, half, out=v.te), half, out=v.te)
         cos_t = np.subtract(1.0, te, out=te).take(topo.corner_edge, axis=0,
                                                   out=q, mode="clip")
-        cos_h, two_sin_h = np.cos(k.h, out=v.cos_h), k.two_sin_h
+        two_sin_h = k.two_sin_h
         tf, x, g_hm = v.tf, t, denom_c
         np.multiply(cos_h, cos_t, out=x)
         np.add(x, np.multiply(np.divide(two_sin_h, 2.0, out=tf), sin_t[:3],

@@ -218,6 +218,10 @@ class PipelineConfig:
             raise ValueError(
                 f"config key {name!r} must be {what}"
                 f"{' or null' if nullable else ''}, got {value!r}")
+        # numpy's generators take no negative seed, and would say so only
+        # where a command first samples
+        if name == "seed" and value < 0:
+            raise ValueError(f"seed must be at least 0, got {value}")
         super().__setattr__(name, value)
 
     @classmethod
@@ -291,7 +295,7 @@ def deform_pair(source: TriMesh, target: TriMesh,
     cfg = cfg or PipelineConfig()
     weights = cfg.loss_weights()
     for key, low in (("n_sample_points", 0), ("n_eval_samples", 1),
-                     ("plateau_window", 1), ("seed", 0)):
+                     ("plateau_window", 1)):
         if not getattr(cfg, key) >= low:
             raise ValueError(
                 f"{key} must be at least {low}, got {getattr(cfg, key)}")

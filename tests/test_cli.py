@@ -339,6 +339,34 @@ class TestTrainToyCommand:
                 in capsys.readouterr().err)
 
 
+class TestNegativeSeed:
+    def test_train_toy_rejects_it_before_training(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train-toy trained")
+
+        monkeypatch.setattr(cli, "train_toy", no_training)
+        out = tmp_path / "toy"
+        assert main(["train-toy", "--epochs", "2", "--seed", "-1",
+                     "--out", str(out)]) == 1
+        assert "seed must be at least 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_rejects_it_before_sampling(self, source_target, tmp_path,
+                                             capsys, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("eval sampled")
+
+        monkeypatch.setattr(cli, "eval_metrics", no_sampling)
+        sp, tp = source_target
+        out = tmp_path / "ev"
+        assert main(["eval", "--deformed", str(tp), "--target", str(tp),
+                     "--source", str(sp), "--seed", "-1",
+                     "--out", str(out)]) == 1
+        assert "seed must be at least 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestManifest:
     def test_records_hashes_and_outputs(self, source_target, tmp_path):
         sp, _ = source_target

@@ -7,6 +7,7 @@ source-cage gradients finite with and without the exclusion mask, and,
 outside the band, equal to central differences.
 """
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -491,18 +492,94 @@ def test_scratch_at_320_faces_stays_within_budget(monkeypatch):
     assert taped <= 6.48 * 2 ** 20
 
 
+def _recorded_kept(monkeypatch):
+    """The list that every ``mvc._Kept`` made from here on is appended to."""
+    kept = []
+
+    class Recorded(mvc._Kept):
+        def __init__(self, *shape):
+            super().__init__(*shape)
+            kept.append(self)
+
+    monkeypatch.setattr(mvc, "_Kept", Recorded)
+    return kept
+
+
+@pytest.mark.parametrize("kind, per_row", [("sphere162", 34_896),
+                                           ("sphere42", 8_736)])
+def test_taped_rows_keep_their_bytes(kind, per_row, monkeypatch):
+    # what a taped block keeps for its VJP, per query row: d, the chord
+    # lengths and arc sines, 2 sin(h), sin(h - theta), c, w and the dead
+    # mask (34,896 bytes at 320 faces, 8,736 at 80), plus sign(det), one
+    # int8 a face.  The margin, 2%, is less than one more (F, rows) float64
+    # array would add (7%)
+    kept = _recorded_kept(monkeypatch)
+    cage = make_template_cage(kind)
+    n = 2 * mvc._block_rows(cage.n_faces) + 5
+    pts = np.random.default_rng(17).uniform(-0.5, 0.5, size=(n, 3))
+    with runtime.thread_cap(1):
+        mvc_weights(ad.Var(cage.vertices), cage.faces, pts, with_flags=False)
+    assert len(kept) == 3
+    kept_bytes = sum(a.nbytes for k in kept for a in vars(k).values())
+    assert kept_bytes / n <= 1.02 * (per_row + cage.n_faces)
+
+
+def test_taped_call_traced_peak(monkeypatch):
+    # a warmed taped forward and VJP of 866 rows on a 320-face cage, on one
+    # thread: the peak that tracemalloc traces holds the kept arrays (29
+    # MiB), phi and the downstream loss's arrays.  Measured 35.6 MiB; it
+    # was 47.3 MiB while the blocks also kept the arcs, h and s
+    cage = make_template_cage("sphere162")
+    rng = np.random.default_rng(19)
+    pts = rng.uniform(-0.5, 0.5, size=(866, 3))
+    loss, _ = _downstream(len(pts), cage.n_vertices, seed=23)
+    monkeypatch.setattr(mvc, "_scratch", runtime.Workspace())
+
+    def call():
+        cage_var = ad.Var(cage.vertices)
+        phi, _ = mvc_weights(cage_var, cage.faces, pts, with_flags=False)
+        loss(phi).backward()
+
+    with runtime.thread_cap(1):
+        call()                          # the workspace's slots
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 36.5 * 2 ** 20
+
+
+def _in_plane_outside(cage, pts, block, seed):
+    """Rows of ``pts`` moved into a face's plane outside that face, away
+    from the block boundaries; returns (rows, faces)."""
+    rows = np.concatenate([np.arange(lo + 5, lo + block - 5, 7)
+                           for lo in range(0, len(pts) - block + 1, block)])
+    faces = np.random.default_rng(seed).choice(cage.n_faces, size=len(rows),
+                                               replace=False)
+    a, b, c = (cage.vertices[cage.faces[faces, i]] for i in range(3))
+    pts[rows] = a + 2.0 * (b - a) + 1.5 * (c - a)
+    return rows, faces
+
+
 @pytest.mark.parametrize("kind", ["sphere162", "sphere42", "jittered"])
 def test_batched_block_matches_per_corner_loops(kind, monkeypatch):
     # the block's batched numpy calls against the per-corner loops they
     # replaced: weights, flags, aux and the taped cage gradient, with
-    # snapped and on-face rows on every block boundary, to the bit
+    # snapped and on-face rows on every block boundary, and rows in a
+    # face's plane outside it, whose lane of that face is dead (s = 0 or
+    # tiny, with c clipped to +-1), to the bit
     cage = (make_template_cage(kind, scale=(1.0, 0.8, 0.9))
             if kind != "jittered" else
             TriMesh(*_plane_cages()["jittered"]))
     block = mvc._block_rows(cage.n_faces)
     pts = _boundary_queries(cage, 2 * block + 5, block, seed=41)
+    rows, faces = _in_plane_outside(cage, pts, block, seed=43)
+    kept = _recorded_kept(monkeypatch)
     with runtime.thread_cap(1):
         batched = _kernel_outputs(cage, pts)
+        blocks = kept[:3]               # the taped call's
         flagged = _taped_flagged_grad(cage, pts)
         monkeypatch.setattr(mvc, "_Block", per_corner_mvc.PerCornerBlock)
         loops = _kernel_outputs(cage, pts)
@@ -510,6 +587,10 @@ def test_batched_block_matches_per_corner_loops(kind, monkeypatch):
     phi, flags, aux, grad = batched
     assert np.sum(flags == FLAG_ON_VERTEX) == 4
     assert np.sum(flags == FLAG_ON_FACE) == 4
+    dead = np.concatenate([k.dead for k in blocks], axis=1)
+    c = np.concatenate([k.cc for k in blocks], axis=2)
+    assert np.all(dead[faces, rows])
+    assert np.any(np.abs(c[:, faces, rows]) == 1.0)
     for a, b in zip((phi, flags, grad), (loops[0], loops[1], loops[3])):
         assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
     for key in aux:

@@ -497,6 +497,23 @@ class TestDeformPair:
         with pytest.raises(AttributeError, match="unknown config key 'sed'"):
             cfg.sed = 1
 
+    @pytest.mark.parametrize("bad", [-1, np.int64(-7)])
+    def test_negative_seed_rejected_however_it_is_set(self, bad, tmp_path):
+        # numpy's generators raised "expected non-negative integer" where a
+        # command first sampled, without naming the key
+        message = f"^seed must be at least 0, got {int(bad)}$"
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig(seed=bad)
+        cfg = PipelineConfig(seed=3)
+        with pytest.raises(ValueError, match=message):
+            cfg.seed = bad
+        assert cfg.seed == 3
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": int(bad)}))
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig.from_json(path)
+        assert PipelineConfig(seed=0).seed == 0
+
     def test_config_takes_numpy_integers_but_not_bools(self):
         cfg = PipelineConfig(seed=np.int64(3), threads=np.int32(1),
                              max_iters=np.uint8(2), step_size=np.float32(0.5))
