@@ -61,7 +61,7 @@ what is summed across blocks is summed on the calling thread in row order.
 Passing the cage vertices as an autodiff Var makes phi a single tape node.
 Its VJP is the hand-derived adjoint of the formulas above and of the row
 normalization, evaluated block by block, on the same threads, from what
-each block kept (~35 KB a row on a 320-face cage, held until the backward
+each block kept (~20 KB a row on a 320-face cage, held until the backward
 pass), and returns d loss / d cage vertices directly.  Each block sums its
 rows' contributions to that gradient in 16-row chunks, and the calling
 thread adds the chunk sums in row order, so the gradient bits depend on
@@ -346,26 +346,27 @@ _scratch = runtime.Workspace()
 class _Kept:
     """What a taped block keeps for its VJP, in arrays of its own: the
     distances, the edges' chord lengths and arc sines, 2 sin(h), sin(h -
-    theta), c, the raw weights, the branch masks and sign(det).  All but c
-    and sign(det) are names of ``_ForwardViews`` that an untaped block
-    takes as slots.  The VJP rebuilds the arcs, h and s from these."""
+    theta), the dead mask and sign(det).  All but sign(det) are names of
+    ``_ForwardViews`` that an untaped block takes as slots.  The VJP
+    rebuilds the arcs, h, c, s and the raw weights from these."""
 
     def __init__(self, nv, nf, ne, n):
-        f1, f3, e1 = (nf, n), (3, nf, n), (ne, n)
+        f1, e1 = (nf, n), (ne, n)
         self.d = np.empty((nv, n))
         self.length, self.sin_e = np.empty(e1), np.empty(e1)
         self.two_sin_h = np.empty(f1)
         self.dead = np.empty(f1, dtype=bool)
         self.det_sign = np.empty(f1, dtype=np.int8)
-        self.sin_hm, self.cc, self.w = (np.empty(f3) for _ in range(3))
+        self.sin_hm = np.empty((3, nf, n))
 
 
 class _ForwardViews:
     """The forward's workspace views for one block shape.
 
-    Untaped, the arrays a taped block keeps (``_Kept``) are slots too.  A
-    slot named twice holds values whose lifetimes do not overlap; the
-    comment on each says when the earlier one is dead.
+    Untaped, the arrays a taped block keeps (``_Kept``) are slots too.  c
+    and the raw weights are slots either way: a taped block's VJP rebuilds
+    them.  A slot named twice holds values whose lifetimes do not overlap;
+    the comment on each says when the earlier one is dead.
     """
 
     def __init__(self, ws, nv, nf, ne, n, taped):
@@ -399,13 +400,13 @@ class _ForwardViews:
         # the winding number's, once the weights are summed
         self.dots3, self.d3 = take("f5a", f3), take("f3b", f3)
         self.dots, self.by_row = take("f1e", f1), take("f1b", (n, nf))
+        self.w = self.theta5[:3]            # once num is computed
         if not taped:
             self.d = take("c1a", c1)
             self.two_sin_h = self.s_min     # s_min is taken once c is
             self.length = self.theta_e
             self.sin_e = take("e1c", e1)
             self.sin_hm = self.cc5[:3]      # c overwrites it once read
-            self.w = self.theta5[:3]        # once num is computed
             self.dead = take("m1b", f1, bool)
 
 
@@ -427,13 +428,15 @@ class _VjpViews:
         self.gn5 = take("f5d", f5)          # g_num, then g_dd, then g_denc
         # s (as s_{k+2}) until s_{k+1} is gathered, then q and cos(theta)
         self.s = self.q = take("f3a", f3)
-        # denom, g_den, g_s, g_q, denom_c and g_hm, one after another
+        # denom_c of c's first rebuild, then denom, g_den, g_s, g_q and
+        # g_hm, one after another
         self.denom = take("f3b", f3)
+        # a temporary; w, and denom_c of c's second rebuild until g_a
         self.tmp3 = take("f3c", f3)
-        # d per corner for the denominators, then g_theta
-        self.dk = self.g_theta = take("f3d", f3)
-        self.g_c = take("f3e", f3)
+        self.g_theta = take("f3d", f3)
+        self.g_c = take("f3e", f3)      # a temporary of w before g_c
         self.mask3 = take("m3", f3, bool)
+        self.mask3b = take("m3b", f3, bool)     # denom_c_bad
         self.half, self.te = take("e1a", e1), take("e1b", e1)
         self.safe, self.g_len = take("e1c", e1), take("e1d", e1)
         self.g_h, self.tf = take("f1a", f1), take("f1b", f1)
@@ -470,14 +473,19 @@ class _Block:
     (3, F, n); an f5 slot also holds the (3, E, n) chord components and
     the (3, C, n) squares of u.  The scatters gather into
     ``Scatter.GATHER_SLOT``, the slot of the corner sines, at points where
-    it is dead.  A taped block keeps, in arrays of its own
-    (``_Kept``), only what its VJP cannot cheaply rebuild: the distances,
-    the edges' chord lengths and arc sines, 2 sin(h), sin(h - theta), c,
-    the raw weights, the branch masks and sign(det).  The VJP rebuilds the
-    rest by the forward's own operations, so it carries the same bits: the
-    arcs from the chord lengths, h from the arcs, s (as s_{k+2}, the order
-    the denominators read) from c and sign(det), and the unit vectors, the
-    per-corner gathers and the products and guards built from these.
+    it is dead.  A taped block keeps, in arrays of its own (``_Kept``),
+    only what its VJP cannot cheaply rebuild: the distances, the edges'
+    chord lengths and arc sines, 2 sin(h), sin(h - theta), the dead mask
+    and sign(det).  The VJP rebuilds the rest by the forward's own
+    operations (``_corner_c``, ``_corner_s``, ``_denominators`` and
+    ``_raw_weights`` serve both), so it carries the same bits: the arcs
+    from the chord lengths, h from the arcs, c from 2 sin(h), sin(h -
+    theta) and the corner sines, s (as s_{k+2}, the order the denominators
+    read) from c and sign(det), the raw weights from c, the arcs and the
+    denominators, and the unit vectors, the per-corner gathers and the
+    products and guards built from these.  c is rebuilt twice, since g_dk
+    takes its slot before the q path reads it; the second rebuild's
+    guarded denominator and mask serve the c adjoint.
     """
 
     def __init__(self, geo, pts, rows, eps_vertex, out, taped):
@@ -545,17 +553,10 @@ class _Block:
                                 out=k.two_sin_h)
         sin_hm, cc = k.sin_hm, v.cc5
         np.sin(np.subtract(h, theta[:3], out=sin_hm), out=sin_hm)
-        denom_c = np.multiply(sin_t[1:4], sin_t[2:5], out=v.denom_c)
-        _guard(denom_c, v.tmp3, v.mask3)
-        c = cc[:3]
-        np.divide(np.multiply(two_sin_h, sin_hm, out=c), denom_c, out=c)
-        np.subtract(c, 1.0, out=c).clip(-1.0, 1.0, out=c)
+        _corner_c(two_sin_h, sin_hm, sin_t, cc[:3], v.denom_c, v.tmp3,
+                  v.mask3)
         np.copyto(cc[3:], cc[:2])
-        # s[k] = s_{k+2}, from c_{k+2}
-        s = np.multiply(cc[2:5], cc[2:5], out=v.s)
-        np.subtract(1.0, s, out=s)
-        np.sqrt(np.maximum(s, 0.0, out=s), out=s)
-        np.multiply(det_sign, s, out=s)
+        s = _corner_s(cc, det_sign, v.s)
         s_min = np.minimum.reduce(np.abs(s, out=v.tmp3), axis=0,
                                   out=v.s_min)
         if out.plane_margin is not None:
@@ -564,17 +565,8 @@ class _Block:
         dead = k.dead
         np.logical_or(np.less_equal(s_min, EPS_PLANE, out=dead), on_face,
                       out=dead)
-        # denom_k = d_k sin(theta_{k+1}) s_{k+2}
-        denom = d.take(ft, axis=0, out=v.denom, mode="clip")
-        np.multiply(np.multiply(denom, sin_t[1:4], out=denom), s, out=denom)
-        _guard(denom, v.tmp3b, v.mask3, dead)
-        # num_k = theta_k - c_{k+1} theta_{k+2} - c_{k+2} theta_{k+1}
-        num = np.multiply(cc[1:4], theta[2:5], out=v.num)
-        np.subtract(theta[:3], num, out=num)
-        np.subtract(num, np.multiply(cc[2:5], theta[1:4], out=v.tmp3b),
-                    out=num)
-        w = np.divide(num, denom, out=k.w)
-        np.copyto(w, 0.0, where=dead)
+        _denominators(d, ft, sin_t, s, dead, v.denom, v.tmp3b, v.mask3)
+        w = _raw_weights(cc, theta, v.denom, dead, v.num, v.tmp3b, v.w)
         w_sum = topo.to_vertex(ws, w.reshape(3 * nf, n), v.w_sum)  # (C, n)
 
         # rows on a face: that face's exact 2D barycentric weights only
@@ -591,7 +583,6 @@ class _Block:
         if out.flags is not None:
             out.flags[rows] = _flags(v, topo, chord2, det, d, on_rows, near)
         if taped:
-            np.copyto(k.cc, c)
             np.copyto(k.det_sign, det_sign, casting="unsafe")
             self.kept, self.on_rows, self.p3 = k, on_rows, p3
 
@@ -609,10 +600,10 @@ class _Block:
         n, nv, nf = len(g_sum), geo.n_vertices, topo.n_faces
         ws = _scratch.use((nv, nf))
         v = ws.views(_VjpViews, nv, nf, topo.n_edges, n)
-        dead = k.dead
-        # the arcs, h and s again, by the forward's operations: theta = 2
+        dead, two_sin_h = k.dead, k.two_sin_h
+        # the arcs, h, c and s again, by the forward's operations: theta = 2
         # asin(min(length / 2, 1)), h = the corner arcs' sum / 2, read only
-        # as cos(h), and s[k] = s_{k+2} = sign(det) sqrt(1 - c_{k+2}^2)
+        # as cos(h), c from 2 sin(h) and sin(h - theta), and s[k] = s_{k+2}
         half = np.minimum(np.divide(k.length, 2.0, out=v.half), 1.0,
                           out=v.half)
         theta_e = np.multiply(2.0, np.arcsin(half, out=v.te), out=v.te)
@@ -620,14 +611,10 @@ class _Block:
         sin_t = k.sin_e.take(topo.ce5, axis=0, out=v.sin5, mode="clip")
         cos_h = np.divide(_sum3(theta[:3], v.cos_h), 2.0, out=v.cos_h)
         np.cos(cos_h, out=cos_h)
-        c = k.cc
-        cc = c.take(_CYCLE, axis=0, out=v.cc5, mode="clip")
-        s = np.multiply(cc[2:5], cc[2:5], out=v.s)
-        np.subtract(1.0, s, out=s)
-        np.sqrt(np.maximum(s, 0.0, out=s), out=s)
-        np.multiply(k.det_sign, s, out=s)
-        dk = k.d.take(ft, axis=0, out=v.dk, mode="clip")
-        t, mask, gn = v.tmp3, v.mask3, v.gn5
+        t, mask, gn, cc = v.tmp3, v.mask3, v.gn5, v.cc5
+        _corner_c(two_sin_h, k.sin_hm, sin_t, cc[:3], v.denom, t, mask)
+        np.copyto(cc[3:], cc[:2])
+        s = _corner_s(cc, k.det_sign, v.s)
 
         g = v.g
         np.copyto(g, g_sum.T)
@@ -636,16 +623,16 @@ class _Block:
             g_on = g[ft[:, f], r]                               # (3, r)
             g[:, r] = 0.0                   # the general sum is replaced
 
-        # w = num / denom off the dead lanes
+        # w = num / denom off the dead lanes; w again, read only here
         g_num = g.take(ft, axis=0, out=gn[:3], mode="clip")
         np.copyto(g_num, 0.0, where=dead)
-        denom = np.multiply(dk, sin_t[1:4], out=v.denom)
-        np.multiply(denom, s, out=denom)
-        denom_bad = _guard(denom, t, mask, dead)
+        denom = v.denom
+        denom_bad = _denominators(k.d, ft, sin_t, s, dead, denom, t, mask)
+        w = _raw_weights(cc, theta, denom, dead, t, v.g_c, t)
         np.divide(g_num, denom, out=g_num)
         np.copyto(gn[3:], gn[:2])
         g_den = np.negative(g_num, out=denom)
-        np.multiply(g_den, k.w, out=g_den)
+        np.multiply(g_den, w, out=g_den)
         np.copyto(g_den, 0.0, where=denom_bad)
         # num_k = theta_k - c_{k+1} theta_{k+2} - c_{k+2} theta_{k+1}
         g_theta, g_c = v.g_theta, v.g_c
@@ -675,6 +662,11 @@ class _Block:
         s_next = s.take(_PREV, axis=0, out=t, mode="clip")
         np.add(g_sin, np.multiply(gn[2:5], s_next, out=t), out=g_sin)
         g_s = np.multiply(gn[1:4], sin_t[2:5], out=g_den)
+        # c again, into g_dd's slot (cc5 is g_dk's now); its guarded
+        # denominator and mask are the c adjoint's
+        c = gn[:3]
+        denom_c_bad = _corner_c(two_sin_h, k.sin_hm, sin_t, c, t, v.q,
+                                v.mask3b)
         # s_k = sign(det) sqrt(q_k), q_k = 1 - c_k^2, off the q_bad lanes
         q = np.multiply(c, c, out=v.q)
         np.subtract(1.0, q, out=q)
@@ -690,19 +682,17 @@ class _Block:
         # unclipped lanes have 2 sin(h) sin(h - theta_k) / denom_c_k = c_k + 1
         np.copyto(g_c, 0.0, where=np.greater_equal(np.abs(c, out=q), 1.0,
                                                    out=mask))
-        denom_c = np.multiply(sin_t[1:4], sin_t[2:5], out=g_q)
-        denom_c_bad = _guard(denom_c, q, mask)
-        g_a = np.divide(g_c, denom_c, out=g_c)
+        g_a = np.divide(g_c, t, out=g_c)            # t holds denom_c
+        c1 = np.add(c, 1.0, out=q)      # before g_denc overwrites c
         g_denc = np.negative(g_a, out=gn[:3])
-        np.multiply(g_denc, np.add(c, 1.0, out=q), out=g_denc)
+        np.multiply(g_denc, c1, out=g_denc)
         np.copyto(g_denc, 0.0, where=denom_c_bad)
         np.copyto(gn[3:], gn[:2])
         # cos(theta) = 1 - 2 sin^2(theta / 2); h - theta_k by addition
         te = np.multiply(np.multiply(2.0, half, out=v.te), half, out=v.te)
         cos_t = np.subtract(1.0, te, out=te).take(topo.corner_edge, axis=0,
                                                   out=q, mode="clip")
-        two_sin_h = k.two_sin_h
-        tf, x, g_hm = v.tf, t, denom_c
+        tf, x, g_hm = v.tf, t, g_q
         np.multiply(cos_h, cos_t, out=x)
         np.add(x, np.multiply(np.divide(two_sin_h, 2.0, out=tf), sin_t[:3],
                               out=g_hm), out=x)
@@ -773,6 +763,47 @@ def _flags(v, topo, chord2, det, d, on_rows, near):
     flags[on_rows] = FLAG_ON_FACE
     flags[near] = FLAG_ON_VERTEX
     return flags
+
+
+def _corner_c(two_sin_h, sin_hm, sin_t, c, denom_c, tmp, mask):
+    """c_k = clip(2 sin(h) sin(h - theta_k) / denom_c_k - 1, -1, 1) into
+    ``c``, with denom_c_k = sin(theta_{k+1}) sin(theta_{k+2}) guarded in
+    ``denom_c`` (``tmp`` and ``mask`` are scratch); returns the guard's
+    mask."""
+    np.multiply(sin_t[1:4], sin_t[2:5], out=denom_c)
+    bad = _guard(denom_c, tmp, mask)
+    np.divide(np.multiply(two_sin_h, sin_hm, out=c), denom_c, out=c)
+    np.subtract(c, 1.0, out=c).clip(-1.0, 1.0, out=c)
+    return bad
+
+
+def _corner_s(cc, det_sign, s):
+    """s[k] = s_{k+2} = sign(det) sqrt(1 - c_{k+2}^2) from the cyclic c,
+    in the order the denominators read it."""
+    np.multiply(cc[2:5], cc[2:5], out=s)
+    np.subtract(1.0, s, out=s)
+    np.sqrt(np.maximum(s, 0.0, out=s), out=s)
+    return np.multiply(det_sign, s, out=s)
+
+
+def _denominators(d, ft, sin_t, s, dead, denom, tmp, mask):
+    """denom_k = d_k sin(theta_{k+1}) s_{k+2} into ``denom``, guarded on
+    tiny and dead lanes; returns the guard's mask."""
+    d.take(ft, axis=0, out=denom, mode="clip")
+    np.multiply(np.multiply(denom, sin_t[1:4], out=denom), s, out=denom)
+    return _guard(denom, tmp, mask, dead)
+
+
+def _raw_weights(cc, theta, denom, dead, num, tmp, w):
+    """w_k = num_k / denom_k into ``w``, 0 on the dead lanes, with num_k =
+    theta_k - c_{k+1} theta_{k+2} - c_{k+2} theta_{k+1} built in ``num``
+    (``tmp`` is scratch)."""
+    np.multiply(cc[1:4], theta[2:5], out=num)
+    np.subtract(theta[:3], num, out=num)
+    np.subtract(num, np.multiply(cc[2:5], theta[1:4], out=tmp), out=num)
+    np.divide(num, denom, out=w)
+    np.copyto(w, 0.0, where=dead)
+    return w
 
 
 def _guard(x, tmp, mask, bad=None):

@@ -505,14 +505,14 @@ def _recorded_kept(monkeypatch):
     return kept
 
 
-@pytest.mark.parametrize("kind, per_row", [("sphere162", 34_896),
-                                           ("sphere42", 8_736)])
+@pytest.mark.parametrize("kind, per_row", [("sphere162", 19_536),
+                                           ("sphere42", 4_896)])
 def test_taped_rows_keep_their_bytes(kind, per_row, monkeypatch):
     # what a taped block keeps for its VJP, per query row: d, the chord
-    # lengths and arc sines, 2 sin(h), sin(h - theta), c, w and the dead
-    # mask (34,896 bytes at 320 faces, 8,736 at 80), plus sign(det), one
-    # int8 a face.  The margin, 2%, is less than one more (F, rows) float64
-    # array would add (7%)
+    # lengths and arc sines, 2 sin(h), sin(h - theta) and the dead mask
+    # (19,536 bytes at 320 faces, 4,896 at 80), plus sign(det), one int8 a
+    # face.  The margin, 2%, is less than one more (F, rows) float64 array
+    # would add (13%)
     kept = _recorded_kept(monkeypatch)
     cage = make_template_cage(kind)
     n = 2 * mvc._block_rows(cage.n_faces) + 5
@@ -526,9 +526,10 @@ def test_taped_rows_keep_their_bytes(kind, per_row, monkeypatch):
 
 def test_taped_call_traced_peak(monkeypatch):
     # a warmed taped forward and VJP of 866 rows on a 320-face cage, on one
-    # thread: the peak that tracemalloc traces holds the kept arrays (29
-    # MiB), phi and the downstream loss's arrays.  Measured 35.6 MiB; it
-    # was 47.3 MiB while the blocks also kept the arcs, h and s
+    # thread: the peak that tracemalloc traces holds the kept arrays (16
+    # MiB), phi and the downstream loss's arrays.  Measured 22.9 MiB; it
+    # was 35.6 MiB while the blocks also kept c and the raw weights, and
+    # 47.3 MiB while they kept the arcs, h and s too
     cage = make_template_cage("sphere162")
     rng = np.random.default_rng(19)
     pts = rng.uniform(-0.5, 0.5, size=(866, 3))
@@ -548,7 +549,31 @@ def test_taped_call_traced_peak(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak <= 36.5 * 2 ** 20
+    assert peak <= 24.0 * 2 ** 20
+
+
+@pytest.mark.parametrize("with_flags", [True, False])
+def test_untaped_call_traced_peak(with_flags, monkeypatch):
+    # a warmed untaped call of 866 rows on a 320-face cage, on one thread,
+    # allocates little beyond its output (1.07 MiB): its temporaries live
+    # in the workspace's slots.  Measured 1.22 MiB with or without flags;
+    # one fresh (3, F, rows) temporary per block would add 0.35 MiB
+    cage = make_template_cage("sphere162")
+    pts = np.random.default_rng(19).uniform(-0.5, 0.5, size=(866, 3))
+    monkeypatch.setattr(mvc, "_scratch", runtime.Workspace())
+
+    def call():
+        mvc_weights(cage.vertices, cage.faces, pts, with_flags=with_flags)
+
+    with runtime.thread_cap(1):
+        call()                          # the workspace's slots
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 1.30 * 2 ** 20
 
 
 def _in_plane_outside(cage, pts, block, seed):
@@ -577,18 +602,27 @@ def test_batched_block_matches_per_corner_loops(kind, monkeypatch):
     pts = _boundary_queries(cage, 2 * block + 5, block, seed=41)
     rows, faces = _in_plane_outside(cage, pts, block, seed=43)
     kept = _recorded_kept(monkeypatch)
+    per_corner = []
+
+    class Recorded(per_corner_mvc.PerCornerBlock):
+        def __init__(self, *args):
+            super().__init__(*args)
+            if args[-1]:                # taped: it keeps c
+                per_corner.append(self)
+
     with runtime.thread_cap(1):
         batched = _kernel_outputs(cage, pts)
         blocks = kept[:3]               # the taped call's
         flagged = _taped_flagged_grad(cage, pts)
-        monkeypatch.setattr(mvc, "_Block", per_corner_mvc.PerCornerBlock)
+        monkeypatch.setattr(mvc, "_Block", Recorded)
         loops = _kernel_outputs(cage, pts)
         assert np.array_equal(flagged, _taped_flagged_grad(cage, pts))
     phi, flags, aux, grad = batched
     assert np.sum(flags == FLAG_ON_VERTEX) == 4
     assert np.sum(flags == FLAG_ON_FACE) == 4
     dead = np.concatenate([k.dead for k in blocks], axis=1)
-    c = np.concatenate([k.cc for k in blocks], axis=2)
+    # the batched blocks keep no c; the per-corner ones of the same rows do
+    c = np.concatenate([b.cc for b in per_corner[:3]], axis=2)
     assert np.all(dead[faces, rows])
     assert np.any(np.abs(c[:, faces, rows]) == 1.0)
     for a, b in zip((phi, flags, grad), (loops[0], loops[1], loops[3])):
