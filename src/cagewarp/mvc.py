@@ -436,7 +436,7 @@ class _VjpViews:
         self.g_theta = take("f3d", f3)
         self.g_c = take("f3e", f3)      # a temporary of w before g_c
         self.mask3 = take("m3", f3, bool)
-        self.mask3b = take("m3b", f3, bool)     # denom_c_bad
+        self.mask3b = take("m3b", f3, bool)     # denom_c's guard
         self.half, self.te = take("e1a", e1), take("e1b", e1)
         self.safe, self.g_len = take("e1c", e1), take("e1d", e1)
         self.g_h, self.tf = take("f1a", f1), take("f1b", f1)
@@ -484,8 +484,9 @@ class _Block:
     read) from c and sign(det), the raw weights from c, the arcs and the
     denominators, and the unit vectors, the per-corner gathers and the
     products and guards built from these.  c is rebuilt twice, since g_dk
-    takes its slot before the q path reads it; the second rebuild's
-    guarded denominator and mask serve the c adjoint.
+    takes its slot before the q path reads it; the second rebuild reuses
+    the first's guard mask, and its guarded denominator serves the c
+    adjoint.
     """
 
     def __init__(self, geo, pts, rows, eps_vertex, out, taped):
@@ -553,8 +554,9 @@ class _Block:
                                 out=k.two_sin_h)
         sin_hm, cc = k.sin_hm, v.cc5
         np.sin(np.subtract(h, theta[:3], out=sin_hm), out=sin_hm)
-        _corner_c(two_sin_h, sin_hm, sin_t, cc[:3], v.denom_c, v.tmp3,
-                  v.mask3)
+        denom_c = np.multiply(sin_t[1:4], sin_t[2:5], out=v.denom_c)
+        _guard(denom_c, v.tmp3, v.mask3)
+        _corner_c(two_sin_h, sin_hm, denom_c, cc[:3])
         np.copyto(cc[3:], cc[:2])
         s = _corner_s(cc, det_sign, v.s)
         s_min = np.minimum.reduce(np.abs(s, out=v.tmp3), axis=0,
@@ -566,7 +568,8 @@ class _Block:
         np.logical_or(np.less_equal(s_min, EPS_PLANE, out=dead), on_face,
                       out=dead)
         _denominators(d, ft, sin_t, s, dead, v.denom, v.tmp3b, v.mask3)
-        w = _raw_weights(cc, theta, v.denom, dead, v.num, v.tmp3b, v.w)
+        w = _raw_weights(cc, theta, v.denom, v.num, v.tmp3b, v.w)
+        np.copyto(w, 0.0, where=dead)
         w_sum = topo.to_vertex(ws, w.reshape(3 * nf, n), v.w_sum)  # (C, n)
 
         # rows on a face: that face's exact 2D barycentric weights only
@@ -612,7 +615,9 @@ class _Block:
         cos_h = np.divide(_sum3(theta[:3], v.cos_h), 2.0, out=v.cos_h)
         np.cos(cos_h, out=cos_h)
         t, mask, gn, cc = v.tmp3, v.mask3, v.gn5, v.cc5
-        _corner_c(two_sin_h, k.sin_hm, sin_t, cc[:3], v.denom, t, mask)
+        denom_c = np.multiply(sin_t[1:4], sin_t[2:5], out=v.denom)
+        denom_c_bad = _guard(denom_c, t, v.mask3b)
+        _corner_c(two_sin_h, k.sin_hm, denom_c, cc[:3])
         np.copyto(cc[3:], cc[:2])
         s = _corner_s(cc, k.det_sign, v.s)
 
@@ -623,12 +628,13 @@ class _Block:
             g_on = g[ft[:, f], r]                               # (3, r)
             g[:, r] = 0.0                   # the general sum is replaced
 
-        # w = num / denom off the dead lanes; w again, read only here
+        # w = num / denom off the dead lanes; w again, read only here and
+        # not zeroed on the dead lanes, where g_den is zeroed
         g_num = g.take(ft, axis=0, out=gn[:3], mode="clip")
         np.copyto(g_num, 0.0, where=dead)
         denom = v.denom
         denom_bad = _denominators(k.d, ft, sin_t, s, dead, denom, t, mask)
-        w = _raw_weights(cc, theta, denom, dead, t, v.g_c, t)
+        w = _raw_weights(cc, theta, denom, t, v.g_c, t)
         np.divide(g_num, denom, out=g_num)
         np.copyto(gn[3:], gn[:2])
         g_den = np.negative(g_num, out=denom)
@@ -662,11 +668,11 @@ class _Block:
         s_next = s.take(_PREV, axis=0, out=t, mode="clip")
         np.add(g_sin, np.multiply(gn[2:5], s_next, out=t), out=g_sin)
         g_s = np.multiply(gn[1:4], sin_t[2:5], out=g_den)
-        # c again, into g_dd's slot (cc5 is g_dk's now); its guarded
-        # denominator and mask are the c adjoint's
-        c = gn[:3]
-        denom_c_bad = _corner_c(two_sin_h, k.sin_hm, sin_t, c, t, v.q,
-                                v.mask3b)
+        # c again, into g_dd's slot (cc5 is g_dk's now), with the guard
+        # mask of the first rebuild; its denominator is the c adjoint's
+        c, denom_c = gn[:3], np.multiply(sin_t[1:4], sin_t[2:5], out=t)
+        np.copyto(denom_c, 1.0, where=denom_c_bad)
+        _corner_c(two_sin_h, k.sin_hm, denom_c, c)
         # s_k = sign(det) sqrt(q_k), q_k = 1 - c_k^2, off the q_bad lanes
         q = np.multiply(c, c, out=v.q)
         np.subtract(1.0, q, out=q)
@@ -682,7 +688,7 @@ class _Block:
         # unclipped lanes have 2 sin(h) sin(h - theta_k) / denom_c_k = c_k + 1
         np.copyto(g_c, 0.0, where=np.greater_equal(np.abs(c, out=q), 1.0,
                                                    out=mask))
-        g_a = np.divide(g_c, t, out=g_c)            # t holds denom_c
+        g_a = np.divide(g_c, denom_c, out=g_c)
         c1 = np.add(c, 1.0, out=q)      # before g_denc overwrites c
         g_denc = np.negative(g_a, out=gn[:3])
         np.multiply(g_denc, c1, out=g_denc)
@@ -765,16 +771,11 @@ def _flags(v, topo, chord2, det, d, on_rows, near):
     return flags
 
 
-def _corner_c(two_sin_h, sin_hm, sin_t, c, denom_c, tmp, mask):
+def _corner_c(two_sin_h, sin_hm, denom_c, c):
     """c_k = clip(2 sin(h) sin(h - theta_k) / denom_c_k - 1, -1, 1) into
-    ``c``, with denom_c_k = sin(theta_{k+1}) sin(theta_{k+2}) guarded in
-    ``denom_c`` (``tmp`` and ``mask`` are scratch); returns the guard's
-    mask."""
-    np.multiply(sin_t[1:4], sin_t[2:5], out=denom_c)
-    bad = _guard(denom_c, tmp, mask)
+    ``c``, from denom_c_k = sin(theta_{k+1}) sin(theta_{k+2}), guarded."""
     np.divide(np.multiply(two_sin_h, sin_hm, out=c), denom_c, out=c)
-    np.subtract(c, 1.0, out=c).clip(-1.0, 1.0, out=c)
-    return bad
+    return np.subtract(c, 1.0, out=c).clip(-1.0, 1.0, out=c)
 
 
 def _corner_s(cc, det_sign, s):
@@ -794,16 +795,14 @@ def _denominators(d, ft, sin_t, s, dead, denom, tmp, mask):
     return _guard(denom, tmp, mask, dead)
 
 
-def _raw_weights(cc, theta, denom, dead, num, tmp, w):
-    """w_k = num_k / denom_k into ``w``, 0 on the dead lanes, with num_k =
-    theta_k - c_{k+1} theta_{k+2} - c_{k+2} theta_{k+1} built in ``num``
-    (``tmp`` is scratch)."""
+def _raw_weights(cc, theta, denom, num, tmp, w):
+    """w_k = num_k / denom_k into ``w``, with num_k = theta_k - c_{k+1}
+    theta_{k+2} - c_{k+2} theta_{k+1} built in ``num`` (``tmp`` is
+    scratch); the dead lanes are the caller's."""
     np.multiply(cc[1:4], theta[2:5], out=num)
     np.subtract(theta[:3], num, out=num)
     np.subtract(num, np.multiply(cc[2:5], theta[1:4], out=tmp), out=num)
-    np.divide(num, denom, out=w)
-    np.copyto(w, 0.0, where=dead)
-    return w
+    return np.divide(num, denom, out=w)
 
 
 def _guard(x, tmp, mask, bad=None):
