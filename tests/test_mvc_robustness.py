@@ -527,9 +527,8 @@ def test_taped_rows_keep_their_bytes(kind, per_row, monkeypatch):
 def test_taped_call_traced_peak(monkeypatch):
     # a warmed taped forward and VJP of 866 rows on a 320-face cage, on one
     # thread: the peak that tracemalloc traces holds the kept arrays (16
-    # MiB), phi and the downstream loss's arrays.  Measured 22.9 MiB; it
-    # was 35.6 MiB while the blocks also kept c and the raw weights, and
-    # 47.3 MiB while they kept the arcs, h and s too
+    # MiB), phi and the downstream loss's arrays.  Measured 22.9 MiB;
+    # keeping c or the raw weights again reads 29.3 MiB
     cage = make_template_cage("sphere162")
     rng = np.random.default_rng(19)
     pts = rng.uniform(-0.5, 0.5, size=(866, 3))
