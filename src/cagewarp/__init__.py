@@ -17,7 +17,6 @@ from .geometry import (
 from .gradients import check_gradients, grad_source_cage
 from .losses import (
     LossBreakdown,
-    LossWeights,
     cage_laplacian_loss,
     chamfer,
     eval_metrics,
@@ -42,7 +41,6 @@ from .toy import OffsetPredictor, SyntheticFamily, eval_toy, train_toy
 __all__ = [
     "AdamState",
     "LossBreakdown",
-    "LossWeights",
     "MeshError",
     "MvcError",
     "MvcMatrix",

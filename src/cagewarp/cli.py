@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, meshio, runtime
+from . import __version__, meshio, optim, runtime
 from .geometry import TriMesh, cage_around, normalize_to_unit_box
 from .gradients import GRADCHECK_OPS, builtin_check
 from .losses import eval_metrics
@@ -232,6 +232,7 @@ def cmd_transfer(args, cfg, out):
 
 
 def cmd_eval(args, cfg, out):
+    optim.check_minimums(cfg, "n_eval_samples")
     metrics = eval_metrics(
         meshio.load_mesh(args.deformed),
         meshio.load_mesh(args.target),

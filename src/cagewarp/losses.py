@@ -37,23 +37,6 @@ _REFLECT_X = np.array([-1.0, 1.0, 1.0])
 
 
 @dataclass
-class LossWeights:
-    """Weights of the combined objective."""
-
-    alpha_mvc: float = 1.0
-    alpha_shape: float = 0.1
-    shape_mode: str = "man_made"
-
-    def __post_init__(self):
-        if not (self.alpha_mvc >= 0 and self.alpha_shape >= 0):
-            raise ValueError("loss weights must be non-negative, got "
-                             f"alpha_mvc={self.alpha_mvc}, "
-                             f"alpha_shape={self.alpha_shape}")
-        if self.shape_mode not in ("man_made", "character"):
-            raise ValueError(f"unknown shape_mode {self.shape_mode!r}")
-
-
-@dataclass
 class LossBreakdown:
     """Named raw term values, their weights, and the weighted total."""
 
@@ -172,21 +155,29 @@ def shape_terms(before: PointSet, after_positions, cage_after_positions,
 # -- combined objective ---------------------------------------------------------
 
 
-def term_weights(weights: LossWeights) -> dict:
+def term_weights(alpha_mvc: float, alpha_shape: float,
+                 shape_mode: str) -> dict:
+    """Each raw term's weight; the one check of the loss settings (a
+    negative or NaN weight, or an unknown shape mode, is rejected)."""
+    if not (alpha_mvc >= 0 and alpha_shape >= 0):
+        raise ValueError("loss weights must be non-negative, got "
+                         f"alpha_mvc={alpha_mvc}, alpha_shape={alpha_shape}")
+    if shape_mode not in ("man_made", "character"):
+        raise ValueError(f"unknown shape_mode {shape_mode!r}")
     w = {
-        "mvc": weights.alpha_mvc,
+        "mvc": alpha_mvc,
         "align": 1.0,
-        "p2f": weights.alpha_shape,
+        "p2f": alpha_shape,
     }
-    if weights.shape_mode == "man_made":
-        w["normal"] = weights.alpha_shape
-        w["symmetry_shape"] = weights.alpha_shape
-        w["symmetry_cage"] = weights.alpha_shape
+    if shape_mode == "man_made":
+        w["normal"] = alpha_shape
+        w["symmetry_shape"] = alpha_shape
+        w["symmetry_cage"] = alpha_shape
     return w
 
 
 def total_terms(source: PointSet, deformed_positions, target, phi,
-                cage_deformed_positions, weights: LossWeights,
+                cage_deformed_positions, shape_mode: str,
                 align_mode: str, target_index=None) -> dict:
     """All raw loss terms of the combined objective (generic values).
 
@@ -195,7 +186,7 @@ def total_terms(source: PointSet, deformed_positions, target, phi,
     """
     deformed_index = None
     if align_mode == "chamfer":
-        if weights.shape_mode == "man_made":
+        if shape_mode == "man_made":
             # the alignment and the shape symmetry query the same tree
             deformed_index = SpatialIndex(
                 ad.val(as_positions(deformed_positions)))
@@ -208,7 +199,7 @@ def total_terms(source: PointSet, deformed_positions, target, phi,
     terms = {"mvc": mvc_penalty(phi), "align": align}
     terms.update(
         shape_terms(source, deformed_positions, cage_deformed_positions,
-                    weights.shape_mode, deformed_index)
+                    shape_mode, deformed_index)
     )
     return terms
 

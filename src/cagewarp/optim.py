@@ -39,7 +39,7 @@ from .geometry import (
     pointset_from_mesh_vertices,
     sample_surface,
 )
-from .losses import LossBreakdown, LossWeights
+from .losses import LossBreakdown
 from .mvc import compute_mvc, deform, mvc_weights
 
 DEFORM_STEP_SIZE = 2e-3
@@ -47,6 +47,10 @@ DEFORM_MAX_ITERS = 3000
 FIT_STEP_SIZE = 5e-4
 FIT_MAX_ITERS = 10_000
 DEGENERATE_CAGE_AREA = 1e-10
+SAMPLE_KNN = 8          # neighbors of each sampled loss point's plane fit
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 # what a config value of each field type may be, bools excepted:
 # (description, types)
@@ -71,9 +75,6 @@ class AdamState:
     """Adam accumulator state for a named parameter group."""
 
     step_size: float = 5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     t: int = 0
@@ -94,13 +95,13 @@ def adam_step(state: AdamState, params: dict, grads: dict) -> dict:
         if m is None:
             m = np.zeros_like(p)
             v = np.zeros_like(p)
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
         state.m[name] = m
         state.v[name] = v
-        m_hat = m / (1.0 - state.beta1**state.t)
-        v_hat = v / (1.0 - state.beta2**state.t)
-        out[name] = p - state.step_size * m_hat / (np.sqrt(v_hat) + state.eps)
+        m_hat = m / (1.0 - ADAM_BETA1**state.t)
+        v_hat = v / (1.0 - ADAM_BETA2**state.t)
+        out[name] = p - state.step_size * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return out
 
 
@@ -239,12 +240,17 @@ class PipelineConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(
-            alpha_mvc=self.alpha_mvc,
-            alpha_shape=self.alpha_shape,
-            shape_mode=self.shape_mode,
-        )
+
+# the least value of each count key
+_MINIMUMS = {"n_sample_points": 0, "n_eval_samples": 1, "plateau_window": 1}
+
+
+def check_minimums(cfg: PipelineConfig, *keys: str) -> None:
+    """Reject any of the count ``keys`` below its least value, naming it."""
+    for key in keys:
+        if not getattr(cfg, key) >= _MINIMUMS[key]:
+            raise ValueError(f"{key} must be at least {_MINIMUMS[key]}, "
+                             f"got {getattr(cfg, key)}")
 
 
 def _check_normalized(mesh: TriMesh, name: str, tol: float = 1e-6) -> None:
@@ -263,7 +269,7 @@ def _loss_pointset(source: TriMesh, cfg: PipelineConfig) -> PointSet:
     if cfg.n_sample_points > 0:
         ps = sample_surface(source, cfg.n_sample_points, cfg.seed)
         ps = PointSet(points=ps.points,
-                      neighborhoods=knn_neighborhoods(ps.points, k=8))
+                      neighborhoods=knn_neighborhoods(ps.points, k=SAMPLE_KNN))
         return attach_pca_frames(ps)
     return pointset_from_mesh_vertices(source)
 
@@ -293,12 +299,12 @@ def deform_pair(source: TriMesh, target: TriMesh,
     the offset cage.
     """
     cfg = cfg or PipelineConfig()
-    weights = cfg.loss_weights()
-    for key, low in (("n_sample_points", 0), ("n_eval_samples", 1),
-                     ("plateau_window", 1)):
-        if not getattr(cfg, key) >= low:
-            raise ValueError(
-                f"{key} must be at least {low}, got {getattr(cfg, key)}")
+    wmap = losses.term_weights(cfg.alpha_mvc, cfg.alpha_shape, cfg.shape_mode)
+    check_minimums(cfg, "n_sample_points", "n_eval_samples", "plateau_window")
+    if 0 < cfg.n_sample_points <= SAMPLE_KNN:
+        raise ValueError(f"n_sample_points must be 0 or more than {SAMPLE_KNN}"
+                         f" (k={SAMPLE_KNN} neighborhoods), got "
+                         f"{cfg.n_sample_points}")
     # NaN fails every comparison, so it would switch the stall rule off
     if np.isnan(cfg.plateau_rel_tol):
         raise ValueError("plateau_rel_tol must not be NaN")
@@ -317,7 +323,6 @@ def deform_pair(source: TriMesh, target: TriMesh,
         target_pts = _target_points(target, source_ps, cfg)
         target_index = (losses.SpatialIndex(target_pts)
                         if cfg.align_mode == "chamfer" else None)
-        wmap = losses.term_weights(weights)
 
         def evaluate(leaves):
             cage_var = leaves["cage"]
@@ -327,7 +332,7 @@ def deform_pair(source: TriMesh, target: TriMesh,
             deformed_pts = ad.matmul(phi, deformed_cage)
             terms = losses.total_terms(
                 source_ps, deformed_pts, target_pts, phi, deformed_cage,
-                weights, cfg.align_mode, target_index,
+                cfg.shape_mode, cfg.align_mode, target_index,
             )
             return terms, wmap
 

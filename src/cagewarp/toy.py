@@ -24,7 +24,6 @@ from .geometry import (
     make_template_cage,
     pointset_from_mesh_vertices,
 )
-from .losses import LossWeights
 from .mvc import compute_mvc, deform
 from .optim import run_adam
 from .optim import adam_step  # noqa: F401 (benchmarks/spans.py patches it here)
@@ -186,16 +185,17 @@ def forward_offsets(params: dict, descriptors: np.ndarray):
 
 def train_toy(family: SyntheticFamily, source_cage: TriMesh,
               epochs: int = 5000, seed: int = 0, n_train: int = 24,
-              weights: LossWeights | None = None):
+              alpha_shape: float = 0.0):
     """Fit the offset predictor to the family end to end.
 
-    The source mesh and cage are static, so the coordinate weights are
-    computed once; alignment is the mean corresponded squared distance over
-    the training members.  Returns (predictor, report).
+    The source mesh and cage are static, so the coordinate weights and their
+    penalty (weight 1) are computed once; alignment is the mean corresponded
+    squared distance over the training members, plus ``alpha_shape`` times a
+    point-to-plane term when positive.  Returns (predictor, report).
     """
-    weights = weights or LossWeights(
-        alpha_mvc=1.0, alpha_shape=0.0, shape_mode="character"
-    )
+    wmap = losses.term_weights(1.0, alpha_shape, "character")
+    if alpha_shape == 0:
+        del wmap["p2f"]
     rng = np.random.default_rng(seed)
     base = family.source_mesh()
     phi = compute_mvc(source_cage, base.vertices,
@@ -208,16 +208,13 @@ def train_toy(family: SyntheticFamily, source_cage: TriMesh,
     )                                                           # (B, N, 3)
 
     source_ps = None
-    if weights.alpha_shape > 0:
+    if alpha_shape > 0:
         source_ps = pointset_from_mesh_vertices(base)
 
     predictor = OffsetPredictor.init(
         family.descriptor_dim, source_cage.n_vertices,
         seed=seed, cage=source_cage,
     )
-    wmap = {"mvc": weights.alpha_mvc, "align": 1.0}
-    if weights.alpha_shape > 0:
-        wmap["p2f"] = weights.alpha_shape
 
     def evaluate(pvars):
         offsets = forward_offsets(pvars, descriptors)           # (B, C, 3)
@@ -227,7 +224,7 @@ def train_toy(family: SyntheticFamily, source_cage: TriMesh,
             "mvc": penalty_const,
             "align": ad.mean_(ad.sum_(diff * diff, axis=-1)),
         }
-        if weights.alpha_shape > 0:
+        if alpha_shape > 0:
             p2f_sum = None
             for bidx in range(len(descriptors)):
                 t = losses.p2f_term(source_ps, deformed[bidx])

@@ -430,6 +430,24 @@ class TestFailedRun:
                     "degenerate faces (area < 1e-12): [0, 7]")
         assert load_manifest(out)["status"] == "failed"
 
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_eval_rejects_too_few_samples_before_sampling(
+            self, source_target, tmp_path, capsys, monkeypatch, count):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("eval sampled")
+
+        monkeypatch.setattr(cli, "eval_metrics", no_sampling)
+        sp, tp = source_target
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_eval_samples": count}))
+        out = tmp_path / "e"
+        message = f"n_eval_samples must be at least 1, got {count}"
+        self._fails(["eval", "--deformed", str(tp), "--target", str(tp),
+                     "--source", str(sp), "--config", str(cfg)], out, capsys,
+                    message)
+        man = load_manifest(out)
+        assert man["status"] == "failed" and message in man["error"]
+
     @pytest.mark.parametrize("config, message", [
         ('{"threads": 1.5}', "'threads' must be an integer or null, got 1.5"),
         ('{"max_iters": 2.5}',

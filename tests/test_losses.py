@@ -18,7 +18,6 @@ from cagewarp.geometry import (
 from cagewarp.losses import (
     CageLaplacian,
     LossBreakdown,
-    LossWeights,
     cage_laplacian_loss,
     chamfer,
     eval_metrics,
@@ -292,11 +291,13 @@ class TestShapeLoss:
         assert b.total == pytest.approx(indep, abs=1e-12)
 
 
-def total_breakdown(source, deformed, target, m, cage_deformed, weights,
-                    align_mode) -> LossBreakdown:
-    terms = total_terms(source, deformed, target, m, cage_deformed, weights,
-                        align_mode)
-    return LossBreakdown.from_terms(terms, term_weights(weights))
+def total_breakdown(source, deformed, target, m, cage_deformed, align_mode,
+                    alpha_mvc=1.0, alpha_shape=0.1,
+                    shape_mode="man_made") -> LossBreakdown:
+    terms = total_terms(source, deformed, target, m, cage_deformed,
+                        shape_mode, align_mode)
+    return LossBreakdown.from_terms(
+        terms, term_weights(alpha_mvc, alpha_shape, shape_mode))
 
 
 class TestTotalLoss:
@@ -316,7 +317,7 @@ class TestTotalLoss:
         rng = np.random.default_rng(15)
         cage, source, m = self._setup(rng)
         b = total_breakdown(source, source.points, source.points, m,
-                            cage.vertices, LossWeights(), "chamfer")
+                            cage.vertices, "chamfer")
         assert b.total < 1e-9
 
     def test_single_term(self):
@@ -331,11 +332,9 @@ class TestTotalLoss:
         cage, source, m = self._setup(rng)
         target = source.points + 0.05
         b1 = total_breakdown(source, source.points, target, m,
-                             cage.vertices, LossWeights(alpha_mvc=1.0),
-                             "chamfer")
+                             cage.vertices, "chamfer", alpha_mvc=1.0)
         b10 = total_breakdown(source, source.points, target, m,
-                              cage.vertices, LossWeights(alpha_mvc=10.0),
-                              "chamfer")
+                              cage.vertices, "chamfer", alpha_mvc=10.0)
         assert b10.weights["mvc"] == 10.0
         assert (b10.total - b1.total) == pytest.approx(
             9.0 * b1.terms["mvc"], abs=1e-12
@@ -346,7 +345,7 @@ class TestTotalLoss:
         cage, source, m = self._setup(rng)
         target = source.points + 0.02 * rng.normal(size=source.points.shape)
         b = total_breakdown(source, source.points + 0.01, target, m,
-                            cage.vertices, LossWeights(), "chamfer")
+                            cage.vertices, "chamfer")
         weighted = sum(b.weights[k] * b.terms[k] for k in b.terms)
         assert b.total == pytest.approx(weighted, abs=1e-12)
 
@@ -355,20 +354,18 @@ class TestTotalLoss:
         cage, source, m = self._setup(rng)
         target = source.points + [0, 0, 0.1]
         b = total_breakdown(source, source.points, target, m,
-                            cage.vertices, LossWeights(shape_mode="character"),
-                            "l2")
+                            cage.vertices, "l2", shape_mode="character")
         assert b.terms["align"] == pytest.approx(0.01)
 
     def test_invalid_weights(self):
-        with pytest.raises(ValueError):
-            LossWeights(alpha_mvc=-1.0)
-        for field in ("alpha_mvc", "alpha_shape"):
+        with pytest.raises(ValueError, match="non-negative, got "
+                           "alpha_mvc=-1.0, alpha_shape=0.1"):
+            term_weights(-1.0, 0.1, "man_made")
+        for nan_pair in ((float("nan"), 0.1), (1.0, float("nan"))):
             with pytest.raises(ValueError, match="non-negative"):
-                LossWeights(**{field: float("nan")})
-        with pytest.raises(TypeError):
-            LossWeights(clap_weight=0.05)   # fit_cage reads its own
-        with pytest.raises(ValueError):
-            LossWeights(shape_mode="freeform")
+                term_weights(*nan_pair, "man_made")
+        with pytest.raises(ValueError, match="unknown shape_mode 'freeform'"):
+            term_weights(1.0, 0.1, "freeform")
 
 
 class TestConsistency:

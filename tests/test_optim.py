@@ -1,5 +1,7 @@
 import json
 import weakref
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from cagewarp.geometry import (
 )
 from cagewarp.losses import chamfer, mvc_penalty
 from cagewarp.mvc import FLAG_EXTERIOR_OK, compute_mvc
+from cagewarp.toy import SyntheticFamily, train_toy
 from conftest import collapsed_face_box, finned_box
 from cagewarp.optim import (
     AdamState,
@@ -70,8 +73,11 @@ class TestAdam:
     def test_default_hyperparameters(self):
         state = AdamState()
         assert state.step_size == 5e-4
-        assert state.beta1 == 0.9 and state.beta2 == 0.999
-        assert state.eps == 1e-8
+        assert (optim.ADAM_BETA1, optim.ADAM_BETA2) == (0.9, 0.999)
+        assert optim.ADAM_EPS == 1e-8
+        # the step size is the one hyperparameter a caller sets
+        assert [f.name for f in fields(AdamState)] == ["step_size", "m", "v",
+                                                       "t"]
 
 
 class TestRunAdam:
@@ -160,6 +166,16 @@ class TestPipelineConfig:
         cfg = PipelineConfig.from_json(path)
         assert cfg.step_size == 1 and cfg.cage_scale == 2
         assert cfg.threads is None and cfg.max_iters is None
+
+    def test_readme_config_block_matches_the_dataclass(self):
+        # README's ```json block lists every key, in field order, at its
+        # default; a field added or changed on one side only fails here
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text().split("```json\n", 1)[1].split("```", 1)[0]
+        text = "\n".join(line.split("//", 1)[0] for line in block.splitlines())
+        documented = json.loads(text)
+        assert list(documented) == [f.name for f in fields(PipelineConfig)]
+        assert documented == PipelineConfig().to_dict()
 
 
 class TestDeformPair:
@@ -407,6 +423,20 @@ class TestDeformPair:
         src = normalized_box(3)
         with pytest.raises(ValueError, match=f"{key} must be at least"):
             deform_pair(src, src, PipelineConfig(max_iters=2, **{key: bad}))
+
+    @pytest.mark.parametrize("count", [1, 3, 8])
+    def test_too_few_samples_for_their_neighborhoods_rejected(
+            self, count, monkeypatch):
+        # each sample's plane fit needs 8 other samples
+        def no_step(*args, **kwargs):
+            raise AssertionError("deform_pair took a step")
+
+        monkeypatch.setattr(optim, "run_adam", no_step)
+        src = normalized_box(3)
+        cfg = PipelineConfig(max_iters=2, n_sample_points=count)
+        with pytest.raises(ValueError, match="^n_sample_points must be 0 or "
+                           f"more than 8, .*k=8.*, got {count}$"):
+            deform_pair(src, src, cfg)
 
     def test_unknown_align_mode_rejected_before_the_cage(self, monkeypatch):
         def no_cage(*args, **kwargs):
@@ -832,3 +862,41 @@ class TestTransfer:
         offsets = dcage.vertices - cage.vertices
         replay = transfer(cage, offsets, src.vertices)
         assert np.abs(replay.points - dmesh.vertices).max() < 1e-6
+
+
+class TestTapeNodes:
+    """The nodes each step's backward pass reaches, a cost guard: a term or
+    an op added to a step's tape fails here.  The counts do not depend on
+    the input sizes; the benchmark's inputs give the same 96, 13 and 21
+    (``autodiff.tape_nodes``)."""
+
+    @pytest.fixture
+    def nodes(self, monkeypatch):
+        counts = []
+        backward = ad.Var.backward
+
+        def counting(var):
+            counts.append(len(var._topo_order()))
+            return backward(var)
+
+        monkeypatch.setattr(ad.Var, "backward", counting)
+        return counts
+
+    def test_deform_pair(self, nodes):
+        src = normalized_box(3)
+        tgt = normalized_box(3, scale=(0.45, 0.4, 0.3))
+        deform_pair(src, tgt, PipelineConfig(max_iters=2, n_eval_samples=100))
+        assert nodes == [96, 96]
+
+    def test_fit_cage(self, nodes):
+        cage = make_template_cage("sphere42", scale=(0.8, 0.8, 0.8))
+        pts = np.random.default_rng(0).uniform(-0.3, 0.3, size=(12, 3))
+        lm = np.stack([np.arange(12), np.arange(12)], axis=1)
+        fit_cage(cage, PointSet(points=pts), PointSet(points=pts * 1.1), lm,
+                 PipelineConfig(max_iters=2))
+        assert nodes == [13, 13]
+
+    def test_train_toy(self, nodes):
+        fam = SyntheticFamily()
+        train_toy(fam, fam.default_cage(), epochs=2, n_train=2)
+        assert nodes == [21, 21]

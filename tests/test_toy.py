@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import cagewarp.autodiff as ad
-from cagewarp import losses
+from cagewarp import losses, toy
 from cagewarp.geometry import TriMesh
 from cagewarp.gradients import central_fd, relative_errors
-from cagewarp.losses import LossWeights, l2_corresponded
+from cagewarp.losses import l2_corresponded
 from cagewarp.mvc import compute_mvc
 from cagewarp.optim import OptimizationError
 from cagewarp.toy import (
@@ -85,10 +85,7 @@ class TestTraining:
     def test_penalty_zero_throughout_with_contained_convex_cage(self):
         fam = SyntheticFamily()
         cage = fam.default_cage()
-        weights = LossWeights(alpha_mvc=0.0, alpha_shape=0.0,
-                              shape_mode="character")
-        pred, rep = train_toy(fam, cage, epochs=50, seed=0, n_train=6,
-                              weights=weights)
+        pred, rep = train_toy(fam, cage, epochs=50, seed=0, n_train=6)
         assert all(b.terms["mvc"] == 0.0 for b in rep.trace)
 
     def test_bitwise_reproducible(self):
@@ -116,11 +113,25 @@ class TestTraining:
     def test_shape_term_optional(self):
         fam = SyntheticFamily()
         cage = fam.default_cage()
-        weights = LossWeights(alpha_mvc=1.0, alpha_shape=0.05,
-                              shape_mode="character")
         pred, rep = train_toy(fam, cage, epochs=10, seed=0, n_train=3,
-                              weights=weights)
+                              alpha_shape=0.05)
         assert "p2f" in rep.trace[0].terms
+        assert rep.trace[0].weights == {"mvc": 1.0, "align": 1.0, "p2f": 0.05}
+        _, rep = train_toy(fam, cage, epochs=1, seed=0, n_train=3)
+        assert rep.trace[0].weights == {"mvc": 1.0, "align": 1.0}
+
+    @pytest.mark.parametrize("alpha_shape", [-0.05, np.nan])
+    def test_bad_shape_weight_rejected_before_any_work(self, monkeypatch,
+                                                       alpha_shape):
+        def no_work(*args, **kwargs):
+            raise AssertionError("train_toy computed coordinates")
+
+        monkeypatch.setattr(toy, "compute_mvc", no_work)
+        fam = SyntheticFamily()
+        with pytest.raises(ValueError, match="non-negative, got .*"
+                           f"alpha_shape={alpha_shape}"):
+            train_toy(fam, fam.default_cage(), epochs=5, n_train=2,
+                      alpha_shape=alpha_shape)
 
 
     def test_step_budget_below_one_rejected(self):
@@ -140,11 +151,9 @@ class TestTraining:
 
         monkeypatch.setattr(losses, "p2f_term", bad_p2f)
         fam = SyntheticFamily()
-        weights = LossWeights(alpha_mvc=1.0, alpha_shape=0.05,
-                              shape_mode="character")
         with pytest.raises(OptimizationError) as err:
             train_toy(fam, fam.default_cage(), epochs=5, n_train=2,
-                      weights=weights)
+                      alpha_shape=0.05)
         rep = err.value.report
         assert rep is not None
         assert rep.stop_reason == "non_finite"
