@@ -393,6 +393,9 @@ class TestFailedRun:
     @pytest.mark.parametrize("config, message", [
         ('{"align_mode": "chamfr"}', "unknown align_mode 'chamfr'"),
         ('{"max_iters": 0}', "step budget must be at least 1, got 0"),
+        ('{"alpha_shape": -1.0}', "loss weights must be non-negative, got "
+                                  "alpha_mvc=1.0, alpha_shape=-1.0"),
+        ('{"shape_mode": "freeform"}', "unknown shape_mode 'freeform'"),
     ])
     def test_deform_error_marks_the_manifest_failed(
             self, source_target, tmp_path, capsys, config, message):

@@ -434,8 +434,8 @@ class TestDeformPair:
         monkeypatch.setattr(optim, "run_adam", no_step)
         src = normalized_box(3)
         cfg = PipelineConfig(max_iters=2, n_sample_points=count)
-        with pytest.raises(ValueError, match="^n_sample_points must be 0 or "
-                           f"more than 8, .*k=8.*, got {count}$"):
+        with pytest.raises(ValueError, match=r"^n_sample_points must be 0 or "
+                           rf"more than 8 \(k=8 neighborhoods\), got {count}$"):
             deform_pair(src, src, cfg)
 
     def test_unknown_align_mode_rejected_before_the_cage(self, monkeypatch):
