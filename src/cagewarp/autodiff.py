@@ -5,7 +5,9 @@ variables plus one vector-Jacobian closure per parent (no forward closures:
 a recorded graph is differentiated, never re-evaluated).  ``backward()``
 walks the recorded graph once in reverse topological order with a fixed
 traversal, so gradient accumulation is deterministic regardless of how the
-graph was built.
+graph was built.  It drops an interior node's gradient as soon as its VJPs
+have handed it on, so after the pass only leaves (nodes without parents)
+hold a ``.grad``; the tape's dead gradients are freed while it runs.
 
 The module holds only the ops the pipelines and losses use (arithmetic,
 indexing, reductions, ``matmul``, ``norm``, ``dot_last``, ``where``,
@@ -148,7 +150,11 @@ class Var:
     # -- backward pass -----------------------------------------------------
 
     def backward(self):
-        """Accumulate gradients of this scalar into every reachable Var."""
+        """Accumulate gradients of this scalar into every reachable leaf.
+
+        An interior node's ``.grad`` is set to None once its VJPs have
+        handed it to its parents, so only leaves keep theirs.
+        """
         if self.value.size != 1:
             raise ValueError("backward() requires a scalar output")
         topo = self._topo_order()
@@ -157,14 +163,14 @@ class Var:
         self.grad = np.ones_like(self.value)
         for node in reversed(topo):
             g = node.grad
-            if g is None:
+            if g is None or not node._parents:
                 continue
+            node.grad = None        # handed on below; only leaves keep one
             for parent, vjp in zip(node._parents, node._vjps):
-                contrib = vjp(g)
                 if parent.grad is None:
-                    parent.grad = contrib
+                    parent.grad = vjp(g)
                 else:
-                    parent.grad = parent.grad + contrib
+                    parent.grad = parent.grad + vjp(g)
 
     def _topo_order(self):
         order = []

@@ -94,10 +94,26 @@ def mvc_penalty(weights):
     The squares are summed one at a time in row-major order (see
     ``ad.ordered_sum``), so the value equals the double loop over rows and
     columns bit for bit instead of depending on numpy's pairwise blocking.
+    With a Var it is one tape node whose VJP rebuilds min(phi, 0) from phi
+    and keeps no array of its own.  It gives the bits of the generic chain
+    ``ordered_sum(neg * neg) / count``: the product's two halves, g / count
+    * neg, are added, and the lanes where phi < 0 fails pass +0.0.
     """
     wv = ad.val(weights)
-    neg = ad.minimum(weights, 0.0)
-    return ad.ordered_sum(neg * neg) / float(wv.shape[0] * wv.shape[1])
+    count = float(wv.shape[0] * wv.shape[1])
+    neg = np.minimum(wv, 0.0)
+    value = ad.ordered_sum(neg * neg) / count
+    if not ad.is_var(weights):
+        return value
+
+    def vjp(g, phi=wv):
+        t = np.minimum(phi, 0.0)
+        np.multiply(g / count, t, out=t)
+        t += t
+        np.copyto(t, 0.0, where=~(phi < 0.0))
+        return t
+
+    return ad.Var._make(value, (weights,), (vjp,), "mvc_penalty")
 
 
 # -- shape preservation --------------------------------------------------------
@@ -142,14 +158,18 @@ def shape_terms(before: PointSet, after_positions, cage_after_positions,
 
     ``after_index`` is an optional ``SpatialIndex`` over ``after_positions``.
     """
+    _check_shape_mode(mode)
     terms = {"p2f": p2f_term(before, after_positions)}
     if mode == "man_made":
         terms["normal"] = normal_term(before, after_positions)
         terms["symmetry_shape"] = symmetry_term(after_positions, after_index)
         terms["symmetry_cage"] = symmetry_term(cage_after_positions)
-    elif mode != "character":
-        raise ValueError(f"unknown shape mode {mode!r}")
     return terms
+
+
+def _check_shape_mode(mode: str) -> None:
+    if mode not in ("man_made", "character"):
+        raise ValueError(f"unknown shape_mode {mode!r}")
 
 
 # -- combined objective ---------------------------------------------------------
@@ -162,8 +182,7 @@ def term_weights(alpha_mvc: float, alpha_shape: float,
     if not (alpha_mvc >= 0 and alpha_shape >= 0):
         raise ValueError("loss weights must be non-negative, got "
                          f"alpha_mvc={alpha_mvc}, alpha_shape={alpha_shape}")
-    if shape_mode not in ("man_made", "character"):
-        raise ValueError(f"unknown shape_mode {shape_mode!r}")
+    _check_shape_mode(shape_mode)
     w = {
         "mvc": alpha_mvc,
         "align": 1.0,

@@ -247,8 +247,11 @@ def _tape_node(cage_var, phi, totals, row_near, blocks):
     """``phi`` as one tape node over the cage, with the blocks' VJPs."""
 
     def vjp(g):
-        # phi = w_sum / total on regular rows; snapped rows are constant
-        g_sum = (g - (g * phi).sum(axis=1, keepdims=True)) / totals[:, None]
+        # phi = w_sum / total on regular rows; snapped rows are constant.
+        # g_sum = (g - rowsum(g * phi)) / total, built in one (N, C) array
+        g_sum = np.multiply(g, phi)
+        dot = g_sum.sum(axis=1, keepdims=True)
+        np.divide(np.subtract(g, dot, out=g_sum), totals[:, None], out=g_sum)
         g_sum[row_near] = 0.0
         grad = np.zeros_like(cage_var.value)
         # the blocks' chunk sums are added here, in row order

@@ -267,3 +267,43 @@ def test_every_public_function_has_a_library_caller():
     missing = [name for name in public
                if not re.search(rf"\bad\.{re.escape(name)}\b", text)]
     assert public and not missing
+
+
+def _keeping_backward(root):
+    """Every node's gradient by ``backward``'s traversal and sums, with no
+    gradient released: {id(node): gradient}."""
+    grads = {id(root): np.ones_like(root.value)}
+    for node in reversed(root._topo_order()):
+        g = grads.get(id(node))
+        if g is None:
+            continue
+        for parent, vjp in zip(node._parents, node._vjps):
+            contrib = vjp(g)
+            key = id(parent)
+            grads[key] = contrib if key not in grads else grads[key] + contrib
+    return grads
+
+
+def test_backward_keeps_only_leaf_gradients():
+    # a = x + y hands its gradient to x and to y as one object; x then gets
+    # more terms from the nodes after it.  The leaves end with the bits of a
+    # traversal that keeps every gradient, and no interior node keeps one
+    rng = np.random.default_rng(31)
+    x0, y0 = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+    mask = rng.uniform(size=(5, 3)) < 0.5
+    x, y = ad.Var(x0), ad.Var(y0)
+    a = x + y
+    probe = np.ones((5, 3))
+    assert a._vjps[0](probe) is a._vjps[1](probe)
+    u = a * a
+    loss = (ad.ordered_sum(ad.where(mask, u, ad.tanh(a) * x)) * 1.5
+            + ad.sum_(x * y))
+    want = _keeping_backward(loss)
+    loss.backward()
+    nodes = loss._topo_order()
+    leaves = [n for n in nodes if not n._parents]
+    assert {id(n) for n in leaves} == {id(x), id(y)}
+    for leaf in leaves:
+        assert np.array_equal(leaf.grad.view(np.uint64),
+                              want[id(leaf)].view(np.uint64))
+    assert all(n.grad is None for n in nodes if n._parents)

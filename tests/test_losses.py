@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import cagewarp.autodiff as ad
+from cagewarp import losses
 from cagewarp.geometry import (
     MeshError,
     PointSet,
@@ -14,6 +17,7 @@ from cagewarp.geometry import (
     normalize_to_unit_box,
     one_ring_neighborhoods,
     pad_neighborhoods,
+    pca_frames,
 )
 from cagewarp.losses import (
     CageLaplacian,
@@ -129,6 +133,62 @@ class TestMvcPenalty:
         w2 = w.copy()
         w2[0, 1] = -1e-7
         assert mvc_penalty(w2) > 0.0
+
+    @staticmethod
+    def _signed(shape, seed):
+        # negative, +0.0, -0.0 and positive entries on every row
+        w = np.random.default_rng(seed).normal(size=shape)
+        w[:, 1], w[:, 2] = 0.0, -0.0
+        return w
+
+    @pytest.mark.parametrize("second_consumer", [False, True])
+    @pytest.mark.parametrize("chain", ["two_minimums", "one_minimum"])
+    def test_node_matches_generic_chain(self, chain, second_consumer):
+        # one tape node against the generic chain it stands for, behind a
+        # scaled downstream loss: the value and every gradient entry to the
+        # bit (signed zeros too), also when phi has a second consumer
+        w0 = self._signed((9, 7), seed=8)
+        n = float(w0.size)
+
+        def generic(x):
+            if chain == "two_minimums":
+                return ad.ordered_sum(ad.minimum(x, 0.0)
+                                      * ad.minimum(x, 0.0)) / n
+            neg = ad.minimum(x, 0.0)
+            return ad.ordered_sum(neg * neg) / n
+
+        got = []
+        for penalty in (mvc_penalty, generic):
+            x = ad.Var(w0)
+            loss = penalty(x) * 2.5
+            if second_consumer:
+                loss = loss + ad.sum_(x * 0.25)
+            loss.backward()
+            got.append((np.asarray(loss.value), x.grad))
+        (node_value, node_grad), (chain_value, chain_grad) = got
+        assert mvc_penalty(ad.Var(w0)).op == "mvc_penalty"
+        assert mvc_penalty(w0) == float(ad.val(generic(w0)))
+        assert node_value.tobytes() == chain_value.tobytes()
+        assert np.array_equal(node_grad.view(np.uint64),
+                              chain_grad.view(np.uint64))
+        if not second_consumer:
+            assert np.all(node_grad[:, 1:3].view(np.uint64) == 0)   # +0.0
+
+    def test_backward_allocates_about_one_weight_array(self):
+        # a count guard: the node's VJP rebuilds min(phi, 0) in the array it
+        # returns, so its backward on deform_pair's (866, 162) phi allocates
+        # one (N, C) array (1.07 MiB) and two boolean masks (1/8 each).  The
+        # 4-node chain it replaced allocated about four
+        w0 = self._signed((866, 162), seed=9)
+        x = ad.Var(w0)
+        loss = mvc_penalty(x) * 2.5
+        tracemalloc.start()
+        try:
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * w0.nbytes
 
 
 class TestP2f:
@@ -289,6 +349,18 @@ class TestShapeLoss:
                  + value(normal_term(before, after))
                  + value(symmetry_term(after)) + value(symmetry_term(cage)))
         assert b.total == pytest.approx(indep, abs=1e-12)
+
+    def test_unknown_mode_rejected_before_any_work(self, monkeypatch):
+        # term_weights' check and message, before the plane fit runs
+        fits = []
+        monkeypatch.setattr(losses, "pca_frames",
+                            lambda *a: fits.append(a) or pca_frames(*a))
+        before = framed_cloud(np.random.default_rng(15))
+        with pytest.raises(ValueError, match="unknown shape_mode 'freeform'"):
+            shape_terms(before, before.points, np.zeros((4, 3)), "freeform")
+        assert fits == []
+        shape_terms(before, before.points, np.zeros((4, 3)), "character")
+        assert len(fits) == 1
 
 
 def total_breakdown(source, deformed, target, m, cage_deformed, align_mode,
