@@ -398,92 +398,16 @@ def pointset_from_mesh_vertices(mesh: TriMesh) -> PointSet:
 # -- cotangent Laplacian ----------------------------------------------------
 
 
-class Scatter:
-    """Adds each row j of a (..., J, n) array into row target[j] of a
-    (..., T, n) output, for every index of the leading axes at once.
-
-    Every target adds its rows into 0.0 in increasing j, the order
-    ``np.bincount`` and a CSR product add in, so the sums (signed zeros
-    included) are the same bits whatever the column count.  The targets
-    are ranked by row count, most first; slot p holds the p-th row of each
-    of the first t_p ranked targets, and the source rows are gathered once
-    in (slot, rank) order.  A call adds slot p into the first t_p rows of a
-    zeroed accumulator, then gathers the accumulator back into target
-    order.  Where the ranking leaves every target in place (the edges of a
-    closed cage, two corners each), the output is the accumulator.  The
-    temporaries are slots of the ``runtime.Workspace`` a call is given; a
-    caller may keep its own in ``GATHER_SLOT`` where they are dead.
-    """
-
-    GATHER_SLOT = "sc_src"
-
-    def __init__(self, target, n_targets):
-        counts = np.bincount(target, minlength=n_targets)
-        rank = np.argsort(-counts, kind="stable")     # rank -> target
-        first = np.cumsum(counts) - counts
-        by_target = np.argsort(target, kind="stable")
-        ranked = counts[rank]
-        self.slots, index, lo = [], [], 0
-        for p in range(int(ranked.max(initial=0))):
-            t = int(np.count_nonzero(ranked > p))
-            index.append(by_target[first[rank[:t]] + p])
-            self.slots.append((lo, lo + t))
-            lo += t
-        self.index = np.concatenate(index or [np.zeros(0, np.intp)])
-        self.n_hit = self.slots[0][1] if self.slots else 0
-        back = np.argsort(rank)                        # target -> rank
-        in_place = np.array_equal(back, np.arange(n_targets))
-        self.back = None if in_place else back
-        self.n_targets = n_targets
-
-    def _scratch(self, ws, shape):
-        """The gathered rows, and unless in place the accumulator's views
-        (``_steps``)."""
-        lead, n = shape[:-2], shape[-1]
-        src = ws.take(self.GATHER_SLOT, lead + (len(self.index), n))
-        if self.back is None:
-            return src, None
-        return src, self._steps(ws.take(
-            "sc_acc", lead + (self.n_targets, n)), src)
-
-    def _steps(self, acc, src):
-        """``acc``, its rows that no source row adds into, and the
-        (accumulator, source) views of each slot."""
-        return acc, acc[..., self.n_hit:, :], [
-            (acc[..., :hi - lo, :], src[..., lo:hi, :])
-            for lo, hi in self.slots]
-
-    def __call__(self, ws, x, out):
-        """The sums of ``x`` per target, written into ``out``."""
-        src, steps = ws.views(self._scratch, x.shape)
-        x.take(self.index, axis=-2, out=src, mode="clip")
-        acc, idle, slots = steps or self._steps(out, src)
-        idle.fill(0.0)                          # targets with no rows
-        if slots:
-            # slot 0 adds into 0.0; x + 0.0 has the bits of 0.0 + x
-            part, rows = slots[0]
-            np.add(rows, 0.0, out=part)
-        for part, rows in slots[1:]:
-            np.add(part, rows, out=part)
-        if self.back is None:
-            return out
-        return acc.take(self.back, axis=-2, out=out, mode="clip")
-
-
 class Laplacian:
-    """An n x n sparse matrix: ``toarray()`` and ``L @ x``.
+    """An n x n sparse matrix: ``toarray()`` and ``tocsr()``.
 
     ``keys`` (row * n + column, increasing) and ``values`` are its nonzero
-    entries in the order of a CSR matrix.  ``L @ x`` multiplies every entry
-    by its column of ``x`` at once and adds each row's products into 0.0 in
-    column order with a ``Scatter``, as a CSR product does.
+    entries in the order of a CSR matrix.
     """
 
     def __init__(self, n, keys, values):
         self.shape = (n, n)
         self.keys, self.values = keys, values
-        self._cols, self._weights = keys % n, values[:, None]
-        self._rows = Scatter(keys // n, n)
 
     def toarray(self) -> np.ndarray:
         n = self.shape[0]
@@ -491,17 +415,13 @@ class Laplacian:
         dense[self.keys] = self.values
         return dense.reshape(n, n)
 
-    def __matmul__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+    def tocsr(self):
+        """scipy's CSR matrix of the entries (imports ``scipy.sparse``)."""
+        from scipy.sparse import csr_matrix
+
         n = self.shape[0]
-        if x.ndim not in (1, 2) or len(x) != n:
-            raise ValueError(
-                f"cannot multiply a {n} x {n} matrix by shape {x.shape}")
-        cols = x.reshape(n, -1)
-        prod = np.take(cols, self._cols, axis=0)
-        np.multiply(prod, self._weights, out=prod)
-        out = self._rows(runtime.Workspace(), prod, np.empty(cols.shape))
-        return out.reshape(x.shape)
+        indptr = np.searchsorted(self.keys, np.arange(n + 1) * n)
+        return csr_matrix((self.values, self.keys % n, indptr), shape=(n, n))
 
 
 def cot_laplacian(mesh: TriMesh) -> Laplacian:

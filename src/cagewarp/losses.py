@@ -46,9 +46,10 @@ class LossBreakdown:
 
     @classmethod
     def from_terms(cls, terms: dict, weights: dict) -> "LossBreakdown":
+        """The values of ``terms``, and their ``weighted_total``."""
         t = {k: float(ad.val(v)) for k, v in terms.items()}
-        total = sum(weights[k] * t[k] for k in t)
-        return cls(terms=t, weights=dict(weights), total=float(total))
+        return cls(terms=t, weights=dict(weights),
+                   total=float(weighted_total(t, weights)))
 
 
 # -- alignment ---------------------------------------------------------------
@@ -178,10 +179,12 @@ def _check_shape_mode(mode: str) -> None:
 def term_weights(alpha_mvc: float, alpha_shape: float,
                  shape_mode: str) -> dict:
     """Each raw term's weight; the one check of the loss settings (a
-    negative or NaN weight, or an unknown shape mode, is rejected)."""
+    negative, NaN or infinite weight, or an unknown shape mode, fails)."""
+    got = f"got alpha_mvc={alpha_mvc}, alpha_shape={alpha_shape}"
     if not (alpha_mvc >= 0 and alpha_shape >= 0):
-        raise ValueError("loss weights must be non-negative, got "
-                         f"alpha_mvc={alpha_mvc}, alpha_shape={alpha_shape}")
+        raise ValueError(f"loss weights must be non-negative, {got}")
+    if max(alpha_mvc, alpha_shape) == np.inf:
+        raise ValueError(f"loss weights must be finite, {got}")
     _check_shape_mode(shape_mode)
     w = {
         "mvc": alpha_mvc,
@@ -314,7 +317,7 @@ def eval_metrics(deformed: TriMesh, target: TriMesh, source: TriMesh,
     cd_x100 = sampled_chamfer_x100(deformed, target, n_samples, seed)
     source_n, t_src = normalize_to_unit_box(source)
     deformed_in_src = t_src.apply(deformed.vertices)
-    lap = cot_laplacian(source_n)
+    lap = cot_laplacian(source_n).tocsr()
     delta = np.linalg.norm(
         lap @ source_n.vertices - lap @ deformed_in_src, axis=1
     ).mean()

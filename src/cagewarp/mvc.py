@@ -39,12 +39,13 @@ cache three times over: fewer blocks make fewer numpy calls, and each
 call holds the interpreter lock.
 Arc lengths and their sines are taken once per cage edge and gathered
 once per face corner.  The per-corner terms are added into their cage
-columns by ``geometry.Scatter``: every column adds its terms into 0.0 in
-increasing input order, the order ``np.bincount`` adds in, so a row's
-weights are the same bits whatever block it falls in.  The cage topology
-(edges, corner-to-edge map, scatters) depends only on the faces and is
-cached per connectivity; only the face planes are rebuilt from the
-vertices on each call.
+columns by ``Scatter``, the package's one scatter-add: every column adds
+its terms into 0.0 in increasing input order, the order ``np.bincount``
+adds in, so a row's weights are the same bits whatever block it falls
+in; its gather slot is also the slot of the kernel's corner sines.  The
+cage topology (edges, corner-to-edge map, scatters) depends only on the
+faces and is cached per connectivity; only the face planes are rebuilt
+from the vertices on each call.
 
 The blocks of a call run on up to ``runtime.thread_count()`` threads (the
 calling thread and pool threads; ``--threads 1`` runs them inline), and
@@ -88,7 +89,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import runtime
-from .geometry import PointSet, Scatter, TriMesh, as_positions, validate_cage
+from .geometry import PointSet, TriMesh, as_positions, validate_cage
 
 FLAG_INTERIOR = 0
 FLAG_ON_VERTEX = 1
@@ -262,6 +263,78 @@ def _tape_node(cage_var, phi, totals, row_near, blocks):
         return grad
 
     return ad.Var._make(phi, (cage_var,), (vjp,), "mvc_weights")
+
+
+class Scatter:
+    """Adds each row j of a (..., J, n) array into row target[j] of a
+    (..., T, n) output, for every index of the leading axes at once.
+
+    Every target adds its rows into 0.0 in increasing j, the order
+    ``np.bincount`` and a CSR product add in, so the sums (signed zeros
+    included) are the same bits whatever the column count.  The targets
+    are ranked by row count, most first; slot p holds the p-th row of each
+    of the first t_p ranked targets, and the source rows are gathered once
+    in (slot, rank) order.  A call adds slot p into the first t_p rows of a
+    zeroed accumulator, then gathers the accumulator back into target
+    order.  Where the ranking leaves every target in place (the edges of a
+    closed cage, two corners each), the output is the accumulator.  The
+    temporaries are slots of the ``runtime.Workspace`` a call is given; a
+    caller may keep its own in ``GATHER_SLOT`` where they are dead.
+    """
+
+    GATHER_SLOT = "sc_src"
+
+    def __init__(self, target, n_targets):
+        counts = np.bincount(target, minlength=n_targets)
+        rank = np.argsort(-counts, kind="stable")     # rank -> target
+        first = np.cumsum(counts) - counts
+        by_target = np.argsort(target, kind="stable")
+        ranked = counts[rank]
+        self.slots, index, lo = [], [], 0
+        for p in range(int(ranked.max(initial=0))):
+            t = int(np.count_nonzero(ranked > p))
+            index.append(by_target[first[rank[:t]] + p])
+            self.slots.append((lo, lo + t))
+            lo += t
+        self.index = np.concatenate(index or [np.zeros(0, np.intp)])
+        self.n_hit = self.slots[0][1] if self.slots else 0
+        back = np.argsort(rank)                        # target -> rank
+        in_place = np.array_equal(back, np.arange(n_targets))
+        self.back = None if in_place else back
+        self.n_targets = n_targets
+
+    def _scratch(self, ws, shape):
+        """The gathered rows, and unless in place the accumulator's views
+        (``_steps``)."""
+        lead, n = shape[:-2], shape[-1]
+        src = ws.take(self.GATHER_SLOT, lead + (len(self.index), n))
+        if self.back is None:
+            return src, None
+        return src, self._steps(ws.take(
+            "sc_acc", lead + (self.n_targets, n)), src)
+
+    def _steps(self, acc, src):
+        """``acc``, its rows that no source row adds into, and the
+        (accumulator, source) views of each slot."""
+        return acc, acc[..., self.n_hit:, :], [
+            (acc[..., :hi - lo, :], src[..., lo:hi, :])
+            for lo, hi in self.slots]
+
+    def __call__(self, ws, x, out):
+        """The sums of ``x`` per target, written into ``out``."""
+        src, steps = ws.views(self._scratch, x.shape)
+        x.take(self.index, axis=-2, out=src, mode="clip")
+        acc, idle, slots = steps or self._steps(out, src)
+        idle.fill(0.0)                          # targets with no rows
+        if slots:
+            # slot 0 adds into 0.0; x + 0.0 has the bits of 0.0 + x
+            part, rows = slots[0]
+            np.add(rows, 0.0, out=part)
+        for part, rows in slots[1:]:
+            np.add(part, rows, out=part)
+        if self.back is None:
+            return out
+        return acc.take(self.back, axis=-2, out=out, mode="clip")
 
 
 class _CageTopology:

@@ -125,27 +125,29 @@ class OptimReport:
         ]
 
 
-def run_adam(params: dict, step_size: float, max_iters: int, evaluate,
-             before_update=None, after_update=None):
+def run_adam(params: dict, weights: dict, step_size: float, max_iters: int,
+             evaluate, before_update=None, after_update=None):
     """Minimize a weighted loss over ``params`` with Adam.
 
     Every iteration wraps each parameter in a leaf Var, calls
-    ``evaluate(leaves) -> (terms, wmap)``, records the weighted total in the
-    report's trace, backpropagates it (a parameter the loss does not reach
-    gets a zero gradient) and takes one Adam step.  ``before_update(report)``
-    runs once the loss is recorded and ``after_update(report, params)`` after
-    the step; either returns a stop reason to end the run, or raises
-    ``OptimizationError`` to abort it.  A non-finite loss or gradient aborts
-    with reason ``non_finite``.  Every abort carries the report with its
-    stop reason and wall time.  Each step's tape is released after its Adam
-    update, before the next ``evaluate`` builds another.  Returns (params,
-    report).
+    ``evaluate(leaves) -> terms``, weighs the terms by ``weights`` (fixed
+    for the run) with ``losses.weighted_total``, records the terms and that
+    total's value in the report's trace, backpropagates the total (a
+    parameter the loss does not reach gets a zero gradient) and takes one
+    Adam step.  ``before_update(report)`` runs once the loss is recorded
+    and ``after_update(report, params)`` after the step; either returns a
+    stop reason to end the run, or raises ``OptimizationError`` to abort
+    it.  A non-finite loss or gradient aborts with reason ``non_finite``.
+    Every abort carries the report with its stop reason and wall time.
+    Each step's tape is released after its Adam update, before the next
+    ``evaluate`` builds another.  Returns (params, report).
     """
     if max_iters < 1:
         raise ValueError(f"step budget must be at least 1, got {max_iters}")
     if not (np.isfinite(step_size) and step_size > 0):
         raise ValueError(
             f"step size must be positive and finite, got {step_size}")
+    weights = dict(weights)
     state = AdamState(step_size=step_size)
     report = OptimReport()
     t0 = time.perf_counter()
@@ -153,11 +155,12 @@ def run_adam(params: dict, step_size: float, max_iters: int, evaluate,
     try:
         for _ in range(max_iters):
             leaves = {k: ad.Var(v) for k, v in params.items()}
-            terms, wmap = evaluate(leaves)
-            total = losses.weighted_total(terms, wmap)
-            breakdown = LossBreakdown.from_terms(terms, wmap)
-            report.trace.append(breakdown)
-            if not np.isfinite(breakdown.total):
+            terms = evaluate(leaves)
+            total = losses.weighted_total(terms, weights)
+            report.trace.append(LossBreakdown(
+                {k: float(ad.val(v)) for k, v in terms.items()}, weights,
+                float(ad.val(total))))
+            if not np.isfinite(report.trace[-1].total):
                 raise OptimizationError("non-finite total loss")
             if before_update is not None:
                 stop = before_update(report)
@@ -330,11 +333,10 @@ def deform_pair(source: TriMesh, target: TriMesh,
                                  with_flags=False)
             deformed_cage = cage_var + leaves["offsets"]
             deformed_pts = ad.matmul(phi, deformed_cage)
-            terms = losses.total_terms(
+            return losses.total_terms(
                 source_ps, deformed_pts, target_pts, phi, deformed_cage,
                 cfg.shape_mode, cfg.align_mode, target_index,
             )
-            return terms, wmap
 
         def after_update(report, params):
             for verts in (params["cage"], params["cage"] + params["offsets"]):
@@ -353,6 +355,7 @@ def deform_pair(source: TriMesh, target: TriMesh,
         params, report = run_adam(
             {"cage": cage0.vertices.copy(),
              "offsets": np.zeros_like(cage0.vertices)},
+            wmap,
             DEFORM_STEP_SIZE if cfg.step_size is None else cfg.step_size,
             DEFORM_MAX_ITERS if cfg.max_iters is None else cfg.max_iters,
             evaluate, after_update=after_update,
@@ -384,6 +387,8 @@ def fit_cage(template_cage: TriMesh, source_shape: PointSet,
     if not cfg.clap_weight >= 0:
         raise ValueError(
             f"clap_weight must be non-negative, got {cfg.clap_weight}")
+    if cfg.clap_weight == np.inf:
+        raise ValueError(f"clap_weight must be finite, got {cfg.clap_weight}")
     # NaN fails every comparison, so it would switch the early stop off
     if np.isnan(cfg.consistency_threshold):
         raise ValueError("consistency_threshold must not be NaN")
@@ -405,17 +410,14 @@ def fit_cage(template_cage: TriMesh, source_shape: PointSet,
         query_pts = dst_pts[landmarks[:, 1]]
         template_lap = losses.CageLaplacian(template_cage)
 
-        wmap = {"consistency": 1.0, "clap": cfg.clap_weight}
-
         def evaluate(leaves):
             phi, _ = mvc_weights(leaves["cage"], template_cage.faces,
                                  query_pts, with_flags=False)
             # looked up through the module so tests can replace the regularizer
-            terms = {
+            return {
                 "consistency": losses.mvc_consistency(template_rows, phi),
                 "clap": losses.cage_laplacian_loss(template_lap, leaves["cage"]),
             }
-            return terms, wmap
 
         def before_update(report):
             initial_total = report.trace[0].total
@@ -428,6 +430,7 @@ def fit_cage(template_cage: TriMesh, source_shape: PointSet,
 
         params, report = run_adam(
             {"cage": template_cage.vertices.copy()},
+            {"consistency": 1.0, "clap": cfg.clap_weight},
             FIT_STEP_SIZE if cfg.step_size is None else cfg.step_size,
             FIT_MAX_ITERS if cfg.max_iters is None else cfg.max_iters,
             evaluate, before_update=before_update,

@@ -68,7 +68,8 @@ class SyntheticFamily:
     def member(self, scales) -> TriMesh:
         s = np.asarray(scales, dtype=np.float64)
         lo, hi = self.scale_range
-        if np.any(s < lo) or np.any(s > hi):
+        # NaN fails both comparisons, so the test is for being inside
+        if not np.all((s >= lo) & (s <= hi)):
             raise ValueError(f"scales outside [{lo}, {hi}]")
         return TriMesh(self.base_mesh.vertices * s,
                        self.base_mesh.faces.copy())
@@ -207,8 +208,7 @@ def train_toy(family: SyntheticFamily, source_cage: TriMesh,
         [family.member(s).vertices for s in descriptors]
     )                                                           # (B, N, 3)
 
-    source_ps = None
-    if alpha_shape > 0:
+    if "p2f" in wmap:
         source_ps = pointset_from_mesh_vertices(base)
 
     predictor = OffsetPredictor.init(
@@ -224,15 +224,16 @@ def train_toy(family: SyntheticFamily, source_cage: TriMesh,
             "mvc": penalty_const,
             "align": ad.mean_(ad.sum_(diff * diff, axis=-1)),
         }
-        if alpha_shape > 0:
+        if "p2f" in wmap:
             p2f_sum = None
             for bidx in range(len(descriptors)):
                 t = losses.p2f_term(source_ps, deformed[bidx])
                 p2f_sum = t if p2f_sum is None else p2f_sum + t
             terms["p2f"] = p2f_sum / float(len(descriptors))
-        return terms, wmap
+        return terms
 
-    params, report = run_adam(predictor.params(), STEP_SIZE, epochs, evaluate)
+    params, report = run_adam(predictor.params(), wmap, STEP_SIZE, epochs,
+                              evaluate)
     predictor.replace_params(params)
     report.final_metrics = {
         "train_total": report.trace[-1].total,

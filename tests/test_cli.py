@@ -409,6 +409,37 @@ class TestFailedRun:
         assert man["status"] == "failed" and man["outputs"] == []
         assert message in man["error"] and "finished" in man
 
+    @pytest.mark.parametrize("command, config, message", [
+        ("deform", '{"alpha_mvc": Infinity}', "loss weights must be finite, "
+         "got alpha_mvc=inf, alpha_shape=0.1"),
+        ("deform", '{"alpha_shape": Infinity}', "loss weights must be "
+         "finite, got alpha_mvc=1.0, alpha_shape=inf"),
+        ("fit-cage", '{"clap_weight": Infinity}',
+         "clap_weight must be finite, got inf"),
+    ])
+    def test_infinite_weight_fails_before_a_step(
+            self, source_target, tmp_path, capsys, monkeypatch, command,
+            config, message):
+        # json reads Infinity; it used to fail at step 0, after the setup
+        def no_step(*args, **kwargs):
+            raise AssertionError(f"{command} took a step")
+
+        monkeypatch.setattr(optim, "run_adam", no_step)
+        sp, tp = source_target
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        if command == "deform":
+            argv = ["deform", "--source", str(sp), "--target", str(tp)]
+        else:
+            lm = tmp_path / "lm.csv"
+            meshio.save_landmarks(np.array([[0, 0], [1, 1]]), lm)
+            argv = ["fit-cage", "--template", str(sp), "--source-shape",
+                    str(sp), "--novel-shape", str(tp), "--landmarks", str(lm)]
+        out = tmp_path / "d"
+        self._fails(argv + ["--config", str(cfg)], out, capsys, message)
+        man = load_manifest(out)
+        assert man["status"] == "failed" and message in man["error"]
+
     def test_non_manifold_source_fails_before_the_loop(
             self, source_target, tmp_path, capsys, monkeypatch):
         def no_step(*args, **kwargs):

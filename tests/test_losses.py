@@ -436,6 +436,12 @@ class TestTotalLoss:
         for nan_pair in ((float("nan"), 0.1), (1.0, float("nan"))):
             with pytest.raises(ValueError, match="non-negative"):
                 term_weights(*nan_pair, "man_made")
+        with pytest.raises(ValueError, match="^loss weights must be finite, "
+                           "got alpha_mvc=inf, alpha_shape=0.1$"):
+            term_weights(float("inf"), 0.1, "character")
+        with pytest.raises(ValueError, match="^loss weights must be finite, "
+                           "got alpha_mvc=1.0, alpha_shape=inf$"):
+            term_weights(1.0, float("inf"), "man_made")
         with pytest.raises(ValueError, match="unknown shape_mode 'freeform'"):
             term_weights(1.0, 0.1, "freeform")
 

@@ -7,6 +7,8 @@ source-cage gradients finite with and without the exclusion mask, and,
 outside the band, equal to central differences.
 """
 
+import cProfile
+import pstats
 import tracemalloc
 import weakref
 
@@ -15,7 +17,7 @@ import pytest
 
 import cagewarp.autodiff as ad
 import per_corner_mvc
-from cagewarp.geometry import Scatter, TriMesh, make_template_cage
+from cagewarp.geometry import TriMesh, make_template_cage
 from cagewarp.gradients import EXCLUSION_FACTOR, grad_source_cage
 from cagewarp import mvc, runtime
 from cagewarp.mvc import (
@@ -24,6 +26,7 @@ from cagewarp.mvc import (
     FLAG_INTERIOR,
     FLAG_ON_FACE,
     FLAG_ON_VERTEX,
+    Scatter,
     mvc_weights,
     vertex_tolerance,
 )
@@ -259,7 +262,7 @@ def _bincount_sums(target, n_targets, x):
 
 
 class _BincountScatter:
-    """``geometry.Scatter``'s interface, summed by ``np.bincount``."""
+    """``mvc.Scatter``'s interface, summed by ``np.bincount``."""
 
     GATHER_SLOT = Scatter.GATHER_SLOT
     made = 0
@@ -652,6 +655,48 @@ def test_untaped_call_traced_peak(with_flags, monkeypatch):
         finally:
             tracemalloc.stop()
     assert peak <= 1.30 * 2 ** 20
+
+
+# Python-level calls that cProfile counts in one warmed kernel call on one
+# thread: untaped with flags, untaped without, and the taped forward
+# (without flags) plus its VJP.  cProfile sees Python frames and C
+# functions and methods (``take``, views, reductions called as methods),
+# not ufunc calls, so the count covers the gathers and the interpreter
+# work around the arithmetic, not the arithmetic.  The counts are held
+# exactly: a PR that lowers one pins its new value here.
+_KERNEL_CALLS = {("sphere162", 866): (1321, 1054, 3116),
+                 ("sphere42", 48): (133, 118, 250)}
+
+
+@pytest.mark.parametrize("kind, rows", sorted(_KERNEL_CALLS))
+def test_kernel_call_counts(kind, rows, monkeypatch):
+    # cProfile sees only the calling thread, so every block runs on it
+    cage = make_template_cage(kind)
+    pts = np.random.default_rng(19).uniform(-0.5, 0.5, size=(rows, 3))
+    g = np.random.default_rng(23).normal(size=(rows, cage.n_vertices))
+    monkeypatch.setattr(mvc, "_scratch", runtime.Workspace())
+
+    def taped():
+        phi, _ = mvc_weights(ad.Var(cage.vertices), cage.faces, pts,
+                             with_flags=False)
+        phi._vjps[0](g)
+
+    def calls(fn):
+        # a slot that grows drops the cached views, so a first call can
+        # rebuild them in the second; the third is the steady state
+        fn()
+        fn()
+        prof = cProfile.Profile()
+        prof.runcall(fn)
+        return pstats.Stats(prof).total_calls
+
+    with runtime.thread_cap(1):
+        got = tuple(calls(fn) for fn in (
+            lambda: mvc_weights(cage.vertices, cage.faces, pts),
+            lambda: mvc_weights(cage.vertices, cage.faces, pts,
+                                with_flags=False),
+            taped))
+    assert got == _KERNEL_CALLS[kind, rows]
 
 
 def _in_plane_outside(cage, pts, block, seed):

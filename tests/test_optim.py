@@ -90,9 +90,10 @@ class TestRunAdam:
                 assert refs[-1]() is None
             x = leaves["x"] * 2.0
             refs.append(weakref.ref(x))
-            return {"f": ad.sum_(x * x)}, {"f": 1.0}
+            return {"f": ad.sum_(x * x)}
 
-        params, rep = optim.run_adam({"x": np.ones(3)}, 0.1, 3, evaluate)
+        params, rep = optim.run_adam({"x": np.ones(3)}, {"f": 1.0}, 0.1, 3,
+                                     evaluate)
         assert rep.iterations == 3 and len(refs) == 3
         assert np.all(params["x"] < 1.0)
 
@@ -100,10 +101,61 @@ class TestRunAdam:
                                       float("inf")])
     def test_bad_step_size_rejected(self, step):
         def evaluate(leaves):
-            return {"f": ad.sum_(leaves["x"] * leaves["x"])}, {"f": 1.0}
+            return {"f": ad.sum_(leaves["x"] * leaves["x"])}
 
         with pytest.raises(ValueError, match=f"got {step}"):
-            optim.run_adam({"x": np.ones(3)}, step, 3, evaluate)
+            optim.run_adam({"x": np.ones(3)}, {"f": 1.0}, step, 3, evaluate)
+
+
+def _backpropagated_totals(monkeypatch):
+    """The value of every total that ``run_adam`` takes from
+    ``losses.weighted_total`` and backpropagates, in step order."""
+    seen = []
+    weighted_total = losses.weighted_total
+
+    def spy(terms, weights):
+        total = weighted_total(terms, weights)
+        seen.append(np.float64(ad.val(total)))
+        return total
+
+    monkeypatch.setattr(losses, "weighted_total", spy)
+    return seen
+
+
+def _recorded_bits(report):
+    return [np.float64(b.total).tobytes() for b in report.trace]
+
+
+class TestRecordedTotal:
+    """The trace records the value of the total it backpropagates, bit
+    for bit: no second sum of the terms."""
+
+    @pytest.mark.parametrize("terms, weights", [
+        # a lone negative term weighted 0.0 backpropagates -0.0; a Python
+        # sum starting at 0 would record +0.0
+        (lambda x: {"f": ad.sum_(x * x) * -1.0}, {"f": 0.0}),
+        (lambda x: {"a": 0.3, "b": ad.sum_(x * x), "c": ad.sum_(x) * 1e-17},
+         {"a": 1.0, "b": 0.1, "c": 3.0}),
+    ], ids=["negative_zero", "mixed"])
+    def test_run_adam(self, monkeypatch, terms, weights):
+        seen = _backpropagated_totals(monkeypatch)
+        _, rep = optim.run_adam({"x": np.linspace(-1.0, 2.0, 4)}, weights,
+                                0.1, 3, lambda leaves: terms(leaves["x"]))
+        assert _recorded_bits(rep) == [v.tobytes() for v in seen]
+        assert len(seen) == 3
+        if weights == {"f": 0.0}:
+            assert all(np.signbit(b.total) for b in rep.trace)
+
+    def test_pipelines(self, monkeypatch):
+        seen = _backpropagated_totals(monkeypatch)
+        src = normalized_box(3)
+        rep = deform_pair(src, src, PipelineConfig(max_iters=2,
+                                                   n_eval_samples=100))[3]
+        fam = SyntheticFamily()
+        _, toy = train_toy(fam, fam.default_cage(), epochs=2, n_train=2,
+                           alpha_shape=0.05)
+        assert (_recorded_bits(rep) + _recorded_bits(toy)
+                == [v.tobytes() for v in seen])
 
 
 class TestPipelineConfig:
@@ -361,6 +413,20 @@ class TestDeformPair:
         with pytest.raises(ValueError, match="non-negative"):
             deform_pair(src, src, cfg)
 
+    @pytest.mark.parametrize("field", ["alpha_mvc", "alpha_shape"])
+    def test_infinite_loss_weight_rejected(self, field, monkeypatch):
+        # json reads Infinity; it used to fail at step 0, non-finite total
+        def no_work(*args, **kwargs):
+            raise AssertionError("deform_pair built a cage")
+
+        monkeypatch.setattr(optim, "cage_around", no_work)
+        monkeypatch.setattr(optim, "run_adam", no_work)
+        src = normalized_box(3)
+        cfg = PipelineConfig(max_iters=2, **{field: float("inf")})
+        with pytest.raises(ValueError, match=r"^loss weights must be finite, "
+                           rf"got alpha_mvc=.*, alpha_shape=.*$"):
+            deform_pair(src, src, cfg)
+
     def test_nan_plateau_tolerance_rejected(self, monkeypatch):
         # NaN fails every comparison, so the stall rule would never fire
         def no_step(*args, **kwargs):
@@ -453,8 +519,8 @@ class TestDeformPair:
         steps = []
         run_adam = optim.run_adam
 
-        def spy(params, step_size, max_iters, evaluate, **kwargs):
-            return run_adam(params, step_size, max_iters,
+        def spy(params, weights, step_size, max_iters, evaluate, **kwargs):
+            return run_adam(params, weights, step_size, max_iters,
                             lambda leaves: steps.append(1) or evaluate(leaves),
                             **kwargs)
 
@@ -470,8 +536,8 @@ class TestDeformPair:
         steps = []
         run_adam = optim.run_adam
 
-        def spy(params, step_size, max_iters, evaluate, **kwargs):
-            return run_adam(params, step_size, max_iters,
+        def spy(params, weights, step_size, max_iters, evaluate, **kwargs):
+            return run_adam(params, weights, step_size, max_iters,
                             lambda leaves: steps.append(1) or evaluate(leaves),
                             **kwargs)
 
@@ -709,6 +775,18 @@ class TestFitCage:
         with pytest.raises(ValueError, match="clap_weight"):
             fit_cage(cage, pts, pts, lm,
                      PipelineConfig(clap_weight=clap, max_iters=1))
+
+    def test_infinite_clap_weight_rejected_before_a_step(self, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("fit_cage took a step")
+
+        monkeypatch.setattr(optim, "run_adam", no_step)
+        pts, cage = self._shape_and_cage()
+        lm = np.stack([np.arange(10), np.arange(10)], axis=1)
+        with pytest.raises(ValueError,
+                           match=r"^clap_weight must be finite, got inf$"):
+            fit_cage(cage, pts, pts, lm,
+                     PipelineConfig(clap_weight=float("inf"), max_iters=1))
 
     def test_nan_consistency_threshold_rejected(self, monkeypatch):
         # NaN fails every comparison, so the early stop would never fire

@@ -35,6 +35,12 @@ class TestFamily:
         with pytest.raises(ValueError):
             fam.member((0.1, 1.0, 1.0))
 
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scales_rejected(self, scale):
+        # NaN fails both bound comparisons; it used to give NaN vertices
+        with pytest.raises(ValueError, match=r"^scales outside \[0.5, 1.5\]$"):
+            SyntheticFamily().member((1.0, scale, 1.0))
+
     def test_descriptor_sampling_in_range(self):
         fam = SyntheticFamily()
         d = fam.sample_descriptors(50, np.random.default_rng(0))
@@ -133,6 +139,18 @@ class TestTraining:
             train_toy(fam, fam.default_cage(), epochs=5, n_train=2,
                       alpha_shape=alpha_shape)
 
+    def test_infinite_shape_weight_rejected_before_any_work(self,
+                                                            monkeypatch):
+        # it used to fail at step 0 with a non-finite total loss
+        def no_work(*args, **kwargs):
+            raise AssertionError("train_toy computed coordinates")
+
+        monkeypatch.setattr(toy, "compute_mvc", no_work)
+        fam = SyntheticFamily()
+        with pytest.raises(ValueError, match="^loss weights must be finite, "
+                           "got alpha_mvc=1.0, alpha_shape=inf$"):
+            train_toy(fam, fam.default_cage(), epochs=5, n_train=2,
+                      alpha_shape=np.inf)
 
     def test_step_budget_below_one_rejected(self):
         fam = SyntheticFamily()
