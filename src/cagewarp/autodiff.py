@@ -11,7 +11,9 @@ hold a ``.grad``; the tape's dead gradients are freed while it runs.
 
 The module holds only the ops the pipelines and losses use (arithmetic,
 indexing, reductions, ``matmul``, ``norm``, ``dot_last``, ``where``,
-``minimum``, ``absolute``, ``tanh``, shape ops and ``smallest_eigvec``).
+``minimum``, ``absolute``, ``tanh``, shape ops and ``smallest_eigvec``),
+each with only the arguments they pass: ``sum_`` takes an axis, ``mean_``
+and ``ordered_sum`` reduce everything, ``norm`` runs along the last axis.
 The mean value coordinate kernel is a single node with a hand-written VJP
 (``mvc.py``).
 
@@ -278,15 +280,13 @@ def where(cond, a, b):
     )
 
 
-def sum_(x, axis=None, keepdims=False):
+def sum_(x, axis=None):
     if not is_var(x):
-        return np.sum(x, axis=axis, keepdims=keepdims)
-    out = np.sum(x.value, axis=axis, keepdims=keepdims)
+        return np.sum(x, axis=axis)
+    out = np.sum(x.value, axis=axis)
 
-    def vjp(g, shape=x.value.shape, ax=axis, kd=keepdims):
-        if ax is None:
-            return np.broadcast_to(g, shape).copy()
-        if not kd:
+    def vjp(g, shape=x.value.shape, ax=axis):
+        if ax is not None:
             g = np.expand_dims(g, ax)
         return np.broadcast_to(g, shape).copy()
 
@@ -321,13 +321,9 @@ def ordered_sum(x):
     return Var._make(_ordered_total(x.value), (x,), (vjp,), "ordered_sum")
 
 
-def mean_(x, axis=None, keepdims=False):
-    xv = val(x)
-    if axis is None:
-        n = xv.size
-    else:
-        n = xv.shape[axis]
-    return sum_(x, axis=axis, keepdims=keepdims) / float(n)
+def mean_(x):
+    """Mean of all entries."""
+    return sum_(x) / float(val(x).size)
 
 
 def matmul(a, b):
@@ -345,23 +341,17 @@ def matmul(a, b):
     return Var._make(out, (a, b), (vjp_a, vjp_b), "matmul")
 
 
-def _fast_norm(x, axis, keepdims):
-    return np.sqrt(np.sum(np.square(x), axis=axis, keepdims=keepdims))
-
-
-def norm(x, axis=-1, keepdims=False):
-    """Euclidean norm along ``axis``.  The gradient at exactly zero is 0."""
+def norm(x):
+    """Euclidean norm along the last axis; its gradient at zero is 0."""
+    xv = val(x)
+    out = np.sqrt(np.sum(np.square(xv), axis=-1))
     if not is_var(x):
-        return _fast_norm(np.asarray(x, dtype=np.float64), axis, keepdims)
-    out = _fast_norm(x.value, axis, keepdims)
+        return out
 
-    def vjp(g, xv=x.value, o=out, ax=axis, kd=keepdims):
-        if not kd:
-            g = np.expand_dims(g, ax)
-            o = np.expand_dims(o, ax)
+    def vjp(g, xv=xv, o=out[..., None]):
         # x / |x| has no limit at 0; take 0 there (a subgradient) instead of
         # 0/0 = NaN, which a later mask would turn into 0 * NaN = NaN.
-        return g * xv / np.where(o == 0.0, 1.0, o)
+        return g[..., None] * xv / np.where(o == 0.0, 1.0, o)
 
     return Var._make(
         out,
@@ -410,24 +400,23 @@ def swapaxes(x, a, b):
     )
 
 
-def smallest_eigvec(c, eig=None):
+def smallest_eigvec(c, eig):
     """Unit eigenvector of the smallest eigenvalue of symmetric (...,3,3).
 
-    The sign of the returned vector is whatever ``numpy.linalg.eigh``
-    produces; callers fix signs with a primal rule.  ``eig`` is the
-    ``(lam, vec)`` that ``numpy.linalg.eigh`` returned for ``val(c)``, for
-    callers that already have it.  The backward pass uses the standard
-    eigenvector perturbation series and requires the smallest eigenvalue
-    to be simple; gaps are floored at 1e-12 to avoid blow-up at (excluded)
-    degenerate inputs.
+    ``eig`` is the ``(lam, vec)`` that ``numpy.linalg.eigh`` returned for
+    ``val(c)``; the caller has it, since it also reads the eigenvalues.  The
+    sign of the returned vector is whatever ``numpy.linalg.eigh`` produces;
+    callers fix signs with a primal rule.  The backward pass uses the
+    standard eigenvector perturbation series and requires the smallest
+    eigenvalue to be simple; gaps are floored at 1e-12 to avoid blow-up at
+    (excluded) degenerate inputs.
     """
-    cv = val(c)
-    lam, vec = np.linalg.eigh(cv) if eig is None else eig
+    lam, vec = eig
     v0 = vec[..., 0]
     if not is_var(c):
         return v0
 
-    def vjp(g, lam=lam, vec=vec):
+    def vjp(g, lam=lam, vec=vec, cv=c.value):
         out = np.zeros_like(cv)
         v0 = vec[..., 0]
         for k in (1, 2):

@@ -9,12 +9,13 @@ Two argument groups exist:
 
 Both are obtained by reverse accumulation over the autodiff tape: the first
 as ``ad.value_and_grad(lambda v: loss(ad.matmul(m.weights, v)), v0)``, the
-second by ``grad_source_cage``, which adds the exclusion of rows on a branch
-boundary.  The weights enter the tape as one node whose VJP is the
-closed-form adjoint of the coordinate formulas (see ``mvc``), so the
-source-cage gradient costs one pass over the kept per-block values rather
-than a walk over per-operation temporaries.  A finite-difference harness
-cross-checks any gradient implementation against central differences.
+second by ``grad_source_cage``, which asks the kernel to hold the rows in
+its exclusion band (on a branch boundary) constant and counts them.  The
+weights enter the tape as one node whose VJP is the closed-form adjoint of
+the coordinate formulas (see ``mvc``), so the source-cage gradient costs
+one pass over the kept per-block values rather than a walk over
+per-operation temporaries.  A finite-difference harness cross-checks any
+gradient implementation against central differences.
 """
 
 from __future__ import annotations
@@ -36,42 +37,33 @@ from .geometry import (
     knn_neighborhoods,
     validate_cage,
 )
-from .mvc import EPS_PLANE, compute_mvc, mvc_weights, vertex_tolerance
-
-EXCLUSION_FACTOR = 10.0
+from .mvc import compute_mvc, mvc_weights
 
 
 def grad_source_cage(cage: TriMesh, points, downstream):
     """The gradient of ``downstream(phi)`` with respect to the source cage.
 
     Returns (value, gradient, excluded_rows), the gradient one row per cage
-    vertex.  Rows whose query lies within 10x of the vertex-snap or
-    plane-degeneracy tolerances of ``mvc`` sit on a branch boundary of the
-    weight computation; their gradient is undefined, so they are replaced
-    by constants (zero gradient) and counted in ``excluded_rows``.  Raises
-    ``FloatingPointError`` on a non-finite gradient entry.
+    vertex.  The rows in the kernel's exclusion band (``mvc_weights(...,
+    exclude_band=True)``) sit on a branch boundary of the weights; their
+    gradient is undefined, so they are held constant (zero gradient) and
+    counted in ``excluded_rows``.  Raises ``FloatingPointError`` on a
+    non-finite gradient entry.
     """
     validate_cage(cage)
-    excluded = None
+    band = None
 
     def loss(cage_vertices):
-        nonlocal excluded
-        phi, _, aux = mvc_weights(cage_vertices, cage.faces,
-                                  as_positions(points), with_aux=True,
-                                  with_flags=False)
-        excluded = (
-            (aux["min_vertex_dist"]
-             < EXCLUSION_FACTOR * vertex_tolerance(cage.vertices))
-            | (aux["plane_margin"] < EXCLUSION_FACTOR * EPS_PLANE)
-        )
-        if excluded.any():
-            phi = ad.where(excluded[:, None], ad.val(phi), phi)
+        nonlocal band
+        phi, _, band = mvc_weights(cage_vertices, cage.faces,
+                                   as_positions(points), exclude_band=True,
+                                   with_flags=False)
         return downstream(phi)
 
     value, g = ad.value_and_grad(loss, cage.vertices)
     if not np.all(np.isfinite(g)):
         raise FloatingPointError("non-finite gradient entries")
-    return value, g, int(excluded.sum())
+    return value, g, int(band.sum())
 
 
 @dataclass

@@ -275,7 +275,7 @@ def cage_laplacian_loss(ref: CageLaplacian, cage_after_vertices):
     after = cage_after_vertices
     if ad.val(after).shape != ref.shape:
         raise ValueError("cage connectivity mismatch")
-    mag_after = ad.norm(ad.matmul(ref.lap, after), axis=-1)
+    mag_after = ad.norm(ad.matmul(ref.lap, after))
     d = mag_after - ref.mag
     return ad.ordered_sum(d * d)
 

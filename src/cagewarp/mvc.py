@@ -21,6 +21,9 @@ vertex get that vertex's exact indicator row, where eps_vertex =
 EPS_VERTEX_REL x the bounding-box diagonal of the cage the call is given
 (``vertex_tolerance``).  Exterior queries are allowed and produce
 (partially negative) valid weights.  Neither tolerance is a parameter.
+Rows within EXCLUSION_FACTOR (10) x either tolerance of its boundary sit
+in the exclusion band, where the gradient is undefined; the kernel marks
+them on request and then holds them constant on the tape.
 
 One vectorised pass evaluates these formulas over blocks of query rows,
 with one numpy call per formula over all three corners (or all three
@@ -103,6 +106,7 @@ FLAG_EXTERIOR_OK = 3
 # scales carries its own.
 EPS_PLANE = 1e-7
 EPS_VERTEX_REL = 1e-8
+EXCLUSION_FACTOR = 10.0
 
 _MAGIC = b"MVCMAT01"
 _DENOM_TINY = 1e-300
@@ -184,11 +188,14 @@ class MvcMatrix:
 
 
 def mvc_weights(cage_vertices, faces: np.ndarray, points: np.ndarray, *,
-                with_aux: bool = False, with_flags: bool = True):
+                exclude_band: bool = False, with_flags: bool = True):
     """Raw weight rows for ``points``; generic over ndarray/Var cage vertices.
 
-    Returns (phi, flags) or (phi, flags, aux) where aux carries the primal
-    per-row distances to branch boundaries used for gradient exclusion.
+    Returns (phi, flags), or (phi, flags, band) with ``exclude_band``:
+    ``band`` marks the rows closer than 10 eps_vertex to a cage vertex or
+    with min(|pi - h|, |s|) below 10 EPS_PLANE on a face (10 is
+    EXCLUSION_FACTOR), whose gradient is undefined; on a tape they are
+    held constant.
     ``with_flags=False`` skips the interior/exterior classification (flags
     None), which optimization loops that recompute weights every iteration
     do not need.  With a Var cage, phi is one tape node whose VJP returns
@@ -203,7 +210,7 @@ def mvc_weights(cage_vertices, faces: np.ndarray, points: np.ndarray, *,
     geo = _CageGeometry(ad.val(cage_vertices), faces)
     eps_vertex = vertex_tolerance(geo.cage)
     block = _block_rows(geo.topo.n_faces)
-    out = _Rows(n, geo.n_vertices, with_flags, with_aux)
+    out = _Rows(n, geo.n_vertices, with_flags, exclude_band)
 
     def run(lo):
         # the block writes its rows into ``out``; an untaped one dies here
@@ -231,11 +238,12 @@ def mvc_weights(cage_vertices, faces: np.ndarray, points: np.ndarray, *,
 
     if taped:
         phi = _tape_node(cage_vertices, phi, totals, row_near, blocks)
-    if not with_aux:
+    if not exclude_band:
         return phi, out.flags
-    aux = {"min_vertex_dist": out.min_vertex_dist,
-           "plane_margin": out.plane_margin}
-    return phi, out.flags, aux
+    band = out.band
+    if taped and band.any():
+        phi = ad.where(band[:, None], ad.val(phi), phi)
+    return phi, out.flags, band
 
 
 def _block_rows(n_faces):
@@ -278,8 +286,9 @@ class Scatter:
     zeroed accumulator, then gathers the accumulator back into target
     order.  Where the ranking leaves every target in place (the edges of a
     closed cage, two corners each), the output is the accumulator.  The
-    temporaries are slots of the ``runtime.Workspace`` a call is given; a
-    caller may keep its own in ``GATHER_SLOT`` where they are dead.
+    temporaries are slots of the ``runtime.Workspace`` a call is given (an
+    accumulator per rank, so neither grows the other's); a caller may keep
+    its own in ``GATHER_SLOT`` where they are dead.
     """
 
     GATHER_SLOT = "sc_src"
@@ -311,7 +320,7 @@ class Scatter:
         if self.back is None:
             return src, None
         return src, self._steps(ws.take(
-            "sc_acc", lead + (self.n_targets, n)), src)
+            f"sc_acc{len(lead)}", lead + (self.n_targets, n)), src)
 
     def _steps(self, acc, src):
         """``acc``, its rows that no source row adds into, and the
@@ -407,13 +416,12 @@ class _CageGeometry:
 class _Rows:
     """Per-row outputs of one call; each block writes its own rows."""
 
-    def __init__(self, n, n_vertices, with_flags, with_aux):
+    def __init__(self, n, n_vertices, with_flags, with_band):
         self.w_sum = np.empty((n, n_vertices))
         self.row_near = np.empty(n, dtype=bool)
         self.nearest = np.empty(n, dtype=np.int64)
         self.flags = np.empty(n, dtype=np.uint8) if with_flags else None
-        self.min_vertex_dist = np.empty(n)
-        self.plane_margin = np.empty(n) if with_aux else None
+        self.band = np.empty(n, dtype=bool) if with_band else None
 
 
 _scratch = runtime.Workspace()
@@ -581,8 +589,8 @@ class _Block:
         np.subtract(geo.cage_t, p3, out=u)
         np.sqrt(_sum3(np.multiply(u, u, out=v.sq), d), out=d)
         near = out.row_near[rows]
-        np.less(d.min(axis=0, out=out.min_vertex_dist[rows]), eps_vertex,
-                out=near)
+        d_min = d.min(axis=0)
+        np.less(d_min, eps_vertex, out=near)
         if near.any():
             out.nearest[rows] = d.argmin(axis=0)
             # snapped rows end up as indicator rows and pass no gradient,
@@ -637,9 +645,11 @@ class _Block:
         s = _corner_s(cc, det_sign, v.s)
         s_min = np.minimum.reduce(np.abs(s, out=v.tmp3), axis=0,
                                   out=v.s_min)
-        if out.plane_margin is not None:
-            np.minimum(np.abs(tf, out=tf).min(axis=0), s_min.min(axis=0),
-                       out=out.plane_margin[rows])
+        if out.band is not None:
+            margin = np.minimum(np.abs(tf, out=tf).min(axis=0),
+                                s_min.min(axis=0))
+            out.band[rows] = ((d_min < EXCLUSION_FACTOR * eps_vertex)
+                              | (margin < EXCLUSION_FACTOR * EPS_PLANE))
         dead = k.dead
         np.logical_or(np.less_equal(s_min, EPS_PLANE, out=dead), on_face,
                       out=dead)
@@ -729,12 +739,13 @@ class _Block:
         g_sin.fill(0.0)
         g_dk.fill(0.0)
         if self.on_rows.size:
+            # each (corner, face, row) once per update, so the sums into
+            # g_dk's two terms come out as in a loop over the corners
             d_on = k.d[ft[:, f], r]                             # (3, r)
-            for i in range(3):
-                i1, i2 = (i + 1) % 3, (i + 2) % 3
-                g_sin[i, f, r] += g_on[i] * d_on[i1] * d_on[i2]
-                g_dk[i1, f, r] += g_on[i] * sin_t[i, f, r] * d_on[i2]
-                g_dk[i2, f, r] += g_on[i] * sin_t[i, f, r] * d_on[i1]
+            g_on_sin = g_on * sin_t[:3, f, r]
+            g_sin[:, f, r] += g_on * d_on[_NEXT] * d_on[_PREV]
+            g_dk[_NEXT[:, None], f, r] += g_on_sin * d_on[_PREV]
+            g_dk[_PREV[:, None], f, r] += g_on_sin * d_on[_NEXT]
         # denom_k = d_k sin(theta_{k+1}) s_{k+2}; d per corner again
         dk = k.d.take(ft, axis=0, out=t, mode="clip")
         np.multiply(g_den, dk, out=g_num)                  # g_dd, cyclic

@@ -277,15 +277,7 @@ def _loss_pointset(source: TriMesh, cfg: PipelineConfig) -> PointSet:
     return pointset_from_mesh_vertices(source)
 
 
-def _target_points(target: TriMesh, source_ps: PointSet,
-                   cfg: PipelineConfig) -> np.ndarray:
-    if cfg.align_mode == "l2":
-        if target.n_vertices != len(source_ps) or cfg.n_sample_points > 0:
-            raise ValueError(
-                "l2 alignment needs dense correspondence: equal vertex "
-                "counts and vertex-based losses"
-            )
-        return target.vertices.copy()
+def _target_points(target: TriMesh, cfg: PipelineConfig) -> np.ndarray:
     if cfg.n_sample_points > 0:
         return sample_surface(target, cfg.n_sample_points, cfg.seed).points
     return target.vertices.copy()
@@ -313,6 +305,12 @@ def deform_pair(source: TriMesh, target: TriMesh,
         raise ValueError("plateau_rel_tol must not be NaN")
     if cfg.align_mode not in ("chamfer", "l2"):
         raise ValueError(f"unknown align_mode {cfg.align_mode!r}")
+    if cfg.align_mode == "l2" and (target.n_vertices != source.n_vertices
+                                   or cfg.n_sample_points > 0):
+        raise ValueError(
+            "l2 alignment needs dense correspondence: equal vertex "
+            "counts and vertex-based losses"
+        )
     with runtime.thread_cap(cfg.threads):
         _check_normalized(source, "source mesh")
         _check_normalized(target, "target mesh")
@@ -323,7 +321,7 @@ def deform_pair(source: TriMesh, target: TriMesh,
         cage_faces = cage0.faces
 
         source_ps = _loss_pointset(source, cfg)
-        target_pts = _target_points(target, source_ps, cfg)
+        target_pts = _target_points(target, cfg)
         target_index = (losses.SpatialIndex(target_pts)
                         if cfg.align_mode == "chamfer" else None)
 

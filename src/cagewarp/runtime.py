@@ -120,11 +120,11 @@ class Workspace(threading.local):
     freed per operation.  ``views(build, *shape)`` returns the views that
     ``build(workspace, *shape)`` takes, made on the first call for that
     shape and reused after; replacing a slot by a larger one drops every
-    cached view, so no view outlives its slot.  A build takes each slot's
-    largest view first, so that a slot grows at most once in it and its
-    views all share one buffer.  The slots serve one ``use(key)`` at a time
-    (for the MVC kernel, one cage size); another key drops them, so a
-    thread holds at most one block's worth of scratch.
+    cached view, so no view outlives its slot (a new slot drops none).  A
+    build takes each slot's largest view first, so that a slot grows at
+    most once in it and its views all share one buffer.  The slots serve
+    one ``use(key)`` at a time (for the MVC kernel, one cage size); another
+    key drops them, so a thread holds at most one block's worth of scratch.
     """
 
     _MAX_VIEWS = 64
@@ -141,8 +141,9 @@ class Workspace(threading.local):
         size = math.prod(shape)
         buf = self.slots.get(name)
         if buf is None or buf.size < size:
+            if buf is not None:
+                self.cache.clear()      # views of the replaced buffer
             buf = self.slots[name] = np.empty(size, dtype)
-            self.cache.clear()
         return buf[:size].reshape(shape)
 
     def views(self, build, *shape):

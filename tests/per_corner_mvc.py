@@ -11,7 +11,8 @@ block.  A test swaps it in for ``mvc._Block`` and compares the outputs.
 import numpy as np
 
 from cagewarp import mvc, runtime
-from cagewarp.mvc import EPS_PLANE, FLAG_EXTERIOR_OK, FLAG_INTERIOR
+from cagewarp.mvc import EPS_PLANE, EXCLUSION_FACTOR, FLAG_EXTERIOR_OK
+from cagewarp.mvc import FLAG_INTERIOR
 from cagewarp.mvc import FLAG_ON_FACE, FLAG_ON_VERTEX
 
 _BLOCK_ROWS = mvc._BLOCK_ROWS
@@ -46,8 +47,8 @@ class PerCornerBlock:
     Temporaries live in the thread's workspace slots, named by the shape
     they hold: f1 (F, n), f3 (3, F, n), e1 (E, n), c1 (C, n), c3 (3, C, n),
     and m1 / m3 for boolean masks of (F, n) / (3, F, n); the scatters
-    gather into sc_src and accumulate in sc_acc.  A taped block keeps, in
-    arrays of its own, only what its VJP cannot cheaply rebuild: the
+    gather into sc_src and accumulate in sc_acc0 or sc_acc1.  A taped block
+    keeps, in arrays of its own, only what its VJP cannot cheaply rebuild: the
     distances, unit vectors, per-edge arcs and their sines, h, sin(h -
     theta), c, s, the raw weights and the branch masks.  The per-corner
     gathers and the products and guards built from these are rebuilt in
@@ -77,8 +78,8 @@ class PerCornerBlock:
             np.add(d, np.multiply(u[i], u[i], out=tc), out=d)
         np.sqrt(d, out=d)
         near = out.row_near[rows]
-        np.less(np.min(d, axis=0, out=out.min_vertex_dist[rows]), eps_vertex,
-                out=near)
+        d_min = np.min(d, axis=0)
+        np.less(d_min, eps_vertex, out=near)
         if near.any():
             out.nearest[rows] = d.argmin(axis=0)
             # snapped rows end up as indicator rows and pass no gradient,
@@ -156,10 +157,12 @@ class PerCornerBlock:
         s_min = np.abs(s[0], out=two_sin_h)
         for k in (1, 2):
             np.minimum(s_min, np.abs(s[k], out=t0), out=s_min)
-        if out.plane_margin is not None:
-            np.minimum(
+        if out.band is not None:
+            margin = np.minimum(
                 np.abs(np.subtract(np.pi, h, out=tf), out=tf).min(axis=0),
-                s_min.min(axis=0), out=out.plane_margin[rows])
+                s_min.min(axis=0))
+            out.band[rows] = ((d_min < EXCLUSION_FACTOR * eps_vertex)
+                              | (margin < EXCLUSION_FACTOR * EPS_PLANE))
         dead = keep("m1b", f1, bool)
         np.logical_or(np.less_equal(s_min, EPS_PLANE, out=dead), on_face,
                       out=dead)

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -35,12 +36,12 @@ RNG = np.random.default_rng(0)
 
 @pytest.mark.parametrize("fn", [
     lambda x: ad.sum_(x * x * 3.0 - x / 2.0 + 1.0),
-    lambda x: ad.sum_(ad.norm(x * x + 1.0, axis=-1)),
+    lambda x: ad.sum_(ad.norm(x * x + 1.0)),
     lambda x: ad.sum_(ad.tanh(x) * x),
     lambda x: ad.sum_(ad.tanh(x) * ad.tanh(x) * ad.tanh(x)),
     lambda x: ad.sum_(ad.absolute(x) * x * x),
     lambda x: ad.sum_(ad.minimum(x, 0.3)),
-    lambda x: ad.sum_(ad.norm(x, axis=-1)),
+    lambda x: ad.sum_(ad.norm(x)),
     lambda x: ad.sum_(ad.dot_last(x, x * 2.0)),
     lambda x: ad.mean_(x) / ad.sum_(x * x + 2.0),
     lambda x: ad.sum_((2.0 - x) * (x - 0.5)),
@@ -108,9 +109,11 @@ def test_smallest_eigvec_fd():
     base = raw(x0)
 
     def fn_var(x):
-        c = x - ad.mean_(x, axis=1, keepdims=True)
+        # centred as pca_frames centres, with eigh's result passed in
+        centroid = ad.sum_(x, axis=1) / 8.0
+        c = x - ad.reshape(centroid, (4, 1, 3))
         cov = ad.matmul(ad.swapaxes(c, -1, -2), c)
-        v = ad.smallest_eigvec(cov)
+        v = ad.smallest_eigvec(cov, np.linalg.eigh(ad.val(cov)))
         # fix sign against the base primal so FD is smooth
         s = np.sign(np.einsum("ij,ij->i", ad.val(v), base))[:, None]
         return ad.sum_(v * s * t)
@@ -137,7 +140,7 @@ def test_backward_deterministic():
 
     def fn(x):
         a = ad.tanh(x) * x
-        b = ad.norm(x * x + 1.0, axis=-1, keepdims=True)
+        b = ad.reshape(ad.norm(x * x + 1.0), (10, 1))
         return ad.sum_(a / b + a * b)
 
     _, g1 = ad.value_and_grad(fn, x0)
@@ -155,7 +158,7 @@ def test_forward_mode_agreement():
 
         def fn(x):
             return ad.sum_(ad.tanh(x)
-                           * ad.norm(x * x + 0.5, axis=-1, keepdims=True))
+                           * ad.reshape(ad.norm(x * x + 0.5), (4, 1)))
 
         _, g = ad.value_and_grad(fn, x0)
         h = 1e-7
@@ -191,8 +194,7 @@ def test_norm_grad_zero_at_zero_row():
     x0 = RNG.normal(size=(5, 3))
     x0[2] = 0.0
     weights = np.arange(1.0, 6.0)
-    _, g = ad.value_and_grad(lambda x: ad.sum_(ad.norm(x, axis=-1) * weights),
-                             x0)
+    _, g = ad.value_and_grad(lambda x: ad.sum_(ad.norm(x) * weights), x0)
     assert np.all(np.isfinite(g))
     assert np.array_equal(g[2], np.zeros(3))
     rows = [0, 1, 3, 4]
@@ -201,11 +203,12 @@ def test_norm_grad_zero_at_zero_row():
     assert np.allclose(g[rows], expected, rtol=1e-14, atol=0.0)
 
 
-def test_norm_grad_zero_column_keepdims():
+def test_norm_grad_zero_column():
+    # a zero column of x is a zero row of its transpose
     x0 = RNG.normal(size=(4, 3))
     x0[:, 1] = 0.0
     _, g = ad.value_and_grad(
-        lambda x: ad.sum_(ad.norm(x, axis=0, keepdims=True) * 2.0), x0)
+        lambda x: ad.sum_(ad.norm(ad.swapaxes(x, 0, 1)) * 2.0), x0)
     assert np.all(np.isfinite(g))
     assert np.array_equal(g[:, 1], np.zeros(4))
 
@@ -217,7 +220,7 @@ def test_norm_grad_zero_survives_mask():
     mask = np.array([True, False, False, False])
 
     def fn(x):
-        d = ad.norm(x, axis=-1)
+        d = ad.norm(x)
         return ad.sum_(x[:, 0] / ad.where(mask, 1.0, d))
 
     _, g = ad.value_and_grad(fn, x0)
@@ -257,16 +260,45 @@ def test_ordered_sum_matches_loop():
 
 def test_every_public_function_has_a_library_caller():
     # the module holds only what the pipelines run: each public function is
-    # called as ad.<name> somewhere else in the package
+    # called as ad.<name> somewhere else in the package, and each of its
+    # defaulted parameters is passed a value other than its default there
     package = Path(ad.__file__).parent
-    text = "".join(p.read_text() for p in sorted(package.glob("*.py"))
-                   if p.name != "autodiff.py")
-    public = [name for name, obj in vars(ad).items()
+    sources = [p.read_text() for p in sorted(package.glob("*.py"))
+               if p.name != "autodiff.py"]
+    text = "".join(sources)
+    public = {name: obj for name, obj in vars(ad).items()
               if inspect.isfunction(obj) and obj.__module__ == ad.__name__
-              and not name.startswith("_")]
+              and not name.startswith("_")}
     missing = [name for name in public
                if not re.search(rf"\bad\.{re.escape(name)}\b", text)]
     assert public and not missing
+    calls = [node for source in sources for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name)
+             and node.func.value.id == "ad"]
+    unused = []
+    for name, fn in public.items():
+        params = inspect.signature(fn).parameters.values()
+        for i, param in enumerate(params):
+            if param.default is inspect.Parameter.empty:
+                continue
+            passed = [c.args[i] for c in calls
+                      if c.func.attr == name and len(c.args) > i]
+            passed += [k.value for c in calls if c.func.attr == name
+                       for k in c.keywords if k.arg == param.name]
+            if not any(_literal(v) != param.default for v in passed):
+                unused.append(f"{name}({param.name})")
+    assert unused == []
+
+
+def _literal(node):
+    """The value of a literal argument such as ``-1``; a non-literal one
+    reads as a fresh object, equal to no default."""
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return object()
 
 
 def _keeping_backward(root):

@@ -396,6 +396,8 @@ class TestFailedRun:
         ('{"alpha_shape": -1.0}', "loss weights must be non-negative, got "
                                   "alpha_mvc=1.0, alpha_shape=-1.0"),
         ('{"shape_mode": "freeform"}', "unknown shape_mode 'freeform'"),
+        ('{"align_mode": "l2", "n_sample_points": 64}',
+         "l2 alignment needs dense correspondence"),
     ])
     def test_deform_error_marks_the_manifest_failed(
             self, source_target, tmp_path, capsys, config, message):

@@ -230,6 +230,21 @@ class TestPipelineConfig:
         assert documented == PipelineConfig().to_dict()
 
 
+_L2_MESSAGE = ("^l2 alignment needs dense correspondence: equal vertex "
+               "counts and vertex-based losses$")
+
+
+def _spy_on_setup(monkeypatch):
+    """The list of ``deform_pair``'s setup steps called from here on: the
+    cage, the samples, their k-NN tree, the vertex plane fits and Adam."""
+    called = []
+    for name in ("cage_around", "sample_surface", "knn_neighborhoods",
+                 "pointset_from_mesh_vertices", "run_adam"):
+        monkeypatch.setattr(optim, name,
+                            lambda *args, _n=name, **kw: called.append(_n))
+    return called
+
+
 class TestDeformPair:
     def test_requires_normalized(self):
         mesh = make_box_mesh(2, scale=(0.9, 0.6, 0.4))
@@ -280,12 +295,16 @@ class TestDeformPair:
         _, _, _, rep = deform_pair(src, src, cfg)
         assert set(rep.trace[0].terms) == {"mvc", "align", "p2f"}
 
-    def test_l2_mode_needs_correspondence(self):
+    def test_l2_mode_needs_correspondence(self, monkeypatch):
+        # a target of another vertex count fails before any setup work,
+        # the source's plane fits included
+        called = _spy_on_setup(monkeypatch)
         src = normalized_box(4)
         tgt = normalized_box(5)
         cfg = PipelineConfig(seed=0, max_iters=2, align_mode="l2")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=_L2_MESSAGE):
             deform_pair(src, tgt, cfg)
+        assert called == []
 
     def test_deterministic_across_threads(self):
         src = normalized_box(4)
@@ -457,16 +476,15 @@ class TestDeformPair:
 
     def test_l2_rejected_on_the_sampled_path_before_a_step(self,
                                                            monkeypatch):
-        # equal vertex counts, but the losses run on samples, not vertices
-        steps = []
-        monkeypatch.setattr(optim, "run_adam",
-                            lambda *args, **kwargs: steps.append(1))
+        # equal vertex counts, but the losses run on samples, not vertices:
+        # it fails before the source is sampled or its k-NN tree built
+        called = _spy_on_setup(monkeypatch)
         src = normalized_box(3)
         cfg = PipelineConfig(max_iters=2, align_mode="l2",
                              n_sample_points=64)
-        with pytest.raises(ValueError, match="dense correspondence"):
+        with pytest.raises(ValueError, match=_L2_MESSAGE):
             deform_pair(src, src, cfg)
-        assert steps == []
+        assert called == []
 
     def test_step_budget_below_one_rejected(self):
         src = normalized_box(3)
