@@ -71,10 +71,6 @@ class TriMesh:
             raise MeshError("empty mesh has no bounding box")
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
-    def diameter(self) -> float:
-        lo, hi = self.bbox()
-        return float(np.linalg.norm(hi - lo))
-
     def is_closed_oriented(self) -> bool:
         """True when every undirected edge appears exactly once per direction."""
         a, b = _face_edges(self.faces)

@@ -271,8 +271,6 @@ _CHECKS = {
     "cage_laplacian": ("deformed", _cage_laplacian_config),
 }
 GRADCHECK_OPS = tuple(_CHECKS)
-SOURCE_OPS = tuple(op for op, (group, _) in _CHECKS.items()
-                   if group == "source")
 
 
 def builtin_check(op: str, n_configs: int = 10,

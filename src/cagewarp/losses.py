@@ -44,13 +44,6 @@ class LossBreakdown:
     weights: dict
     total: float
 
-    @classmethod
-    def from_terms(cls, terms: dict, weights: dict) -> "LossBreakdown":
-        """The values of ``terms``, and their ``weighted_total``."""
-        t = {k: float(ad.val(v)) for k, v in terms.items()}
-        return cls(terms=t, weights=dict(weights),
-                   total=float(weighted_total(t, weights)))
-
 
 # -- alignment ---------------------------------------------------------------
 

@@ -17,13 +17,13 @@ the face cuts out of the unit sphere around the query point:
           / (d_i sin theta_{i+1} s_{i-1})
 
 followed by normalization to unit sum.  Queries within eps_vertex of a cage
-vertex get that vertex's exact indicator row, where eps_vertex =
-EPS_VERTEX_REL x the bounding-box diagonal of the cage the call is given
-(``vertex_tolerance``).  Exterior queries are allowed and produce
-(partially negative) valid weights.  Neither tolerance is a parameter.
-Rows within EXCLUSION_FACTOR (10) x either tolerance of its boundary sit
-in the exclusion band, where the gradient is undefined; the kernel marks
-them on request and then holds them constant on the tape.
+vertex get that vertex's exact indicator row, written by the block that
+snaps them, where eps_vertex = EPS_VERTEX_REL x the bounding-box diagonal
+of the cage the call is given (``vertex_tolerance``).  Exterior queries
+are allowed and produce (partially negative) valid weights.  Neither
+tolerance is a parameter.  Rows within EXCLUSION_FACTOR (10) x either
+tolerance of its boundary sit in the exclusion band, where the gradient
+is undefined; the kernel marks them on request.
 
 One vectorised pass evaluates these formulas over blocks of query rows,
 with one numpy call per formula over all three corners (or all three
@@ -42,7 +42,7 @@ cache three times over: fewer blocks make fewer numpy calls, and each
 call holds the interpreter lock.
 Arc lengths and their sines are taken once per cage edge and gathered
 once per face corner.  The per-corner terms are added into their cage
-columns by ``Scatter``, the package's one scatter-add: every column adds
+columns by ``Scatter``, the kernel's one scatter-add: every column adds
 its terms into 0.0 in increasing input order, the order ``np.bincount``
 adds in, so a row's weights are the same bits whatever block it falls
 in; its gather slot is also the slot of the kernel's corner sines.  The
@@ -69,9 +69,11 @@ each block kept (~20 KB a row on a 320-face cage, held until the backward
 pass), and returns d loss / d cage vertices directly.  Each block sums its
 rows' contributions to that gradient in 16-row chunks, and the calling
 thread adds the chunk sums in row order, so the gradient bits depend on
-neither the block size nor the thread count.  All branch masks are
-decided on primal values; masked-out lanes and guarded denominators pass
-no gradient, so no NaN/Inf can leak into values or gradients.
+neither the block size nor the thread count.  The node's VJP holds the
+rows without a gradient with one mask: the snapped rows, and the band's
+rows when the call marks the band.  All branch masks are decided on
+primal values; masked-out lanes and guarded denominators pass no
+gradient, so no NaN/Inf can leak into values or gradients.
 
 Row flags (``compute_mvc``) come from the same pass: the winding number
 sums each face's solid angle 2 atan2(det[u_0, u_1, u_2], 1 + u_0.u_1 +
@@ -194,8 +196,8 @@ def mvc_weights(cage_vertices, faces: np.ndarray, points: np.ndarray, *,
     Returns (phi, flags), or (phi, flags, band) with ``exclude_band``:
     ``band`` marks the rows closer than 10 eps_vertex to a cage vertex or
     with min(|pi - h|, |s|) below 10 EPS_PLANE on a face (10 is
-    EXCLUSION_FACTOR), whose gradient is undefined; on a tape they are
-    held constant.
+    EXCLUSION_FACTOR), whose gradient is undefined; on a tape phi's node
+    holds them constant, as it holds the snapped rows.
     ``with_flags=False`` skips the interior/exterior classification (flags
     None), which optimization loops that recompute weights every iteration
     do not need.  With a Var cage, phi is one tape node whose VJP returns
@@ -220,29 +222,22 @@ def mvc_weights(cage_vertices, faces: np.ndarray, points: np.ndarray, *,
 
     blocks = runtime.map_ordered(run, range(0, n, block))
 
-    w_sum, row_near, nearest = out.w_sum, out.row_near, out.nearest
-    totals = w_sum.sum(axis=1)
+    # a snapped row is its vertex's indicator row, whose total is 1.0
+    phi, row_near, band = out.w_sum, out.row_near, out.band
+    totals = phi.sum(axis=1)
     regular = ~row_near
     if np.any(np.abs(totals[regular]) < 1e-14):
         bad_rows = np.nonzero(regular & (np.abs(totals) < 1e-14))[0]
         raise MvcError(
             f"zero total weight for query rows {bad_rows[:5].tolist()}"
         )
-    totals = np.where(row_near, 1.0, totals)
-    w_sum /= totals[:, None]
-    phi = w_sum
-    if row_near.any():
-        r = np.nonzero(row_near)[0]
-        phi[r] = 0.0
-        phi[r, nearest[r]] = 1.0
+    phi /= totals[:, None]
 
     if taped:
-        phi = _tape_node(cage_vertices, phi, totals, row_near, blocks)
-    if not exclude_band:
+        held = row_near if band is None else row_near | band
+        phi = _tape_node(cage_vertices, phi, totals, held, blocks)
+    if band is None:
         return phi, out.flags
-    band = out.band
-    if taped and band.any():
-        phi = ad.where(band[:, None], ad.val(phi), phi)
     return phi, out.flags, band
 
 
@@ -252,18 +247,21 @@ def _block_rows(n_faces):
         1, _BLOCK_BYTES // (5 * n_faces * 8 * _BLOCK_ROWS))
 
 
-def _tape_node(cage_var, phi, totals, row_near, blocks):
-    """``phi`` as one tape node over the cage, with the blocks' VJPs."""
+def _tape_node(cage_var, phi, totals, held, blocks):
+    """``phi`` as one tape node over the cage, with the blocks' VJPs; the
+    ``held`` rows (snapped, or in the exclusion band) pass no gradient."""
 
     def vjp(g):
-        # phi = w_sum / total on regular rows; snapped rows are constant.
-        # g_sum = (g - rowsum(g * phi)) / total, built in one (N, C) array
+        # phi = w_sum / total; g_sum = (g - rowsum(g * phi)) / total,
+        # built in one (N, C) array
         g_sum = np.multiply(g, phi)
         dot = g_sum.sum(axis=1, keepdims=True)
         np.divide(np.subtract(g, dot, out=g_sum), totals[:, None], out=g_sum)
-        g_sum[row_near] = 0.0
+        g_sum[held] = 0.0
         grad = np.zeros_like(cage_var.value)
-        # the blocks' chunk sums are added here, in row order
+        # the blocks' chunk sums are added here, in row order; np.add.reduce
+        # and np.sum over the stacked chunks do not add in row order (over
+        # the chunks' own layout numpy sums them pairwise)
         for parts in runtime.map_ordered(
                 lambda blk: blk.vjp(g_sum[blk.rows]), blocks):
             for part in parts:
@@ -419,7 +417,6 @@ class _Rows:
     def __init__(self, n, n_vertices, with_flags, with_band):
         self.w_sum = np.empty((n, n_vertices))
         self.row_near = np.empty(n, dtype=bool)
-        self.nearest = np.empty(n, dtype=np.int64)
         self.flags = np.empty(n, dtype=np.uint8) if with_flags else None
         self.band = np.empty(n, dtype=bool) if with_band else None
 
@@ -591,10 +588,11 @@ class _Block:
         near = out.row_near[rows]
         d_min = d.min(axis=0)
         np.less(d_min, eps_vertex, out=near)
+        nearest = None
         if near.any():
-            out.nearest[rows] = d.argmin(axis=0)
-            # snapped rows end up as indicator rows and pass no gradient,
-            # so their snapped distances may read 1.0 from here on
+            nearest = d.argmin(axis=0)
+            # snapped rows are written as indicator rows below and pass no
+            # gradient, so their snapped distances may read 1.0 from here on
             d[d < eps_vertex] = 1.0
         np.divide(u, d, out=u)
 
@@ -668,6 +666,11 @@ class _Block:
             d_on = d[ft[:, f], r]
             w_sum[:, r] = 0.0
             w_sum[ft[:, f], r] = sin_e[ce[:, f], r] * d_on[_NEXT] * d_on[_PREV]
+        # snapped rows: their nearest vertex's indicator row
+        if nearest is not None:
+            r = np.nonzero(near)[0]
+            w_sum[:, r] = 0.0
+            w_sum[nearest[r], r] = 1.0
         out.w_sum[rows] = w_sum.T
         if out.flags is not None:
             out.flags[rows] = _flags(v, topo, chord2, det, d, on_rows, near)

@@ -80,10 +80,11 @@ class PerCornerBlock:
         near = out.row_near[rows]
         d_min = np.min(d, axis=0)
         np.less(d_min, eps_vertex, out=near)
+        nearest = None
         if near.any():
-            out.nearest[rows] = d.argmin(axis=0)
-            # snapped rows end up as indicator rows and pass no gradient,
-            # so their snapped distances may read 1.0 from here on
+            nearest = d.argmin(axis=0)
+            # snapped rows are written as indicator rows below and pass no
+            # gradient, so their snapped distances may read 1.0 from here on
             d[d < eps_vertex] = 1.0
         np.divide(u, d, out=u)
 
@@ -192,6 +193,11 @@ class PerCornerBlock:
             d_on = d[ft[:, f], r]
             w_sum[:, r] = 0.0
             w_sum[ft[:, f], r] = sin_e[ce[:, f], r] * d_on[_NEXT] * d_on[_PREV]
+        # snapped rows: their nearest vertex's indicator row
+        if nearest is not None:
+            r = np.nonzero(near)[0]
+            w_sum[:, r] = 0.0
+            w_sum[nearest[r], r] = 1.0
         out.w_sum[rows] = w_sum.T
         if out.flags is not None:
             out.flags[rows] = _flags(ws, geo, chord2, det, d, on_rows, near)

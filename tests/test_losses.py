@@ -34,6 +34,7 @@ from cagewarp.losses import (
     symmetry_term,
     term_weights,
     total_terms,
+    weighted_total,
 )
 from cagewarp.mvc import compute_mvc
 from conftest import collapsed_face_box, random_rotation
@@ -314,9 +315,14 @@ class TestSymmetry:
         assert value(symmetry_term(pts)) == value(symmetry_term(mirrored))
 
 
+def breakdown(terms, weights) -> LossBreakdown:
+    """The terms, their weights and their ``weighted_total``."""
+    return LossBreakdown(terms, weights, float(weighted_total(terms, weights)))
+
+
 def shape_breakdown(before, after, cage_after, mode) -> LossBreakdown:
     terms = shape_terms(before, after, cage_after, mode)
-    return LossBreakdown.from_terms(terms, {k: 1.0 for k in terms})
+    return breakdown(terms, {k: 1.0 for k in terms})
 
 
 class TestShapeLoss:
@@ -368,8 +374,7 @@ def total_breakdown(source, deformed, target, m, cage_deformed, align_mode,
                     shape_mode="man_made") -> LossBreakdown:
     terms = total_terms(source, deformed, target, m, cage_deformed,
                         shape_mode, align_mode)
-    return LossBreakdown.from_terms(
-        terms, term_weights(alpha_mvc, alpha_shape, shape_mode))
+    return breakdown(terms, term_weights(alpha_mvc, alpha_shape, shape_mode))
 
 
 class TestTotalLoss:
@@ -394,9 +399,7 @@ class TestTotalLoss:
 
     def test_single_term(self):
         w = np.array([[1.2, -0.3], [0.5, 0.6]])
-        b = LossBreakdown.from_terms(
-            {"mvc": mvc_penalty(w)}, {"mvc": 1.0}
-        )
+        b = breakdown({"mvc": mvc_penalty(w)}, {"mvc": 1.0})
         assert b.total == pytest.approx(float(mvc_penalty(w)))
 
     def test_alpha_scaling(self):

@@ -222,6 +222,37 @@ def test_band_marks_rows_within_ten_tolerances(cage):
     assert np.allclose(g, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
+def test_kernel_node_holds_snapped_and_band_rows(cage):
+    # a taped call with the band on is the kernel's own node: its VJP
+    # holds the snapped rows and the band rows, and no wrapper node does
+    v = cage.vertices
+    vid = np.arange(0, len(v), 7)
+    step = 0.5 * EXCLUSION_FACTOR * vertex_tolerance(v)
+    rng = np.random.default_rng(13)
+    pts = np.concatenate([v[vid], v[vid] + step * _inward(cage, vid),
+                          rng.uniform(-0.4, 0.4, size=(40, 3))])
+    snapped = np.arange(len(vid))
+    cage_var = ad.Var(v)
+    phi, flags, band = mvc_weights(cage_var, cage.faces, pts,
+                                   exclude_band=True)
+    assert phi.op == "mvc_weights"
+    assert len(phi._parents) == 1 and phi._parents[0] is cage_var
+    assert np.all(flags[snapped] == FLAG_ON_VERTEX)
+    assert band.sum() == 2 * len(vid)
+    assert np.array_equal(phi.value[snapped], np.eye(len(v))[vid])
+    _, r = _downstream(len(pts), cage.n_vertices, seed=4)
+    ad.sum_(phi * r).backward()
+    # the held rows pass nothing: the other rows alone give the gradient
+    r_other = np.where(band[:, None], 0.0, r)
+
+    def other(x):
+        phi_x, _ = mvc_weights(x, cage.faces, pts, with_flags=False)
+        return ad.sum_(phi_x * r_other)
+
+    _, want = ad.value_and_grad(other, v)
+    assert np.array_equal(cage_var.grad, want)
+
+
 def _boundary_queries(cage, n, block, seed):
     """n queries with snapped and on-face rows on both sides of every
     boundary of ``block``-row blocks."""
@@ -721,8 +752,8 @@ def test_untaped_call_traced_peak(with_flags, monkeypatch):
 # not ufunc calls, so the count covers the gathers and the interpreter
 # work around the arithmetic, not the arithmetic.  The counts are held
 # exactly: a change that lowers one pins its new value here.
-_KERNEL_CALLS = {("sphere162", 866): (1320, 1053, 3115),
-                 ("sphere42", 48): (132, 117, 249)}
+_KERNEL_CALLS = {("sphere162", 866): (1315, 1048, 3110),
+                 ("sphere42", 48): (127, 112, 244)}
 
 
 @pytest.mark.parametrize("kind, rows", sorted(_KERNEL_CALLS))
