@@ -221,7 +221,7 @@ def cmd_transfer(args, cfg, out):
     cage = meshio.load_mesh(args.cage)
     offsets = meshio.load_offsets(args.offsets)
     novel = meshio.load_mesh(args.shape)
-    deformed = TriMesh(transfer(cage, offsets, novel.vertices).points,
+    deformed = TriMesh(transfer(cage, offsets, novel.vertices),
                        novel.faces.copy())
     out_path = out / "deformed.obj"
     meshio.save_mesh(deformed, out_path)

@@ -219,8 +219,8 @@ def normalize_to_unit_box(mesh: TriMesh) -> tuple[TriMesh, Transform]:
     return mesh.with_vertices(t.apply(mesh.vertices)), t
 
 
-def sample_surface(mesh: TriMesh, n: int, seed: int) -> PointSet:
-    """Draw ``n`` area-uniform surface samples, deterministic per seed."""
+def sample_surface(mesh: TriMesh, n: int, seed: int) -> np.ndarray:
+    """(n, 3) area-uniform surface samples, deterministic per seed."""
     areas = mesh.face_areas()
     total = areas.sum()
     if mesh.n_faces == 0 or total <= 0.0:
@@ -233,8 +233,7 @@ def sample_surface(mesh: TriMesh, n: int, seed: int) -> PointSet:
     b = r1 * (1.0 - r2)
     c = r1 * r2
     tri = mesh.vertices[mesh.faces[fidx]]
-    pts = a[:, None] * tri[:, 0] + b[:, None] * tri[:, 1] + c[:, None] * tri[:, 2]
-    return PointSet(points=pts)
+    return a[:, None] * tri[:, 0] + b[:, None] * tri[:, 1] + c[:, None] * tri[:, 2]
 
 
 class SpatialIndex:

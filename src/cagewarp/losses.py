@@ -281,7 +281,7 @@ def unit_box_samples(mesh: TriMesh, n_samples: int, seed: int) -> np.ndarray:
     to the unit box on its own: the points ``sampled_chamfer_x100``
     compares."""
     mesh_n, _ = normalize_to_unit_box(mesh)
-    return sample_surface(mesh_n, n_samples, seed).points
+    return sample_surface(mesh_n, n_samples, seed)
 
 
 def sampled_chamfer_x100(a: TriMesh, b: TriMesh, n_samples: int = 5000,

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import DEGENERATE_FACE_AREA, MeshError, PointSet, TriMesh
+from .geometry import DEGENERATE_FACE_AREA, MeshError, TriMesh, as_positions
 
 
 _WRITE_CHUNK = 4096   # rows formatted per write
@@ -224,21 +224,21 @@ def _read_csv_rows(path, width: int, convert, layout: str,
     return rows
 
 
-def load_points(path) -> PointSet:
-    """Load a point set from OBJ `v` records or a CSV of x,y,z rows."""
+def load_points(path) -> np.ndarray:
+    """(N, 3) positions from OBJ `v` records or a CSV of x,y,z rows."""
     p = Path(path)
     if p.suffix.lower() == ".csv":
         pts = _read_csv_rows(p, 3, float, "x,y,z", "bad coordinate")
-        return PointSet(points=np.array(pts, dtype=np.float64).reshape(-1, 3))
-    mesh = load_mesh(p)
-    return PointSet(points=mesh.vertices)
+        return np.array(pts, dtype=np.float64).reshape(-1, 3)
+    return load_mesh(p).vertices
 
 
-def save_points(points: PointSet, path) -> None:
+def save_points(points, path) -> None:
+    """Write positions as x,y,z CSV rows or OBJ `v` records, by suffix."""
     fmt = ("%.17g,%.17g,%.17g\n" if Path(path).suffix.lower() == ".csv"
            else "v %.17g %.17g %.17g\n")
     with open(path, "w") as fh:
-        _write_rows(fh, fmt, points.points)
+        _write_rows(fh, fmt, as_positions(points))
 
 
 def load_landmarks(path) -> np.ndarray:

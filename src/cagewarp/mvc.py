@@ -94,7 +94,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import runtime
-from .geometry import PointSet, TriMesh, as_positions, validate_cage
+from .geometry import TriMesh, as_positions, validate_cage
 
 FLAG_INTERIOR = 0
 FLAG_ON_VERTEX = 1
@@ -910,26 +910,29 @@ def _guard(x, tmp, mask, bad=None):
 
 def compute_mvc(cage: TriMesh, points, *,
                 with_flags: bool = True) -> MvcMatrix:
-    """Mean value coordinates of ``points`` with respect to ``cage``.
+    """Mean value coordinates of ``points`` with respect to ``cage``; a
+    non-finite cage vertex or query row raises MvcError.
 
     ``with_flags=False`` skips the row classification (``flags`` None), for
     callers that read only the weights.
     """
     validate_cage(cage)
-    phi, flags = mvc_weights(cage.vertices, cage.faces, as_positions(points),
+    pts = as_positions(points)
+    for what, x in (("cage vertex", cage.vertices), ("query row", pts)):
+        bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+        if bad.size:
+            raise MvcError(f"non-finite {what} {bad[0]}: {x[bad[0]].tolist()}")
+    phi, flags = mvc_weights(cage.vertices, cage.faces, pts,
                              with_flags=with_flags)
     return MvcMatrix(weights=np.asarray(phi), flags=flags)
 
 
-def deform(points, mvc: MvcMatrix, deformed_cage_vertices) -> PointSet:
-    """Interpolate new cage vertex positions: p_i' = sum_j phi_ji v_j'."""
+def deform(mvc: MvcMatrix, deformed_cage_vertices) -> np.ndarray:
+    """Deformed positions p_i' = sum_j phi_ji v_j', one row per weight row."""
     verts = np.asarray(deformed_cage_vertices, dtype=np.float64).reshape(-1, 3)
     if verts.shape[0] != mvc.n_cage_vertices:
         raise ValueError(
             f"cage vertex count {verts.shape[0]} does not match "
             f"{mvc.n_cage_vertices} weight columns"
         )
-    pts = as_positions(points)
-    if len(pts) != mvc.n_points:
-        raise ValueError("point count does not match weight rows")
-    return PointSet(points=mvc.weights @ verts)
+    return mvc.weights @ verts

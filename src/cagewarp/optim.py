@@ -257,6 +257,8 @@ def check_minimums(cfg: PipelineConfig, *keys: str) -> None:
 
 
 def _check_normalized(mesh: TriMesh, name: str, tol: float = 1e-6) -> None:
+    if not np.isfinite(mesh.vertices).all():
+        raise ValueError(f"{name} has non-finite vertices")
     lo, hi = mesh.bbox()
     side = (hi - lo).max()
     center = 0.5 * (lo + hi)
@@ -267,20 +269,15 @@ def _check_normalized(mesh: TriMesh, name: str, tol: float = 1e-6) -> None:
         )
 
 
-def _loss_pointset(source: TriMesh, cfg: PipelineConfig) -> PointSet:
-    """Point set the losses are evaluated on, with plane fits attached."""
+def _loss_points(source: TriMesh, target: TriMesh, cfg: PipelineConfig):
+    """The losses' source point set, plane fits attached, and target
+    positions: ``n_sample_points`` samples of each, or their vertices."""
     if cfg.n_sample_points > 0:
-        ps = sample_surface(source, cfg.n_sample_points, cfg.seed)
-        ps = PointSet(points=ps.points,
-                      neighborhoods=knn_neighborhoods(ps.points, k=SAMPLE_KNN))
-        return attach_pca_frames(ps)
-    return pointset_from_mesh_vertices(source)
-
-
-def _target_points(target: TriMesh, cfg: PipelineConfig) -> np.ndarray:
-    if cfg.n_sample_points > 0:
-        return sample_surface(target, cfg.n_sample_points, cfg.seed).points
-    return target.vertices.copy()
+        pts = sample_surface(source, cfg.n_sample_points, cfg.seed)
+        source_ps = attach_pca_frames(PointSet(
+            points=pts, neighborhoods=knn_neighborhoods(pts, k=SAMPLE_KNN)))
+        return source_ps, sample_surface(target, cfg.n_sample_points, cfg.seed)
+    return pointset_from_mesh_vertices(source), target.vertices.copy()
 
 
 def deform_pair(source: TriMesh, target: TriMesh,
@@ -320,8 +317,7 @@ def deform_pair(source: TriMesh, target: TriMesh,
         cage0 = cage_around(source, cfg.cage_template, cfg.cage_scale)
         cage_faces = cage0.faces
 
-        source_ps = _loss_pointset(source, cfg)
-        target_pts = _target_points(target, cfg)
+        source_ps, target_pts = _loss_points(source, target, cfg)
         target_index = (losses.SpatialIndex(target_pts)
                         if cfg.align_mode == "chamfer" else None)
 
@@ -361,7 +357,7 @@ def deform_pair(source: TriMesh, target: TriMesh,
         cage = TriMesh(params["cage"], cage_faces)
         deformed_cage = TriMesh(params["cage"] + params["offsets"], cage_faces)
         deformed = transfer(cage, params["offsets"], source.vertices)
-        deformed_mesh = TriMesh(deformed.points, source.faces.copy())
+        deformed_mesh = TriMesh(deformed, source.faces.copy())
         report.final_metrics = losses.eval_metrics(
             deformed_mesh, target, source,
             n_samples=cfg.n_eval_samples, seed=cfg.seed,
@@ -370,9 +366,8 @@ def deform_pair(source: TriMesh, target: TriMesh,
         return cage, deformed_cage, deformed_mesh, report
 
 
-def fit_cage(template_cage: TriMesh, source_shape: PointSet,
-             novel_shape: PointSet, landmarks: np.ndarray,
-             cfg: PipelineConfig | None = None):
+def fit_cage(template_cage: TriMesh, source_shape, novel_shape,
+             landmarks: np.ndarray, cfg: PipelineConfig | None = None):
     """Fit the template cage to a novel shape via landmark MVC consistency.
 
     Minimizes the sum of squared differences between the template's weight
@@ -391,7 +386,12 @@ def fit_cage(template_cage: TriMesh, source_shape: PointSet,
     if np.isnan(cfg.consistency_threshold):
         raise ValueError("consistency_threshold must not be NaN")
     with runtime.thread_cap(cfg.threads):
-        landmarks = np.asarray(landmarks, dtype=np.int64).reshape(-1, 2)
+        pairs = np.asarray(landmarks).reshape(-1, 2)
+        bad = ~(np.isfinite(pairs) & (np.floor(pairs) == pairs)).all(axis=1)
+        if bad.any():
+            raise ValueError("landmark indices must be whole numbers, got "
+                             f"pair {pairs[bad][0].tolist()}")
+        landmarks = pairs.astype(np.int64)
         if not len(landmarks):
             raise ValueError("no landmarks: fit_cage needs at least one "
                              "source,novel index pair")
@@ -442,8 +442,8 @@ def fit_cage(template_cage: TriMesh, source_shape: PointSet,
 
 
 def transfer(fitted_cage: TriMesh, stored_cage_offsets: np.ndarray,
-             novel_shape) -> PointSet:
-    """Deform a novel shape by offsetting its fitted cage."""
+             novel_shape) -> np.ndarray:
+    """Positions of a novel shape deformed by offsetting its fitted cage."""
     offsets = np.asarray(stored_cage_offsets, dtype=np.float64).reshape(-1, 3)
     if offsets.shape[0] != fitted_cage.n_vertices:
         raise ValueError(
@@ -451,4 +451,4 @@ def transfer(fitted_cage: TriMesh, stored_cage_offsets: np.ndarray,
             f"count {fitted_cage.n_vertices}"
         )
     m = compute_mvc(fitted_cage, novel_shape, with_flags=False)
-    return deform(novel_shape, m, fitted_cage.vertices + offsets)
+    return deform(m, fitted_cage.vertices + offsets)

@@ -259,8 +259,7 @@ def eval_toy(predictor: OffsetPredictor, family: SyntheticFamily,
     base = family.source_mesh()
     m = compute_mvc(predictor.cage, base.vertices, with_flags=False)
     cage_v = predictor.cage.vertices
-    bmesh = TriMesh(deform(base.vertices, m, cage_v).points,
-                    base.faces)                 # identity deformation
+    bmesh = TriMesh(deform(m, cage_v), base.faces)  # identity deformation
 
     # the baseline's samples and each target's are sampled and indexed once
     bpts = losses.unit_box_samples(bmesh, n_cd_samples, seed)
@@ -272,9 +271,7 @@ def eval_toy(predictor: OffsetPredictor, family: SyntheticFamily,
         target = family.member(s)
         tpts = losses.unit_box_samples(target, n_cd_samples, seed)
         tindex = losses.SpatialIndex(tpts)
-        dmesh = TriMesh(
-            deform(base.vertices, m, cage_v + predictor.predict(s)).points,
-            base.faces)
+        dmesh = TriMesh(deform(m, cage_v + predictor.predict(s)), base.faces)
         dpts = losses.unit_box_samples(dmesh, n_cd_samples, seed)
         l2s.append(float(losses.l2_corresponded(dmesh, target.vertices)))
         l2s_base.append(float(losses.l2_corresponded(bmesh, target.vertices)))

@@ -175,11 +175,11 @@ def test_criterion_6_cage_fitting_schedule():
     src_pts = sample_surface(shape, 200, seed=3)
     cage = make_template_cage("sphere42", scale=(0.70, 0.54, 0.60))
     t = np.array([0.08, -0.05, 0.03])
-    novel = PointSet(points=src_pts.points + t)
+    novel = PointSet(points=src_pts + t)
     landmarks = np.stack([np.arange(83), np.arange(83)], axis=1)
 
     # analytic zero before optimizing
-    rows_src = compute_mvc(cage, src_pts.points[:83]).weights
+    rows_src = compute_mvc(cage, src_pts[:83]).weights
     rows_shift = compute_mvc(TriMesh(cage.vertices + t, cage.faces),
                              novel.points[:83]).weights
     residual = float(np.sum((rows_src - rows_shift) ** 2))
@@ -288,7 +288,7 @@ def test_criterion_9_thread_determinism():
     shape = make_template_cage("sphere162", scale=(0.3, 0.22, 0.25))
     pts = sample_surface(shape, 120, seed=3)
     cage = make_template_cage("sphere42", scale=(0.35, 0.27, 0.3))
-    novel = PointSet(points=pts.points + np.array([0.02, -0.01, 0.015]))
+    novel = PointSet(points=pts + np.array([0.02, -0.01, 0.015]))
     lm = np.stack([np.arange(83), np.arange(83)], axis=1)
     fit_traces = []
     for threads in (1, 8):

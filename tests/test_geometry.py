@@ -128,7 +128,7 @@ class TestObjIO:
         path = tmp_path / "pts.csv"
         meshio.save_points(pts, path)
         back = meshio.load_points(path)
-        assert np.array_equal(back.points, pts.points)
+        assert np.array_equal(back, pts.points)
 
 
 class TestNormalize:
@@ -175,15 +175,15 @@ class TestSampling:
             np.array([[0, 1, 2], [0, 2, 3]]),
         )
         pts = sample_surface(mesh, 100_000, seed=0)
-        assert np.abs(pts.points.mean(axis=0)[:2] - 0.5).max() < 0.01
+        assert np.abs(pts.mean(axis=0)[:2] - 0.5).max() < 0.01
 
     def test_deterministic(self):
         mesh = TriMesh(
             np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float),
             np.array([[0, 1, 2]]),
         )
-        a = sample_surface(mesh, 1, seed=7).points
-        b = sample_surface(mesh, 1, seed=7).points
+        a = sample_surface(mesh, 1, seed=7)
+        b = sample_surface(mesh, 1, seed=7)
         assert np.array_equal(a, b)
 
     def test_area_proportional_selection(self):
@@ -199,7 +199,7 @@ class TestSampling:
         areas = mesh.face_areas()
         assert np.allclose(areas, [1.0, 3.0])
         pts = sample_surface(mesh, 100_000, seed=1)
-        frac_small = np.mean(pts.points[:, 0] < 3.0)
+        frac_small = np.mean(pts[:, 0] < 3.0)
         assert abs(frac_small - 0.25) < 0.02
 
     def test_zero_area(self):

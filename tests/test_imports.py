@@ -239,6 +239,27 @@ def test_module_does_not_import(imports, module, forbidden):
     assert forbidden not in imports[module]
 
 
+def bare_pointsets(source):
+    """Lines of the ``PointSet(`` calls in ``source`` that pass no
+    ``neighborhoods=``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            == "PointSet"
+            and "neighborhoods" not in {k.arg for k in node.keywords}]
+
+
+def test_every_pointset_carries_neighborhoods():
+    # positions travel as (N, 3) arrays; a PointSet is a point set with
+    # neighborhoods, and then plane fits, for the shape losses
+    bare = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+            for line in bare_pointsets(path.read_text())]
+    assert bare == []
+    assert bare_pointsets("PointSet(points=p)\n"
+                          "g.PointSet(points=p, neighborhoods=n)\n"
+                          "g.PointSet(p)\n") == [1, 3]
+
+
 def test_package_imports_reads_every_form():
     source = """
 from . import autodiff as ad

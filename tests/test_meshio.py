@@ -48,7 +48,7 @@ def test_save_points_bytes_match_per_row_output(tmp_path, suffix):
     fmt = ("{:.17g},{:.17g},{:.17g}\n" if suffix == ".csv"
            else "v {:.17g} {:.17g} {:.17g}\n")
     assert path.read_text() == _per_row(fmt, pts)
-    assert np.array_equal(meshio.load_points(path).points, pts)
+    assert np.array_equal(meshio.load_points(path), pts)
 
 
 def test_save_offsets_and_landmarks_bytes(tmp_path):
@@ -261,7 +261,7 @@ def test_mesh_of_one_point_rejected(tmp_path):
 
 
 CSV_READERS = {
-    "points": (lambda p: meshio.load_points(p).points, "1,2,3", "x,y,z",
+    "points": (meshio.load_points, "1,2,3", "x,y,z",
                "bad coordinate", "1,2,z"),
     "landmarks": (meshio.load_landmarks, "1,2", "src_index,dst_index",
                   "bad landmark index", "1,2.5"),

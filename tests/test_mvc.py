@@ -135,6 +135,21 @@ class TestRobustQueries:
         e[4] = 1.0
         assert np.array_equal(m.weights[0], e)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_row_rejected(self, octa, bad):
+        # the kernel gave this row NaN weights, flagged exterior
+        pts = np.zeros((4, 3))
+        pts[2, 1] = bad
+        with pytest.raises(MvcError, match=r"^non-finite query row 2: "):
+            compute_mvc(octa, pts)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cage_vertex_rejected(self, octa, bad):
+        v = octa.vertices.copy()
+        v[3, 0] = bad
+        with pytest.raises(MvcError, match=r"^non-finite cage vertex 3: "):
+            compute_mvc(TriMesh(v, octa.faces), np.zeros((2, 3)))
+
 
 class TestOracle:
     def test_ray_oracle_agreement_small(self, tetra, octa):
@@ -153,16 +168,16 @@ class TestDeform:
         rng = np.random.default_rng(12)
         pts = rng.uniform(-0.4, 0.4, size=(30, 3))
         m = compute_mvc(octa, pts)
-        out = deform(pts, m, octa.vertices)
-        assert np.abs(out.points - pts).max() < 1e-7
+        out = deform(m, octa.vertices)
+        assert np.abs(out - pts).max() < 1e-7
 
     def test_translation(self, octa):
         rng = np.random.default_rng(13)
         pts = rng.uniform(-0.4, 0.4, size=(30, 3))
         m = compute_mvc(octa, pts)
         t = np.array([0.3, -1.2, 2.5])
-        out = deform(pts, m, octa.vertices + t)
-        assert np.abs(out.points - (pts + t)).max() < 1e-9
+        out = deform(m, octa.vertices + t)
+        assert np.abs(out - (pts + t)).max() < 1e-9
 
     def test_affine_reproduction(self, octa):
         rng = np.random.default_rng(14)
@@ -170,13 +185,13 @@ class TestDeform:
         m = compute_mvc(octa, pts)
         a = rng.normal(size=(3, 3))
         b = rng.normal(size=3)
-        out = deform(pts, m, octa.vertices @ a.T + b)
-        assert np.abs(out.points - (pts @ a.T + b)).max() < 1e-7
+        out = deform(m, octa.vertices @ a.T + b)
+        assert np.abs(out - (pts @ a.T + b)).max() < 1e-7
 
     def test_dimension_mismatch(self, octa):
         m = compute_mvc(octa, np.zeros((1, 3)))
         with pytest.raises(ValueError):
-            deform(np.zeros((1, 3)), m, octa.vertices[:4])
+            deform(m, octa.vertices[:4])
 
 
 class TestTolerances:

@@ -257,8 +257,8 @@ class TestDeformPair:
                              n_eval_samples=1000)
         cage, dcage, dmesh, rep = deform_pair(src, src, cfg)
         assert rep.trace[-1].total <= rep.trace[0].total
-        got = chamfer(sample_surface(dmesh, 1000, 0).points,
-                      sample_surface(src, 1000, 0).points)
+        got = chamfer(sample_surface(dmesh, 1000, 0),
+                      sample_surface(src, 1000, 0))
         assert got <= 1e-4
         assert cage.n_vertices == 42
         assert np.array_equal(dmesh.faces, src.faces)
@@ -304,6 +304,20 @@ class TestDeformPair:
         cfg = PipelineConfig(seed=0, max_iters=2, align_mode="l2")
         with pytest.raises(ValueError, match=_L2_MESSAGE):
             deform_pair(src, tgt, cfg)
+        assert called == []
+
+    @pytest.mark.parametrize("which", ["source", "target"])
+    def test_non_finite_vertex_rejected_before_work(self, monkeypatch, which):
+        # NaN fails every comparison, so the unit-box check let it through
+        called = _spy_on_setup(monkeypatch)
+        meshes = {"source": normalized_box(3), "target": normalized_box(3)}
+        v = meshes[which].vertices.copy()
+        v[5, 1] = np.nan
+        meshes[which] = TriMesh(v, meshes[which].faces)
+        with pytest.raises(ValueError,
+                           match=f"^{which} mesh has non-finite vertices$"):
+            deform_pair(meshes["source"], meshes["target"],
+                        PipelineConfig(max_iters=2))
         assert called == []
 
     def test_deterministic_across_threads(self):
@@ -713,7 +727,7 @@ class TestDeformPair:
         shape = make_template_cage("sphere162", scale=(0.30, 0.22, 0.25))
         pts = sample_surface(shape, 100, seed=3)
         cage = make_template_cage("sphere42", scale=(0.35, 0.27, 0.30))
-        novel = PointSet(points=pts.points + 1e-6)
+        novel = PointSet(points=pts + 1e-6)
         lm = np.stack([np.arange(60), np.arange(60)], axis=1)
         cfg = PipelineConfig(seed=0, step_size=0.5, max_iters=50,
                              consistency_threshold=1e-300)
@@ -743,10 +757,10 @@ class TestFitCage:
     def test_translated_shape_recovered(self):
         pts, cage = self._shape_and_cage()
         t = np.array([0.02, -0.015, 0.01])
-        novel = PointSet(points=pts.points + t)
+        novel = PointSet(points=pts + t)
         lm = np.stack([np.arange(83), np.arange(83)], axis=1)
         # residual at the analytic solution is an exact zero of the objective
-        rows_src = compute_mvc(cage, pts.points[:83]).weights
+        rows_src = compute_mvc(cage, pts[:83]).weights
         shifted = TriMesh(cage.vertices + t, cage.faces)
         rows_at_solution = compute_mvc(shifted, novel.points[:83]).weights
         assert float(np.sum((rows_src - rows_at_solution) ** 2)) < 1e-18
@@ -779,6 +793,24 @@ class TestFitCage:
         pts, cage = self._shape_and_cage()
         with pytest.raises(IndexError):
             fit_cage(cage, pts, pts, np.array([[0, 9999]]), PipelineConfig())
+
+    @pytest.mark.parametrize("landmarks, named", [
+        ([[0.9, 1.6], [2.2, 3.7], [4.0, 5.0]], r"\[0\.9, 1\.6\]"),
+        ([[0, 1], [np.nan, 2]], r"\[nan, 2\.0\]"),
+    ], ids=["fractions", "nan"])
+    def test_non_whole_landmark_indices_rejected(self, landmarks, named):
+        # a float pair was truncated to the indices below it
+        pts, cage = self._shape_and_cage()
+        with pytest.raises(ValueError, match=f"whole numbers, got pair {named}"):
+            fit_cage(cage, pts, pts, landmarks, PipelineConfig(max_iters=2))
+
+    def test_whole_number_float_landmarks_are_indices(self):
+        pts, cage = self._shape_and_cage()
+        cfg = PipelineConfig(seed=0, max_iters=2, consistency_threshold=0.0)
+        lm = np.stack([np.arange(40), np.arange(40)[::-1]], axis=1)
+        as_int, _ = fit_cage(cage, pts, pts, lm, cfg)
+        as_float, _ = fit_cage(cage, pts, pts, lm.astype(float), cfg)
+        assert np.array_equal(as_int.vertices, as_float.vertices)
 
     def test_no_landmarks_rejected(self):
         pts, cage = self._shape_and_cage()
@@ -823,7 +855,7 @@ class TestFitCage:
         pts, cage = self._shape_and_cage()
         lm = np.stack([np.arange(50), np.arange(50)], axis=1)
         cfg = PipelineConfig(seed=0, max_iters=37)
-        fitted, rep = fit_cage(cage, pts, PointSet(points=pts.points + 0.05),
+        fitted, rep = fit_cage(cage, pts, PointSet(points=pts + 0.05),
                                lm, cfg)
         last = rep.trace[-1].terms["consistency"]
         assert (last < cfg.consistency_threshold) or (rep.iterations == 37)
@@ -839,7 +871,7 @@ class TestFitCage:
         monkeypatch.setattr(losses, "cage_laplacian_loss", nan_gradient)
         pts, cage = self._shape_and_cage()
         lm = np.stack([np.arange(40), np.arange(40)], axis=1)
-        novel = PointSet(points=pts.points + 0.01)
+        novel = PointSet(points=pts + 0.01)
         with pytest.raises(OptimizationError) as err:
             fit_cage(cage, pts, novel, lm, PipelineConfig(seed=0, max_iters=5))
         rep = err.value.report
@@ -892,7 +924,7 @@ class TestFitCage:
         monkeypatch.setattr(losses, "cot_laplacian", counting_build)
         pts, cage = self._shape_and_cage()
         lm = np.stack([np.arange(40), np.arange(40)], axis=1)
-        _, rep = fit_cage(cage, pts, PointSet(points=pts.points + 0.01), lm,
+        _, rep = fit_cage(cage, pts, PointSet(points=pts + 0.01), lm,
                           PipelineConfig(seed=0, max_iters=6,
                                          consistency_threshold=0.0))
         assert rep.iterations == 6
@@ -903,7 +935,7 @@ class TestFitCage:
         # k - 1 steps: the check runs before the Adam step
         pts, cage = self._shape_and_cage()
         lm = np.stack([np.arange(50), np.arange(50)], axis=1)
-        novel = PointSet(points=pts.points + 0.01)
+        novel = PointSet(points=pts + 0.01)
         _, free = fit_cage(cage, pts, novel, lm, PipelineConfig(
             seed=0, max_iters=10, consistency_threshold=0.0))
         cons = [b.terms["consistency"] for b in free.trace]
@@ -925,14 +957,14 @@ class TestTransfer:
         rng = np.random.default_rng(7)
         pts = rng.uniform(-0.4, 0.4, size=(25, 3))
         out = transfer(octa, np.zeros((6, 3)), pts)
-        assert np.abs(out.points - pts).max() < 1e-7
+        assert np.abs(out - pts).max() < 1e-7
 
     def test_constant_offsets_translate(self, octa):
         rng = np.random.default_rng(8)
         pts = rng.uniform(-0.4, 0.4, size=(25, 3))
         t = np.array([0.5, -1.0, 0.25])
         out = transfer(octa, np.tile(t, (6, 1)), pts)
-        assert np.abs(out.points - (pts + t)).max() < 1e-9
+        assert np.abs(out - (pts + t)).max() < 1e-9
 
     def test_offset_count_mismatch(self, octa):
         with pytest.raises(ValueError):
@@ -946,7 +978,7 @@ class TestTransfer:
         base = transfer(octa, offsets, pts)
         moved = transfer(TriMesh(octa.vertices + t, octa.faces), offsets,
                          pts + t)
-        assert np.abs(moved.points - (base.points + t)).max() < 1e-9
+        assert np.abs(moved - (base + t)).max() < 1e-9
 
     def test_self_transfer_consistency(self):
         src = normalized_box(4)
@@ -957,7 +989,7 @@ class TestTransfer:
         cage, dcage, dmesh, _ = deform_pair(src, tgt, cfg)
         offsets = dcage.vertices - cage.vertices
         replay = transfer(cage, offsets, src.vertices)
-        assert np.abs(replay.points - dmesh.vertices).max() < 1e-6
+        assert np.abs(replay - dmesh.vertices).max() < 1e-6
 
 
 class TestTapeNodes:
