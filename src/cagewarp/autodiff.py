@@ -10,12 +10,14 @@ have handed it on, so after the pass only leaves (nodes without parents)
 hold a ``.grad``; the tape's dead gradients are freed while it runs.
 
 The module holds only the ops the pipelines and losses use (arithmetic,
-indexing, reductions, ``matmul``, ``norm``, ``dot_last``, ``where``,
+indexing, ``sum_``, ``mean_``, ``matmul``, ``dot_last``, ``where``,
 ``minimum``, ``absolute``, ``tanh``, shape ops and ``smallest_eigvec``),
 each with only the arguments they pass: ``sum_`` takes an axis, ``mean_``
-and ``ordered_sum`` reduce everything, ``norm`` runs along the last axis.
-The mean value coordinate kernel is a single node with a hand-written VJP
-(``mvc.py``).
+reduces everything.  ``ordered_sum`` is the one function that takes only
+arrays: a loop-order total for losses that record themselves.  The mean
+value coordinate kernel is a single node with a hand-written VJP
+(``mvc.py``), and so are the penalty, corresponded L2, consistency and
+cage-Laplacian losses (``losses.py``).
 
 All data-dependent decisions (branch masks, nearest-neighbor picks, sign
 choices) are made on primal values; the recorded partials are those of the
@@ -298,27 +300,18 @@ def sum_(x, axis=None):
     )
 
 
-def _ordered_total(a):
-    a = np.ravel(a)
-    return np.cumsum(a)[-1] if a.size else np.float64(0.0)
-
-
 def ordered_sum(x):
-    """Sum of all entries, added one at a time in row-major order.
+    """Sum of all entries of an array, added one at a time in row-major
+    order.
 
     ``sum_`` uses numpy's pairwise summation, whose result depends on the
     block structure of the reduction.  This reduction instead equals the
     plain loop ``acc = 0.0; for v in x.ravel(): acc += v`` bit for bit, so a
-    loss defined by that loop reproduces it exactly.  The gradient is the
-    same broadcast as ``sum_``'s.
+    loss defined by that loop reproduces it exactly.  It records nothing:
+    the losses that use it are tape nodes with their own VJPs.
     """
-    if not is_var(x):
-        return _ordered_total(np.asarray(x, dtype=np.float64))
-
-    def vjp(g, shape=x.value.shape):
-        return np.broadcast_to(g, shape).copy()
-
-    return Var._make(_ordered_total(x.value), (x,), (vjp,), "ordered_sum")
+    a = np.ravel(np.asarray(x, dtype=np.float64))
+    return np.cumsum(a)[-1] if a.size else np.float64(0.0)
 
 
 def mean_(x):
@@ -339,26 +332,6 @@ def matmul(a, b):
         return _unbroadcast(np.matmul(np.swapaxes(avv, -1, -2), g), s)
 
     return Var._make(out, (a, b), (vjp_a, vjp_b), "matmul")
-
-
-def norm(x):
-    """Euclidean norm along the last axis; its gradient at zero is 0."""
-    xv = val(x)
-    out = np.sqrt(np.sum(np.square(xv), axis=-1))
-    if not is_var(x):
-        return out
-
-    def vjp(g, xv=xv, o=out[..., None]):
-        # x / |x| has no limit at 0; take 0 there (a subgradient) instead of
-        # 0/0 = NaN, which a later mask would turn into 0 * NaN = NaN.
-        return g[..., None] * xv / np.where(o == 0.0, 1.0, o)
-
-    return Var._make(
-        out,
-        (x,),
-        (vjp,),
-        "norm",
-    )
 
 
 def dot_last(a, b):

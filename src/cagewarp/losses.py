@@ -70,13 +70,48 @@ def chamfer(a, b, index_a=None, index_b=None):
             + ad.mean_(ad.sum_(d_ba * d_ba, axis=-1)))
 
 
+def _batch_positions(x):
+    """``as_positions``, except that an array of more than two axes keeps
+    its (..., 3) shape: a batch of point sets."""
+    if isinstance(x, np.ndarray) and x.ndim > 2:
+        return x.astype(np.float64, copy=False)
+    return as_positions(x)
+
+
+def _squares_vjp(d, divisor, negate):
+    """The gradient the generic chain ``sum(d * d) / divisor`` (no division
+    for None) hands the minuend of d, or with ``negate`` its subtrahend,
+    with the chain's bits: the product's two halves, (g / divisor) * d, are
+    added."""
+
+    def vjp(g):
+        h = np.multiply(g if divisor is None else g / divisor, d)
+        h += h
+        return np.negative(h, out=h) if negate else h
+
+    return vjp
+
+
 def l2_corresponded(a, b):
-    """Mean squared distance between index-corresponding points."""
-    pa, pb = as_positions(a), as_positions(b)
-    if ad.val(pa).shape != ad.val(pb).shape:
+    """Mean squared distance between index-corresponding points.
+
+    ``a`` and ``b`` are positions of one shape (..., 3), a batch of point
+    sets too.  With either on the tape it is one tape node with the bits of
+    the generic chain ``mean_(sum_(d * d, axis=-1))`` of d = a - b.
+    """
+    pa, pb = _batch_positions(a), _batch_positions(b)
+    av, bv = ad.val(pa), ad.val(pb)
+    if av.shape != bv.shape:
         raise ValueError("corresponded point sets must have equal size")
-    d = pa - pb
-    return ad.mean_(ad.sum_(d * d, axis=-1))
+    d = av - bv
+    per_point = np.sum(d * d, axis=-1)
+    count = float(per_point.size)
+    value = np.sum(per_point) / count
+    if not (ad.is_var(pa) or ad.is_var(pb)):
+        return value
+    return ad.Var._make(value, (pa, pb), (_squares_vjp(d, count, False),
+                                          _squares_vjp(d, count, True)),
+                        "l2_corresponded")
 
 
 # -- cage weight regularization ----------------------------------------------
@@ -236,12 +271,20 @@ def mvc_consistency(rows_a, rows_b):
 
     Summed in row-major order, one entry at a time, so the value equals the
     double loop over rows and columns bit for bit (numpy's pairwise sum
-    differs from it by a few ulp).
+    differs from it by a few ulp).  With either block on the tape it is one
+    tape node with the bits of the generic chain ``ordered_sum(d * d)`` of
+    d = rows_a - rows_b.
     """
-    if ad.val(rows_a).shape != ad.val(rows_b).shape:
+    av, bv = ad.val(rows_a), ad.val(rows_b)
+    if av.shape != bv.shape:
         raise ValueError("weight row blocks must have equal shape")
-    d = rows_a - rows_b
-    return ad.ordered_sum(d * d)
+    d = av - bv
+    value = ad.ordered_sum(d * d)
+    if not (ad.is_var(rows_a) or ad.is_var(rows_b)):
+        return value
+    return ad.Var._make(value, (rows_a, rows_b), (_squares_vjp(d, None, False),
+                                                  _squares_vjp(d, None, True)),
+                        "mvc_consistency")
 
 
 class CageLaplacian:
@@ -263,14 +306,28 @@ def cage_laplacian_loss(ref: CageLaplacian, cage_after_vertices):
     ``ref`` is the ``CageLaplacian`` of the undeformed cage; its cotangent
     weights serve both evaluations.  The per-vertex squares are summed in
     vertex order, one at a time, so the value equals the loop over vertices
-    bit for bit.
+    bit for bit.  With the vertices on the tape it is one tape node with the
+    bits of the generic chain ``ordered_sum(d * d)`` of d = |L v| - |L v0|;
+    a vertex whose |L v| is 0 passes a gradient of 0 (a subgradient of the
+    norm) instead of 0/0.
     """
     after = cage_after_vertices
-    if ad.val(after).shape != ref.shape:
+    xv = ad.val(after)
+    if xv.shape != ref.shape:
         raise ValueError("cage connectivity mismatch")
-    mag_after = ad.norm(ad.matmul(ref.lap, after))
-    d = mag_after - ref.mag
-    return ad.ordered_sum(d * d)
+    lv = np.matmul(ref.lap, xv)
+    mag = np.sqrt(np.sum(np.square(lv), axis=-1))
+    d = mag - ref.mag
+    value = ad.ordered_sum(d * d)
+    if not ad.is_var(after):
+        return value
+    halves = _squares_vjp(d, None, False)
+
+    def vjp(g):
+        g_lv = halves(g)[:, None] * lv / np.where(mag == 0.0, 1.0, mag)[:, None]
+        return np.matmul(np.swapaxes(ref.lap, -1, -2), g_lv)
+
+    return ad.Var._make(value, (after,), (vjp,), "cage_laplacian_loss")
 
 
 # -- evaluation metrics --------------------------------------------------------------

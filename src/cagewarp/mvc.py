@@ -928,11 +928,16 @@ def compute_mvc(cage: TriMesh, points, *,
 
 
 def deform(mvc: MvcMatrix, deformed_cage_vertices) -> np.ndarray:
-    """Deformed positions p_i' = sum_j phi_ji v_j', one row per weight row."""
+    """Deformed positions p_i' = sum_j phi_ji v_j', one row per weight row;
+    a non-finite deformed cage vertex raises MvcError."""
     verts = np.asarray(deformed_cage_vertices, dtype=np.float64).reshape(-1, 3)
     if verts.shape[0] != mvc.n_cage_vertices:
         raise ValueError(
             f"cage vertex count {verts.shape[0]} does not match "
             f"{mvc.n_cage_vertices} weight columns"
         )
+    bad = np.flatnonzero(~np.isfinite(verts).all(axis=1))
+    if bad.size:
+        raise MvcError(f"non-finite deformed cage vertex {bad[0]}: "
+                       f"{verts[bad[0]].tolist()}")
     return mvc.weights @ verts

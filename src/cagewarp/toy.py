@@ -219,10 +219,9 @@ def train_toy(family: SyntheticFamily, source_cage: TriMesh,
     def evaluate(pvars):
         offsets = forward_offsets(pvars, descriptors)           # (B, C, 3)
         deformed = ad.matmul(phi, source_cage.vertices + offsets)  # (B, N, 3)
-        diff = deformed - targets
         terms = {
             "mvc": penalty_const,
-            "align": ad.mean_(ad.sum_(diff * diff, axis=-1)),
+            "align": losses.l2_corresponded(deformed, targets),
         }
         if "p2f" in wmap:
             p2f_sum = None

@@ -37,6 +37,7 @@ from cagewarp.losses import (
     weighted_total,
 )
 from cagewarp.mvc import compute_mvc
+import loss_chains as chains
 from conftest import collapsed_face_box, random_rotation
 
 
@@ -87,6 +88,33 @@ class TestChamfer:
         assert chamfer(a, b, SpatialIndex(a), SpatialIndex(b)) == want
 
 
+def assert_node_matches_chain(node, chain, args, op):
+    """``node(*args)``, one tape node named ``op``, against the generic
+    ``chain`` it stands for, behind a scaled downstream loss.  ``args`` are
+    (array, taped) pairs.  The value (on the tape and off it) and every
+    gradient entry must be equal to the bit, signed zeros too."""
+    got = []
+    for loss_fn in (node, chain):
+        xs = [ad.Var(a) if taped else a for a, taped in args]
+        loss = loss_fn(*xs) * 2.5
+        loss.backward()
+        got.append((np.asarray(loss.value).tobytes(),
+                    [x.grad.view(np.uint64) for x in xs if ad.is_var(x)]))
+    (node_value, node_grads), (chain_value, chain_grads) = got
+    taped = [ad.Var(a) if t else a for a, t in args]
+    out = node(*taped)
+    assert out.op == op
+    assert [id(p) for p in out._parents] == [
+        id(x) for x in taped if ad.is_var(x)]
+    plain = [a for a, _ in args]
+    assert (np.asarray(node(*plain)).tobytes()
+            == np.asarray(chain(*plain)).tobytes())
+    assert node_value == chain_value
+    assert len(node_grads) == len(chain_grads) > 0
+    for g_node, g_chain in zip(node_grads, chain_grads):
+        assert np.array_equal(g_node, g_chain)
+
+
 class TestL2:
     def test_identical(self):
         pts = np.random.default_rng(3).normal(size=(8, 3))
@@ -104,6 +132,26 @@ class TestL2:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             l2_corresponded(np.zeros((2, 3)), np.zeros((3, 3)))
+        with pytest.raises(ValueError):
+            l2_corresponded(np.zeros((2, 4, 3)), np.zeros((2, 3, 3)))
+
+    def test_batch_is_mean_over_every_point(self):
+        rng = np.random.default_rng(14)
+        a, b = rng.normal(size=(4, 6, 3)), rng.normal(size=(4, 6, 3))
+        whole = l2_corresponded(a.reshape(-1, 3), b.reshape(-1, 3))
+        assert l2_corresponded(a, b) == whole
+
+    @pytest.mark.parametrize("taped", ["a", "b", "both"])
+    @pytest.mark.parametrize("shape", [(11, 3), (4, 9, 3)],
+                             ids=["points", "batch"])
+    def test_node_matches_generic_chain(self, shape, taped):
+        rng = np.random.default_rng(12)
+        a, b = rng.normal(size=shape), rng.normal(size=shape)
+        b[0] = a[0]                     # a zero difference
+        assert_node_matches_chain(
+            l2_corresponded, chains.l2_corresponded,
+            [(a, taped in ("a", "both")), (b, taped in ("b", "both"))],
+            "l2_corresponded")
 
 
 class TestMvcPenalty:
@@ -153,10 +201,10 @@ class TestMvcPenalty:
 
         def generic(x):
             if chain == "two_minimums":
-                return ad.ordered_sum(ad.minimum(x, 0.0)
-                                      * ad.minimum(x, 0.0)) / n
+                return chains.ordered_sum(ad.minimum(x, 0.0)
+                                          * ad.minimum(x, 0.0)) / n
             neg = ad.minimum(x, 0.0)
-            return ad.ordered_sum(neg * neg) / n
+            return chains.ordered_sum(neg * neg) / n
 
         got = []
         for penalty in (mvc_penalty, generic):
@@ -474,6 +522,16 @@ class TestConsistency:
         with pytest.raises(ValueError):
             mvc_consistency(np.zeros((2, 3)), np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("taped", ["a", "b", "both"])
+    def test_node_matches_generic_chain(self, taped):
+        rng = np.random.default_rng(22)
+        a, b = rng.uniform(0, 0.2, size=(8, 12)), rng.normal(size=(8, 12))
+        b[:, 3] = a[:, 3]               # zero differences
+        assert_node_matches_chain(
+            mvc_consistency, chains.mvc_consistency,
+            [(a, taped in ("a", "both")), (b, taped in ("b", "both"))],
+            "mvc_consistency")
+
 
 class TestCageLaplacianLoss:
     def test_identity_zero(self, octa):
@@ -497,6 +555,34 @@ class TestCageLaplacianLoss:
     def test_connectivity_mismatch(self, octa):
         with pytest.raises(ValueError):
             cage_laplacian_loss(CageLaplacian(octa), octa.vertices[:4])
+
+    @pytest.mark.parametrize("cage", ["octa", "sphere42"])
+    def test_node_matches_generic_chain(self, octa, cage):
+        if cage == "octa":
+            mesh = octa
+            after = octa.vertices.copy()
+            # vertex 0 at the centre of its four neighbours: L v is 0 there,
+            # so the norm's zero-length rule decides its gradient
+            after[0] = 0.0
+            after[1] += np.random.default_rng(23).normal(scale=0.1, size=3)
+        else:
+            mesh = make_template_cage("sphere42", scale=(0.8, 0.8, 0.8))
+            after = mesh.vertices + np.random.default_rng(24).normal(
+                scale=0.05, size=mesh.vertices.shape)
+        ref = CageLaplacian(mesh)
+        if cage == "octa":
+            assert np.array_equal(ref.lap[0] @ after, np.zeros(3))
+        assert_node_matches_chain(
+            lambda v: cage_laplacian_loss(ref, v),
+            lambda v: chains.cage_laplacian_loss(ref, v),
+            [(after, True)], "cage_laplacian_loss")
+
+    def test_zero_laplacian_vertex_gradient_is_finite(self, octa):
+        after = octa.vertices.copy()
+        after[0] = 0.0
+        x = ad.Var(after)
+        cage_laplacian_loss(CageLaplacian(octa), x).backward()
+        assert np.all(np.isfinite(x.grad))
 
 
 class TestEvalMetrics:

@@ -193,6 +193,15 @@ class TestDeform:
         with pytest.raises(ValueError):
             deform(m, octa.vertices[:4])
 
+    def test_non_finite_vertex_rejected_by_first_row(self, octa):
+        # without the check every deformed row came back NaN, with no error
+        m = compute_mvc(octa, np.zeros((3, 3)))
+        verts = octa.vertices.copy()
+        verts[2, 0], verts[5, 2] = -np.inf, np.nan
+        with pytest.raises(MvcError, match=r"^non-finite deformed cage "
+                           r"vertex 2: \[-inf, 1\.0, 0\.0\]$"):
+            deform(m, verts)
+
 
 class TestTolerances:
     def test_vertex_tolerance_is_relative_to_the_diagonal(self, octa):

@@ -19,7 +19,8 @@ from cagewarp.geometry import (
     sample_surface,
 )
 from cagewarp.losses import chamfer, mvc_penalty
-from cagewarp.mvc import FLAG_EXTERIOR_OK, compute_mvc
+from cagewarp.mvc import FLAG_EXTERIOR_OK, MvcError, compute_mvc
+import loss_chains as chains
 from cagewarp.toy import SyntheticFamily, train_toy
 from conftest import collapsed_face_box, finned_box
 from cagewarp.optim import (
@@ -970,6 +971,14 @@ class TestTransfer:
         with pytest.raises(ValueError):
             transfer(octa, np.zeros((5, 3)), np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_offset_rejected(self, octa, bad):
+        offsets = np.zeros((6, 3))
+        offsets[4, 1] = bad
+        with pytest.raises(MvcError, match=r"^non-finite deformed cage "
+                           rf"vertex 4: \[0\.0, {bad}, 1\.0\]$"):
+            transfer(octa, offsets, np.zeros((2, 3)))
+
     def test_translation_commutes(self, octa):
         rng = np.random.default_rng(9)
         pts = rng.uniform(-0.4, 0.4, size=(20, 3))
@@ -995,9 +1004,10 @@ class TestTransfer:
 class TestTapeNodes:
     """The nodes each step's backward pass reaches, a cost guard: a term or
     an op added to a step's tape fails here.  The counts do not depend on
-    the input sizes; the benchmark's inputs give the same 93, 13 and 21
-    (``autodiff.tape_nodes``).  ``deform_pair``'s negative-weight penalty
-    is one node (``losses.mvc_penalty``); as a 4-node chain it made 96."""
+    the input sizes; the benchmark's inputs give the same 93, 7 and 17
+    (``autodiff.tape_nodes``).  The negative-weight penalty, corresponded
+    L2, consistency and cage-Laplacian losses are one node each; as the
+    generic chains of ``tests/loss_chains.py`` they made 96, 13 and 21."""
 
     @pytest.fixture
     def nodes(self, monkeypatch):
@@ -1023,9 +1033,62 @@ class TestTapeNodes:
         lm = np.stack([np.arange(12), np.arange(12)], axis=1)
         fit_cage(cage, PointSet(points=pts), PointSet(points=pts * 1.1), lm,
                  PipelineConfig(max_iters=2))
-        assert nodes == [13, 13]
+        assert nodes == [7, 7]
 
     def test_train_toy(self, nodes):
         fam = SyntheticFamily()
         train_toy(fam, fam.default_cage(), epochs=2, n_train=2)
-        assert nodes == [21, 21]
+        assert nodes == [17, 17]
+
+
+class TestOneNodeLossesInPipelines:
+    """Each pipeline that runs a one-node loss gives the bits it gives with
+    the generic chain of ``tests/loss_chains.py`` in its place: the trace,
+    and the parameters after a few Adam steps, where the deformed points
+    also receive the shape terms' gradients."""
+
+    @staticmethod
+    def _both(monkeypatch, run, *names):
+        plain = run()
+        for name in names:
+            monkeypatch.setattr(losses, name, getattr(chains, name))
+        return plain, run()
+
+    @staticmethod
+    def _same_trace(a, b):
+        assert a.trace_dicts() == b.trace_dicts()
+
+    def test_train_toy_with_shape_term(self, monkeypatch):
+        fam = SyntheticFamily()
+        cage = fam.default_cage()
+        (pa, ra), (pb, rb) = self._both(
+            monkeypatch, lambda: train_toy(fam, cage, epochs=4, n_train=3,
+                                           alpha_shape=0.05),
+            "l2_corresponded")
+        self._same_trace(ra, rb)
+        for k, v in pa.params().items():
+            assert np.array_equal(v, pb.params()[k])
+
+    def test_deform_pair_l2(self, monkeypatch):
+        src = normalized_box(3)
+        tgt, _ = normalize_to_unit_box(
+            TriMesh(src.vertices * np.array([1.2, 0.9, 0.8]), src.faces))
+        cfg = PipelineConfig(align_mode="l2", max_iters=3, n_eval_samples=100)
+        (ca, da, ma, ra), (cb, db, mb, rb) = self._both(
+            monkeypatch, lambda: deform_pair(src, tgt, cfg), "l2_corresponded")
+        self._same_trace(ra, rb)
+        for x, y in ((ca, cb), (da, db), (ma, mb)):
+            assert np.array_equal(x.vertices, y.vertices)
+
+    def test_fit_cage(self, monkeypatch):
+        cage = make_template_cage("sphere42", scale=(0.8, 0.8, 0.8))
+        pts = np.random.default_rng(0).uniform(-0.3, 0.3, size=(12, 3))
+        lm = np.stack([np.arange(12), np.arange(12)], axis=1)
+        cfg = PipelineConfig(max_iters=4, consistency_threshold=0.0)
+        (fa, ra), (fb, rb) = self._both(
+            monkeypatch,
+            lambda: fit_cage(cage, PointSet(points=pts),
+                             PointSet(points=pts * 1.1), lm, cfg),
+            "mvc_consistency", "cage_laplacian_loss")
+        self._same_trace(ra, rb)
+        assert np.array_equal(fa.vertices, fb.vertices)
