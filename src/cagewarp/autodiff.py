@@ -23,7 +23,10 @@ All data-dependent decisions (branch masks, nearest-neighbor picks, sign
 choices) are made on primal values; the recorded partials are those of the
 branch actually taken.  Every public function in this module also accepts
 plain ndarrays, in which case it evaluates with numpy and records nothing —
-numeric kernels can therefore be written once and run in either mode.
+numeric kernels can therefore be written once and run in either mode.  Each
+op has one body: it computes its value from ``val(...)`` of its inputs and
+hands it to ``Var._make``, which returns the plain value when no input is a
+``Var`` and a tape node otherwise.
 """
 
 from __future__ import annotations
@@ -65,8 +68,12 @@ class Var:
 
     @staticmethod
     def _make(value, parents, vjps, op):
-        # constants are dropped from the recorded graph
+        """``value`` as a node over its Var parents, or ``value`` itself
+        when no parent is a Var: the one place that decides whether a
+        result is recorded.  Constants are dropped from the graph."""
         keep = [(p, v) for p, v in zip(parents, vjps) if isinstance(p, Var)]
+        if not keep:
+            return value
         return Var(
             value,
             parents=tuple(p for p, _ in keep),
@@ -216,17 +223,11 @@ def is_var(x) -> bool:
     return isinstance(x, Var)
 
 
-def _any_var(*xs) -> bool:
-    return any(isinstance(x, Var) for x in xs)
-
-
 # -- elementwise functions (Var or ndarray in, same kind out) -------------
 
 
 def tanh(x):
-    if not is_var(x):
-        return np.tanh(x)
-    out = np.tanh(x.value)
+    out = np.tanh(val(x))
     return Var._make(
         out,
         (x,),
@@ -236,26 +237,22 @@ def tanh(x):
 
 
 def absolute(x):
-    if not is_var(x):
-        return np.abs(x)
-    s = np.sign(x.value)
+    xv = val(x)
     return Var._make(
-        np.abs(x.value),
+        np.abs(xv),
         (x,),
-        (lambda g, s=s: g * s,),
+        (lambda g, xv=xv: g * np.sign(xv),),
         "abs",
     )
 
 
 def minimum(x, c):
     """Elementwise min against a constant; gradient flows where x < c."""
-    if not is_var(x):
-        return np.minimum(x, c)
-    mask = x.value < c
+    xv = val(x)
     return Var._make(
-        np.minimum(x.value, c),
+        np.minimum(xv, c),
         (x,),
-        (lambda g, m=mask: np.where(m, g, 0.0),),
+        (lambda g, xv=xv: np.where(xv < c, g, 0.0),),
         "minimum",
     )
 
@@ -263,8 +260,6 @@ def minimum(x, c):
 def where(cond, a, b):
     """Select by a primal boolean mask; gradients flow to the taken side."""
     cond = np.asarray(cond, dtype=bool)
-    if not _any_var(a, b):
-        return np.where(cond, a, b)
     av, bv = val(a), val(b)
     out = np.where(cond, av, bv)
     return Var._make(
@@ -283,11 +278,10 @@ def where(cond, a, b):
 
 
 def sum_(x, axis=None):
-    if not is_var(x):
-        return np.sum(x, axis=axis)
-    out = np.sum(x.value, axis=axis)
+    xv = val(x)
+    out = np.sum(xv, axis=axis)
 
-    def vjp(g, shape=x.value.shape, ax=axis):
+    def vjp(g, shape=xv.shape, ax=axis):
         if ax is not None:
             g = np.expand_dims(g, ax)
         return np.broadcast_to(g, shape).copy()
@@ -320,8 +314,6 @@ def mean_(x):
 
 
 def matmul(a, b):
-    if not _any_var(a, b):
-        return np.matmul(a, b)
     av, bv = val(a), val(b)
     out = np.matmul(av, bv)
 
@@ -338,8 +330,6 @@ def dot_last(a, b):
     """Inner product along the last axis (fused)."""
     av, bv = val(a), val(b)
     out = np.einsum("...i,...i->...", av, bv)
-    if not _any_var(a, b):
-        return out
     return Var._make(
         out,
         (a, b),
@@ -352,21 +342,18 @@ def dot_last(a, b):
 
 
 def reshape(x, shape):
-    if not is_var(x):
-        return np.reshape(x, shape)
+    xv = val(x)
     return Var._make(
-        np.reshape(x.value, shape),
+        np.reshape(xv, shape),
         (x,),
-        (lambda g, s=x.value.shape: np.reshape(g, s),),
+        (lambda g, s=xv.shape: np.reshape(g, s),),
         "reshape",
     )
 
 
 def swapaxes(x, a, b):
-    if not is_var(x):
-        return np.swapaxes(x, a, b)
     return Var._make(
-        np.swapaxes(x.value, a, b),
+        np.swapaxes(val(x), a, b),
         (x,),
         (lambda g, aa=a, bb=b: np.swapaxes(g, aa, bb),),
         "swapaxes",
@@ -386,10 +373,8 @@ def smallest_eigvec(c, eig):
     """
     lam, vec = eig
     v0 = vec[..., 0]
-    if not is_var(c):
-        return v0
 
-    def vjp(g, lam=lam, vec=vec, cv=c.value):
+    def vjp(g, lam=lam, vec=vec, cv=val(c)):
         out = np.zeros_like(cv)
         v0 = vec[..., 0]
         for k in (1, 2):

@@ -15,7 +15,7 @@ threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -137,44 +137,30 @@ class PointSet:
     """Sampled or vertex positions with optional per-point plane fits.
 
     ``neighborhoods`` are packed (``PaddedNeighborhoods``); pack plain
-    neighbor lists with ``pad_neighborhoods``.
+    neighbor lists with ``pad_neighborhoods``.  A set built with
+    neighborhoods fits each point's plane (``pca_frames``) where it is
+    built: ``pca_normals`` (N, 3) and ``pca_offsets`` (N,), None without
+    neighborhoods.
     """
 
     points: np.ndarray
     neighborhoods: PaddedNeighborhoods | None = None
-    pca_normals: np.ndarray | None = None
-    pca_offsets: np.ndarray | None = None
+    pca_normals: np.ndarray | None = field(init=False, default=None)
+    pca_offsets: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        n = len(self.points)
         if self.neighborhoods is not None:
             if not isinstance(self.neighborhoods, PaddedNeighborhoods):
                 raise TypeError("neighborhoods must be PaddedNeighborhoods; "
                                 "pack neighbor lists with pad_neighborhoods")
-            if len(self.neighborhoods.idx) != n:
+            if len(self.neighborhoods.idx) != len(self.points):
                 raise ValueError("neighborhood count must match point count")
-        if self.pca_normals is not None:
-            self.pca_normals = np.asarray(self.pca_normals, dtype=np.float64)
-            if self.pca_normals.shape != (n, 3):
-                raise ValueError("pca_normals shape mismatch")
-            lens = np.linalg.norm(self.pca_normals, axis=1)
-            if np.any(np.abs(lens - 1.0) > 1e-6):
-                raise ValueError("pca_normals must be unit length")
-        if self.pca_offsets is not None:
-            self.pca_offsets = np.asarray(self.pca_offsets, dtype=np.float64)
-            if self.pca_offsets.shape != (n,):
-                raise ValueError("pca_offsets shape mismatch")
+            self.pca_normals, _, self.pca_offsets, _ = pca_frames(
+                self.points, self.neighborhoods)
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def has_frames(self) -> bool:
-        return (
-            self.neighborhoods is not None
-            and self.pca_normals is not None
-            and self.pca_offsets is not None
-        )
 
 
 def as_positions(x):
@@ -370,24 +356,10 @@ def pca_frames(positions, neighborhoods: PaddedNeighborhoods):
     return normals, centroid, offsets, degenerate
 
 
-def attach_pca_frames(points: PointSet) -> PointSet:
-    """Return a copy of ``points`` with normals/offsets computed."""
-    if points.neighborhoods is None:
-        raise ValueError("point set carries no neighborhoods")
-    normals, _, offsets, _ = pca_frames(points.points, points.neighborhoods)
-    return PointSet(
-        points=points.points,
-        neighborhoods=points.neighborhoods,
-        pca_normals=np.asarray(normals),
-        pca_offsets=np.asarray(offsets),
-    )
-
-
 def pointset_from_mesh_vertices(mesh: TriMesh) -> PointSet:
     """Mesh vertices as a PointSet with one-ring neighborhoods and frames."""
-    ps = PointSet(points=mesh.vertices.copy(),
-                  neighborhoods=one_ring_neighborhoods(mesh))
-    return attach_pca_frames(ps)
+    return PointSet(points=mesh.vertices.copy(),
+                    neighborhoods=one_ring_neighborhoods(mesh))
 
 
 # -- cotangent Laplacian ----------------------------------------------------
@@ -512,8 +484,16 @@ def make_template_cage(kind: str, center=(0.0, 0.0, 0.0), scale=(1.0, 1.0, 1.0))
 
 
 def cage_around(mesh: TriMesh, kind: str, margin: float) -> TriMesh:
-    """Template cage at the mesh's bbox center, ``margin`` x its half extents."""
+    """Template cage at the mesh's bbox center, ``margin`` x its half extents.
+
+    Raises MeshError, naming the axes, where the mesh has zero extent along
+    an axis: a cage scaled by that extent is flat and encloses nothing.
+    """
     lo, hi = mesh.bbox()
+    flat = np.flatnonzero(hi == lo)
+    if flat.size:
+        raise MeshError("cannot build a cage around a mesh with zero extent "
+                        f"along {', '.join('xyz'[i] for i in flat)}")
     return make_template_cage(kind, center=0.5 * (lo + hi),
                               scale=margin * 0.5 * (hi - lo))
 

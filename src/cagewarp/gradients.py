@@ -33,7 +33,6 @@ from .geometry import (
     PointSet,
     TriMesh,
     as_positions,
-    attach_pca_frames,
     knn_neighborhoods,
     validate_cage,
 )
@@ -172,19 +171,20 @@ def _config(fn, x0: np.ndarray, analytic: np.ndarray | None = None):
     given."""
     if analytic is None:
         _, analytic = ad.value_and_grad(fn, x0)
-    return (lambda x: float(ad.val(fn(x)))), (analytic, x0)
+    return (lambda x: float(fn(x))), (analytic, x0)
 
 
-def _source(downstream, n_points=8, r_lo: float = 0.2, r_hi: float = 0.6):
+def _source(downstream, r_lo: float = 0.2, r_hi: float = 0.6):
     """(group, config builder) of d f(phi) / d source cage, where
     ``f = downstream(rng)`` draws before the cage and the queries.  The
-    analytic gradient is ``grad_source_cage``'s, so that is what is checked."""
+    analytic gradient is ``grad_source_cage``'s, so that is what is checked.
+    Each configuration draws 8 queries."""
 
     def config(rng):
         f = downstream(rng)
         while True:
             cage = random_cage(rng)
-            pts = random_queries(rng, n_points, r_lo=r_lo, r_hi=r_hi)
+            pts = random_queries(rng, 8, r_lo=r_lo, r_hi=r_hi)
             _, g, excluded_rows = grad_source_cage(cage, pts, f)
             if excluded_rows == 0:
                 break
@@ -247,8 +247,8 @@ def _l2_to_moved_points(rng, pts):
 
 def _plane_term(term, rng, pts):
     """``term`` against the queries' k-NN plane fits."""
-    before = attach_pca_frames(PointSet(
-        points=pts.copy(), neighborhoods=knn_neighborhoods(pts, k=5)))
+    before = PointSet(points=pts.copy(),
+                      neighborhoods=knn_neighborhoods(pts, k=5))
     return lambda p: term(before, p)
 
 

@@ -107,8 +107,6 @@ def l2_corresponded(a, b):
     per_point = np.sum(d * d, axis=-1)
     count = float(per_point.size)
     value = np.sum(per_point) / count
-    if not (ad.is_var(pa) or ad.is_var(pb)):
-        return value
     return ad.Var._make(value, (pa, pb), (_squares_vjp(d, count, False),
                                           _squares_vjp(d, count, True)),
                         "l2_corresponded")
@@ -132,8 +130,6 @@ def mvc_penalty(weights):
     count = float(wv.shape[0] * wv.shape[1])
     neg = np.minimum(wv, 0.0)
     value = ad.ordered_sum(neg * neg) / count
-    if not ad.is_var(weights):
-        return value
 
     def vjp(g, phi=wv):
         t = np.minimum(phi, 0.0)
@@ -149,8 +145,8 @@ def mvc_penalty(weights):
 
 
 def _require_frames(ps: PointSet, who: str) -> None:
-    if not isinstance(ps, PointSet) or not ps.has_frames():
-        raise ValueError(f"{who} must be a PointSet with plane fits attached")
+    if not isinstance(ps, PointSet) or ps.neighborhoods is None:
+        raise ValueError(f"{who} must be a PointSet with neighborhoods")
 
 
 def p2f_term(before: PointSet, after_positions):
@@ -280,8 +276,6 @@ def mvc_consistency(rows_a, rows_b):
         raise ValueError("weight row blocks must have equal shape")
     d = av - bv
     value = ad.ordered_sum(d * d)
-    if not (ad.is_var(rows_a) or ad.is_var(rows_b)):
-        return value
     return ad.Var._make(value, (rows_a, rows_b), (_squares_vjp(d, None, False),
                                                   _squares_vjp(d, None, True)),
                         "mvc_consistency")
@@ -319,8 +313,6 @@ def cage_laplacian_loss(ref: CageLaplacian, cage_after_vertices):
     mag = np.sqrt(np.sum(np.square(lv), axis=-1))
     d = mag - ref.mag
     value = ad.ordered_sum(d * d)
-    if not ad.is_var(after):
-        return value
     halves = _squares_vjp(d, None, False)
 
     def vjp(g):

@@ -32,7 +32,6 @@ from .geometry import (
     PointSet,
     TriMesh,
     as_positions,
-    attach_pca_frames,
     cage_around,
     check_laplacian_mesh,
     knn_neighborhoods,
@@ -48,6 +47,7 @@ FIT_STEP_SIZE = 5e-4
 FIT_MAX_ITERS = 10_000
 DEGENERATE_CAGE_AREA = 1e-10
 SAMPLE_KNN = 8          # neighbors of each sampled loss point's plane fit
+NORMALIZED_TOL = 1e-6   # unit-box side and center tolerance of the inputs
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -64,9 +64,9 @@ _FIELD_TYPES = {
 class OptimizationError(Exception):
     """Aborted optimization; carries its stop reason and the partial report."""
 
-    def __init__(self, message, report=None, reason="non_finite"):
+    def __init__(self, message, reason="non_finite"):
         super().__init__(message)
-        self.report = report
+        self.report = None      # run_adam attaches its report
         self.reason = reason
 
 
@@ -256,26 +256,26 @@ def check_minimums(cfg: PipelineConfig, *keys: str) -> None:
                              f"got {getattr(cfg, key)}")
 
 
-def _check_normalized(mesh: TriMesh, name: str, tol: float = 1e-6) -> None:
+def _check_normalized(mesh: TriMesh, name: str) -> None:
     if not np.isfinite(mesh.vertices).all():
         raise ValueError(f"{name} has non-finite vertices")
     lo, hi = mesh.bbox()
     side = (hi - lo).max()
-    center = 0.5 * (lo + hi)
-    if abs(side - 1.0) > tol or np.abs(center).max() > tol:
+    offset = np.abs(0.5 * (lo + hi)).max()
+    if abs(side - 1.0) > NORMALIZED_TOL or offset > NORMALIZED_TOL:
         raise ValueError(
             f"{name} must be normalized to the unit box "
-            f"(max side {side:.6g}, center offset {np.abs(center).max():.3g})"
+            f"(max side {side:.6g}, center offset {offset:.3g})"
         )
 
 
 def _loss_points(source: TriMesh, target: TriMesh, cfg: PipelineConfig):
-    """The losses' source point set, plane fits attached, and target
+    """The losses' source point set, with its plane fits, and target
     positions: ``n_sample_points`` samples of each, or their vertices."""
     if cfg.n_sample_points > 0:
         pts = sample_surface(source, cfg.n_sample_points, cfg.seed)
-        source_ps = attach_pca_frames(PointSet(
-            points=pts, neighborhoods=knn_neighborhoods(pts, k=SAMPLE_KNN)))
+        source_ps = PointSet(
+            points=pts, neighborhoods=knn_neighborhoods(pts, k=SAMPLE_KNN))
         return source_ps, sample_surface(target, cfg.n_sample_points, cfg.seed)
     return pointset_from_mesh_vertices(source), target.vertices.copy()
 

@@ -135,8 +135,7 @@ class OffsetPredictor:
 
     def predict(self, descriptor) -> np.ndarray:
         d = np.asarray(descriptor, dtype=np.float64).reshape(1, -1)
-        out = forward_offsets(self.params(), d)
-        return np.asarray(ad.val(out))[0]
+        return forward_offsets(self.params(), d)[0]
 
     def to_json(self, path) -> None:
         blob = {

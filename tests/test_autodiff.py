@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import cagewarp.autodiff as ad
-from cagewarp.geometry import TriMesh
+from cagewarp import losses
+from cagewarp.geometry import TriMesh, make_template_cage
 from cagewarp.losses import l2_corresponded
 from cagewarp.mvc import mvc_weights
 
@@ -129,6 +130,67 @@ def test_smallest_eigvec_fd():
     fd = fd_grad(fn_np, x0)
     denom = np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-6)
     assert (np.abs(grad - fd) / denom).max() < 1e-4
+
+
+_A = np.random.default_rng(5).normal(size=(6, 3))
+_B = np.random.default_rng(6).normal(size=(6, 3))
+_MASK = np.random.default_rng(7).uniform(size=(6, 3)) < 0.5
+_COV = np.matmul(np.swapaxes(_A.reshape(2, 3, 3), -1, -2), _A.reshape(2, 3, 3))
+_CAGE = make_template_cage("sphere42")
+_CAGE_LAP = losses.CageLaplacian(_CAGE)
+_MOVED = _CAGE.vertices + np.random.default_rng(8).normal(
+    scale=0.05, size=_CAGE.vertices.shape)
+
+# every public op and one-node loss: (name, call, array arguments); the call
+# takes the array arguments, plain or as Vars
+PLAIN_CALLS = [
+    ("tanh", ad.tanh, (_A,)),
+    ("absolute", ad.absolute, (_A,)),
+    ("minimum", lambda x: ad.minimum(x, 0.1), (_A,)),
+    ("where", lambda a, b: ad.where(_MASK, a, b), (_A, _B)),
+    ("sum_", lambda x: ad.sum_(x, axis=-1), (_A,)),
+    ("mean_", ad.mean_, (_A,)),
+    ("matmul", ad.matmul, (_A, _B.T)),
+    ("dot_last", ad.dot_last, (_A, _B)),
+    ("reshape", lambda x: ad.reshape(x, (3, 6)), (_A,)),
+    ("swapaxes", lambda x: ad.swapaxes(x, 0, 1), (_A,)),
+    ("smallest_eigvec",
+     lambda c: ad.smallest_eigvec(c, np.linalg.eigh(_COV)), (_COV,)),
+    ("l2_corresponded", losses.l2_corresponded, (_A, _B)),
+    ("mvc_penalty", losses.mvc_penalty, (_A,)),
+    ("mvc_consistency", losses.mvc_consistency, (_A, _B)),
+    ("cage_laplacian_loss",
+     lambda v: losses.cage_laplacian_loss(_CAGE_LAP, v), (_MOVED,)),
+]
+
+
+def test_plain_calls_cover_every_public_op():
+    # val, is_var and value_and_grad are not ops; ordered_sum takes arrays
+    public = {name for name, obj in vars(ad).items()
+              if inspect.isfunction(obj) and obj.__module__ == ad.__name__
+              and not name.startswith("_")}
+    ops = public - {"val", "is_var", "value_and_grad", "ordered_sum"}
+    assert ops <= {name for name, _, _ in PLAIN_CALLS}
+
+
+@pytest.mark.parametrize("name, call, args", PLAIN_CALLS,
+                         ids=[c[0] for c in PLAIN_CALLS])
+def test_plain_call_records_nothing_and_keeps_the_taped_bits(name, call,
+                                                              args):
+    plain = call(*args)
+    taped = call(*(ad.Var(a) for a in args))
+    assert not ad.is_var(plain)
+    assert ad.is_var(taped)
+    want = taped.value
+    got = np.asarray(plain)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_make_without_a_var_parent_returns_the_value():
+    value = np.arange(3.0)
+    out = ad.Var._make(value, (np.ones(3), 2.0), (None, None), "add")
+    assert out is value
 
 
 def test_backward_requires_scalar():

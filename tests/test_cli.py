@@ -66,6 +66,19 @@ class TestMakeCage:
         assert main(["make-cage", "--input", str(tmp_path / "nope.obj"),
                      "--out", str(tmp_path / "o4")]) == 1
 
+    def test_flat_mesh_rejected_naming_the_axis(self, tmp_path, capsys):
+        # one triangle in z = 0: its cage would be flat in z whatever
+        # cage_scale is, so the error names the axis, not the scale
+        tri = tmp_path / "tri.obj"
+        tri.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+        out = tmp_path / "flat"
+        assert main(["make-cage", "--input", str(tri), "--out", str(out)]) == 1
+        message = "cannot build a cage around a mesh with zero extent along z"
+        assert message in capsys.readouterr().err
+        man = load_manifest(out)
+        assert man["status"] == "failed" and message in man["error"]
+        assert man["outputs"] == [] and not (out / "cage.obj").exists()
+
 
 class TestComputeMvc:
     def test_tetra_centroid_csv(self, tetra, tmp_path):

@@ -8,7 +8,7 @@ from cagewarp.geometry import (
     PointSet,
     SpatialIndex,
     TriMesh,
-    attach_pca_frames,
+    cage_around,
     cot_laplacian,
     knn_neighborhoods,
     make_box_mesh,
@@ -224,6 +224,14 @@ def first_frame(ps):
     return normals[0], centroids[0], offsets[0]
 
 
+def test_cage_around_flat_mesh_names_each_flat_axis():
+    # a degenerate triangle along x has zero extent along y and z
+    line = TriMesh([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]],
+                   [[0, 1, 2]])
+    with pytest.raises(MeshError, match="zero extent along y, z$"):
+        cage_around(line, "sphere42", 1.05)
+
+
 class TestPcaFrame:
     def _planar_set(self):
         pts = np.array(
@@ -263,9 +271,10 @@ class TestPcaFrame:
         assert angle < 2.0
 
     def test_too_few_neighbors(self):
-        ps = PointSet(points=np.zeros((3, 3)),
-                      neighborhoods=pad_neighborhoods([np.array([1, 2])] * 3))
         with pytest.raises(ValueError):
+            ps = PointSet(
+                points=np.zeros((3, 3)),
+                neighborhoods=pad_neighborhoods([np.array([1, 2])] * 3))
             first_frame(ps)
 
     def test_collinear_degenerate_deterministic(self):
@@ -283,19 +292,17 @@ class TestPcaFrame:
         pts = rng.normal(size=(12, 3))
         neigh = pad_neighborhoods(
             [np.delete(np.arange(12), i)[:6] for i in range(12)])
-        ps = attach_pca_frames(PointSet(points=pts, neighborhoods=neigh))
+        ps = PointSet(points=pts, neighborhoods=neigh)
         rot = random_rotation(rng)
         shift = rng.normal(size=3)
-        ps2 = attach_pca_frames(
-            PointSet(points=pts @ rot.T + shift, neighborhoods=neigh)
-        )
+        ps2 = PointSet(points=pts @ rot.T + shift, neighborhoods=neigh)
         assert np.abs(ps.pca_offsets - ps2.pca_offsets).max() < 1e-9
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(13)
         pts = rng.normal(size=(10, 3))
         neigh = knn_neighborhoods(pts, k=5)
-        ps = attach_pca_frames(PointSet(points=pts, neighborhoods=neigh))
+        ps = PointSet(points=pts, neighborhoods=neigh)
         idx, _, counts = neigh
         for i in range(10):
             n, d = plane_fit_oracle(pts, idx[i, :int(counts[i])], i)
@@ -305,8 +312,7 @@ class TestPcaFrame:
     def test_neighborhoods_packed_once(self):
         mesh = make_box_mesh(3)
         neigh = one_ring_neighborhoods(mesh)
-        ps = attach_pca_frames(PointSet(points=mesh.vertices,
-                                        neighborhoods=neigh))
+        ps = PointSet(points=mesh.vertices, neighborhoods=neigh)
         assert ps.neighborhoods is neigh
         normals, _, offsets, _ = pca_frames(ps.points, neigh)
         assert np.array_equal(normals, ps.pca_normals)
@@ -321,9 +327,7 @@ class TestPcaFrame:
     def test_invariant_offsets_nonnegative(self):
         rng = np.random.default_rng(17)
         pts = rng.normal(size=(30, 3))
-        ps = attach_pca_frames(
-            PointSet(points=pts, neighborhoods=knn_neighborhoods(pts, k=8))
-        )
+        ps = PointSet(points=pts, neighborhoods=knn_neighborhoods(pts, k=8))
         assert np.all(ps.pca_offsets >= 0)
         assert np.abs(np.linalg.norm(ps.pca_normals, axis=1) - 1).max() < 1e-6
 

@@ -260,6 +260,47 @@ def test_every_pointset_carries_neighborhoods():
                           "g.PointSet(p)\n") == [1, 3]
 
 
+def var_tests(source):
+    """Qualified names of the functions in ``source`` that test whether
+    something is a Var: with ``isinstance(..., Var)`` or ``is_var(...)``."""
+    found = set()
+
+    def called(node):
+        return getattr(node.func, "id", getattr(node.func, "attr", None))
+
+    def tests_var(node):
+        if called(node) == "is_var":
+            return True
+        return called(node) == "isinstance" and len(node.args) == 2 and any(
+            getattr(n, "id", getattr(n, "attr", None)) == "Var"
+            for n in ast.walk(node.args[1]))
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and tests_var(child):
+                found.add(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_only_make_val_and_is_var_test_for_a_var():
+    # each op and one-node loss has one body; whether its result is
+    # recorded is decided in Var._make alone
+    allowed = {"Var._make", "val", "is_var"}
+    found = {module: var_tests((PACKAGE / f"{module}.py").read_text())
+             for module in ("autodiff", "losses")}
+    assert found == {"autodiff": allowed, "losses": set()}
+    assert var_tests("def f(x):\n    return ad.is_var(x)\n"
+                     "class A:\n    def g(self, y):\n"
+                     "        h = lambda: isinstance(y, (int, ad.Var))\n"
+                     "        return isinstance(y, int)\n") == {"f", "A.g"}
+
+
 def test_package_imports_reads_every_form():
     source = """
 from . import autodiff as ad

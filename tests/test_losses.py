@@ -10,7 +10,6 @@ from cagewarp.geometry import (
     PointSet,
     SpatialIndex,
     TriMesh,
-    attach_pca_frames,
     knn_neighborhoods,
     make_box_mesh,
     make_template_cage,
@@ -47,9 +46,7 @@ def value(term) -> float:
 
 def framed_cloud(rng, n=15, k=6) -> PointSet:
     pts = rng.normal(size=(n, 3))
-    return attach_pca_frames(
-        PointSet(points=pts, neighborhoods=knn_neighborhoods(pts, k=k))
-    )
+    return PointSet(points=pts, neighborhoods=knn_neighborhoods(pts, k=k))
 
 
 class TestChamfer:
@@ -257,7 +254,7 @@ class TestP2f:
         # plane distance changes when it is lifted off the plane
         neigh = pad_neighborhoods(
             [np.array([1, 2, 3, 4])] + [np.array([1, 2, 3, 4])] * 4)
-        before = attach_pca_frames(PointSet(points=pts, neighborhoods=neigh))
+        before = PointSet(points=pts, neighborhoods=neigh)
         h = 0.25
         lifted = pts.copy()
         lifted[0, 2] = h
@@ -299,7 +296,7 @@ class TestNormalLoss:
         )
         neigh = pad_neighborhoods(
             [np.array([1, 2, 3, 4])] + [np.array([0, 1, 2, 3])] * 4)
-        before = attach_pca_frames(PointSet(points=pts, neighborhoods=neigh))
+        before = PointSet(points=pts, neighborhoods=neigh)
         rot = np.array([[1.0, 0, 0], [0, 0, -1.0], [0, 1.0, 0]])  # 90 deg about x
         after = pts @ rot.T
         per_point = float(ad.val(normal_term(before, after)))
@@ -314,16 +311,13 @@ class TestNormalLoss:
         for _ in range(5):
             pts = rng.normal(size=(15, 3))
             neigh = knn_neighborhoods(pts, k=6)
-            before = attach_pca_frames(
-                PointSet(points=pts, neighborhoods=neigh)
-            )
+            before = PointSet(points=pts, neighborhoods=neigh)
             after = pts + 0.15 * rng.normal(size=pts.shape)
             base = float(ad.val(normal_term(before, after)))
             rot = random_rotation(rng)
             shift = rng.normal(size=3)
-            before_m = attach_pca_frames(
-                PointSet(points=pts @ rot.T + shift, neighborhoods=neigh)
-            )
+            before_m = PointSet(points=pts @ rot.T + shift,
+                                neighborhoods=neigh)
             moved = float(ad.val(normal_term(before_m, after @ rot.T + shift)))
             assert abs(moved - base) < 1e-9
 
@@ -331,14 +325,12 @@ class TestNormalLoss:
         rng = np.random.default_rng(22)
         pts = rng.normal(size=(15, 3))
         neigh = knn_neighborhoods(pts, k=6)
-        before = attach_pca_frames(PointSet(points=pts, neighborhoods=neigh))
+        before = PointSet(points=pts, neighborhoods=neigh)
         after = pts + 0.15 * rng.normal(size=pts.shape)
         base = float(ad.val(p2f_term(before, after)))
         rot = random_rotation(rng)
         shift = rng.normal(size=3)
-        before_m = attach_pca_frames(
-            PointSet(points=pts @ rot.T + shift, neighborhoods=neigh)
-        )
+        before_m = PointSet(points=pts @ rot.T + shift, neighborhoods=neigh)
         moved = float(ad.val(p2f_term(before_m, after @ rot.T + shift)))
         assert abs(moved - base) < 1e-9
 
@@ -376,10 +368,10 @@ def shape_breakdown(before, after, cage_after, mode) -> LossBreakdown:
 class TestShapeLoss:
     def test_identity_symmetric_man_made_zero(self):
         mesh = make_box_mesh(3, scale=(0.5, 0.4, 0.3))
-        before = attach_pca_frames(PointSet(
+        before = PointSet(
             points=mesh.vertices.copy(),
             neighborhoods=one_ring_neighborhoods(mesh),
-        ))
+        )
         cage = make_template_cage("sphere42", scale=(0.6, 0.5, 0.4))
         b = shape_breakdown(before, before.points, cage.vertices, "man_made")
         assert b.total < 1e-9
@@ -431,10 +423,10 @@ class TestTotalLoss:
         # non-negative and the penalty term starts at zero
         cage = make_template_cage("sphere42", scale=(0.8, 0.8, 0.8))
         mesh = make_box_mesh(2, scale=(0.45, 0.4, 0.35))
-        source = attach_pca_frames(PointSet(
+        source = PointSet(
             points=mesh.vertices.copy(),
             neighborhoods=one_ring_neighborhoods(mesh),
-        ))
+        )
         m = compute_mvc(cage, source.points).weights
         return cage, source, m
 

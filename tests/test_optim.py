@@ -537,6 +537,20 @@ class TestDeformPair:
                            rf"more than 8 \(k=8 neighborhoods\), got {count}$"):
             deform_pair(src, src, cfg)
 
+    def test_flat_source_rejected_naming_the_axis_before_a_step(
+            self, monkeypatch):
+        # a normalized square in z = 0 passes the unit-box check; its cage
+        # would be flat in z whatever cage_scale is
+        def no_step(*args, **kwargs):
+            raise AssertionError("deform_pair took a step")
+
+        monkeypatch.setattr(optim, "run_adam", no_step)
+        square = TriMesh([[-0.5, -0.5, 0.0], [0.5, -0.5, 0.0],
+                          [0.5, 0.5, 0.0], [-0.5, 0.5, 0.0]],
+                         [[0, 1, 2], [0, 2, 3]])
+        with pytest.raises(MeshError, match="zero extent along z$"):
+            deform_pair(square, square, PipelineConfig(max_iters=2))
+
     def test_unknown_align_mode_rejected_before_the_cage(self, monkeypatch):
         def no_cage(*args, **kwargs):
             raise AssertionError("deform_pair built a cage")
