@@ -170,19 +170,16 @@ def cmd_compute_mvc(args, cfg, out):
     cage = meshio.load_mesh(args.cage)
     shape = meshio.load_points(args.shape)
     m = compute_mvc(cage, shape)
+    w = m.weights
     outputs = []
-    if args.format in ("bin", "both"):
-        p = out / "mvc.bin"
-        m.save_binary(p)
-        outputs.append(p)
-    if args.format in ("csv", "both"):
-        p = out / "mvc.csv"
-        m.save_csv(p)
-        outputs.append(p)
+    for fmt, name in (("bin", "mvc.bin"), ("csv", "mvc.csv")):
+        if args.format in (fmt, "both"):
+            meshio.save_weights(w, out / name)
+            outputs.append(out / name)
     return outputs, {
-        "rows": m.n_points,
-        "cols": m.n_cage_vertices,
-        "max_row_sum_error": float(np.abs(m.row_sums() - 1.0).max()),
+        "rows": w.shape[0],
+        "cols": w.shape[1],
+        "max_row_sum_error": float(np.abs(w.sum(axis=1) - 1.0).max()),
         "n_on_vertex": int((m.flags == FLAG_ON_VERTEX).sum()),
         "n_on_face": int((m.flags == FLAG_ON_FACE).sum()),
         "n_exterior": int((m.flags == FLAG_EXTERIOR_OK).sum()),

@@ -10,7 +10,7 @@ k-NN builders return it directly, and ``pad_neighborhoods`` packs any other
 lists.
 
 Everything here is immutable after construction and safe to share across
-threads.
+threads; a ``PointSet`` is frozen.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class MeshError(Exception):
     """Invalid mesh topology or geometry."""
 
 
-@dataclass
+@dataclass(eq=False)
 class TriMesh:
     """Indexed triangle mesh; also used for cages.
 
@@ -132,7 +132,7 @@ class PaddedNeighborhoods(NamedTuple):
     counts: np.ndarray   # (N,) list lengths
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PointSet:
     """Sampled or vertex positions with optional per-point plane fits.
 
@@ -140,7 +140,7 @@ class PointSet:
     neighbor lists with ``pad_neighborhoods``.  A set built with
     neighborhoods fits each point's plane (``pca_frames``) where it is
     built: ``pca_normals`` (N, 3) and ``pca_offsets`` (N,), None without
-    neighborhoods.
+    neighborhoods.  A set is frozen, so its fits stay those of its points.
     """
 
     points: np.ndarray
@@ -149,15 +149,17 @@ class PointSet:
     pca_offsets: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
+        object.__setattr__(self, "points", np.asarray(
+            self.points, dtype=np.float64).reshape(-1, 3))
         if self.neighborhoods is not None:
             if not isinstance(self.neighborhoods, PaddedNeighborhoods):
                 raise TypeError("neighborhoods must be PaddedNeighborhoods; "
                                 "pack neighbor lists with pad_neighborhoods")
             if len(self.neighborhoods.idx) != len(self.points):
                 raise ValueError("neighborhood count must match point count")
-            self.pca_normals, _, self.pca_offsets, _ = pca_frames(
-                self.points, self.neighborhoods)
+            normals, _, offsets, _ = pca_frames(self.points, self.neighborhoods)
+            object.__setattr__(self, "pca_normals", normals)
+            object.__setattr__(self, "pca_offsets", offsets)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -177,7 +179,7 @@ def as_positions(x):
     return np.asarray(x, dtype=np.float64).reshape(-1, 3)
 
 
-@dataclass
+@dataclass(eq=False)
 class Transform:
     """Uniform scale followed by translation: x -> scale * x + translation."""
 

@@ -1,4 +1,4 @@
-"""ASCII OBJ and CSV readers/writers.
+"""ASCII OBJ and CSV readers/writers, and the weight-matrix files.
 
 Only `v` and `f` records are interpreted; normals, texture coordinates and
 vertex colors in the input are ignored.  Faces must be triangles unless quad
@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,7 @@ from .geometry import DEGENERATE_FACE_AREA, MeshError, TriMesh, as_positions
 
 
 _WRITE_CHUNK = 4096   # rows formatted per write
+_WEIGHTS_MAGIC = b"MVCMAT01"
 _INDEX_CHARS = b"0123456789+- \t\r\n"   # all plain face text may hold
 # the ASCII characters str.split() splits on
 _IS_SPACE = np.zeros(256, dtype=bool)
@@ -263,3 +266,45 @@ def save_offsets(offsets: np.ndarray, path) -> None:
     with open(path, "w") as fh:
         _write_rows(fh, "%.17g,%.17g,%.17g\n",
                     np.asarray(offsets, dtype=np.float64))
+
+
+def save_weights(weights: np.ndarray, path) -> None:
+    """Write (N, C) weights as CSV rows for a ``.csv`` path, else as an
+    ``MVCMAT01`` file: the magic, int64 LE rows, int64 LE cols, then the
+    row-major float64 LE entries."""
+    w = np.asarray(weights, dtype=np.float64)
+    if Path(path).suffix.lower() == ".csv":
+        with open(path, "w") as fh:
+            _write_rows(fh, ",".join(["%.17g"] * w.shape[1]) + "\n", w)
+        return
+    with open(path, "wb") as fh:
+        fh.write(_WEIGHTS_MAGIC)
+        fh.write(struct.pack("<qq", *w.shape))
+        fh.write(w.astype("<f8").tobytes(order="C"))
+
+
+def load_weights(path) -> np.ndarray:
+    """(N, C) float64 weights of an ``MVCMAT01`` file; a wrong magic, a short
+    header, negative dimensions, a payload shorter than the header's
+    dimensions or bytes past it raise ``ValueError`` before it is read."""
+    with open(path, "rb") as fh:
+        magic = fh.read(8)
+        if magic != _WEIGHTS_MAGIC:
+            raise ValueError(f"not an MVC matrix file (magic {magic!r})")
+        header = fh.read(16)
+        if len(header) < 16:
+            raise ValueError("truncated MVC matrix file")
+        rows, cols = struct.unpack("<qq", header)
+        if rows < 0 or cols < 0:
+            raise ValueError(
+                f"negative MVC matrix dimensions ({rows}, {cols})")
+        size = rows * cols * 8
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size > left:
+            raise ValueError("truncated MVC matrix file")
+        if size < left:
+            raise ValueError(
+                f"MVC matrix file has {left - size} bytes past its "
+                f"({rows}, {cols}) payload")
+        data = np.frombuffer(fh.read(size), dtype="<f8")
+    return data.reshape(rows, cols).astype(np.float64)

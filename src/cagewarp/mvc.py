@@ -86,8 +86,6 @@ untaped pass, so callers that read only the weights pass
 from __future__ import annotations
 
 import functools
-import os
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,7 +108,6 @@ EPS_PLANE = 1e-7
 EPS_VERTEX_REL = 1e-8
 EXCLUSION_FACTOR = 10.0
 
-_MAGIC = b"MVCMAT01"
 _DENOM_TINY = 1e-300
 _ASIN_CLAMP = 1.0 - 1e-12   # asin's derivative is taken inside +-1
 
@@ -136,57 +133,12 @@ def vertex_tolerance(vertices) -> float:
     return EPS_VERTEX_REL * float(diagonal)
 
 
-@dataclass
+@dataclass(eq=False)
 class MvcMatrix:
-    """Dense weights, rows = query points, columns = cage vertices."""
+    """Weights (rows = query points, columns = cage vertices) and row flags."""
 
     weights: np.ndarray
     flags: np.ndarray | None = None
-
-    @property
-    def n_points(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def n_cage_vertices(self) -> int:
-        return self.weights.shape[1]
-
-    def row_sums(self) -> np.ndarray:
-        return self.weights.sum(axis=1)
-
-    def save_binary(self, path) -> None:
-        """magic, int64 LE rows, int64 LE cols, then row-major float64 LE."""
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<qq", *self.weights.shape))
-            fh.write(self.weights.astype("<f8").tobytes(order="C"))
-
-    @classmethod
-    def load_binary(cls, path) -> "MvcMatrix":
-        with open(path, "rb") as fh:
-            magic = fh.read(8)
-            if magic != _MAGIC:
-                raise ValueError(f"not an MVC matrix file (magic {magic!r})")
-            header = fh.read(16)
-            if len(header) < 16:
-                raise ValueError("truncated MVC matrix file")
-            rows, cols = struct.unpack("<qq", header)
-            if rows < 0 or cols < 0:
-                raise ValueError(
-                    f"negative MVC matrix dimensions ({rows}, {cols})")
-            size = rows * cols * 8
-            left = os.fstat(fh.fileno()).st_size - fh.tell()
-            if size > left:
-                raise ValueError("truncated MVC matrix file")
-            if size < left:
-                raise ValueError(
-                    f"MVC matrix file has {left - size} bytes past its "
-                    f"({rows}, {cols}) payload")
-            data = np.frombuffer(fh.read(size), dtype="<f8")
-        return cls(weights=data.reshape(rows, cols).astype(np.float64))
-
-    def save_csv(self, path) -> None:
-        np.savetxt(path, self.weights, delimiter=",", fmt="%.17g")
 
 
 def mvc_weights(cage_vertices, faces: np.ndarray, points: np.ndarray, *,
@@ -927,17 +879,17 @@ def compute_mvc(cage: TriMesh, points, *,
     return MvcMatrix(weights=np.asarray(phi), flags=flags)
 
 
-def deform(mvc: MvcMatrix, deformed_cage_vertices) -> np.ndarray:
-    """Deformed positions p_i' = sum_j phi_ji v_j', one row per weight row;
-    a non-finite deformed cage vertex raises MvcError."""
+def deform(weights: np.ndarray, deformed_cage_vertices) -> np.ndarray:
+    """Deformed positions p_i' = sum_j phi_ij v_j', one per row of the
+    (N, C) weights phi; a non-finite deformed cage vertex raises MvcError."""
     verts = np.asarray(deformed_cage_vertices, dtype=np.float64).reshape(-1, 3)
-    if verts.shape[0] != mvc.n_cage_vertices:
+    if verts.shape[0] != weights.shape[1]:
         raise ValueError(
             f"cage vertex count {verts.shape[0]} does not match "
-            f"{mvc.n_cage_vertices} weight columns"
+            f"{weights.shape[1]} weight columns"
         )
     bad = np.flatnonzero(~np.isfinite(verts).all(axis=1))
     if bad.size:
         raise MvcError(f"non-finite deformed cage vertex {bad[0]}: "
                        f"{verts[bad[0]].tolist()}")
-    return mvc.weights @ verts
+    return weights @ verts

@@ -70,7 +70,7 @@ class OptimizationError(Exception):
         self.reason = reason
 
 
-@dataclass
+@dataclass(eq=False)
 class AdamState:
     """Adam accumulator state for a named parameter group."""
 
@@ -451,4 +451,4 @@ def transfer(fitted_cage: TriMesh, stored_cage_offsets: np.ndarray,
             f"count {fitted_cage.n_vertices}"
         )
     m = compute_mvc(fitted_cage, novel_shape, with_flags=False)
-    return deform(m, fitted_cage.vertices + offsets)
+    return deform(m.weights, fitted_cage.vertices + offsets)

@@ -96,7 +96,7 @@ class SyntheticFamily:
         return make_template_cage("sphere42", scale=(r, r, r))
 
 
-@dataclass
+@dataclass(eq=False)
 class OffsetPredictor:
     """descriptor -> (|C|, 3) cage offsets via a tanh two-layer perceptron.
 
@@ -193,6 +193,8 @@ def train_toy(family: SyntheticFamily, source_cage: TriMesh,
     squared distance over the training members, plus ``alpha_shape`` times a
     point-to-plane term when positive.  Returns (predictor, report).
     """
+    if n_train < 1:
+        raise ValueError(f"n_train must be at least 1, got {n_train}")
     wmap = losses.term_weights(1.0, alpha_shape, "character")
     if alpha_shape == 0:
         del wmap["p2f"]
@@ -255,9 +257,9 @@ def eval_toy(predictor: OffsetPredictor, family: SyntheticFamily,
         raise ValueError("predictor carries no cage")
     rng = np.random.default_rng(seed)
     base = family.source_mesh()
-    m = compute_mvc(predictor.cage, base.vertices, with_flags=False)
+    w = compute_mvc(predictor.cage, base.vertices, with_flags=False).weights
     cage_v = predictor.cage.vertices
-    bmesh = TriMesh(deform(m, cage_v), base.faces)  # identity deformation
+    bmesh = TriMesh(deform(w, cage_v), base.faces)  # identity deformation
 
     # the baseline's samples and each target's are sampled and indexed once
     bpts = losses.unit_box_samples(bmesh, n_cd_samples, seed)
@@ -269,7 +271,7 @@ def eval_toy(predictor: OffsetPredictor, family: SyntheticFamily,
         target = family.member(s)
         tpts = losses.unit_box_samples(target, n_cd_samples, seed)
         tindex = losses.SpatialIndex(tpts)
-        dmesh = TriMesh(deform(m, cage_v + predictor.predict(s)), base.faces)
+        dmesh = TriMesh(deform(w, cage_v + predictor.predict(s)), base.faces)
         dpts = losses.unit_box_samples(dmesh, n_cd_samples, seed)
         l2s.append(float(losses.l2_corresponded(dmesh, target.vertices)))
         l2s_base.append(float(losses.l2_corresponded(bmesh, target.vertices)))

@@ -61,8 +61,8 @@ def test_criterion_1_mvc_correctness():
         span = hi - lo
         pts = rng.uniform(lo - 0.5 * span, hi + 0.5 * span, size=(1000, 3))
         m = compute_mvc(cage, pts)
-        worst_partition = max(worst_partition,
-                              float(np.abs(m.row_sums() - 1.0).max()))
+        worst_partition = max(
+            worst_partition, float(np.abs(m.weights.sum(axis=1) - 1.0).max()))
         diagonal = np.linalg.norm(span)
         lp = np.abs(m.weights @ cage.vertices - pts).max() / diagonal
         worst_linear = max(worst_linear, float(lp))
@@ -319,7 +319,7 @@ def test_criterion_10_eps_robustness():
     ])
     m = compute_mvc(octa, probes)
     finite = bool(np.isfinite(m.weights).all())
-    partition = float(np.abs(m.row_sums() - 1.0).max())
+    partition = float(np.abs(m.weights.sum(axis=1) - 1.0).max())
 
     mixed = np.vstack([probes[:3], np.array([[0.1, 0.05, -0.2]])])
 

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -240,6 +241,15 @@ class TestPcaFrame:
         )
         neigh = [np.array([1, 2, 3, 4])] + [np.array([0, 1, 2])] * 4
         return PointSet(points=pts, neighborhoods=pad_neighborhoods(neigh))
+
+    @pytest.mark.parametrize("name", ["points", "neighborhoods",
+                                      "pca_normals"])
+    def test_fields_cannot_be_assigned(self, name):
+        # the plane fits are made from the points where the set is built,
+        # so a new value for any field would leave them stale
+        ps = self._planar_set()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ps, name, getattr(ps, name))
 
     def test_planar_neighbors(self):
         ps = self._planar_set()

@@ -8,9 +8,11 @@ and the cage Laplacian gradient check load no scipy at all.  Each check
 runs in a new interpreter, since this test process has long loaded scipy.
 
 What each module imports of the package follows its layer (``LAYERS``).
+The public names also resolve once, and the public dataclasses compare.
 """
 
 import ast
+import dataclasses
 import json
 import os
 import re
@@ -171,6 +173,42 @@ def test_public_names_resolve_once_in_order():
     assert names == sorted(names)
 
 
+def test_public_dataclasses_compare_without_raising():
+    # a generated __eq__ compares array fields inside a tuple, which
+    # raises "truth value of an array ... is ambiguous" for two alike, so
+    # those that hold arrays compare by identity
+    import numpy as np
+
+    import cagewarp as cw
+
+    builders = {
+        "AdamState": lambda: cw.AdamState(m={"a": np.zeros(3)},
+                                          v={"a": np.ones(3)}),
+        "LossBreakdown": lambda: cw.LossBreakdown({"a": 1.0}, {"a": 2.0},
+                                                  2.0),
+        "MvcMatrix": lambda: cw.MvcMatrix(np.eye(3), np.zeros(3, dtype=int)),
+        "OffsetPredictor": lambda: cw.OffsetPredictor.init(3, 4),
+        "OptimReport": cw.OptimReport,
+        "PipelineConfig": cw.PipelineConfig,
+        "PointSet": lambda: cw.PointSet(points=np.eye(3)),
+        "SyntheticFamily": cw.SyntheticFamily,
+        "Transform": lambda: cw.Transform(2.0, np.ones(3)),
+        "TriMesh": lambda: cw.make_box_mesh(2),
+    }
+    by_identity = {"AdamState", "MvcMatrix", "OffsetPredictor", "PointSet",
+                   "Transform", "TriMesh"}
+    assert set(builders) == {n for n in cw.__all__
+                             if dataclasses.is_dataclass(getattr(cw, n))}
+    for name, build in builders.items():
+        a, b = build(), build()
+        assert a == a, name
+        # a family holds a TriMesh, so two alike are not equal
+        alike_equal = name not in by_identity | {"SyntheticFamily"}
+        assert (a == b) is alike_equal, name
+        if name in by_identity:
+            assert len({a, b}) == 2, name
+
+
 PRIVATE_NUMPY = re.compile(r"\b(?:np|numpy)\.(?:_core|core)\b")
 
 
@@ -237,6 +275,19 @@ def test_no_module_imports_from_a_layer_above(imports):
 ])
 def test_module_does_not_import(imports, module, forbidden):
     assert forbidden not in imports[module]
+
+
+def test_kernel_opens_no_file():
+    # the weight-matrix files are meshio's
+    tree = ast.parse((PACKAGE / "mvc.py").read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)}
+    called = {getattr(node.func, "id", None) for node in ast.walk(tree)
+              if isinstance(node, ast.Call)}
+    assert not imported & {"os", "struct"}
+    assert "open" not in called
 
 
 def bare_pointsets(source):

@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 from cagewarp import meshio
-from cagewarp.geometry import MeshError, PointSet, TriMesh, make_box_mesh
+from cagewarp.geometry import (
+    MeshError,
+    PointSet,
+    TriMesh,
+    make_box_mesh,
+    make_template_cage,
+)
+from cagewarp.mvc import compute_mvc, deform
 
 EDGE_VALUES = [0.0, -0.0, 1e-320, -5e-324, 2.2250738585072014e-308,
                1e300, -1.7976931348623157e308, 1.0 / 3.0, -123456.789e-200,
@@ -60,6 +67,50 @@ def test_save_offsets_and_landmarks_bytes(tmp_path):
     lm = np.array([[0, 7], [12, 3]])
     meshio.save_landmarks(lm, tmp_path / "lm.csv")
     assert (tmp_path / "lm.csv").read_text() == "0,7\n12,3\n"
+
+
+def _edge_weights():
+    # (40, 6): the edge values, 5e-324 among them, in the first rows
+    w = _edge_points(80).reshape(40, 6)
+    w[-1, :3] = [5e-324, -0.0, 1e300]
+    return w
+
+
+def test_save_weights_csv_bytes_match_per_row_output(tmp_path):
+    w = _edge_weights()
+    path = tmp_path / "w.csv"
+    meshio.save_weights(w, path)
+    assert path.read_text() == "".join(
+        ",".join(f"{x:.17g}" for x in row) + "\n" for row in w)
+    assert np.array_equal(np.loadtxt(path, delimiter=",", ndmin=2), w)
+
+
+def test_chunked_weight_csv_matches_one_chunk(tmp_path, monkeypatch):
+    w = _edge_weights()
+    meshio.save_weights(w, tmp_path / "one.csv")
+    monkeypatch.setattr(meshio, "_WRITE_CHUNK", 7)
+    meshio.save_weights(w, tmp_path / "many.csv")
+    assert (tmp_path / "one.csv").read_bytes() == (
+        tmp_path / "many.csv").read_bytes()
+
+
+def test_weight_binary_round_trips_bit_for_bit(tmp_path):
+    w = _edge_weights()
+    path = tmp_path / "w.bin"
+    meshio.save_weights(w, path)
+    back = meshio.load_weights(path)
+    assert back.dtype == np.float64 and back.shape == w.shape
+    assert back.tobytes() == w.tobytes()
+
+
+def test_deform_reads_the_loaded_weights(tmp_path):
+    cage = make_template_cage("sphere42", scale=1.5)
+    pts = make_box_mesh(3).vertices
+    moved = cage.vertices * [1.1, 0.9, 1.0] + 0.01
+    weights = compute_mvc(cage, pts).weights
+    meshio.save_weights(weights, tmp_path / "w.bin")
+    got = deform(meshio.load_weights(tmp_path / "w.bin"), moved)
+    assert got.tobytes() == deform(weights, moved).tobytes()
 
 
 def test_chunked_writes_match_one_chunk(tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cagewarp.autodiff as ad
+from cagewarp import meshio
 from cagewarp.geometry import TriMesh, make_box_mesh, make_template_cage
 from cagewarp.mvc import (
     FLAG_EXTERIOR_OK,
@@ -11,7 +12,6 @@ from cagewarp.mvc import (
     FLAG_ON_FACE,
     FLAG_ON_VERTEX,
     MvcError,
-    MvcMatrix,
     compute_mvc,
     deform,
     mvc_weights,
@@ -48,7 +48,7 @@ class TestBasicProperties:
             span = hi - lo
             pts = rng.uniform(lo - 0.5 * span, hi + 0.5 * span, size=(200, 3))
             m = compute_mvc(cage, pts)
-            assert np.abs(m.row_sums() - 1.0).max() < 1e-9
+            assert np.abs(m.weights.sum(axis=1) - 1.0).max() < 1e-9
             recon = m.weights @ cage.vertices
             diagonal = np.linalg.norm(span)
             assert np.abs(recon - pts).max() < 1e-7 * diagonal
@@ -96,7 +96,7 @@ class TestBasicProperties:
         m = compute_mvc(octa, np.array([[2.0, 0.3, -0.4]]))
         assert m.flags[0] == FLAG_EXTERIOR_OK
         assert m.weights.min() < 0
-        assert abs(m.row_sums()[0] - 1.0) < 1e-9
+        assert abs(m.weights.sum(axis=1)[0] - 1.0) < 1e-9
 
 
 class TestRobustQueries:
@@ -104,7 +104,7 @@ class TestRobustQueries:
         p = octa.vertices[octa.faces[0]].mean(axis=0, keepdims=True)
         m = compute_mvc(octa, p)
         assert m.flags[0] == FLAG_ON_FACE
-        assert abs(m.row_sums()[0] - 1.0) < 1e-12
+        assert abs(m.weights.sum(axis=1)[0] - 1.0) < 1e-12
         assert np.abs(m.weights @ octa.vertices - p).max() < 1e-12
         # only that face's vertices carry weight
         other = np.setdiff1d(np.arange(6), octa.faces[0])
@@ -114,7 +114,7 @@ class TestRobustQueries:
         p = 0.5 * (octa.vertices[0] + octa.vertices[2])
         m = compute_mvc(octa, p[None])
         assert np.isfinite(m.weights).all()
-        assert abs(m.row_sums()[0] - 1.0) < 1e-12
+        assert abs(m.weights.sum(axis=1)[0] - 1.0) < 1e-12
         # asin conditioning near a half-turn bounds accuracy at ~sqrt(eps)
         assert np.abs(m.weights @ octa.vertices - p).max() < 1e-7
 
@@ -127,7 +127,7 @@ class TestRobustQueries:
         ])
         m = compute_mvc(octa, probes)
         assert np.isfinite(m.weights).all()
-        assert np.abs(m.row_sums() - 1.0).max() < 1e-9
+        assert np.abs(m.weights.sum(axis=1) - 1.0).max() < 1e-9
 
     def test_coincident_with_vertex_is_indicator(self, octa):
         m = compute_mvc(octa, octa.vertices[4:5])
@@ -168,7 +168,7 @@ class TestDeform:
         rng = np.random.default_rng(12)
         pts = rng.uniform(-0.4, 0.4, size=(30, 3))
         m = compute_mvc(octa, pts)
-        out = deform(m, octa.vertices)
+        out = deform(m.weights, octa.vertices)
         assert np.abs(out - pts).max() < 1e-7
 
     def test_translation(self, octa):
@@ -176,7 +176,7 @@ class TestDeform:
         pts = rng.uniform(-0.4, 0.4, size=(30, 3))
         m = compute_mvc(octa, pts)
         t = np.array([0.3, -1.2, 2.5])
-        out = deform(m, octa.vertices + t)
+        out = deform(m.weights, octa.vertices + t)
         assert np.abs(out - (pts + t)).max() < 1e-9
 
     def test_affine_reproduction(self, octa):
@@ -185,13 +185,13 @@ class TestDeform:
         m = compute_mvc(octa, pts)
         a = rng.normal(size=(3, 3))
         b = rng.normal(size=3)
-        out = deform(m, octa.vertices @ a.T + b)
+        out = deform(m.weights, octa.vertices @ a.T + b)
         assert np.abs(out - (pts @ a.T + b)).max() < 1e-7
 
     def test_dimension_mismatch(self, octa):
         m = compute_mvc(octa, np.zeros((1, 3)))
         with pytest.raises(ValueError):
-            deform(m, octa.vertices[:4])
+            deform(m.weights, octa.vertices[:4])
 
     def test_non_finite_vertex_rejected_by_first_row(self, octa):
         # without the check every deformed row came back NaN, with no error
@@ -200,7 +200,7 @@ class TestDeform:
         verts[2, 0], verts[5, 2] = -np.inf, np.nan
         with pytest.raises(MvcError, match=r"^non-finite deformed cage "
                            r"vertex 2: \[-inf, 1\.0, 0\.0\]$"):
-            deform(m, verts)
+            deform(m.weights, verts)
 
 
 class TestTolerances:
@@ -239,9 +239,9 @@ class TestSerialization:
         pts = rng.uniform(-0.4, 0.4, size=(9, 3))
         m = compute_mvc(octa, pts)
         path = tmp_path / "w.bin"
-        m.save_binary(path)
-        back = MvcMatrix.load_binary(path)
-        assert np.array_equal(back.weights, m.weights)
+        meshio.save_weights(m.weights, path)
+        back = meshio.load_weights(path)
+        assert np.array_equal(back, m.weights)
         raw = path.read_bytes()
         assert raw[:8] == b"MVCMAT01"
         rows = int.from_bytes(raw[8:16], "little")
@@ -253,13 +253,13 @@ class TestSerialization:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
         with pytest.raises(ValueError):
-            MvcMatrix.load_binary(path)
+            meshio.load_weights(path)
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "short.bin"
         path.write_bytes(b"MVCMAT01" + b"\x00\x00")
         with pytest.raises(ValueError, match="truncated MVC matrix file"):
-            MvcMatrix.load_binary(path)
+            meshio.load_weights(path)
 
     @pytest.mark.parametrize("rows,cols", [(10**12, 10), (2**62, 2**62)])
     def test_header_larger_than_file(self, tmp_path, rows, cols):
@@ -267,7 +267,7 @@ class TestSerialization:
         path.write_bytes(b"MVCMAT01" + struct.pack("<qq", rows, cols)
                          + np.zeros(6).tobytes())
         with pytest.raises(ValueError, match="truncated MVC matrix file"):
-            MvcMatrix.load_binary(path)
+            meshio.load_weights(path)
 
     def test_bytes_past_payload(self, tmp_path):
         # a (2, 3) header with its 6 doubles and 8 bytes more
@@ -275,7 +275,7 @@ class TestSerialization:
         path.write_bytes(b"MVCMAT01" + struct.pack("<qq", 2, 3)
                          + np.zeros(6).tobytes() + b"\x00" * 8)
         with pytest.raises(ValueError, match="8 bytes past its"):
-            MvcMatrix.load_binary(path)
+            meshio.load_weights(path)
 
     @pytest.mark.parametrize("rows,cols", [(-1, 6), (-2, -3)])
     def test_negative_dimensions(self, tmp_path, rows, cols):
@@ -283,12 +283,12 @@ class TestSerialization:
         path.write_bytes(b"MVCMAT01" + struct.pack("<qq", rows, cols)
                          + np.zeros(6).tobytes())
         with pytest.raises(ValueError, match="negative MVC matrix dimensions"):
-            MvcMatrix.load_binary(path)
+            meshio.load_weights(path)
 
     def test_csv_export(self, octa, tmp_path):
         m = compute_mvc(octa, np.zeros((1, 3)))
         path = tmp_path / "w.csv"
-        m.save_csv(path)
+        meshio.save_weights(m.weights, path)
         vals = np.loadtxt(path, delimiter=",")
         assert np.allclose(vals, m.weights[0])
 

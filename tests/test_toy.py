@@ -152,6 +152,18 @@ class TestTraining:
             train_toy(fam, fam.default_cage(), epochs=5, n_train=2,
                       alpha_shape=np.inf)
 
+    @pytest.mark.parametrize("n_train", [0, -1])
+    def test_empty_training_set_rejected_before_any_work(self, monkeypatch,
+                                                         n_train):
+        def no_work(*args, **kwargs):
+            raise AssertionError("train_toy computed coordinates")
+
+        monkeypatch.setattr(toy, "compute_mvc", no_work)
+        fam = SyntheticFamily()
+        with pytest.raises(ValueError, match="^n_train must be at least 1, "
+                           f"got {n_train}$"):
+            train_toy(fam, fam.default_cage(), epochs=5, n_train=n_train)
+
     def test_step_budget_below_one_rejected(self):
         fam = SyntheticFamily()
         for epochs in (0, -1):
