@@ -100,12 +100,14 @@ class RunManifest:
 
 def _write_report(out_dir: Path, metrics: dict, wall_time: float) -> Path:
     """``report.json``: the metrics, and in ``provenance`` the wall time, the
-    version and the thread count the command ran under."""
+    version, the thread count the command ran under and numpy's OpenBLAS
+    thread count under it (None where no OpenBLAS was found)."""
     path = out_dir / "report.json"
     payload = {
         "metrics": metrics,
         "provenance": {"wall_time_s": wall_time, "version": __version__,
-                       "threads": runtime.thread_count()},
+                       "threads": runtime.thread_count(),
+                       "blas_threads": runtime.blas_threads()},
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -125,6 +125,12 @@ class OptimReport:
         ]
 
 
+def check_step_budget(max_iters: int) -> None:
+    """Reject a step budget below one step."""
+    if max_iters < 1:
+        raise ValueError(f"step budget must be at least 1, got {max_iters}")
+
+
 def run_adam(params: dict, weights: dict, step_size: float, max_iters: int,
              evaluate, before_update=None, after_update=None):
     """Minimize a weighted loss over ``params`` with Adam.
@@ -142,8 +148,7 @@ def run_adam(params: dict, weights: dict, step_size: float, max_iters: int,
     Each step's tape is released after its Adam update, before the next
     ``evaluate`` builds another.  Returns (params, report).
     """
-    if max_iters < 1:
-        raise ValueError(f"step budget must be at least 1, got {max_iters}")
+    check_step_budget(max_iters)
     if not (np.isfinite(step_size) and step_size > 0):
         raise ValueError(
             f"step size must be positive and finite, got {step_size}")
@@ -443,12 +448,14 @@ def fit_cage(template_cage: TriMesh, source_shape, novel_shape,
 
 def transfer(fitted_cage: TriMesh, stored_cage_offsets: np.ndarray,
              novel_shape) -> np.ndarray:
-    """Positions of a novel shape deformed by offsetting its fitted cage."""
+    """Positions of a novel shape deformed by offsetting its fitted cage.
+    It runs under the caller's thread cap (``runtime.thread_cap(None)``)."""
     offsets = np.asarray(stored_cage_offsets, dtype=np.float64).reshape(-1, 3)
     if offsets.shape[0] != fitted_cage.n_vertices:
         raise ValueError(
             f"offset count {offsets.shape[0]} does not match cage vertex "
             f"count {fitted_cage.n_vertices}"
         )
-    m = compute_mvc(fitted_cage, novel_shape, with_flags=False)
-    return deform(m.weights, fitted_cage.vertices + offsets)
+    with runtime.thread_cap(None):
+        m = compute_mvc(fitted_cage, novel_shape, with_flags=False)
+        return deform(m.weights, fitted_cage.vertices + offsets)

@@ -6,11 +6,20 @@ its items, taken by the calling thread and a shared pool.  No result bit
 depends on the thread count: each row is computed by itself, block sizes
 depend only on the data, and whatever is summed across rows is summed on
 the calling thread in a fixed order.
+
+numpy's OpenBLAS keeps a pool of its own, whose workers spin on a core for
+a while after each product they share.  ``thread_cap`` holds that OpenBLAS
+to one thread, the calling one, for its body and gives the caller's count
+back on exit (a nested cap sets 1 again and gives back 1).  The library is found once, at import, among
+the objects ``/proc/self/maps`` lists; where none is found (another BLAS,
+or no ``/proc``) the hold does nothing.  No bit changes with the count:
+OpenBLAS does not split a product's inner sum across threads.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
 import os
 import threading
@@ -23,13 +32,57 @@ _pool: ThreadPoolExecutor | None = None
 _pool_size = 0
 _pool_lock = threading.Lock()
 
+# OpenBLAS's thread-count functions: numpy's wheels rename them, and a
+# build with 64-bit integers suffixes them
+_BLAS_NAMES = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _find_openblas():
+    """(get, set) of the thread count of the OpenBLAS numpy is linked to,
+    or None where this process has mapped none."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(None, 5)[-1].strip() for line in fh
+                            if "openblas" in
+                            os.path.basename(line.rstrip()).lower()})
+    except OSError:
+        return None
+    libs = []
+    for path in paths:
+        try:    # RTLD_NOLOAD: a library not loaded already fails
+            libs.append(ctypes.CDLL(path, mode=os.RTLD_NOLOAD))
+        except OSError:
+            pass
+    for get_name, set_name in _BLAS_NAMES:
+        for lib in libs:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, put = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                return get, put
+    return None
+
+
+_openblas = _find_openblas()
+
+
+def blas_threads() -> int | None:
+    """The threads numpy's OpenBLAS may use now, or None where no OpenBLAS
+    was found."""
+    return _openblas[0]() if _openblas else None
+
 
 @contextlib.contextmanager
 def thread_cap(n: int | None):
     """Cap internal parallelism for the body of a ``with``: 0 means all
     available cores, None keeps the caller's cap, a negative count raises
-    ``ValueError``.  The caller's cap is restored when it exits, also by an
-    exception."""
+    ``ValueError``.  Whatever the cap, numpy's OpenBLAS runs on the calling
+    thread alone for the body.  The caller's cap and OpenBLAS count are
+    restored when it exits, also by an exception."""
     global _threads
     saved = _threads
     if n is not None:
@@ -37,10 +90,15 @@ def thread_cap(n: int | None):
         if n < 0:
             raise ValueError(f"thread count must be 0 or more, got {n}")
         _threads = n or None
+    blas_saved = blas_threads()
+    if blas_saved is not None:
+        _openblas[1](1)
     try:
         yield
     finally:
         _threads = saved
+        if blas_saved is not None:
+            _openblas[1](blas_saved)
 
 
 def kdtree_workers() -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from . import losses
+from . import losses, runtime
 from .geometry import (
     TriMesh,
     make_box_mesh,
@@ -25,7 +25,7 @@ from .geometry import (
     pointset_from_mesh_vertices,
 )
 from .mvc import compute_mvc, deform
-from .optim import run_adam
+from .optim import check_step_budget, run_adam
 from .optim import adam_step  # noqa: F401 (benchmarks/spans.py patches it here)
 
 BASE_HALF_EXTENT = 0.25   # half extent of every family's base mesh
@@ -191,55 +191,58 @@ def train_toy(family: SyntheticFamily, source_cage: TriMesh,
     The source mesh and cage are static, so the coordinate weights and their
     penalty (weight 1) are computed once; alignment is the mean corresponded
     squared distance over the training members, plus ``alpha_shape`` times a
-    point-to-plane term when positive.  Returns (predictor, report).
+    point-to-plane term when positive.  It runs under the caller's thread
+    cap (``runtime.thread_cap(None)``).  Returns (predictor, report).
     """
     if n_train < 1:
         raise ValueError(f"n_train must be at least 1, got {n_train}")
+    check_step_budget(epochs)
     wmap = losses.term_weights(1.0, alpha_shape, "character")
     if alpha_shape == 0:
         del wmap["p2f"]
-    rng = np.random.default_rng(seed)
-    base = family.source_mesh()
-    phi = compute_mvc(source_cage, base.vertices,
-                      with_flags=False).weights                 # (N, C)
-    penalty_const = float(losses.mvc_penalty(phi))
+    with runtime.thread_cap(None):
+        rng = np.random.default_rng(seed)
+        base = family.source_mesh()
+        phi = compute_mvc(source_cage, base.vertices,
+                          with_flags=False).weights                 # (N, C)
+        penalty_const = float(losses.mvc_penalty(phi))
 
-    descriptors = family.sample_descriptors(n_train, rng)       # (B, 3)
-    targets = np.stack(
-        [family.member(s).vertices for s in descriptors]
-    )                                                           # (B, N, 3)
+        descriptors = family.sample_descriptors(n_train, rng)       # (B, 3)
+        targets = np.stack(
+            [family.member(s).vertices for s in descriptors]
+        )                                                           # (B, N, 3)
 
-    if "p2f" in wmap:
-        source_ps = pointset_from_mesh_vertices(base)
-
-    predictor = OffsetPredictor.init(
-        family.descriptor_dim, source_cage.n_vertices,
-        seed=seed, cage=source_cage,
-    )
-
-    def evaluate(pvars):
-        offsets = forward_offsets(pvars, descriptors)           # (B, C, 3)
-        deformed = ad.matmul(phi, source_cage.vertices + offsets)  # (B, N, 3)
-        terms = {
-            "mvc": penalty_const,
-            "align": losses.l2_corresponded(deformed, targets),
-        }
         if "p2f" in wmap:
-            p2f_sum = None
-            for bidx in range(len(descriptors)):
-                t = losses.p2f_term(source_ps, deformed[bidx])
-                p2f_sum = t if p2f_sum is None else p2f_sum + t
-            terms["p2f"] = p2f_sum / float(len(descriptors))
-        return terms
+            source_ps = pointset_from_mesh_vertices(base)
 
-    params, report = run_adam(predictor.params(), wmap, STEP_SIZE, epochs,
-                              evaluate)
-    predictor.replace_params(params)
-    report.final_metrics = {
-        "train_total": report.trace[-1].total,
-        "epochs": epochs,
-    }
-    return predictor, report
+        predictor = OffsetPredictor.init(
+            family.descriptor_dim, source_cage.n_vertices,
+            seed=seed, cage=source_cage,
+        )
+
+        def evaluate(pvars):
+            offsets = forward_offsets(pvars, descriptors)           # (B, C, 3)
+            deformed = ad.matmul(phi, source_cage.vertices + offsets)  # (B, N, 3)
+            terms = {
+                "mvc": penalty_const,
+                "align": losses.l2_corresponded(deformed, targets),
+            }
+            if "p2f" in wmap:
+                p2f_sum = None
+                for bidx in range(len(descriptors)):
+                    t = losses.p2f_term(source_ps, deformed[bidx])
+                    p2f_sum = t if p2f_sum is None else p2f_sum + t
+                terms["p2f"] = p2f_sum / float(len(descriptors))
+            return terms
+
+        params, report = run_adam(predictor.params(), wmap, STEP_SIZE, epochs,
+                                  evaluate)
+        predictor.replace_params(params)
+        report.final_metrics = {
+            "train_total": report.trace[-1].total,
+            "epochs": epochs,
+        }
+        return predictor, report
 
 
 def check_holdout(n_holdout: int) -> None:

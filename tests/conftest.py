@@ -60,3 +60,29 @@ def collapsed_face_box(subdiv=3) -> TriMesh:
     v = box.vertices.copy()
     v[box.faces[0, 2]] = v[box.faces[0, 1]]
     return TriMesh(v, box.faces)
+
+
+def _numpy_blas() -> str:
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"][
+            "name"]
+    except (TypeError, KeyError, AttributeError):
+        return "unknown"
+
+
+NUMPY_BLAS = _numpy_blas()
+needs_openblas = pytest.mark.skipif(
+    "openblas" not in NUMPY_BLAS.lower(),
+    reason=f"numpy's BLAS is {NUMPY_BLAS}, not OpenBLAS")
+
+
+@pytest.fixture
+def set_blas_threads():
+    """Sets numpy's OpenBLAS thread count through ``runtime``'s setter; the
+    count from before the test comes back after it."""
+    from cagewarp import runtime
+
+    get, put = runtime._openblas
+    before = get()
+    yield put
+    put(before)

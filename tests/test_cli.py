@@ -13,7 +13,7 @@ from cagewarp.geometry import (
     normalize_to_unit_box,
     sample_surface,
 )
-from conftest import collapsed_face_box, finned_box
+from conftest import collapsed_face_box, finned_box, needs_openblas
 
 
 @pytest.fixture
@@ -584,6 +584,29 @@ class TestThreadCap:
         assert [r["provenance"]["threads"] for r in reports] == [cores, 1]
         assert (json.dumps(reports[0]["metrics"], sort_keys=True)
                 == json.dumps(reports[1]["metrics"], sort_keys=True))
+
+    @needs_openblas
+    def test_transfer_runs_on_held_openblas_and_restores_the_count(
+            self, source_target, tmp_path, set_blas_threads):
+        # provenance.blas_threads is numpy's OpenBLAS count under the
+        # command: 1, held; the caller's count is back once it returns
+        sp, _ = source_target
+        cage = make_template_cage("sphere42", scale=(0.8, 0.8, 0.8))
+        meshio.save_mesh(cage, tmp_path / "cage.obj")
+        meshio.save_offsets(np.full((42, 3), 0.01), tmp_path / "off.csv")
+        reports = []
+        for flag in ("1", "2", "8"):
+            set_blas_threads(3)
+            out = tmp_path / f"t{flag}"
+            assert main(["transfer", "--cage", str(tmp_path / "cage.obj"),
+                         "--offsets", str(tmp_path / "off.csv"),
+                         "--shape", str(sp), "--threads", flag,
+                         "--out", str(out)]) == 0
+            assert runtime.blas_threads() == 3
+            reports.append(load_report(out))
+        assert [r["provenance"]["blas_threads"] for r in reports] == [1] * 3
+        assert len({json.dumps(r["metrics"], sort_keys=True)
+                    for r in reports}) == 1
 
     def test_negative_threads_rejected(self, source_target, tmp_path, seen,
                                        capsys):

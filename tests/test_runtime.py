@@ -1,6 +1,7 @@
 """The thread cap and the ordered map the coordinate kernel and the k-d tree
-run their blocks on."""
+run their blocks on, and the cap's hold on numpy's OpenBLAS."""
 
+import contextlib
 import sys
 import threading
 import time
@@ -8,7 +9,16 @@ import time
 import numpy as np
 import pytest
 
-from cagewarp import runtime
+from cagewarp import autodiff as ad
+from cagewarp import optim, runtime, toy
+from cagewarp.geometry import (
+    make_box_mesh,
+    make_template_cage,
+    normalize_to_unit_box,
+    sample_surface,
+)
+from cagewarp.mvc import compute_mvc, deform
+from conftest import NUMPY_BLAS, needs_openblas
 
 
 def test_each_item_runs_once_and_results_keep_order():
@@ -145,3 +155,122 @@ def test_kdtree_results_do_not_depend_on_workers():
     for got in results[1:]:
         assert len(got) == len(results[0])
         assert all(np.array_equal(a, b) for a, b in zip(got, results[0]))
+
+
+# numpy's OpenBLAS: every cap holds it to the calling thread
+
+
+def test_scipy_openblas_setter_found():
+    if NUMPY_BLAS != "scipy-openblas":
+        pytest.skip(f"numpy's BLAS is {NUMPY_BLAS}, not scipy-openblas")
+    assert runtime._openblas is not None
+    assert runtime.blas_threads() >= 1
+
+
+@needs_openblas
+@pytest.mark.parametrize("cap", [None, 0, 1, 2])
+def test_cap_holds_openblas_to_one_thread(set_blas_threads, cap):
+    set_blas_threads(3)
+    with runtime.thread_cap(cap):
+        assert runtime.blas_threads() == 1
+        with runtime.thread_cap(2):
+            assert runtime.blas_threads() == 1
+        with runtime.thread_cap(None):
+            assert runtime.blas_threads() == 1
+        assert runtime.blas_threads() == 1
+    assert runtime.blas_threads() == 3
+
+
+@needs_openblas
+def test_callers_openblas_count_returns_after_a_raise(set_blas_threads):
+    set_blas_threads(3)
+    with pytest.raises(RuntimeError, match="^outer$"):
+        with runtime.thread_cap(1):
+            with pytest.raises(RuntimeError, match="^inner$"):
+                with runtime.thread_cap(2):
+                    raise RuntimeError("inner")
+            assert runtime.blas_threads() == 1
+            raise RuntimeError("outer")
+    assert runtime.blas_threads() == 3
+    # a rejected count enters no cap and leaves the count alone
+    with pytest.raises(ValueError, match="got -1$"):
+        with runtime.thread_cap(-1):
+            pass
+    assert runtime.blas_threads() == 3
+
+
+def _small_pipeline_runs():
+    box, _ = normalize_to_unit_box(make_box_mesh(3, scale=(0.5, 0.35, 0.25)))
+    shape = make_template_cage("sphere162", scale=(0.30, 0.22, 0.25))
+    pts = sample_surface(shape, 40, seed=3)
+    cage = make_template_cage("sphere42", scale=(0.35, 0.27, 0.30))
+    lm = np.stack([np.arange(20), np.arange(20)], axis=1)
+    fam = toy.SyntheticFamily()
+    return {
+        "deform_pair": lambda: optim.deform_pair(
+            box, box, optim.PipelineConfig(seed=0, max_iters=1,
+                                           n_eval_samples=50)),
+        "fit_cage": lambda: optim.fit_cage(
+            cage, pts, pts, lm, optim.PipelineConfig(max_iters=1)),
+        "transfer": lambda: optim.transfer(cage, np.zeros((42, 3)), pts),
+        "train_toy": lambda: toy.train_toy(fam, fam.default_cage(), epochs=1,
+                                           n_train=2),
+    }
+
+
+@pytest.mark.parametrize("pipeline", ["deform_pair", "fit_cage", "transfer",
+                                      "train_toy"])
+def test_every_pipeline_enters_the_cap(monkeypatch, pipeline):
+    real = runtime.thread_cap
+    entered = []
+
+    @contextlib.contextmanager
+    def spy(n):
+        with real(n):
+            entered.append(runtime.blas_threads())
+            yield
+
+    run = _small_pipeline_runs()[pipeline]
+    monkeypatch.setattr(runtime, "thread_cap", spy)
+    run()
+    assert entered
+    if runtime._openblas is not None:
+        assert set(entered) == {1}
+
+
+@needs_openblas
+def test_products_have_the_same_bits_on_one_and_two_openblas_threads(
+        set_blas_threads):
+    # OpenBLAS does not split a product's inner sum across threads
+    rng = np.random.default_rng(35)
+    cage = make_template_cage("sphere162", scale=(0.8, 0.8, 0.8))
+    w = compute_mvc(cage, 0.4 * make_box_mesh(24).vertices,
+                    with_flags=False).weights
+    assert w.shape == (3458, 162)
+    moved = cage.vertices + rng.normal(scale=0.05, size=(162, 3))
+    phi = w[::3][:866]
+    v = rng.normal(size=(162, 3))
+    g = rng.normal(size=(866, 3))
+    got = []
+    for n in (1, 2):
+        set_blas_threads(n)
+        pv, vv = ad.Var(phi), ad.Var(v)
+        ad.sum_(ad.matmul(pv, vv) * g).backward()
+        got.append([deform(w, moved).tobytes(), pv.grad.tobytes(),
+                    vv.grad.tobytes()])
+    assert got[0] == got[1]
+
+
+@needs_openblas
+def test_no_openblas_worker_spins_after_a_transfer():
+    # OpenBLAS workers spin for ~0.1 s after a product they shared; a
+    # held transfer shares none, so a sleep right after it costs no CPU
+    shape = make_box_mesh(24).vertices * 0.4
+    cage = make_template_cage("sphere162", scale=(0.8, 0.8, 0.8))
+    offsets = np.full((162, 3), 0.01)
+    optim.transfer(cage, offsets, shape)
+    time.sleep(0.3)     # lets a spin begun before this test time out
+    optim.transfer(cage, offsets, shape)
+    t0 = time.process_time()
+    time.sleep(0.05)
+    assert time.process_time() - t0 < 0.02

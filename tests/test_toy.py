@@ -164,10 +164,16 @@ class TestTraining:
                            f"got {n_train}$"):
             train_toy(fam, fam.default_cage(), epochs=5, n_train=n_train)
 
-    def test_step_budget_below_one_rejected(self):
+    def test_step_budget_below_one_rejected(self, monkeypatch):
+        # rejected before any work, with run_adam's message
+        def no_work(*args, **kwargs):
+            raise AssertionError("train_toy computed coordinates")
+
+        monkeypatch.setattr(toy, "compute_mvc", no_work)
         fam = SyntheticFamily()
         for epochs in (0, -1):
-            with pytest.raises(ValueError, match=f"got {epochs}"):
+            with pytest.raises(ValueError, match="^step budget must be at "
+                               f"least 1, got {epochs}$"):
                 train_toy(fam, fam.default_cage(), epochs=epochs, n_train=2)
 
     @pytest.mark.parametrize("scale", [0.0, np.nan])
